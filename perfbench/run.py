@@ -5,8 +5,7 @@
 Run from the repository root. Each repetition runs in a fresh process
 (perfbench/worker.py), so set-up time and peak memory are measured per
 repetition. Repetitions start until ``--seconds`` have passed (at least
-two). Between them, set-up-only processes take up to a tenth of the time,
-so set-up time rests on more samples than the others. With ``--trace 0``
+two). With ``--trace 0``
 the last line of standard output carries the end-to-end metrics, each the
 median over repetitions. With ``--trace 1`` traced and untraced
 repetitions alternate and the last line carries the per-layer metrics,
@@ -19,7 +18,10 @@ Metric names and units come from BENCHMARK.json at the repository root.
 
 Correctness: every strategy must finish, the worker's artifact checks must
 pass, and the sha256 over the deterministic artifacts must be the same in
-every repetition, traced or not.
+every repetition, traced or not. It must also equal the digest recorded for
+the workload and seed in perfbench/reference.json, when that file has the
+seed and was recorded on a host with the same fingerprint (see
+``worker.environment``); otherwise the comparison is reported as skipped.
 """
 
 from __future__ import annotations
@@ -38,15 +40,13 @@ HERE = Path(__file__).resolve().parent
 OUT = Path(".perfbench_out")
 BLAS_THREADS = "1"
 MIN_REPS = 2
-SETUP_SHARE = 0.1
 REP_TIMEOUT_S = 150
+REFERENCE = HERE / "reference.json"
 
 
-
-def run_rep(workload: str, seed: int, trace: bool, index: int,
-            setup_only: bool = False) -> dict | None:
+def run_rep(workload: str, seed: int, trace: bool, index: int) -> dict | None:
     """One repetition in a fresh worker process; None if the worker crashed."""
-    out = OUT / f"{workload}-seed{seed}-{'setup' if setup_only else 'rep'}{index}"
+    out = OUT / f"{workload}-seed{seed}-rep{index}"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(Path("src").resolve()),
@@ -54,8 +54,6 @@ def run_rep(workload: str, seed: int, trace: bool, index: int,
                MKL_NUM_THREADS=BLAS_THREADS)
     cmd = [sys.executable, str(HERE / "worker.py"), "--workload", workload,
            "--seed", str(seed), "--out", str(out), "--trace", str(int(trace))]
-    if setup_only:
-        cmd.append("--setup-only")
     t0 = time.monotonic()
     proc = subprocess.run([*cmd, "--t0", repr(t0)], env=env, stdout=subprocess.PIPE,
                           text=True, timeout=REP_TIMEOUT_S, check=False)
@@ -67,6 +65,17 @@ def run_rep(workload: str, seed: int, trace: bool, index: int,
         print(f"rep {index}: worker exited with {proc.returncode}", file=sys.stderr)
         return None
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def reference_status(workload: str, seed: int, digest: str, env: dict) -> str:
+    """'match', 'mismatch', or why the digest was not compared with the reference."""
+    reference = json.loads(REFERENCE.read_text())
+    if reference["env"]["fingerprint"] != env["fingerprint"]:
+        return "skipped: reference recorded on a host with another fingerprint"
+    expected = reference["digests"][workload].get(str(seed))
+    if expected is None:
+        return f"skipped: no reference for seed {seed}"
+    return "match" if digest == expected else "mismatch"
 
 
 def main() -> int:
@@ -90,18 +99,9 @@ def main() -> int:
 
     start = time.monotonic()
     reps: list[tuple[bool, dict | None]] = []
-    setups: list[float] = []
-    probe_s = 0.0
     while time.monotonic() - start < args.seconds or len(reps) < MIN_REPS:
         traced = bool(args.trace) and len(reps) % 2 == 1
         reps.append((traced, run_rep(args.workload, args.seed, traced, len(reps))))
-        while (probe_s < SETUP_SHARE * (time.monotonic() - start)
-               and time.monotonic() - start < args.seconds):
-            tick = time.monotonic()
-            probe = run_rep(args.workload, args.seed, False, len(reps), setup_only=True)
-            probe_s += time.monotonic() - tick
-            if probe is not None:
-                setups.append(probe["setup_s"])
 
     done = [r for _, r in reps if r is not None]
     plain = [r for is_traced, r in reps if r is not None and not is_traced]
@@ -114,7 +114,8 @@ def main() -> int:
     failed = strategies * (len(reps) - len(done))
     failed += sum(r["failed_strategies"] + len(r["problems"]) for r in done)
     digests = {r["digest"] for r in done}
-    if len(digests) != 1:
+    reference = reference_status(args.workload, args.seed, done[0]["digest"], done[0]["env"])
+    if len(digests) != 1 or reference == "mismatch":
         failed += len(done)
     for r in done:
         for problem in r["problems"]:
@@ -122,11 +123,14 @@ def main() -> int:
     if len(digests) != 1:
         print(f"artifact digests differ between repetitions: {sorted(digests)}",
               file=sys.stderr)
+    if reference == "mismatch":
+        print(f"artifact digest differs from {REFERENCE.name} for seed {args.seed}",
+              file=sys.stderr)
 
     summary = {name: statistics.median(r[name] for r in plain)
                for name in ("run_s", "train_rows_per_s", "infer_rows_per_s",
                             "peak_rss_mb", "protocol_acc")}
-    summary["setup_s"] = statistics.median(setups + [r["setup_s"] for r in plain])
+    summary["setup_s"] = statistics.median(r["setup_s"] for r in plain)
     summary["ok_ratio"] = max(0.0, 1.0 - failed / attempted)
     values = summary
     if args.trace:
@@ -140,7 +144,7 @@ def main() -> int:
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "env": done[0]["env"], "digest": sorted(digests),
-        "end_to_end": summary, "metrics": metrics, "setup_samples": setups,
+        "reference": reference, "end_to_end": summary, "metrics": metrics,
         "reps": [{**{k: v for k, v in r.items() if k != "env"}, "traced": t}
                  for t, r in reps if r is not None],
     }
@@ -148,7 +152,8 @@ def main() -> int:
     (OUT / "results" / name).write_text(json.dumps(record, indent=2) + "\n")
 
     print("env " + json.dumps(record["env"], sort_keys=True))
-    print(f"digest {sorted(digests)[0]}  reps {len(reps)} ({len(traced)} traced)")
+    print(f"digest {sorted(digests)[0]}  reference {reference}  "
+          f"reps {len(reps)} ({len(traced)} traced)")
     print(json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed,
                       "metrics": metrics}))
     return 0

@@ -2,13 +2,13 @@
 
     python3 perfbench/sweep.py --seeds 1-10 --out perfbench/baseline.json
 
-Run from the repository root. For every workload and seed this runs
-perfbench/run.py with ``--trace 0``, then once more with ``--trace 1`` on
-``--trace-seed``. It prints, per workload and metric, the median, the
-quartiles and their distance as a share of the median (the spread), next
-to the metric's bound in BENCHMARK.json. With ``--out`` it also writes
-every run's result line, the artifact digest per seed and the traced
-per-layer table to a JSON file.
+Run from the repository root. For every workload in BENCHMARK.json and
+every seed this runs perfbench/run.py with ``--trace 0``, then once more
+with ``--trace 1`` on the first seed. It prints, per workload and metric,
+the median, the quartiles and their distance as a share of the median (the
+spread), next to the metric's bound in BENCHMARK.json. With ``--out`` it
+also writes every run's result line, the artifact digest per seed and the
+traced per-layer table to a JSON file.
 """
 
 from __future__ import annotations
@@ -58,13 +58,12 @@ def markdown(summary: dict, bench: dict) -> str:
                          f"{m['q1']:.6g} | {m['q3']:.6g} | {m['spread']:.3f} | {b['bound']} |")
         lines += ["", "| seed | artifact sha256 |", "|---|---|"]
         lines += [f"| {seed} | {' '.join(d)} |" for seed, d in entry["digest"].items()]
-        if "traced" in entry:
-            traced = entry["traced"]
-            lines += ["", f"Traced run, seed {traced['seed']} (medians over traced "
-                      f"repetitions; digest {' '.join(traced['digest'])}):", "",
-                      "| per-layer metric | value | unit |", "|---|---|---|"]
-            lines += [f"| {name} | {m['value']:.6g} | {m['unit']} |"
-                      for name, m in traced["result"]["metrics"].items()]
+        traced = entry["traced"]
+        lines += ["", f"Traced run, seed {traced['seed']} (medians over traced "
+                  f"repetitions; digest {' '.join(traced['digest'])}):", "",
+                  "| per-layer metric | value | unit |", "|---|---|---|"]
+        lines += [f"| {name} | {m['value']:.6g} | {m['unit']} |"
+                  for name, m in traced["result"]["metrics"].items()]
         lines.append("")
     return "\n".join(lines)
 
@@ -72,22 +71,16 @@ def markdown(summary: dict, bench: dict) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", default="1-10", help="inclusive range, e.g. 1-10")
-    ap.add_argument("--workloads", default=None, help="comma-separated; default all")
-    ap.add_argument("--trace-seed", type=int, default=None,
-                    help="seed of the traced run; default the first seed, 0 skips it")
     ap.add_argument("--out", default=None)
     ap.add_argument("--markdown", default=None)
     args = ap.parse_args()
 
     bench = json.loads(Path("BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    names = (args.workloads.split(",") if args.workloads
-             else [w["name"] for w in bench["workloads"]])
     seeds = seed_list(args.seeds)
-    trace_seed = seeds[0] if args.trace_seed is None else args.trace_seed
 
     summary = {}
-    for workload in names:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = {seed: run(workload, seed, bench["run_seconds"], 0) for seed in seeds}
         entry = {"seeds": seeds, "env": runs[seeds[0]]["env"],
                  "digest": {seed: r["digest"] for seed, r in runs.items()},
@@ -101,12 +94,11 @@ def main() -> int:
             entry["metrics"][metric] = {"median": med, "q1": q1, "q3": q3,
                                         "spread": spread, "values": values}
             print(f"  {metric:18s} median {med:14.6g}  q1 {q1:14.6g}  q3 {q3:14.6g}  "
-                  f"spread {spread:6.3f}  bound {bounds[metric]:.2f}")
-        if trace_seed:
-            entry["traced"] = run(workload, trace_seed, bench["run_seconds"], 1)
-            entry["traced"]["seed"] = trace_seed
-            for metric, m in entry["traced"]["result"]["metrics"].items():
-                print(f"  [trace] {metric:32s} {m['value']:14.6g} {m['unit']}")
+                  f"spread {spread:6.3f}  bound {bounds[metric]:g}")
+        entry["traced"] = run(workload, seeds[0], bench["run_seconds"], 1)
+        entry["traced"]["seed"] = seeds[0]
+        for metric, m in entry["traced"]["result"]["metrics"].items():
+            print(f"  [trace] {metric:32s} {m['value']:14.6g} {m['unit']}")
         summary[workload] = entry
         sys.stdout.flush()
 

@@ -2,8 +2,7 @@
 
 Started by run.py, never by hand. The process builds the workload's config
 and inputs, calls ``run_experiment`` once (traced or not), then checks the
-artifacts and digests the deterministic ones. With ``--setup-only`` it stops
-before the call. The reported set-up time runs
+artifacts and digests the deterministic ones. The reported set-up time runs
 from the moment run.py started this process (``--t0``, a CLOCK_MONOTONIC
 reading, which is shared by all processes) to the ``run_experiment`` call.
 """
@@ -11,33 +10,37 @@ reading, which is shared by all processes) to the ``run_experiment`` call.
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
+import json
+import os
+import platform
+import resource
+import statistics
+import sys
 import time
+from pathlib import Path
 
-T_START = time.monotonic()
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
-import csv  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import os  # noqa: E402
-import platform  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-import driftfed  # noqa: E402
-from driftfed import runner  # noqa: E402
-from tracing import Tracer, layer_table  # noqa: E402
-from workloads import WORKLOADS, build  # noqa: E402
+import driftfed
+from driftfed import runner
+from tracing import Tracer, layer_table
+from workloads import WORKLOADS, build
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def environment() -> dict:
+    """The host and libraries, plus a fingerprint of what decides float results.
+
+    numpy and OpenBLAS pick SIMD kernels by CPU feature, and kernels round
+    differently, so artifact digests are comparable only between hosts with
+    the same fingerprint.
+    """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
+    env = {
         "nproc": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
@@ -46,7 +49,12 @@ def environment() -> dict:
         "blas_version": blas.get("version"),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "machine": platform.machine(),
+        "cpu_features": sorted(name for name, on in __cpu_features__.items() if on),
     }
+    decisive = {k: v for k, v in env.items() if k not in ("nproc", "cpus_usable")}
+    env["fingerprint"] = hashlib.sha256(
+        json.dumps(decisive, sort_keys=True).encode()).hexdigest()[:16]
+    return env
 
 
 def digest(run_dir: Path, task: str) -> str:
@@ -91,8 +99,6 @@ def main() -> int:
     ap.add_argument("--out", required=True)
     ap.add_argument("--t0", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--setup-only", action="store_true",
-                    help="stop at the run_experiment call; report set-up time only")
     args = ap.parse_args()
 
     src = (Path.cwd() / "src").resolve()
@@ -108,9 +114,6 @@ def main() -> int:
     cfg, records = build(workload, args.seed, out)
 
     called = time.monotonic()
-    if args.setup_only:
-        print(json.dumps({"setup_s": called - args.t0, "import_s": T_START - args.t0}))
-        return 0
     tick = time.perf_counter()
     result = runner.run_experiment(cfg, records)
     run_s = time.perf_counter() - tick
@@ -135,7 +138,6 @@ def main() -> int:
         "problems": problems,
         "digest": digest(run_dir, cfg.task),
         "setup_s": called - args.t0,
-        "import_s": T_START - args.t0,
         "run_s": run_s,
         "train_rows_per_s": trained / train_s,
         "infer_rows_per_s": (sum(c["n_samples"] for c in cells)
