@@ -8,7 +8,7 @@ variants) for accuracy under drift and wall-clock cost.
 """
 
 from .dataset import LabeledData
-from .errors import (AggregationError, CodecError, ConfigError, DataError,
+from .errors import (AggregationError, CheckpointError, CodecError, ConfigError, DataError,
                      DriftFedError, EvaluationError, FederationError, LabelError,
                      LoadError, MetricError, ScheduleError, ShapeError)
 from .federation import (Checkpoint, FedConfig, fedavg_aggregate, init_from_history,

@@ -37,6 +37,10 @@ class AggregationError(DriftFedError):
     """Client parameter sets cannot be aggregated."""
 
 
+class CheckpointError(DriftFedError):
+    """Checkpoint file is malformed, truncated or of an unknown format version."""
+
+
 class FederationError(DriftFedError):
     """Federated round cannot run (for example an empty client shard)."""
 

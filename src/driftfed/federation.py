@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LabeledData
-from .errors import AggregationError, ConfigError, FederationError
-from .nn import ModelArch, ModelParams, TrainConfig, init_params, predict, train_local, unflatten
+from .errors import AggregationError, CheckpointError, ConfigError, DriftFedError, FederationError
+from .nn import ModelArch, ModelParams, TrainConfig, init_params, param_count, predict, train_local
 from .seeds import rng_for
 from .timeline import StrategyConfig
 
@@ -61,10 +61,10 @@ def fedavg_aggregate(client_params: list[ModelParams],
     total = float(sum(client_sizes))
     if total <= 0:
         raise AggregationError("total client size must be positive")
-    acc = np.zeros_like(client_params[0].flatten())
+    acc = np.zeros(param_count(arch))
     for params, size in zip(client_params, client_sizes):
-        acc += (size / total) * params.flatten()
-    return unflatten(arch, acc)
+        acc += (size / total) * params.vec
+    return ModelParams(arch, acc)
 
 
 def run_round(global_params: ModelParams, client_train: list[LabeledData],
@@ -110,7 +110,7 @@ def init_from_history(mode: str, history: list[Checkpoint],
             raise AggregationError("checkpoint architectures differ")
     if len(history) == 1:
         return history[0].params
-    flats = [c.params.flatten() for c in history]
+    flats = [c.params.vec for c in history]
     if mode == "equal":
         merged = np.mean(flats, axis=0)
     elif mode == "sample":
@@ -122,7 +122,7 @@ def init_from_history(mode: str, history: list[Checkpoint],
         merged = flats[0]
         for flat in flats[1:]:
             merged = ema_alpha * flat + (1.0 - ema_alpha) * merged
-    return unflatten(arch, merged)
+    return ModelParams(arch, merged)
 
 
 @dataclass
@@ -206,7 +206,7 @@ def _concat_nonempty(shards: list[LabeledData]) -> LabeledData | None:
 #   bytes 12..15 header length H, uint32
 #   bytes 16..16+H  UTF-8 JSON header: arch fields, period_id,
 #                   train_sample_count, param dtype and count
-#   remainder    parameter vector, float64, canonical flatten order
+#   remainder    ModelParams.vec as little-endian float64 (canonical order)
 #
 # Timing is intentionally not stored: checkpoint files are byte-reproducible
 # for identical runs. Wall-clock figures live in the latency report and the
@@ -218,7 +218,7 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     arch = ckpt.params.arch
-    flat = np.ascontiguousarray(ckpt.params.flatten(), dtype="<f8")
+    flat = np.ascontiguousarray(ckpt.params.vec, dtype="<f8")
     header = json.dumps({
         "arch": {
             "input_dim": arch.input_dim, "hidden_layers": arch.hidden_layers,
@@ -234,22 +234,35 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
         fh.write(header)
-        fh.write(flat.tobytes())
+        fh.write(flat.data)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Restore a persisted checkpoint (wall clock is not persisted; it loads as 0)."""
+    """Restore a persisted checkpoint (wall clock is not persisted; it loads as 0).
+
+    Any malformed file raises :class:`CheckpointError` naming ``path``.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
-        raise AggregationError(f"{path}: not a checkpoint file")
-    version, header_len = struct.unpack("<II", blob[8:16])
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    if len(blob) < 16:
+        raise CheckpointError(f"{path}: header truncated")
+    version, header_len = struct.unpack_from("<II", blob, 8)
     if version != CHECKPOINT_VERSION:
-        raise AggregationError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    arch = ModelArch(**header["arch"])
-    flat = np.frombuffer(blob[16 + header_len:], dtype="<f8")
-    if flat.size != header["param_count"]:
-        raise AggregationError(f"{path}: parameter payload truncated")
-    params = unflatten(arch, flat.astype(np.float64))
-    return Checkpoint(params, header["period_id"], header["train_sample_count"], 0.0)
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+        arch = ModelArch(**header["arch"])
+        count, period_id, samples, dtype = (header[k] for k in (
+            "param_count", "period_id", "train_sample_count", "dtype"))
+    except (ValueError, KeyError, TypeError, RecursionError, DriftFedError) as exc:
+        raise CheckpointError(f"{path}: bad header: {exc!r}") from exc
+    if not all(type(v) is int for v in (count, period_id, samples)) or dtype != "float64":
+        raise CheckpointError(f"{path}: bad header field types")
+    payload = len(blob) - 16 - header_len
+    if count != param_count(arch) or payload != 8 * count:
+        raise CheckpointError(f"{path}: {payload}-byte payload does not hold the "
+                              f"{param_count(arch)} float64 parameters of {arch}")
+    vec = np.frombuffer(blob, dtype="<f8", offset=16 + header_len).astype(np.float64)
+    return Checkpoint(ModelParams(arch, vec), period_id, samples, 0.0)

@@ -2,8 +2,19 @@
 
 The model is a fixed graph: ``seq_len`` timesteps through ``hidden_layers``
 LSTM layers (standard input/forget/cell/output gates), then a dense softmax
-head on the last hidden state. Everything is plain numpy, double precision by
-default so gradients can be checked against finite differences.
+head on the last hidden state. Everything is plain numpy in double precision,
+so gradients can be checked against finite differences.
+
+All parameters of a model are one contiguous float64 vector,
+``ModelParams.vec``; ``wx``, ``wh``, ``b``, ``w_out`` and ``b_out`` are views
+into it in canonical order. Gradients, optimizer state, FedAvg and
+checkpoints all work on such vectors.
+
+Zero-state fast path: the carried ``h`` and ``c`` are zero at timestep 0, so
+forward and backward skip the terms that only add exact zeros there (``h @
+wh``, the forget gate, the carries into t=-1). At ``seq_len == 1`` ``wh`` is
+therefore inert: its gradient is exactly zero, so with fresh optimizer moments
+per :func:`train_local` call it would never change, and the optimizer skips it.
 
 Determinism contract: every function here is a pure function of its inputs
 plus the seeds carried in the configs. Shuffling uses per-epoch generators
@@ -13,8 +24,10 @@ outputs across runs.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,12 +68,33 @@ class ModelArch:
     def feature_width(self) -> int:
         return self.input_dim * self.seq_len
 
+    @cached_property
+    def layout(self) -> tuple[tuple, tuple[slice, ...]]:
+        """``(slots, live)`` of the flat parameter vector, computed once.
+
+        ``slots`` is ``(slice, shape)`` per tensor in canonical order. ``live``
+        is what the optimizer updates, split at every ``wh`` so each segment
+        stays cache-sized; at ``seq_len == 1`` the inert ``wh`` are left out.
+        """
+        slots, live = [], []
+        offset = start = 0
+        for k, shape in enumerate(tensor_shapes(self)):
+            end = offset + math.prod(shape)
+            slots.append((slice(offset, end), shape))
+            if k < 3 * self.hidden_layers and k % 3 == 1:  # a recurrent wh
+                live.append(slice(start, offset))
+                if self.seq_len > 1:
+                    live.append(slice(offset, end))
+                start = end
+            offset = end
+        return tuple(slots), tuple(live + [slice(start, offset)])
+
 
 def param_count(arch: ModelArch) -> int:
     """Total number of scalar parameters, a pure function of the arch."""
     h = arch.hidden_units
-    total = sum(4 * h * (d + h + 1) for d in arch.layer_input_dims)
-    return total + arch.output_dim * (h + 1)
+    fan_in = arch.input_dim + (arch.hidden_layers - 1) * h
+    return 4 * h * (fan_in + arch.hidden_layers * (h + 1)) + arch.output_dim * (h + 1)
 
 
 @dataclass(frozen=True)
@@ -82,57 +116,6 @@ class TrainConfig:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """All weight tensors of one model.
-
-    Per LSTM layer: ``wx`` (layer_input, 4H) input weights, ``wh`` (H, 4H)
-    recurrent weights and ``b`` (4H,) bias, gate order (input, forget, cell,
-    output). Output head: ``w_out`` (H, C) and ``b_out`` (C,).
-
-    Instances returned by public functions are immutable (arrays are marked
-    read-only); treat them as values.
-    """
-
-    arch: ModelArch
-    wx: tuple[np.ndarray, ...]
-    wh: tuple[np.ndarray, ...]
-    b: tuple[np.ndarray, ...]
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.w_out.dtype
-
-    def tensors(self) -> list[np.ndarray]:
-        """Canonical tensor order used by flatten/unflatten."""
-        out: list[np.ndarray] = []
-        for layer in range(self.arch.hidden_layers):
-            out.extend((self.wx[layer], self.wh[layer], self.b[layer]))
-        out.extend((self.w_out, self.b_out))
-        return out
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([t.ravel() for t in self.tensors()])
-
-    @staticmethod
-    def _pack(arch: ModelArch, tensors: list[np.ndarray], freeze: bool = True) -> "ModelParams":
-        if freeze:
-            tensors = [_freeze(t) for t in tensors]
-        n_layers = arch.hidden_layers
-        wx = tuple(tensors[3 * i] for i in range(n_layers))
-        wh = tuple(tensors[3 * i + 1] for i in range(n_layers))
-        b = tuple(tensors[3 * i + 2] for i in range(n_layers))
-        return ModelParams(arch=arch, wx=wx, wh=wh, b=b,
-                           w_out=tensors[-2], b_out=tensors[-1])
-
-
 def tensor_shapes(arch: ModelArch) -> list[tuple[int, ...]]:
     h = arch.hidden_units
     shapes: list[tuple[int, ...]] = []
@@ -142,57 +125,84 @@ def tensor_shapes(arch: ModelArch) -> list[tuple[int, ...]]:
     return shapes
 
 
+def _split(arch: ModelArch, vec: np.ndarray):
+    """``(wx, wh, b, w_out, b_out)`` views of a flat vector."""
+    views = [vec[sl].reshape(shape) for sl, shape in arch.layout[0]]
+    n = 3 * arch.hidden_layers
+    return (tuple(views[0:n:3]), tuple(views[1:n:3]), tuple(views[2:n:3]),
+            views[-2], views[-1])
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """All weights of one model: one float64 vector with named views.
+
+    Per LSTM layer: ``wx`` (layer_input, 4H) input weights, ``wh`` (H, 4H)
+    recurrent weights and ``b`` (4H,) bias, gate order (input, forget, cell,
+    output). Output head: ``w_out`` (H, C) and ``b_out`` (C,). They are views,
+    in that order, into ``vec``, itself a read-only view of the array passed
+    in. Instances returned by public functions own their memory; treat them
+    as values.
+    """
+
+    arch: ModelArch
+    vec: np.ndarray
+    wx: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    wh: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    b: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    w_out: np.ndarray = field(init=False, repr=False)
+    b_out: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        vec, size = self.vec, param_count(self.arch)
+        if not (isinstance(vec, np.ndarray) and vec.dtype == np.float64
+                and vec.shape == (size,) and vec.flags.c_contiguous):
+            raise ShapeError(f"parameters must be a contiguous float64 vector of "
+                             f"length {size} (param_count of the arch)")
+        vec = vec.view()
+        vec.flags.writeable = False
+        object.__setattr__(self, "vec", vec)
+        for name, value in zip(("wx", "wh", "b", "w_out", "b_out"), _split(self.arch, vec)):
+            object.__setattr__(self, name, value)
+
+    def flatten(self) -> np.ndarray:
+        """The parameter vector itself (read-only, no copy)."""
+        return self.vec
+
+
 def unflatten(arch: ModelArch, flat: np.ndarray) -> ModelParams:
-    """Inverse of ``ModelParams.flatten``; round-trips bit-exactly."""
-    flat = np.asarray(flat)
-    if flat.ndim != 1 or flat.size != param_count(arch):
-        raise ShapeError(
-            f"flat vector of length {flat.size} does not match arch "
-            f"(expected {param_count(arch)})"
-        )
-    tensors = []
-    offset = 0
-    for shape in tensor_shapes(arch):
-        size = int(np.prod(shape))
-        tensors.append(flat[offset:offset + size].reshape(shape).copy())
-        offset += size
-    return ModelParams._pack(arch, tensors)
+    """Params holding a float64 copy of ``flat``; inverse of ``ModelParams.flatten``."""
+    return ModelParams(arch, np.array(flat, dtype=np.float64))
 
 
-def init_params(arch: ModelArch, seed: int, dtype=np.float64) -> ModelParams:
+def init_params(arch: ModelArch, seed: int) -> ModelParams:
     """Deterministic initialization.
 
     Weights are uniform on (-k, k) with k = 1/sqrt(fan_in). Biases are zero
     except the LSTM forget-gate slice, which starts at 1 so cells keep state
     early in training.
     """
-    if dtype not in (np.float32, np.float64):
-        raise ConfigError("dtype must be float32 or float64")
     rng = rng_for(seed, "init")
     h = arch.hidden_units
-    tensors: list[np.ndarray] = []
-    for d in arch.layer_input_dims:
+    vec = np.zeros(param_count(arch))
+    wx, wh, b, w_out, _ = _split(arch, vec)
+    for layer, d in enumerate(arch.layer_input_dims):
         kx = 1.0 / np.sqrt(d)
         kh = 1.0 / np.sqrt(h)
-        tensors.append(rng.uniform(-kx, kx, size=(d, 4 * h)).astype(dtype))
-        tensors.append(rng.uniform(-kh, kh, size=(h, 4 * h)).astype(dtype))
-        bias = np.zeros(4 * h, dtype=dtype)
-        bias[h:2 * h] = 1.0
-        tensors.append(bias)
+        wx[layer][...] = rng.uniform(-kx, kx, size=wx[layer].shape)
+        wh[layer][...] = rng.uniform(-kh, kh, size=wh[layer].shape)
+        b[layer][h:2 * h] = 1.0
     ko = 1.0 / np.sqrt(h)
-    tensors.append(rng.uniform(-ko, ko, size=(h, arch.output_dim)).astype(dtype))
-    tensors.append(np.zeros(arch.output_dim, dtype=dtype))
-    return ModelParams._pack(arch, tensors)
+    w_out[...] = rng.uniform(-ko, ko, size=w_out.shape)
+    return ModelParams(arch, vec)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # piecewise form avoids exp overflow for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # piecewise form avoids exp overflow for large |x|: 1/(1+exp(-x)) for
+    # x >= 0 and exp(x)/(1+exp(x)) below, both from e = exp(-|x|)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -217,41 +227,35 @@ def forward(params: ModelParams, batch: np.ndarray):
     where the cache holds every intermediate needed by :func:`backward`.
     """
     arch = params.arch
-    X = np.asarray(batch, dtype=params.dtype)
+    X = np.asarray(batch, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != arch.feature_width:
         raise ShapeError(
             f"batch has {X.shape[1] if X.ndim == 2 else '?'} columns, "
             f"expected input_dim*seq_len = {arch.feature_width}"
         )
     n = X.shape[0]
-    h_units = arch.hidden_units
+    hu = arch.hidden_units
     steps = X.reshape(n, arch.seq_len, arch.input_dim)
     inputs = [steps[:, t, :] for t in range(arch.seq_len)]
 
     layer_caches = []
     for layer in range(arch.hidden_layers):
         wx, wh, bias = params.wx[layer], params.wh[layer], params.b[layer]
-        h = np.zeros((n, h_units), dtype=params.dtype)
-        c = np.zeros((n, h_units), dtype=params.dtype)
-        cache = {"x": inputs, "h_prev": [], "c_prev": [],
-                 "i": [], "f": [], "g": [], "o": [], "tanh_c": []}
-        outputs = []
-        for t in range(arch.seq_len):
-            cache["h_prev"].append(h)
-            cache["c_prev"].append(c)
-            z = inputs[t] @ wx + h @ wh + bias
-            gi = _sigmoid(z[:, :h_units])
-            gf = _sigmoid(z[:, h_units:2 * h_units])
-            gg = np.tanh(z[:, 2 * h_units:3 * h_units])
-            go = _sigmoid(z[:, 3 * h_units:])
-            c = gf * c + gi * gg
+        h = c = None  # the zero state before timestep 0
+        cache, outputs = [], []
+        for x in inputs:
+            z = x @ wx
+            if h is not None:
+                z += h @ wh
+            z += bias
+            act = _sigmoid(z)  # gates i, f, o; the cell slice goes through tanh
+            gi, gf, go = act[:, :hu], act[:, hu:2 * hu], act[:, 3 * hu:]
+            gg = np.tanh(z[:, 2 * hu:3 * hu])
+            c_prev = c
+            c = gi * gg if c_prev is None else gf * c_prev + gi * gg
             tc = np.tanh(c)
+            cache.append((x, h, c_prev, act, gg, tc))
             h = go * tc
-            cache["i"].append(gi)
-            cache["f"].append(gf)
-            cache["g"].append(gg)
-            cache["o"].append(go)
-            cache["tanh_c"].append(tc)
             outputs.append(h)
         layer_caches.append(cache)
         inputs = outputs
@@ -262,11 +266,15 @@ def forward(params: ModelParams, batch: np.ndarray):
     return logits, full_cache
 
 
-def backward(params: ModelParams, cache, labels: np.ndarray) -> ModelParams:
-    """Gradients of the mean cross-entropy loss w.r.t. every tensor.
+def backward(params: ModelParams, cache, labels: np.ndarray,
+             out: np.ndarray | None = None) -> ModelParams:
+    """Gradients of the mean cross-entropy loss w.r.t. every parameter.
 
     ``cache`` must come from :func:`forward` on the same params. Returns a
-    ModelParams-shaped container of gradients.
+    ModelParams-shaped container of gradients. Its vector is a fresh zero
+    vector, or ``out`` if given (float64, param_count long): backward
+    overwrites every element except each ``wh`` when ``seq_len == 1``, whose
+    gradient is zero, so ``out`` must hold zeros there.
     """
     arch = params.arch
     n = cache["n"]
@@ -278,71 +286,65 @@ def backward(params: ModelParams, cache, labels: np.ndarray) -> ModelParams:
             f"label out of range: max {int(labels.max())} for output_dim {arch.output_dim}"
         )
 
-    probs = softmax(cache["logits"])
-    dlogits = probs.copy()
+    grad = np.zeros(param_count(arch)) if out is None else out
+    grads = ModelParams(arch, grad)  # checks ``out``; read-only views that follow grad
+    g_wx, g_wh, g_b, g_w_out, g_b_out = _split(arch, grad)
+    dlogits = softmax(cache["logits"])
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
+    np.matmul(cache["h_last"].T, dlogits, out=g_w_out)
+    np.sum(dlogits, axis=0, out=g_b_out)
 
-    g_w_out = cache["h_last"].T @ dlogits
-    g_b_out = dlogits.sum(axis=0)
-
-    h_units = arch.hidden_units
-    seq_len = arch.seq_len
-    # gradient flowing into the hidden outputs of the top layer
-    upstream = [np.zeros_like(cache["h_last"]) for _ in range(seq_len)]
-    upstream[-1] = dlogits @ params.w_out.T
-
-    g_wx, g_wh, g_b = [], [], []
+    hu = arch.hidden_units
+    last = arch.seq_len - 1
+    # gradient flowing into the hidden outputs of the layer above; None is zero
+    upstream: list[np.ndarray | None] = [None] * last + [dlogits @ params.w_out.T]
     for layer in reversed(range(arch.hidden_layers)):
-        lc = cache["layers"][layer]
         wx, wh = params.wx[layer], params.wh[layer]
-        gwx = np.zeros_like(wx)
-        gwh = np.zeros_like(wh)
-        gb = np.zeros_like(params.b[layer])
-        dxs = [None] * seq_len
-        dh_carry = np.zeros((n, h_units), dtype=params.dtype)
-        dc_carry = np.zeros((n, h_units), dtype=params.dtype)
-        for t in reversed(range(seq_len)):
-            dh = upstream[t] + dh_carry
-            gi, gf, gg, go = lc["i"][t], lc["f"][t], lc["g"][t], lc["o"][t]
-            tc = lc["tanh_c"][t]
-            c_prev = lc["c_prev"][t]
-            do = dh * tc
-            dc = dh * go * (1.0 - tc * tc) + dc_carry
-            df = dc * c_prev
-            di = dc * gg
-            dg = dc * gi
-            dc_carry = dc * gf
-            dz = np.concatenate(
-                [di * gi * (1.0 - gi),
-                 df * gf * (1.0 - gf),
-                 dg * (1.0 - gg * gg),
-                 do * go * (1.0 - go)],
-                axis=1,
-            )
-            gwx += lc["x"][t].T @ dz
-            gwh += lc["h_prev"][t].T @ dz
-            gb += dz.sum(axis=0)
-            dxs[t] = dz @ wx.T
-            dh_carry = dz @ wh.T
+        gwx, gwh, gb = g_wx[layer], g_wh[layer], g_b[layer]
+        dxs: list[np.ndarray | None] = [None] * (last + 1)
+        for t in reversed(range(last + 1)):
+            x, h_prev, c_prev, act, gg, tc = cache["layers"][layer][t]
+            gi, gf, go = act[:, :hu], act[:, hu:2 * hu], act[:, 3 * hu:]
+            if t == last:
+                dh = upstream[t]
+            elif upstream[t] is None:
+                dh = dh_carry
+            else:
+                dh = upstream[t] + dh_carry
+            dc = dh * go * (1.0 - tc * tc)
+            if t < last:
+                dc += dc_carry
+            one_minus = 1.0 - act
+            dz = np.concatenate([
+                dc * gg * gi * one_minus[:, :hu],
+                np.zeros_like(dc) if c_prev is None else dc * c_prev * gf * one_minus[:, hu:2 * hu],
+                dc * gi * (1.0 - gg * gg),
+                dh * tc * go * one_minus[:, 3 * hu:],
+            ], axis=1)
+            if t == last:
+                np.matmul(x.T, dz, out=gwx)
+                np.sum(dz, axis=0, out=gb)
+            else:
+                gwx += x.T @ dz
+                gb += dz.sum(axis=0)
+            if h_prev is not None:
+                if t == last:
+                    np.matmul(h_prev.T, dz, out=gwh)
+                else:
+                    gwh += h_prev.T @ dz
+                dh_carry = dz @ wh.T
+                dc_carry = dc * gf
+            if layer:
+                dxs[t] = dz @ wx.T
         upstream = dxs
-        g_wx.append(gwx)
-        g_wh.append(gwh)
-        g_b.append(gb)
 
-    g_wx.reverse()
-    g_wh.reverse()
-    g_b.reverse()
-    tensors: list[np.ndarray] = []
-    for layer in range(arch.hidden_layers):
-        tensors.extend((g_wx[layer], g_wh[layer], g_b[layer]))
-    tensors.extend((g_w_out, g_b_out))
-    return ModelParams._pack(arch, tensors)
+    return grads
 
 
 def predict(params: ModelParams, batch: np.ndarray, chunk: int = 8192) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index."""
-    X = np.asarray(batch, dtype=params.dtype)
+    X = np.asarray(batch, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.arch.feature_width:
         raise ShapeError(
             f"batch has {X.shape[1] if X.ndim == 2 else '?'} columns, "
@@ -355,32 +357,50 @@ def predict(params: ModelParams, batch: np.ndarray, chunk: int = 8192) -> np.nda
     return out
 
 
-class _Adam:
-    def __init__(self, tensors, lr):
-        self.lr = lr
-        self.m = [np.zeros_like(t) for t in tensors]
-        self.v = [np.zeros_like(t) for t in tensors]
-        self.t = 0
+class _Optimizer:
+    """Adam or SGD, in place on the live segments of ``vec`` (see ``ModelArch.layout``).
 
-    def step(self, tensors, grads):
+    Per-segment views of the vector, the gradient, the moments and two scratch
+    buffers are built once; a step allocates nothing.
+    """
+
+    def __init__(self, cfg: TrainConfig, arch: ModelArch, vec: np.ndarray, grad: np.ndarray):
+        self.adam = cfg.optimizer == "adam"
+        self.lr = cfg.learning_rate
+        self.t = 0
+        longest = max(sl.stop - sl.start for sl in arch.layout[1])
+        scratch = np.empty(longest), np.empty(longest)
+        m, v = np.zeros_like(vec), np.zeros_like(vec)
+        self.segments = [
+            (vec[sl], grad[sl], m[sl], v[sl], *(s[:sl.stop - sl.start] for s in scratch))
+            for sl in arch.layout[1]
+        ]
+
+    def step(self):
+        if not self.adam:
+            for p, g, _, _, a, _ in self.segments:
+                np.multiply(g, self.lr, out=a)  # p -= lr * g
+                p -= a
+            return
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for k, (tensor, grad) in enumerate(zip(tensors, grads)):
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * grad
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = self.m[k] / bc1
-            v_hat = self.v[k] / bc2
-            tensor -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-class _Sgd:
-    def __init__(self, tensors, lr):
-        self.lr = lr
-
-    def step(self, tensors, grads):
-        for tensor, grad in zip(tensors, grads):
-            tensor -= self.lr * grad
+        for p, g, m, v, a, b in self.segments:
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), op for op
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            m += a
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+            a *= g
+            v += a
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            p -= a
 
 
 def train_local(params: ModelParams, data: LabeledData, cfg: TrainConfig):
@@ -398,21 +418,21 @@ def train_local(params: ModelParams, data: LabeledData, cfg: TrainConfig):
         raise LabelError(
             f"label out of range: max {int(y.max())} for output_dim {params.arch.output_dim}"
         )
-    X = np.asarray(data.X, dtype=params.dtype)
+    X = np.asarray(data.X, dtype=np.float64)
 
     start = time.perf_counter()
-    tensors = [t.copy() for t in params.tensors()]
-    working = ModelParams._pack(params.arch, tensors, freeze=False)
-    opt_cls = _Adam if cfg.optimizer == "adam" else _Sgd
-    optimizer = opt_cls(tensors, cfg.learning_rate)
+    arch = params.arch
+    vec = params.vec.copy()
+    working = ModelParams(arch, vec)  # read-only views that follow vec
+    grad = np.zeros_like(vec)
+    optimizer = _Optimizer(cfg, arch, vec, grad)
 
     for epoch in range(cfg.local_epochs):
         order = rng_for(cfg.seed, "shuffle", epoch).permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             _, cache = forward(working, X[idx])
-            grads = backward(working, cache, y[idx])
-            optimizer.step(tensors, grads.tensors())
+            backward(working, cache, y[idx], out=grad)
+            optimizer.step()
 
-    updated = ModelParams._pack(params.arch, [t.copy() for t in tensors])
-    return updated, n, time.perf_counter() - start
+    return working, n, time.perf_counter() - start

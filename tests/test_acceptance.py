@@ -6,7 +6,6 @@ fixed seed) executed once per session; the rest are standalone. Run with
 """
 
 import math
-import statistics
 import time
 from contextlib import contextmanager
 
@@ -305,14 +304,12 @@ def test_criterion_10_latency_accounting(desk_runs):
         params = init_params(arch, seed=0)
         X = np.random.default_rng(0).uniform(0, 1, size=(60_000, 45))
 
-        def median_seconds(n, reps=5):
-            times = []
-            for _ in range(reps):
-                _, secs = measure_inference(params, X[:n])
-                times.append(secs)
-            return statistics.median(times)
-
-        small = median_seconds(30_000)
-        large = median_seconds(60_000)
-        ratio = large / small
+        # host slowdowns last up to seconds, so warm up first, alternate the two
+        # sizes and keep each size's fastest pass rather than a median
+        measure_inference(params, X)
+        best = {30_000: math.inf, 60_000: math.inf}
+        for _ in range(5):
+            for n in best:
+                best[n] = min(best[n], measure_inference(params, X[:n])[1])
+        ratio = best[60_000] / best[30_000]
         assert 1.5 <= ratio <= 3.0, f"doubling ratio {ratio:.2f} outside [1.5, 3]"

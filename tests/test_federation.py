@@ -1,10 +1,15 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftfed.dataset import LabeledData
-from driftfed.errors import AggregationError, ConfigError, FederationError
+from driftfed.errors import (AggregationError, CheckpointError, ConfigError, DriftFedError,
+                             FederationError)
 from driftfed.federation import (Checkpoint, FedConfig, PeriodInput, fedavg_aggregate,
                                  init_from_history, load_checkpoint, run_round,
                                  run_timeline, save_checkpoint)
@@ -236,5 +241,62 @@ def test_checkpoint_files_reproducible(tmp_path, rng):
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")
-    with pytest.raises(AggregationError):
+    with pytest.raises(CheckpointError, match="bad.ckpt"):
         load_checkpoint(path)
+
+
+def _checkpoint_blob(tmp_path):
+    path = tmp_path / "valid.ckpt"
+    save_checkpoint(path, Checkpoint(_params_from(np.linspace(-1.0, 1.0, N)), 2, 40, 0.0))
+    return path.read_bytes()
+
+
+def _header_blob(header: dict, payload: bytes = b"") -> bytes:
+    raw = json.dumps(header).encode()
+    return b"DRIFTCKP" + struct.pack("<II", 1, len(raw)) + raw + payload
+
+
+@pytest.mark.parametrize("case", ["short_header", "truncated_payload", "bad_json",
+                                  "missing_field", "wrong_version", "wrong_magic",
+                                  "float_period", "arch_mismatch"])
+def test_checkpoint_corruptions_raise_checkpoint_error(tmp_path, case):
+    blob = _checkpoint_blob(tmp_path)
+    header_len = struct.unpack("<I", blob[12:16])[0]
+    header = json.loads(blob[16:16 + header_len])
+    payload = blob[16 + header_len:]
+    corrupt = {
+        "short_header": blob[:11],
+        "truncated_payload": blob[:-3],
+        "bad_json": blob[:16] + b"[" + blob[17:],
+        "missing_field": _header_blob({k: v for k, v in header.items() if k != "period_id"},
+                                      payload),
+        "wrong_version": blob[:8] + struct.pack("<I", 2) + blob[12:],
+        "wrong_magic": b"DRIFTCKQ" + blob[8:],
+        "float_period": _header_blob({**header, "period_id": 2.5}, payload),
+        "arch_mismatch": _header_blob({**header, "arch": {**header["arch"], "hidden_units": 3}},
+                                      payload),
+    }[case]
+    path = tmp_path / f"{case}.ckpt"
+    path.write_bytes(corrupt)
+    with pytest.raises(CheckpointError, match=case):
+        load_checkpoint(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.integers(0, 16 + 400 + 8 * N),
+       flips=st.lists(st.tuples(st.integers(0, 16 + 400 + 8 * N), st.integers(1, 255)),
+                      max_size=3))
+def test_checkpoint_fuzz_fails_only_with_driftfed_errors(tmp_path_factory, cut, flips):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    blob = bytearray(_checkpoint_blob(tmp))
+    for pos, mask in flips:
+        if pos < len(blob):
+            blob[pos] ^= mask
+    path = tmp / "fuzzed.ckpt"
+    path.write_bytes(bytes(blob[:cut]))
+    try:
+        loaded = load_checkpoint(path)
+    except DriftFedError as exc:
+        assert isinstance(exc, CheckpointError) and "fuzzed.ckpt" in str(exc)
+    else:
+        assert loaded.params.vec.shape == (param_count(loaded.params.arch),)

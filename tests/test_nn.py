@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_lstm
 from driftfed.dataset import LabeledData
 from driftfed.errors import ConfigError, DataError, LabelError, ShapeError
 from driftfed.nn import (ModelArch, ModelParams, TrainConfig, backward, cross_entropy,
@@ -57,10 +58,15 @@ def test_init_bias_rules_and_weight_bounds():
 
 
 def test_params_are_immutable():
-    params = init_params(ModelArch(input_dim=2, hidden_layers=1, hidden_units=2,
+    params = init_params(ModelArch(input_dim=2, hidden_layers=2, hidden_units=2,
                                    output_dim=2), seed=0)
-    with pytest.raises(ValueError):
-        params.w_out[0, 0] = 5.0
+    canonical = [t for layer in zip(params.wx, params.wh, params.b) for t in layer]
+    canonical += [params.w_out, params.b_out]
+    assert np.array_equal(np.concatenate([t.ravel() for t in canonical]), params.vec)
+    for view in canonical + [params.vec]:
+        assert np.shares_memory(view, params.vec)
+        with pytest.raises(ValueError):
+            view.flat[0] = 5.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -272,3 +278,59 @@ def test_softmax_rows_sum_to_one(rng):
     logits = rng.normal(scale=30, size=(50, 6))
     sums = softmax(logits).sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_matches_per_tensor_reference_bitwise(seed):
+    # the flat engine, its zero-state shortcuts and its segmented optimizer
+    # must reproduce the plain per-tensor arithmetic bit for bit
+    gen = np.random.default_rng(seed)
+    arch = ModelArch(input_dim=int(gen.integers(1, 6)), hidden_layers=int(gen.integers(1, 4)),
+                     hidden_units=int(gen.integers(1, 9)), output_dim=int(gen.integers(2, 5)),
+                     seq_len=int(gen.integers(1, 4)))
+    params = unflatten(arch, gen.normal(0, float(gen.choice([0.3, 1.0, 4.0])),
+                                        param_count(arch)))
+    X = gen.normal(scale=2.0, size=(37, arch.feature_width))
+    y = gen.integers(0, arch.output_dim, 37)
+
+    _, cache = forward(params, X)
+    tensors = reference_lstm.split(arch, params.vec)
+    _, ref_cache = reference_lstm.forward(arch, tensors, X)
+    ref_grads = reference_lstm.backward(arch, tensors, ref_cache, y)
+    assert (backward(params, cache, y).vec.tobytes()
+            == np.concatenate([g.ravel() for g in ref_grads]).tobytes())
+
+    for optimizer in ("adam", "sgd"):
+        cfg = TrainConfig(learning_rate=0.05, batch_size=int(gen.integers(1, 20)),
+                          local_epochs=2, optimizer=optimizer, seed=seed)
+        out, _, _ = train_local(params, LabeledData(X, y), cfg)
+        assert out.vec.tobytes() == reference_lstm.train(arch, params.vec, X, y, cfg).tobytes()
+
+
+def test_seq_len_one_gradient_is_zero_on_wh_and_forget_gate(rng):
+    arch = ModelArch(input_dim=5, hidden_layers=3, hidden_units=4, output_dim=3)
+    h = arch.hidden_units
+    params = unflatten(arch, rng.normal(0, 0.5, param_count(arch)))
+    X = rng.normal(size=(9, 5))
+    _, cache = forward(params, X)
+    grads = backward(params, cache, rng.integers(0, 3, 9))
+    for layer in range(arch.hidden_layers):
+        assert not np.any(grads.wh[layer])
+        assert not np.any(grads.wx[layer][:, h:2 * h])
+        assert not np.any(grads.b[layer][h:2 * h])
+        assert np.any(grads.wx[layer][:, :h]) and np.any(grads.b[layer][2 * h:])
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_recurrent_weights_inert_only_at_seq_len_one(rng, optimizer):
+    cfg = TrainConfig(learning_rate=0.01, batch_size=8, local_epochs=2,
+                      optimizer=optimizer, seed=4)
+    for seq_len, changes in ((1, False), (3, True)):
+        arch = ModelArch(input_dim=3, hidden_layers=2, hidden_units=4, output_dim=2,
+                         seq_len=seq_len)
+        params = init_params(arch, seed=6)
+        data = LabeledData(rng.normal(size=(40, arch.feature_width)), rng.integers(0, 2, 40))
+        out, _, _ = train_local(params, data, cfg)
+        for before, after in zip(params.wh, out.wh):
+            assert np.array_equal(before, after) != changes
+        assert not np.array_equal(params.wx[0], out.wx[0])
