@@ -22,7 +22,8 @@ b = unflatten(arch, np.ones(width))
 merged = fedavg_aggregate([a, b], [100, 300])
 print(f"fedavg of 0s (n=100) and 1s (n=300): every element = {merged.flatten()[0]}")
 
-# one communication round over five IID shards
+# communication rounds over five IID shards; the clients of a round train in
+# lockstep, so a round reports one training time for all of them
 rng = np.random.default_rng(0)
 shards = []
 for _ in range(5):
@@ -35,8 +36,7 @@ full = LabeledData.concat(shards)
 for rnd in range(cfg.rounds):
     model, seconds = run_round(model, shards, cfg, round_index=rnd)
     acc = np.mean(predict(model, full.X) == full.y)
-    print(f"round {rnd}: global accuracy {acc:.3f} "
-          f"(client seconds: {', '.join(f'{s*1000:.0f}ms' for s in seconds)})")
+    print(f"round {rnd}: global accuracy {acc:.3f} (training {seconds * 1000:.0f} ms)")
 
 # averaging-initialization variants over a fake checkpoint history
 history = [

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,26 +71,20 @@ def run_round(global_params: ModelParams, client_train: list[LabeledData],
               cfg: FedConfig, round_index: int = 0):
     """One communication round: broadcast, local training, FedAvg.
 
-    Returns ``(new_global, per_client_seconds)``. Deterministic: client k's
-    shuffles derive from (cfg.seed, round_index, k).
+    All clients train in one lockstep :func:`train_local` call. Returns
+    ``(new_global, training_seconds)``, the wall time of that call.
+    Deterministic: client k's shuffles derive from (cfg.seed, round_index, k).
     """
     for k, shard in enumerate(client_train):
         if len(shard) == 0:
             raise FederationError(f"client {k} has an empty training shard")
-    results = []
-    seconds = []
-    for k, shard in enumerate(client_train):
-        seed = int(rng_for(cfg.seed, "round", round_index, "client", k).integers(0, 2**63 - 1))
-        local_cfg = TrainConfig(
-            learning_rate=cfg.train.learning_rate, batch_size=cfg.train.batch_size,
-            local_epochs=cfg.train.local_epochs, optimizer=cfg.train.optimizer,
-            seed=seed,
-        )
-        params, n, secs = train_local(global_params, shard, local_cfg)
-        results.append((params, n))
-        seconds.append(secs)
-    new_global = fedavg_aggregate([p for p, _ in results], [n for _, n in results])
-    return new_global, seconds
+    local_cfgs = [
+        replace(cfg.train, seed=int(rng_for(cfg.seed, "round", round_index, "client", k)
+                                    .integers(0, 2**63 - 1)))
+        for k in range(len(client_train))
+    ]
+    params, sizes, seconds = train_local(global_params, client_train, local_cfgs)
+    return fedavg_aggregate(params, sizes), seconds
 
 
 def init_from_history(mode: str, history: list[Checkpoint],

@@ -30,7 +30,7 @@ from .metrics import (FAR_DEFINITION, MetricsReport, cross_period_eval,
 from .nn import ModelArch, TrainConfig
 from .pipeline import (ColumnSpec, LabelCodec, apply_scaler, clean, encode_labels,
                        fit_scaler, load_records, records_by_class, stratified_split)
-from .synth import default_column_spec, default_drift_scenario, generate
+from .synth import NUM_FEATURES, default_column_spec, default_drift_scenario, generate
 from .timeline import (DEFAULT_NUM_CLIENTS, DEFAULT_TEST_CAP, DEFAULT_TRAIN_CAP,
                        StrategyConfig, StrategyComposer, build_schedule, build_test_sets,
                        partition_iid, rng_seed_for_period, segment_and_cap)
@@ -161,8 +161,12 @@ def load_config(path) -> RunConfig:
     return config_from_dict(raw)
 
 
-def validate_config(cfg: RunConfig) -> list[str]:
-    """Diagnostics for every violated constraint; empty means runnable."""
+def validate_config(cfg: RunConfig, records=None) -> list[str]:
+    """Diagnostics for every violated constraint; empty means runnable.
+
+    ``records``, when given, are the rows a run would use instead of
+    ``cfg.data``, so their width is the feature count the arch must match.
+    """
     problems: list[str] = []
     if cfg.task not in tl.TASKS:
         problems.append(f"task: must be one of {tl.TASKS}")
@@ -184,7 +188,26 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append(f"arch.output_dim: must be {expected_out} for task {cfg.task}")
     if not cfg.data.is_synthetic() and not Path(cfg.data.path).exists():
         problems.append(f"data.path: file not found: {cfg.data.path}")
+    try:
+        features = _feature_count(cfg, records)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        problems.append(f"data.column_spec: cannot read {cfg.data.column_spec_path}: {exc}")
+    else:
+        if cfg.arch.feature_width != features:
+            problems.append(f"arch: input_dim * seq_len = {cfg.arch.feature_width} must equal "
+                            f"the {features} features per row of the data")
     return problems
+
+
+def _feature_count(cfg: RunConfig, records=None) -> int:
+    """Features per row of the data a run reads."""
+    if records:
+        return len(records[0].features)
+    if cfg.data.is_synthetic():
+        return NUM_FEATURES
+    if cfg.data.column_spec_path:
+        return len(ColumnSpec.from_json(cfg.data.column_spec_path).feature_columns)
+    return cfg.arch.input_dim  # the default column spec has input_dim columns
 
 
 @dataclass
@@ -306,7 +329,7 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig):
 
 def run_experiment(cfg: RunConfig, records=None) -> RunResult:
     """Execute every configured strategy and write all artifacts."""
-    problems = validate_config(cfg)
+    problems = validate_config(cfg, records)
     if problems:
         raise ConfigError("invalid run config: " + "; ".join(problems))
 

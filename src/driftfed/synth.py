@@ -22,6 +22,9 @@ from .seeds import rng_for
 
 DEFAULT_CLIP = (0.0, 10.0)
 
+# Features per flow in the default scenario, as in CICIoMT2024.
+NUM_FEATURES = 45
+
 # Timeline roster: every sub-attack kept after cleaning, by category.
 ROSTER = {
     "Benign": ("Benign",),
@@ -46,7 +49,7 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    num_features: int = 45
+    num_features: int = NUM_FEATURES
     families: tuple[FamilySpec, ...] = ()
     divergence: dict = field(default_factory=dict)  # (name, name) -> mean distance
     seed: int = 0
@@ -116,7 +119,7 @@ def default_drift_scenario(seed: int, rows_per_subattack: int = 1200) -> Scenari
     traffic dominates real captures), which also keeps each period's pool
     roughly label-balanced against a four-member attack family.
     """
-    num_features = 45
+    num_features = NUM_FEATURES
     base = np.full(num_features, 5.0)
     offset = 2.5
     blocks = {"MQTT": (0, +offset), "DDoS": (0, -offset), "DoS": (8, +offset),
@@ -140,7 +143,7 @@ def feature_columns(num_features: int) -> tuple[str, ...]:
     return tuple(f"f{i:02d}" for i in range(num_features))
 
 
-def default_column_spec(num_features: int = 45, delimiter: str = ",") -> ColumnSpec:
+def default_column_spec(num_features: int = NUM_FEATURES, delimiter: str = ",") -> ColumnSpec:
     return ColumnSpec(feature_columns(num_features), "Attack", delimiter)
 
 
@@ -151,7 +154,7 @@ def write_delimited(records: list[FlowRecord], path,
     Floats are written with repr so a load round-trips bit-exactly.
     """
     if spec is None:
-        width = len(records[0].features) if records else 45
+        width = len(records[0].features) if records else NUM_FEATURES
         spec = default_column_spec(width)
     path = Path(path)
     with path.open("w", newline="") as fh:

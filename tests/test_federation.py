@@ -101,7 +101,7 @@ def test_run_round_deterministic(rng):
     out1, secs1 = run_round(start, shards, cfg, round_index=4)
     out2, _ = run_round(start, shards, cfg, round_index=4)
     assert np.array_equal(out1.flatten(), out2.flatten())
-    assert len(secs1) == 3 and all(s > 0 for s in secs1)
+    assert isinstance(secs1, float) and secs1 > 0  # the round's training seconds
 
 
 def test_run_round_single_client_equals_local_training(rng):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 import reference_lstm
 from driftfed.dataset import LabeledData
 from driftfed.errors import ConfigError, DataError, LabelError, ShapeError
-from driftfed.nn import (ModelArch, ModelParams, TrainConfig, backward, cross_entropy,
-                         forward, init_params, param_count, predict, softmax,
+from driftfed.nn import (COHORT_PARAMS, ModelArch, ModelParams, TrainConfig, backward,
+                         cross_entropy, forward, init_params, param_count, predict, softmax,
                          train_local, unflatten)
 
 
@@ -334,3 +335,92 @@ def test_recurrent_weights_inert_only_at_seq_len_one(rng, optimizer):
         for before, after in zip(params.wh, out.wh):
             assert np.array_equal(before, after) != changes
         assert not np.array_equal(params.wx[0], out.wx[0])
+
+
+def test_predict_is_cache_free_and_unchanged():
+    # inference keeps no BPTT cache: 8192 rows at the full 5x128 arch stay
+    # far below the ~420 MiB a cached forward pass allocates
+    arch = ModelArch(input_dim=45, hidden_layers=5, hidden_units=128, output_dim=6)
+    params = init_params(arch, seed=3)
+    X = np.random.default_rng(0).normal(size=(8192, 45))
+    tracemalloc.start()
+    try:
+        preds = predict(params, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+    logits, _ = reference_lstm.forward(arch, reference_lstm.split(arch, params.vec), X)
+    assert np.array_equal(preds, np.argmax(logits, axis=1))
+
+
+def _lockstep_case(gen, arch, sizes):
+    params = unflatten(arch, gen.normal(0, 0.5, param_count(arch)))
+    shards = [LabeledData(gen.normal(scale=2.0, size=(n, arch.feature_width)),
+                          gen.integers(0, arch.output_dim, n)) for n in sizes]
+    return params, shards
+
+
+def _assert_lockstep_matches_reference(params, shards, cfgs):
+    outs, counts, seconds = train_local(params, shards, cfgs)
+    assert counts == [len(s) for s in shards] and seconds > 0
+    for out, shard, cfg in zip(outs, shards, cfgs):
+        expected = reference_lstm.train(params.arch, params.vec, shard.X, shard.y, cfg)
+        assert out.vec.tobytes() == expected.tobytes()
+
+
+# batch size 8: a shard below the batch, equal shards, sizes one apart, batch multiples
+LOCKSTEP_SIZES = {"below-batch": (21, 5, 13), "equal": (20, 20, 20),
+                  "one-apart": (21, 19, 20), "batch-multiples": (32, 16, 24)}
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("sizes", LOCKSTEP_SIZES.values(), ids=LOCKSTEP_SIZES.keys())
+def test_lockstep_clients_match_per_client_reference_bitwise(sizes, optimizer):
+    # clients stacked into equal-batch runs must train exactly as they would alone
+    gen = np.random.default_rng(sum(sizes))
+    for seq_len in (1, 2, 3):
+        arch = ModelArch(input_dim=3, hidden_layers=2, hidden_units=5, output_dim=3,
+                         seq_len=seq_len)
+        params, shards = _lockstep_case(gen, arch, sizes)
+        for epochs in (1, 3):
+            cfgs = [TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=epochs,
+                                optimizer=optimizer, seed=100 * seq_len + k)
+                    for k in range(len(sizes))]
+            _assert_lockstep_matches_reference(params, shards, cfgs)
+
+
+def test_lockstep_single_client_matches_reference_bitwise():
+    gen = np.random.default_rng(7)
+    arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=6, output_dim=2, seq_len=2)
+    params, shards = _lockstep_case(gen, arch, (27,))
+    cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3, seed=11)
+    _assert_lockstep_matches_reference(params, shards, [cfg])
+    out, n, _ = train_local(params, shards[0], cfg)
+    assert n == 27
+    assert out.vec.tobytes() == train_local(params, shards, [cfg])[0][0].vec.tobytes()
+
+
+def test_lockstep_splits_clients_into_cohorts():
+    # a cohort holds 2 of these models, so 5 clients train as cohorts of 2, 2 and 1
+    gen = np.random.default_rng(8)
+    arch = ModelArch(input_dim=4, hidden_layers=2, hidden_units=45, output_dim=2)
+    assert COHORT_PARAMS // param_count(arch) == 2
+    params, shards = _lockstep_case(gen, arch, (11, 9, 17, 9, 12))
+    cfgs = [TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2, seed=k)
+            for k in range(5)]
+    _assert_lockstep_matches_reference(params, shards, cfgs)
+
+
+def test_lockstep_rejects_mismatched_configs(rng):
+    arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
+    params = init_params(arch, seed=0)
+    shards = [LabeledData(rng.normal(size=(6, 2)), rng.integers(0, 2, 6)) for _ in range(2)]
+    with pytest.raises(ConfigError):
+        train_local(params, shards, [TrainConfig(local_epochs=1)])
+    with pytest.raises(ConfigError):
+        train_local(params, shards, [TrainConfig(local_epochs=1, seed=1),
+                                     TrainConfig(local_epochs=2, seed=2)])
+    with pytest.raises(ShapeError):
+        train_local(params, LabeledData(np.zeros((3, 5)), np.zeros(3, dtype=int)),
+                    TrainConfig(local_epochs=1))

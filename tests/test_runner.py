@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from driftfed import cli
+from driftfed import cli, runner
 from driftfed.errors import ConfigError
 from driftfed.nn import ModelArch
+from driftfed.pipeline import ColumnSpec
 from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, config_from_dict,
                              desk_scale, rerender_reports, run_experiment,
                              validate_config)
@@ -63,6 +64,44 @@ def test_validate_config_flags_bad_values(tmp_path):
     wrong_out = replace(RunConfig(output_dir=str(tmp_path)),
                         arch=ModelArch(output_dim=6))
     assert any("output_dim" in p for p in validate_config(wrong_out))
+
+
+def test_validate_config_checks_arch_against_feature_count(tmp_path, monkeypatch):
+    # the synthetic scenario has 45 features per row
+    cfg = RunConfig(output_dir=str(tmp_path / "run"))
+    assert validate_config(cfg) == []
+    assert validate_config(replace(cfg, arch=replace(cfg.arch, input_dim=15, seq_len=3))) == []
+    doubled = replace(cfg, arch=replace(cfg.arch, seq_len=2))
+    assert any("input_dim * seq_len = 90" in p for p in validate_config(doubled))
+
+    # supplied records set the count; a CSV reads it from its column spec,
+    # or has input_dim columns under the default spec
+    assert validate_config(_tiny_cfg(tmp_path), records=_tiny_records()) == []
+    assert validate_config(_tiny_cfg(tmp_path)) != []
+    csv_path = tmp_path / "flows.csv"
+    csv_path.write_text("")
+    spec = tmp_path / "flows.columns.json"
+    ColumnSpec(tuple(f"f{i}" for i in range(6)), "Attack").to_json(spec)
+    with_spec = replace(cfg, data=DataSource(path=str(csv_path), column_spec_path=str(spec)))
+    assert validate_config(replace(with_spec, arch=replace(cfg.arch, input_dim=3,
+                                                           seq_len=2))) == []
+    assert validate_config(with_spec) != []
+    default_spec = replace(cfg, data=DataSource(path=str(csv_path)))
+    assert validate_config(default_spec) == []
+    assert validate_config(replace(default_spec, arch=replace(cfg.arch, seq_len=2))) != []
+    spec.write_text("{not json")
+    assert any("column_spec" in p for p in validate_config(with_spec))
+
+    # run_experiment refuses before it trains anything
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(runner, "run_timeline", no_training)
+    with pytest.raises(ConfigError, match="seq_len"):
+        run_experiment(doubled)
+    with pytest.raises(ConfigError, match="seq_len"):
+        tiny = _tiny_cfg(tmp_path)
+        run_experiment(replace(tiny, arch=replace(tiny.arch, seq_len=2)),
+                       records=_tiny_records())
 
 
 def test_config_from_dict_round_trip():
