@@ -20,17 +20,16 @@ from .metrics import (FAR_DEFINITION, GeneralizationMatrix, MetricsReport,
 from .nn import (ModelArch, ModelParams, TrainConfig, backward, cross_entropy,
                  forward, init_params, param_count, predict, softmax, train_local,
                  unflatten)
-from .pipeline import (CATEGORIES, ColumnSpec, FlowRecord, LabelCodec, ScalerStats,
+from .pipeline import (CATEGORIES, ROSTER, ColumnSpec, FlowRecord, LabelCodec, ScalerStats,
                        apply_scaler, category_of, clean, encode_labels, fit_scaler,
                        load_records, records_by_class, stratified_split)
 from .runner import (ALL_STRATEGIES, DataSource, RunConfig, RunResult, desk_scale,
                      load_config, prepare_experiment, run_experiment, validate_config)
-from .synth import (ROSTER, FamilySpec, ScenarioSpec, default_column_spec,
-                    default_drift_scenario, generate, write_delimited)
+from .synth import (FamilySpec, ScenarioSpec, default_column_spec, default_drift_scenario,
+                    generate, write_delimited)
 from .timeline import (FAMILY_MEMBERS, REPRESENTATIVES, PeriodSchedule, StrategyConfig,
                        StrategyComposer, build_schedule, build_test_sets, cap_records,
-                       compose_training_set, composition_report, partition_iid,
-                       segment_and_cap, temporal_segment, test_periods,
+                       partition_iid, segment_and_cap, temporal_segment, test_periods,
                        training_periods)
 
 __version__ = "0.1.0"

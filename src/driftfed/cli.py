@@ -10,14 +10,13 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .errors import DriftFedError
-from .runner import (OUTPUT_DIR_ENV, desk_scale, load_config, rerender_reports,
-                     run_experiment, validate_config)
+from .runner import (desk_scale, load_config, rerender_reports, run_experiment,
+                     validate_config)
 from .synth import default_drift_scenario, generate, write_delimited
 
 
@@ -55,15 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg, args):
     if args.output_dir:
         cfg = replace(cfg, output_dir=args.output_dir)
-    elif os.environ.get(OUTPUT_DIR_ENV) and cfg.output_dir == "runs":
-        cfg = replace(cfg, output_dir=os.environ[OUTPUT_DIR_ENV])
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed,
-                      fed=replace(cfg.fed, seed=args.seed))
+        cfg = replace(cfg, seed=args.seed)
     if args.task:
-        out_dim = 2 if args.task == "binary" else 6
-        cfg = replace(cfg, task=args.task,
-                      arch=replace(cfg.arch, output_dim=out_dim))
+        cfg = replace(cfg, task=args.task)
     if args.strategies:
         wanted = {s.strip() for s in args.strategies.split(",") if s.strip()}
         kept = tuple(s for s in cfg.strategies if s.label in wanted)

@@ -88,11 +88,12 @@ def run_round(global_params: ModelParams, client_train: list[LabeledData],
 
 
 def init_from_history(mode: str, history: list[Checkpoint],
-                      ema_alpha: float = 0.6) -> ModelParams:
+                      ema_alpha: float | None = None) -> ModelParams:
     """Parameter average over previous period checkpoints.
 
     equal: unweighted mean. sample: weighted by training sample count.
-    ema: e_1 = params_1, e_k = alpha*params_k + (1-alpha)*e_{k-1}.
+    ema: e_1 = params_1, e_k = alpha*params_k + (1-alpha)*e_{k-1}; it needs
+    ``ema_alpha`` (``StrategyConfig`` holds its default).
     """
     if mode not in AVERAGING_MODES:
         raise ConfigError(f"mode must be one of {AVERAGING_MODES}")
@@ -113,6 +114,8 @@ def init_from_history(mode: str, history: list[Checkpoint],
             raise AggregationError("sample counts must be positive for sample weighting")
         merged = np.average(flats, axis=0, weights=weights)
     else:
+        if ema_alpha is None:
+            raise ConfigError("ema averaging needs ema_alpha")
         merged = flats[0]
         for flat in flats[1:]:
             merged = ema_alpha * flat + (1.0 - ema_alpha) * merged
@@ -161,8 +164,7 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
             params = init_params(arch, seed=int(
                 rng_for(cfg.seed, "model-init").integers(0, 2**63 - 1)))
         elif mode is not None:
-            params = init_from_history(mode, checkpoints,
-                                       ema_alpha=strategy.ema_alpha or 0.6)
+            params = init_from_history(mode, checkpoints, ema_alpha=strategy.ema_alpha)
         else:
             params = checkpoints[-1].params
         initials[item.period_id] = params

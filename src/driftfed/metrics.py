@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -210,9 +210,7 @@ def attack_generalization_matrix(families: list[str],
             rows.extend(source.get(member, []))
         return rows
 
-    arch = ModelArch(input_dim=arch.input_dim, hidden_layers=arch.hidden_layers,
-                     hidden_units=arch.hidden_units, output_dim=2,
-                     seq_len=arch.seq_len)
+    arch = replace(arch, output_dim=codec.num_classes)
     values = np.zeros((len(usable), len(usable) + 1))
     for i, fam_train in enumerate(usable):
         pool = {"Benign": benign_train, fam_train: family_rows(train_by_class, fam_train)}

@@ -20,27 +20,33 @@ from .dataset import LabeledData
 from .errors import CodecError, ConfigError, DataError, LoadError
 from .seeds import rng_for
 
-CATEGORIES = ("Benign", "MQTT", "DoS", "DDoS", "Recon", "Spoofing")
+# The class roster: every sub-attack kept after cleaning, by category. Benign
+# comes first and the categories follow in six-class index order; the label
+# codec and the synthetic draw order both depend on this order.
+ROSTER = {
+    "Benign": ("Benign",),
+    "MQTT": ("MQTT-Malformed_Data", "MQTT-DoS-Connect_Flood",
+             "MQTT-DDoS-Publish_Flood", "MQTT-DDoS-Connect_Flood"),
+    "DoS": ("TCP_IP-DoS-TCP", "TCP_IP-DoS-ICMP", "TCP_IP-DoS-SYN", "TCP_IP-DoS-UDP"),
+    "DDoS": ("TCP_IP-DDoS-SYN", "TCP_IP-DDoS-ICMP", "TCP_IP-DDoS-UDP", "TCP_IP-DDoS-TCP"),
+    "Recon": ("Recon-Ping_Sweep", "Recon-VulScan", "Recon-OS_Scan", "Recon-Port_Scan"),
+    "Spoofing": ("ARP_Spoofing",),
+}
 
-# Sub-attack names map to categories by prefix; DDoS must be tested before DoS.
-_CATEGORY_PREFIXES = (
-    ("Benign", "Benign"),
-    ("MQTT-", "MQTT"),
-    ("TCP_IP-DDoS-", "DDoS"),
-    ("TCP_IP-DoS-", "DoS"),
-    ("Recon-", "Recon"),
-    ("ARP_Spoofing", "Spoofing"),
-)
+CATEGORIES = tuple(ROSTER)
 
 # Dropped entirely during cleaning: no valid instances survive preprocessing.
 REMOVED_SUB_ATTACK = "MQTT-DoS-Publish_Flood"
 
+_CATEGORY_OF = {sub: cat for cat, subs in ROSTER.items() for sub in subs}
+_CATEGORY_OF[REMOVED_SUB_ATTACK] = "MQTT"
+
 
 def category_of(sub_attack: str) -> str:
-    for prefix, category in _CATEGORY_PREFIXES:
-        if sub_attack.startswith(prefix):
-            return category
-    raise CodecError(f"sub-attack label not recognized: {sub_attack!r}")
+    try:
+        return _CATEGORY_OF[sub_attack]
+    except KeyError:
+        raise CodecError(f"sub-attack label not in the roster: {sub_attack!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +100,8 @@ def load_records(path, spec: ColumnSpec) -> list[FlowRecord]:
     """Read one delimited file into FlowRecords.
 
     ``order_index`` counts row order within each sub-attack class. Raises
-    LoadError naming the offending row/column for schema or parse problems.
+    LoadError naming the offending row/column for schema or parse problems,
+    and the label and its first row for a sub-attack outside the roster.
     """
     path = Path(path)
     if not path.exists():
@@ -112,13 +119,13 @@ def load_records(path, spec: ColumnSpec) -> list[FlowRecord]:
         feat_idx = [positions[c] for c in spec.feature_columns]
         label_idx = positions[spec.label_column]
 
-        rows: list[np.ndarray] = []
-        labels: list[str] = []
+        records: list[FlowRecord] = []
+        counters: dict[str, int] = {}
         for row_num, row in enumerate(reader, start=2):
             if len(row) <= max(*feat_idx, label_idx):
                 raise LoadError(f"{path}: row {row_num} has too few fields")
             try:
-                rows.append(np.array([float(row[i]) for i in feat_idx]))
+                feats = np.array([float(row[i]) for i in feat_idx])
             except ValueError:
                 bad = next(c for c, i in zip(spec.feature_columns, feat_idx)
                            if not _parses(row[i]))
@@ -126,18 +133,14 @@ def load_records(path, spec: ColumnSpec) -> list[FlowRecord]:
                     f"{path}: row {row_num}, column {bad!r}: "
                     f"cannot parse {row[positions[bad]]!r} as a number"
                 ) from None
-            labels.append(row[label_idx])
-
-    records: list[FlowRecord] = []
-    counters: dict[str, int] = {}
-    for feats, label in zip(rows, labels):
-        try:
-            category = category_of(label)
-        except CodecError as exc:
-            raise LoadError(f"{path}: {exc}") from None
-        idx = counters.get(label, 0)
-        counters[label] = idx + 1
-        records.append(FlowRecord(feats, label, category, idx))
+            label = row[label_idx]
+            try:
+                category = category_of(label)
+            except CodecError as exc:
+                raise LoadError(f"{path}: row {row_num}: {exc}") from None
+            idx = counters.get(label, 0)
+            counters[label] = idx + 1
+            records.append(FlowRecord(feats, label, category, idx))
     return records
 
 

@@ -47,7 +47,7 @@ ALL_STRATEGIES = (
     StrategyConfig("retain", retain_r=1000),
     StrategyConfig("avg_equal"),
     StrategyConfig("avg_sample"),
-    StrategyConfig("avg_ema", ema_alpha=0.6),
+    StrategyConfig("avg_ema"),
 )
 
 
@@ -67,16 +67,23 @@ class DataSource:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One experiment. ``arch.output_dim`` always follows the task."""
+
     task: str = "binary"
     strategies: tuple[StrategyConfig, ...] = ALL_STRATEGIES
     data: DataSource = field(default_factory=DataSource)
-    arch: ModelArch = field(default_factory=lambda: ModelArch(output_dim=2))
+    arch: ModelArch = field(default_factory=ModelArch)
     fed: FedConfig = field(default_factory=FedConfig)
     train_cap: int = DEFAULT_TRAIN_CAP
     test_cap: int = DEFAULT_TEST_CAP
     train_fraction: float = 0.8
     output_dir: str = "runs"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.task in tl.TASKS:  # an unknown task is left for validate_config
+            out = LabelCodec.for_task(self.task).num_classes
+            object.__setattr__(self, "arch", replace(self.arch, output_dim=out))
 
 
 def desk_scale(cfg: RunConfig) -> RunConfig:
@@ -117,7 +124,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         input_dim=arch_raw.get("input_dim", 45),
         hidden_layers=arch_raw.get("hidden_layers", 5),
         hidden_units=arch_raw.get("hidden_units", 128),
-        output_dim=2 if task == "binary" else 6,
         seq_len=arch_raw.get("seq_len", 1),
     )
 
@@ -128,11 +134,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         batch_size=train_raw.get("batch_size", 16),
         local_epochs=train_raw.get("local_epochs", 100),
         optimizer=train_raw.get("optimizer", "adam"),
-        seed=0,
     )
     fed = FedConfig(num_clients=fed_raw.get("num_clients", DEFAULT_NUM_CLIENTS),
-                    rounds=fed_raw.get("rounds", 15), train=train,
-                    seed=raw.get("seed", 0))
+                    rounds=fed_raw.get("rounds", 15), train=train)
 
     caps = raw.get("caps", {})
     cfg = RunConfig(
@@ -173,19 +177,16 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
     if not cfg.strategies:
         problems.append("strategies: at least one strategy is required")
     for strat in cfg.strategies:
-        if strat.kind == "retain" and (strat.retain_r is None or strat.retain_r <= 0):
-            problems.append(f"strategies[{strat.kind}].retain_r: must be > 0")
-        if strat.kind == "avg_ema" and not (0 < (strat.ema_alpha or 0) < 1):
-            problems.append(f"strategies[{strat.kind}].ema_alpha: must be in (0, 1)")
+        try:
+            strat.check()
+        except ConfigError as exc:
+            problems.append(f"strategies[{strat.label}]: {exc}")
     if cfg.train_cap < 1:
         problems.append("caps.train: must be at least 1")
     if cfg.test_cap < 1:
         problems.append("caps.test: must be at least 1")
     if not 0 < cfg.train_fraction < 1:
         problems.append("train_fraction: must be strictly between 0 and 1")
-    expected_out = 2 if cfg.task == "binary" else 6
-    if cfg.arch.output_dim != expected_out:
-        problems.append(f"arch.output_dim: must be {expected_out} for task {cfg.task}")
     if not cfg.data.is_synthetic() and not Path(cfg.data.path).exists():
         problems.append(f"data.path: file not found: {cfg.data.path}")
     try:
@@ -205,9 +206,15 @@ def _feature_count(cfg: RunConfig, records=None) -> int:
         return len(records[0].features)
     if cfg.data.is_synthetic():
         return NUM_FEATURES
+    return len(_column_spec(cfg).feature_columns)
+
+
+def _column_spec(cfg: RunConfig) -> ColumnSpec:
+    """Columns of the data file: its JSON spec, or the default with input_dim columns."""
     if cfg.data.column_spec_path:
-        return len(ColumnSpec.from_json(cfg.data.column_spec_path).feature_columns)
-    return cfg.arch.input_dim  # the default column spec has input_dim columns
+        spec = ColumnSpec.from_json(cfg.data.column_spec_path)
+        return replace(spec, delimiter=cfg.data.delimiter)
+    return default_column_spec(cfg.arch.input_dim, cfg.data.delimiter)
 
 
 @dataclass
@@ -238,17 +245,15 @@ def _load_dataset(cfg: RunConfig):
         seed = cfg.data.synthetic_seed if cfg.data.synthetic_seed is not None else cfg.seed
         spec = default_drift_scenario(seed, rows_per_subattack=cfg.data.rows_per_subattack)
         return generate(spec)
-    if cfg.data.column_spec_path:
-        colspec = ColumnSpec.from_json(cfg.data.column_spec_path)
-        if cfg.data.delimiter != colspec.delimiter:
-            colspec = replace(colspec, delimiter=cfg.data.delimiter)
-    else:
-        colspec = default_column_spec(cfg.arch.input_dim, cfg.data.delimiter)
-    return load_records(cfg.data.path, colspec)
+    return load_records(cfg.data.path, _column_spec(cfg))
 
 
 def prepare_experiment(cfg: RunConfig, records=None):
-    """Shared data preparation: clean, split, scale, segment, cap, test sets."""
+    """Shared data preparation: clean, split, scale, segment, cap, test sets.
+
+    Returns what ``run_strategy`` reads: the schedule, the capped training
+    segments per class, the encoded test set per period and the label codec.
+    """
     if records is None:
         records = _load_dataset(cfg)
     records = clean(records)
@@ -275,8 +280,6 @@ def prepare_experiment(cfg: RunConfig, records=None):
     return {
         "schedule": schedule,
         "train_segments": train_segments,
-        "test_segments": test_segments,
-        "test_sets": test_sets,
         "encoded_tests": encoded_tests,
         "codec": codec,
     }
@@ -484,6 +487,17 @@ def rerender_reports(run_dir) -> list[str]:
 
 
 def _config_dict(cfg: RunConfig) -> dict:
+    """``cfg`` in the schema ``config_from_dict`` reads, so a manifest loads back."""
+    data = cfg.data
+    if data.is_synthetic():
+        data_raw = {"synthetic": {"seed": data.synthetic_seed,
+                                  "rows_per_subattack": data.rows_per_subattack}}
+    else:
+        data_raw = {"path": data.path, "column_spec": data.column_spec_path,
+                    "delimiter": data.delimiter}
+    # output_dim follows the task and each client's seed follows the strategy
+    arch = {k: v for k, v in asdict(cfg.arch).items() if k != "output_dim"}
+    train = {k: v for k, v in asdict(cfg.fed.train).items() if k != "seed"}
     return {
         "task": cfg.task,
         "strategies": [
@@ -492,12 +506,12 @@ def _config_dict(cfg: RunConfig) -> dict:
              **({"ema_alpha": s.ema_alpha} if s.ema_alpha is not None else {})}
             for s in cfg.strategies
         ],
-        "data": asdict(cfg.data),
-        "arch": asdict(cfg.arch),
+        "data": data_raw,
+        "arch": arch,
         "federation": {
             "num_clients": cfg.fed.num_clients,
             "rounds": cfg.fed.rounds,
-            "train": asdict(cfg.fed.train),
+            "train": train,
         },
         "caps": {"train": cfg.train_cap, "test": cfg.test_cap},
         "train_fraction": cfg.train_fraction,

@@ -2,8 +2,8 @@
 
 Each attack family sits at a configurable mean in feature space; rows are
 isotropic Gaussian draws around it, clipped to a bounded range so min-max
-scaling is exercised. The default drift scenario mirrors the bundled
-timeline roster (17 sub-attacks plus Benign, six categories) at desk scale
+scaling is exercised. The default drift scenario draws the class roster
+(``pipeline.ROSTER``: 17 sub-attacks plus Benign, six categories) at desk scale
 and places the MQTT and DDoS families farthest apart so cross-family
 generalization is visibly asymmetric.
 """
@@ -17,24 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .pipeline import CATEGORIES, ColumnSpec, FlowRecord
+from .pipeline import CATEGORIES, ROSTER, ColumnSpec, FlowRecord
 from .seeds import rng_for
 
 DEFAULT_CLIP = (0.0, 10.0)
 
 # Features per flow in the default scenario, as in CICIoMT2024.
 NUM_FEATURES = 45
-
-# Timeline roster: every sub-attack kept after cleaning, by category.
-ROSTER = {
-    "Benign": ("Benign",),
-    "MQTT": ("MQTT-Malformed_Data", "MQTT-DoS-Connect_Flood",
-             "MQTT-DDoS-Publish_Flood", "MQTT-DDoS-Connect_Flood"),
-    "DoS": ("TCP_IP-DoS-TCP", "TCP_IP-DoS-ICMP", "TCP_IP-DoS-SYN", "TCP_IP-DoS-UDP"),
-    "DDoS": ("TCP_IP-DDoS-SYN", "TCP_IP-DDoS-ICMP", "TCP_IP-DDoS-UDP", "TCP_IP-DDoS-TCP"),
-    "Recon": ("Recon-Ping_Sweep", "Recon-VulScan", "Recon-OS_Scan", "Recon-Port_Scan"),
-    "Spoofing": ("ARP_Spoofing",),
-}
 
 
 @dataclass(frozen=True)
@@ -127,7 +116,7 @@ def default_drift_scenario(seed: int, rows_per_subattack: int = 1200) -> Scenari
 
     families = [FamilySpec("Benign", "Benign", ROSTER["Benign"], base.copy(),
                            0.8, 4 * rows_per_subattack)]
-    for category in ("MQTT", "DoS", "DDoS", "Recon", "Spoofing"):
+    for category in CATEGORIES[1:]:
         start, delta = blocks[category]
         mean = base.copy()
         mean[start:start + 8] += delta

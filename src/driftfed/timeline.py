@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ScheduleError
-from .pipeline import FlowRecord
+from .pipeline import ROSTER, FlowRecord
 from .seeds import rng_for
 
 TASKS = ("binary", "sixclass")
@@ -28,16 +28,10 @@ TASKS = ("binary", "sixclass")
 STRATEGY_KINDS = ("static", "cumulative", "simple", "representative",
                   "retain", "avg_equal", "avg_sample", "avg_ema")
 
-FAMILY_MEMBERS = {
-    "MQTT": ("MQTT-Malformed_Data", "MQTT-DoS-Connect_Flood",
-             "MQTT-DDoS-Publish_Flood", "MQTT-DDoS-Connect_Flood"),
-    "DoS": ("TCP_IP-DoS-TCP", "TCP_IP-DoS-ICMP", "TCP_IP-DoS-SYN", "TCP_IP-DoS-UDP"),
-    "DDoS": ("TCP_IP-DDoS-SYN", "TCP_IP-DDoS-ICMP", "TCP_IP-DDoS-UDP", "TCP_IP-DDoS-TCP"),
-    "Recon": ("Recon-Ping_Sweep", "Recon-VulScan", "Recon-OS_Scan", "Recon-Port_Scan"),
-    "Spoofing": ("ARP_Spoofing",),
-}
+# The attack families of the class roster, without Benign.
+FAMILY_MEMBERS = {cat: subs for cat, subs in ROSTER.items() if cat != "Benign"}
 
-# Fixed representative sub-attack per category (the t0 baseline roster).
+# Fixed representative sub-attack per category (the t0 baseline classes).
 REPRESENTATIVES = {
     "MQTT": "MQTT-DDoS-Connect_Flood",
     "DoS": "TCP_IP-DoS-UDP",
@@ -62,8 +56,9 @@ CLIENT_TEST_FRACTION = 0.125
 class StrategyConfig:
     """One training strategy row of the benchmark.
 
-    Numeric invariants (retain_r > 0, 0 < ema_alpha < 1) are reported by
-    ``runner.validate_config`` and enforced again when the strategy is used,
+    An unknown ``kind`` raises here; ``avg_ema`` defaults ``ema_alpha`` to 0.6.
+    The numeric rules (retain_r > 0, 0 < ema_alpha < 1) live in :meth:`check`,
+    which ``runner.validate_config`` reports and ``StrategyComposer`` enforces,
     so an invalid value can be carried into diagnostics without raising here.
     """
 
@@ -247,19 +242,6 @@ def partition_iid(pool_by_class: dict[str, list[FlowRecord]], num_clients: int,
     return clients
 
 
-@dataclass
-class PeriodData:
-    """Composed training data of one strategy for one period."""
-
-    period_id: int
-    clients: list[ClientSplit]
-    pool_by_class: dict[str, list[FlowRecord]]
-
-    @property
-    def class_counts(self) -> dict[str, int]:
-        return {cls: len(rows) for cls, rows in self.pool_by_class.items()}
-
-
 class StrategyComposer:
     """Builds each training period's class pool for one strategy run.
 
@@ -285,9 +267,6 @@ class StrategyComposer:
         if self.strategy.kind == "static":
             return [self.start_period]
         return sorted(p for p, s in self.schedule.items() if s.has_training)
-
-    def used_rows(self, cls: str) -> list[FlowRecord]:
-        return list(self._used.get(cls, ()))
 
     def _segment(self, cls: str, period_id: int) -> list[FlowRecord]:
         # segment index counts training periods from the start of the task
@@ -359,25 +338,6 @@ class StrategyComposer:
                     store.append(rec)
 
 
-def compose_training_set(strategy: StrategyConfig, period_id: int,
-                         schedule: list[PeriodSchedule],
-                         train_segments: dict[str, list[list[FlowRecord]]],
-                         history: StrategyComposer | None = None, *,
-                         num_clients: int = DEFAULT_NUM_CLIENTS,
-                         seed: int = 0) -> tuple[PeriodData, StrategyComposer]:
-    """Compose one period's pool and deal it to clients.
-
-    ``history`` carries the composer state across periods (required for
-    retention draws); pass None at the strategy's first training period and
-    the returned composer afterwards.
-    """
-    composer = history if history is not None else StrategyComposer(
-        strategy, schedule, train_segments, seed)
-    pool = composer.compose(period_id)
-    clients = partition_iid(pool, num_clients, rng_seed_for_period(seed, strategy, period_id))
-    return PeriodData(period_id=period_id, clients=clients, pool_by_class=pool), composer
-
-
 def rng_seed_for_period(seed: int, strategy: StrategyConfig, period_id: int) -> int:
     stream = rng_for(seed, "partition", strategy.label, period_id)
     return int(stream.integers(0, 2**63 - 1))
@@ -399,12 +359,3 @@ def build_test_sets(schedule: list[PeriodSchedule],
         out[sched.period_id] = per_class
     return out
 
-
-def composition_report(pools: dict[int, dict[str, list[FlowRecord]]],
-                       strategy: StrategyConfig) -> list[tuple[str, int, str, int]]:
-    """Audit rows (strategy, period, class, row count) for golden checks."""
-    rows = []
-    for period_id in sorted(pools):
-        for cls in sorted(pools[period_id]):
-            rows.append((strategy.label, period_id, cls, len(pools[period_id][cls])))
-    return rows

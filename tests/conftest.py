@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from driftfed.pipeline import FlowRecord
-from driftfed.synth import ROSTER, FamilySpec, ScenarioSpec
+from driftfed.pipeline import ROSTER, FlowRecord
+from driftfed.synth import FamilySpec, ScenarioSpec
 
 
 def make_records(sub_attack: str, n: int, dim: int = 4, seed: int = 0):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from driftfed.errors import CodecError, ConfigError, DataError, LoadError
-from driftfed.pipeline import (CATEGORIES, ColumnSpec, FlowRecord, LabelCodec,
+from driftfed.pipeline import (CATEGORIES, ROSTER, ColumnSpec, FlowRecord, LabelCodec,
                                REMOVED_SUB_ATTACK, apply_scaler, category_of, clean,
                                encode_labels, fit_scaler, load_records,
                                records_by_class, stratified_split)
@@ -26,6 +26,14 @@ def test_category_prefix_mapping(label, expected):
 def test_category_unknown_label():
     with pytest.raises(CodecError, match="Mirai"):
         category_of("Mirai-UDP_Flood")
+
+
+def test_categories_are_the_roster_in_class_index_order():
+    assert CATEGORIES == tuple(ROSTER)
+    assert CATEGORIES[0] == "Benign"
+    for category, subs in ROSTER.items():
+        assert all(category_of(sub) == category for sub in subs)
+    assert category_of(REMOVED_SUB_ATTACK) == "MQTT"
 
 
 def _write(tmp_path, text, name="flows.csv"):
@@ -66,6 +74,18 @@ def test_load_records_bad_number_names_row_and_column(tmp_path):
 def test_load_records_unknown_label_listed(tmp_path):
     path = _write(tmp_path, "a,b,c,Attack\n1,2,3,Slowloris\n")
     with pytest.raises(LoadError, match="Slowloris"):
+        load_records(path, SPEC3)
+
+
+def test_load_records_rejects_off_roster_sub_attack_by_name(tmp_path):
+    # a known family prefix is not enough: labels must be roster names
+    path = _write(tmp_path,
+                  "a,b,c,Attack\n"
+                  "1,2,3,Benign\n"
+                  "4,5,6,MQTT-Malformed_Data\n"
+                  "7,8,9,MQTT-Foo_Flood\n"
+                  "1,2,3,MQTT-Foo_Flood\n")
+    with pytest.raises(LoadError, match=r"row 4: .*'MQTT-Foo_Flood'"):
         load_records(path, SPEC3)
 
 

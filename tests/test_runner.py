@@ -3,16 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftfed import cli, runner
 from driftfed.errors import ConfigError
-from driftfed.nn import ModelArch
+from driftfed.nn import OPTIMIZERS, ModelArch
 from driftfed.pipeline import ColumnSpec
-from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, config_from_dict,
-                             desk_scale, rerender_reports, run_experiment,
-                             validate_config)
+from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, _config_dict,
+                             config_from_dict, desk_scale, load_config, rerender_reports,
+                             run_experiment, validate_config)
 from driftfed.synth import generate
-from driftfed.timeline import StrategyConfig
+from driftfed.timeline import STRATEGY_KINDS, TASKS, StrategyConfig
 
 from conftest import tiny_scenario
 
@@ -61,9 +63,14 @@ def test_validate_config_flags_bad_values(tmp_path):
                       data=DataSource(path="/does/not/exist.csv"))
     assert any("data.path" in p for p in validate_config(missing))
 
-    wrong_out = replace(RunConfig(output_dir=str(tmp_path)),
-                        arch=ModelArch(output_dim=6))
-    assert any("output_dim" in p for p in validate_config(wrong_out))
+    # output_dim follows the task, so a mismatched one cannot be built
+    six = RunConfig(task="sixclass", output_dir=str(tmp_path))
+    assert six.arch.output_dim == 6
+    assert replace(six, task="binary").arch.output_dim == 2
+    assert replace(six, arch=ModelArch(output_dim=2)).arch.output_dim == 6
+    # an unknown task is left for validate_config to report
+    assert any(p.startswith("task:")
+               for p in validate_config(replace(six, task="ternary")))
 
 
 def test_validate_config_checks_arch_against_feature_count(tmp_path, monkeypatch):
@@ -124,6 +131,71 @@ def test_config_from_dict_round_trip():
     assert cfg.fed.train.local_epochs == 4
     assert cfg.train_cap == 500
     assert cfg.seed == 42
+
+
+def test_strategy_problems_come_from_check(tmp_path):
+    bad = StrategyConfig("avg_ema", ema_alpha=0.0)
+    with pytest.raises(ConfigError) as exc:
+        bad.check()
+    problems = validate_config(RunConfig(strategies=(bad,), output_dir=str(tmp_path)))
+    assert problems == [f"strategies[avg_ema]: {exc.value}"]
+
+
+_positive = st.integers(1, 64)
+
+_raw_configs = st.fixed_dictionaries({}, optional={
+    "task": st.sampled_from(TASKS),
+    "strategies": st.lists(st.fixed_dictionaries(
+        {"kind": st.sampled_from(STRATEGY_KINDS)},
+        optional={"retain_r": st.integers(-5, 2000),
+                  "ema_alpha": st.floats(-1, 2, allow_nan=False)}), max_size=4),
+    "data": st.one_of(
+        st.fixed_dictionaries({}, optional={"synthetic": st.fixed_dictionaries({}, optional={
+            "seed": st.none() | st.integers(0, 2**31), "rows_per_subattack": _positive})}),
+        st.fixed_dictionaries({"path": st.text(min_size=1)}, optional={
+            "column_spec": st.none() | st.text(min_size=1),
+            "delimiter": st.sampled_from([",", ";", "\t"])})),
+    "arch": st.fixed_dictionaries({}, optional={
+        "input_dim": _positive, "hidden_layers": _positive, "hidden_units": _positive,
+        "seq_len": _positive, "output_dim": _positive}),
+    "federation": st.fixed_dictionaries({}, optional={
+        "num_clients": _positive, "rounds": _positive,
+        "train": st.fixed_dictionaries({}, optional={
+            "learning_rate": st.floats(1e-6, 1.0), "batch_size": _positive,
+            "local_epochs": _positive, "optimizer": st.sampled_from(OPTIMIZERS)})}),
+    "caps": st.fixed_dictionaries({}, optional={"train": _positive, "test": _positive}),
+    "train_fraction": st.floats(0.01, 0.99),
+    "output_dir": st.text(min_size=1),
+    "seed": st.integers(0, 2**31),
+    "desk_scale": st.booleans(),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_configs)
+def test_manifest_config_loads_back_as_the_same_config(raw):
+    cfg = config_from_dict(raw)
+    written = json.loads(json.dumps(_config_dict(cfg)))
+    assert config_from_dict(written) == cfg
+
+
+def test_output_dir_env_applies_only_when_config_leaves_it_unset(tmp_path, monkeypatch):
+    monkeypatch.setenv("DRIFTFED_OUTPUT", str(tmp_path / "from_env"))
+    args = cli._build_parser().parse_args(["run", "--config", "unused.json"])
+    unset = tmp_path / "unset.json"
+    unset.write_text("{}")
+    assert cli._apply_overrides(load_config(unset), args).output_dir == str(tmp_path / "from_env")
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps({"output_dir": "runs"}))
+    assert cli._apply_overrides(load_config(explicit), args).output_dir == "runs"
+
+
+@pytest.mark.parametrize("start,task,out", [("binary", "sixclass", 6),
+                                            ("sixclass", "binary", 2)])
+def test_cli_task_override_derives_output_dim(start, task, out):
+    args = cli._build_parser().parse_args(["run", "--config", "unused.json", "--task", task])
+    cfg = cli._apply_overrides(RunConfig(task=start), args)
+    assert (cfg.task, cfg.arch.output_dim) == (task, out)
 
 
 def test_config_from_dict_defaults_to_all_strategies():
@@ -189,6 +261,7 @@ def test_manifest_records_config_and_status(tiny_run):
     assert manifest["partial"] is False
     assert set(manifest["statuses"]) == {"static", "simple", "retain_20", "avg_ema"}
     assert all(v == "ok" for v in manifest["statuses"].values())
+    assert config_from_dict(manifest["config"]) == cfg
 
 
 def test_cells_table_is_full_matrix(tiny_run):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from driftfed.errors import ConfigError
-from driftfed.pipeline import REMOVED_SUB_ATTACK, clean, load_records, records_by_class
-from driftfed.synth import (ROSTER, FamilySpec, ScenarioSpec, default_drift_scenario,
-                            generate, write_delimited)
+from driftfed.pipeline import (REMOVED_SUB_ATTACK, ROSTER, clean, load_records,
+                               records_by_class)
+from driftfed.synth import (FamilySpec, ScenarioSpec, default_drift_scenario, generate,
+                            write_delimited)
 from driftfed.timeline import temporal_segment
 
 from conftest import tiny_scenario
@@ -91,6 +92,12 @@ def test_default_scenario_roster():
     assert len(classes - {"Benign"}) == 17
     for subs in ROSTER.values():
         assert set(subs) <= classes
+
+
+def test_default_scenario_covers_exactly_the_roster():
+    spec = default_drift_scenario(seed=0, rows_per_subattack=10)
+    assert {fam.category: fam.sub_attacks for fam in spec.families} == ROSTER
+    assert [fam.category for fam in spec.families] == list(ROSTER)
 
 
 def test_default_scenario_segments_evenly():

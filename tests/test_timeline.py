@@ -10,7 +10,6 @@ from driftfed.synth import generate
 from driftfed import timeline as tl
 from driftfed.timeline import (FAMILY_MEMBERS, StrategyComposer, StrategyConfig,
                                build_schedule, build_test_sets, cap_records,
-                               compose_training_set, composition_report,
                                partition_iid, segment_and_cap, temporal_segment)
 
 from conftest import make_records, tiny_scenario
@@ -303,22 +302,6 @@ def test_invalid_retain_r_rejected_at_use():
                          train_segments, seed=0)
 
 
-def test_compose_training_set_wrapper_partitions():
-    schedule = build_schedule("binary")
-    train_segments, _ = _segments_for("binary")
-    data, composer = compose_training_set(
-        StrategyConfig("cumulative"), 1, schedule, train_segments,
-        num_clients=5, seed=0)
-    assert len(data.clients) == 5
-    total = sum(len(c.train) + len(c.client_test) + len(c.validation)
-                for c in data.clients)
-    assert total == sum(data.class_counts.values())
-    data2, _ = compose_training_set(
-        StrategyConfig("cumulative"), 2, schedule, train_segments,
-        history=composer, num_clients=5, seed=0)
-    assert data2.period_id == 2
-
-
 def test_build_test_sets_follow_included():
     schedule = build_schedule("binary")
     _, test_segments = _segments_for("binary")
@@ -326,14 +309,6 @@ def test_build_test_sets_follow_included():
     assert set(sets[1]) == {"Benign", *FAMILY_MEMBERS["MQTT"]}
     assert len(sets[6]) == 18
     assert set(sets[5]) == set(sets[6])
-
-
-def test_composition_report_rows():
-    pools, _ = _compose_all("binary", StrategyConfig("static"))
-    rows = composition_report(pools, StrategyConfig("static"))
-    assert all(label == "static" and period == 1 for label, period, _, _ in rows)
-    assert {cls for _, _, cls, _ in rows} == {"Benign", *FAMILY_MEMBERS["MQTT"]}
-    assert all(count <= 10_000 for *_, count in rows)
 
 
 # --- golden label sets --------------------------------------------------------
