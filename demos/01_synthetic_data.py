@@ -11,17 +11,17 @@ from pathlib import Path
 
 import numpy as np
 
-from driftfed import (default_drift_scenario, generate, load_records,
+from driftfed import (category_of, default_drift_scenario, generate, load_records,
                       records_by_class, write_delimited)
 
 spec = default_drift_scenario(seed=42, rows_per_subattack=120)
 records = generate(spec)
-print(f"generated {len(records)} rows, {spec.num_features} features each")
+print(f"generated {len(records)} rows, {records.width} features each")
 
 by_class = records_by_class(records)
 print(f"{len(by_class)} classes:")
 for cls in sorted(by_class):
-    print(f"  {by_class[cls][0].category:<9} {cls:<26} {len(by_class[cls])} rows")
+    print(f"  {category_of(cls):<9} {cls:<26} {len(by_class[cls])} rows")
 
 # pairwise family mean distances: MQTT vs DDoS should be the widest gap
 means = {f.name: f.mean for f in spec.families if f.name != "Benign"}
@@ -36,7 +36,5 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "flows.csv"
     colspec = write_delimited(records, path)
     loaded = load_records(path, colspec)
-    identical = all(np.array_equal(a.features, b.features) and
-                    a.sub_attack == b.sub_attack
-                    for a, b in zip(records, loaded))
+    identical = loaded == records  # same labels, order indices and feature bits
     print(f"\nCSV round trip: {len(loaded)} rows restored, bit-identical: {identical}")

@@ -7,20 +7,20 @@ inside each half, and min-max statistics come from training rows only.
 
 import numpy as np
 
-from driftfed import (FlowRecord, LabelCodec, apply_scaler, clean, encode_labels,
+from driftfed import (FlowTable, LabelCodec, apply_scaler, clean, encode_labels,
                       default_drift_scenario, fit_scaler, generate,
                       records_by_class, stratified_split)
 from driftfed.pipeline import REMOVED_SUB_ATTACK
 
 records = generate(default_drift_scenario(seed=7, rows_per_subattack=100))
 
-# splice in rows that cleaning must remove
-broken = FlowRecord.make(np.full(45, np.nan), "Benign", 999)
-legacy = [FlowRecord.make(np.full(45, 1.0), REMOVED_SUB_ATTACK, i) for i in range(5)]
-dirty = records + [broken] + legacy
+# append rows that cleaning must remove: one NaN row, five of the removed class
+legacy = 5
+dirty = FlowTable.of(np.vstack([records.X, np.full((1, 45), np.nan), np.ones((legacy, 45))]),
+                     records.labels + ["Benign"] + [REMOVED_SUB_ATTACK] * legacy)
 cleaned = clean(dirty)
 print(f"clean: {len(dirty)} rows in, {len(cleaned)} out "
-      f"(dropped 1 NaN row and {len(legacy)} rows of {REMOVED_SUB_ATTACK})")
+      f"(dropped 1 NaN row and {legacy} rows of {REMOVED_SUB_ATTACK})")
 
 train, test = stratified_split(cleaned, train_fraction=0.8, seed=7)
 print(f"split: {len(train)} train / {len(test)} test")
@@ -32,7 +32,7 @@ for cls in ("Benign", "ARP_Spoofing"):
 stats = fit_scaler(train)
 train_scaled = apply_scaler(stats, train)
 test_scaled = apply_scaler(stats, test)
-matrix = np.stack([r.features for r in test_scaled])
+matrix = test_scaled.X
 print(f"scale: test features now span [{matrix.min():.3f}, {matrix.max():.3f}] "
       "(clamped to [0, 1], statistics fitted on train only)")
 

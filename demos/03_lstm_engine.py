@@ -7,9 +7,9 @@ the analytic gradients checkable against central finite differences.
 
 import numpy as np
 
-from driftfed import (LabeledData, ModelArch, TrainConfig, backward, cross_entropy,
-                      forward, init_params, param_count, predict, train_local,
-                      unflatten)
+from driftfed import (LabeledData, ModelArch, ModelParams, TrainConfig, backward,
+                      cross_entropy, forward, init_params, param_count, predict,
+                      train_local)
 
 arch = ModelArch(input_dim=6, hidden_layers=2, hidden_units=5, output_dim=3, seq_len=2)
 print(f"architecture: {arch}")
@@ -24,16 +24,16 @@ print(f"forward: batch of {X.shape[0]} -> logits {logits.shape}, "
       f"loss {cross_entropy(logits, y):.4f}")
 
 # gradient check against central differences on a few random coordinates
-flat = params.flatten()
-analytic = backward(params, cache, y).flatten()
+flat = params.vec
+analytic = backward(params, cache, y).vec
 step = 1e-5
 worst = 0.0
 for k in rng.choice(flat.size, size=25, replace=False):
     up, dn = flat.copy(), flat.copy()
     up[k] += step
     dn[k] -= step
-    hi, _ = forward(unflatten(arch, up), X)
-    lo, _ = forward(unflatten(arch, dn), X)
+    hi, _ = forward(ModelParams(arch, up), X)
+    lo, _ = forward(ModelParams(arch, dn), X)
     numeric = (cross_entropy(hi, y) - cross_entropy(lo, y)) / (2 * step)
     denom = max(1e-6, abs(analytic[k]), abs(numeric))
     worst = max(worst, abs(analytic[k] - numeric) / denom)

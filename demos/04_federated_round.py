@@ -8,19 +8,19 @@ from a parameter average over everything trained so far.
 
 import numpy as np
 
-from driftfed import (Checkpoint, FedConfig, LabeledData, ModelArch, TrainConfig,
-                      fedavg_aggregate, init_from_history, init_params, predict,
-                      run_round, unflatten)
+from driftfed import (Checkpoint, FedConfig, LabeledData, ModelArch, ModelParams,
+                      TrainConfig, fedavg_aggregate, init_from_history, init_params,
+                      predict, run_round)
 from driftfed.nn import param_count
 
 arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=6, output_dim=2)
 width = param_count(arch)
 
 # size-weighted mean: a client with 3x the data pulls 3x as hard
-a = unflatten(arch, np.zeros(width))
-b = unflatten(arch, np.ones(width))
+a = ModelParams(arch, np.zeros(width))
+b = ModelParams(arch, np.ones(width))
 merged = fedavg_aggregate([a, b], [100, 300])
-print(f"fedavg of 0s (n=100) and 1s (n=300): every element = {merged.flatten()[0]}")
+print(f"fedavg of 0s (n=100) and 1s (n=300): every element = {merged.vec[0]}")
 
 # communication rounds over five IID shards; the clients of a round train in
 # lockstep, so a round reports one training time for all of them
@@ -40,10 +40,10 @@ for rnd in range(cfg.rounds):
 
 # averaging-initialization variants over a fake checkpoint history
 history = [
-    Checkpoint(unflatten(arch, np.full(width, 0.0)), 1, 100, 0.0),
-    Checkpoint(unflatten(arch, np.full(width, 1.0)), 2, 300, 0.0),
-    Checkpoint(unflatten(arch, np.full(width, 1.0)), 3, 100, 0.0),
+    Checkpoint(ModelParams(arch, np.full(width, 0.0)), 1, 100, 0.0),
+    Checkpoint(ModelParams(arch, np.full(width, 1.0)), 2, 300, 0.0),
+    Checkpoint(ModelParams(arch, np.full(width, 1.0)), 3, 100, 0.0),
 ]
 for mode in ("equal", "sample", "ema"):
     merged = init_from_history(mode, history, ema_alpha=0.6)
-    print(f"init_from_history[{mode:<6}] -> element value {merged.flatten()[0]:.3f}")
+    print(f"init_from_history[{mode:<6}] -> element value {merged.vec[0]:.3f}")

@@ -10,8 +10,7 @@ near-perfect; treat published figures as reference points, not targets.
 """
 
 from driftfed import (FedConfig, ModelArch, TrainConfig, attack_generalization_matrix,
-                      default_drift_scenario, generate, records_by_class,
-                      stratified_split)
+                      default_drift_scenario, generate, stratified_split)
 from driftfed.timeline import FAMILY_MEMBERS
 
 records = generate(default_drift_scenario(seed=3, rows_per_subattack=300))
@@ -22,9 +21,7 @@ cfg = FedConfig(num_clients=5, rounds=3,
                 train=TrainConfig(local_epochs=5), seed=3)
 arch = ModelArch(input_dim=45, hidden_layers=1, hidden_units=16, output_dim=2)
 
-matrix = attack_generalization_matrix(
-    families, records_by_class(train), records_by_class(test), cfg, arch,
-    FAMILY_MEMBERS)
+matrix = attack_generalization_matrix(families, train, test, cfg, arch, FAMILY_MEMBERS)
 
 header = " ".join(f"{name:>9}" for name in matrix.families) + "      mean"
 corner = "train \\ test"

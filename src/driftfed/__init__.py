@@ -18,11 +18,10 @@ from .metrics import (FAR_DEFINITION, GeneralizationMatrix, MetricsReport,
                       false_alarm_rate, macro_prf, measure_inference, micro_accuracy,
                       protocol_average, protocol_cells)
 from .nn import (ModelArch, ModelParams, TrainConfig, backward, cross_entropy,
-                 forward, init_params, param_count, predict, softmax, train_local,
-                 unflatten)
-from .pipeline import (CATEGORIES, ROSTER, ColumnSpec, FlowRecord, LabelCodec, ScalerStats,
-                       apply_scaler, category_of, clean, encode_labels, fit_scaler,
-                       load_records, records_by_class, stratified_split)
+                 forward, init_params, param_count, predict, softmax, train_local)
+from .pipeline import (CATEGORIES, ROSTER, SUB_ATTACKS, ColumnSpec, FlowTable, LabelCodec,
+                       ScalerStats, apply_scaler, category_of, clean, encode_labels,
+                       fit_scaler, load_records, records_by_class, stratified_split)
 from .runner import (ALL_STRATEGIES, DataSource, RunConfig, RunResult, desk_scale,
                      load_config, prepare_experiment, run_experiment, validate_config)
 from .synth import (FamilySpec, ScenarioSpec, default_column_spec, default_drift_scenario,

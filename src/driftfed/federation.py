@@ -133,7 +133,6 @@ class RoundLog:
 class TimelineResult:
     checkpoints: list[Checkpoint]
     round_logs: list[RoundLog]
-    initial_params: dict[int, ModelParams]  # per period, for chaining audits
 
 
 @dataclass
@@ -156,7 +155,6 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
     """
     checkpoints: list[Checkpoint] = []
     logs: list[RoundLog] = []
-    initials: dict[int, ModelParams] = {}
     mode = _INIT_MODE_BY_KIND.get(strategy.kind)
 
     for item in sorted(period_inputs, key=lambda p: p.period_id):
@@ -167,7 +165,6 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
             params = init_from_history(mode, checkpoints, ema_alpha=strategy.ema_alpha)
         else:
             params = checkpoints[-1].params
-        initials[item.period_id] = params
 
         val = _concat_nonempty(item.client_val)
         wall = 0.0
@@ -184,7 +181,7 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
         sample_count = sum(len(s) for s in item.client_train)
         checkpoints.append(Checkpoint(params, item.period_id, sample_count, wall))
 
-    return TimelineResult(checkpoints, logs, initials)
+    return TimelineResult(checkpoints, logs)
 
 
 def _concat_nonempty(shards: list[LabeledData]) -> LabeledData | None:

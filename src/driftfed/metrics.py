@@ -18,7 +18,8 @@ from .dataset import LabeledData
 from .errors import EvaluationError, MetricError
 from .federation import Checkpoint, FedConfig, run_round
 from .nn import ModelArch, ModelParams, init_params, predict
-from .pipeline import FlowRecord, LabelCodec, encode_labels
+from .pipeline import (NO_ROWS, FlowTable, LabelCodec, concat_rows, encode_labels,
+                       records_by_class)
 from .seeds import rng_for
 from .timeline import partition_iid
 
@@ -174,9 +175,7 @@ class GeneralizationMatrix:
         return self.values[self.families.index(family)]
 
 
-def attack_generalization_matrix(families: list[str],
-                                 train_by_class: dict[str, list[FlowRecord]],
-                                 test_by_class: dict[str, list[FlowRecord]],
+def attack_generalization_matrix(families: list[str], train: FlowTable, test: FlowTable,
                                  cfg: FedConfig, arch: ModelArch,
                                  family_members: dict[str, tuple[str, ...]]
                                  ) -> GeneralizationMatrix:
@@ -187,16 +186,18 @@ def attack_generalization_matrix(families: list[str],
     skipped with a warning.
     """
     codec = LabelCodec.binary()
-    benign_train = train_by_class.get("Benign", [])
-    benign_test = test_by_class.get("Benign", [])
-    if not benign_train or not benign_test:
+    train_by_class = records_by_class(train)
+    test_by_class = records_by_class(test)
+    benign_train = train_by_class.get("Benign", NO_ROWS)
+    benign_test = test_by_class.get("Benign", NO_ROWS)
+    if not len(benign_train) or not len(benign_test):
         raise EvaluationError("benign train and test rows are required")
 
     usable = []
     for family in families:
         members = family_members.get(family, ())
-        has_train = any(train_by_class.get(m) for m in members)
-        has_test = any(test_by_class.get(m) for m in members)
+        has_train = any(m in train_by_class for m in members)
+        has_test = any(m in test_by_class for m in members)
         if has_train and has_test:
             usable.append(family)
         else:
@@ -204,11 +205,8 @@ def attack_generalization_matrix(families: list[str],
     if len(usable) < 2:
         raise EvaluationError("need at least two families with benign data")
 
-    def family_rows(source, family):
-        rows = []
-        for member in family_members[family]:
-            rows.extend(source.get(member, []))
-        return rows
+    def family_rows(by_class, family):
+        return concat_rows(by_class.get(m, NO_ROWS) for m in family_members[family])
 
     arch = replace(arch, output_dim=codec.num_classes)
     values = np.zeros((len(usable), len(usable) + 1))
@@ -216,8 +214,9 @@ def attack_generalization_matrix(families: list[str],
         pool = {"Benign": benign_train, fam_train: family_rows(train_by_class, fam_train)}
         seed = int(rng_for(cfg.seed, "generalization", fam_train).integers(0, 2**63 - 1))
         clients = partition_iid(pool, cfg.num_clients, seed)
-        shards = [encode_labels(codec, c.train + c.client_test + c.validation,
-                                arch.input_dim) for c in clients]
+        shards = [encode_labels(codec, train,
+                                concat_rows([c.train, c.client_test, c.validation]))
+                  for c in clients]
         shards = [s for s in shards if len(s) > 0]
         params = init_params(arch, seed=seed)
         fam_cfg = FedConfig(num_clients=len(shards), rounds=cfg.rounds,
@@ -225,10 +224,9 @@ def attack_generalization_matrix(families: list[str],
         for rnd in range(cfg.rounds):
             params, _ = run_round(params, shards, fam_cfg, round_index=rnd)
         for j, fam_test in enumerate(usable):
-            test = encode_labels(
-                codec, benign_test + family_rows(test_by_class, fam_test),
-                arch.input_dim)
-            preds = predict(params, test.X)
-            values[i, j] = float(np.mean(preds == test.y))
+            data = encode_labels(codec, test,
+                                 concat_rows([benign_test, family_rows(test_by_class, fam_test)]))
+            preds = predict(params, data.X)
+            values[i, j] = float(np.mean(preds == data.y))
         values[i, -1] = values[i, :len(usable)].mean()
     return GeneralizationMatrix(usable, values)

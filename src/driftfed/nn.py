@@ -202,15 +202,6 @@ class ModelParams:
         for name, value in zip(("wx", "wh", "b", "w_out", "b_out"), _split(self.arch, vec)):
             object.__setattr__(self, name, value)
 
-    def flatten(self) -> np.ndarray:
-        """The parameter vector itself (read-only, no copy)."""
-        return self.vec
-
-
-def unflatten(arch: ModelArch, flat: np.ndarray) -> ModelParams:
-    """Params holding a float64 copy of ``flat``; inverse of ``ModelParams.flatten``."""
-    return ModelParams(arch, np.array(flat, dtype=np.float64))
-
 
 def init_params(arch: ModelArch, seed: int) -> ModelParams:
     """Deterministic initialization.

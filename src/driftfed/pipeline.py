@@ -1,9 +1,14 @@
-"""Flow-record ingestion and preprocessing.
+"""Flow-table ingestion and preprocessing.
 
 Loads delimited network-flow files (CICIoMT2024-style: 45 numeric features
 plus a sub-attack label column), cleans them, splits train/test per class,
 min-max normalizes on training statistics only, and encodes labels for the
 binary or six-class task. The same code path serves synthetic datasets.
+
+A row set is one :class:`FlowTable`: an (N, F) feature matrix, a sub-attack
+code per row and the row's ``order_index`` within its class. Later stages
+(segmenting, capping, pools, client shards, test sets) pass arrays of row
+indices into a table instead of copying rows.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +43,16 @@ CATEGORIES = tuple(ROSTER)
 # Dropped entirely during cleaning: no valid instances survive preprocessing.
 REMOVED_SUB_ATTACK = "MQTT-DoS-Publish_Flood"
 
+# Every label a table can hold, in roster order; a row's ``sub`` code indexes it.
+SUB_ATTACKS = (*(sub for subs in ROSTER.values() for sub in subs), REMOVED_SUB_ATTACK)
+_CODE_OF = {sub: code for code, sub in enumerate(SUB_ATTACKS)}
 _CATEGORY_OF = {sub: cat for cat, subs in ROSTER.items() for sub in subs}
 _CATEGORY_OF[REMOVED_SUB_ATTACK] = "MQTT"
+# six-class index per sub-attack code
+_CATEGORY_INDEX = np.array([CATEGORIES.index(_CATEGORY_OF[s]) for s in SUB_ATTACKS],
+                           dtype=np.int64)
+
+NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def category_of(sub_attack: str) -> str:
@@ -49,25 +62,91 @@ def category_of(sub_attack: str) -> str:
         raise CodecError(f"sub-attack label not in the roster: {sub_attack!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
-    """One network-flow sample."""
+def sub_code(sub_attack: str) -> int:
+    try:
+        return _CODE_OF[sub_attack]
+    except KeyError:
+        raise CodecError(f"sub-attack label not in the roster: {sub_attack!r}") from None
 
-    features: np.ndarray
-    sub_attack: str
-    category: str
-    order_index: int
+
+def concat_rows(parts) -> np.ndarray:
+    """Row-index arrays joined in order; no parts gives an empty index array."""
+    return np.concatenate([NO_ROWS, *parts])
+
+
+def _running_count(sub: np.ndarray) -> np.ndarray:
+    """Per row, how many earlier rows share its sub-attack code."""
+    by_code = np.argsort(sub, kind="stable")
+    counts = np.bincount(sub, minlength=len(SUB_ATTACKS))
+    starts = np.cumsum(counts) - counts
+    rank = np.empty(len(sub), dtype=np.int64)
+    rank[by_code] = np.arange(len(sub)) - np.repeat(starts, counts)
+    return rank
+
+
+@dataclass(frozen=True, eq=False)
+class FlowTable:
+    """Network-flow rows in columns.
+
+    ``X`` is a C-contiguous (N, F) float64 matrix, ``sub`` the (N,) index of
+    each row's label in :data:`SUB_ATTACKS` and ``order`` the (N,) int64
+    ``order_index``: the row's position in time within its class. Tables
+    compare equal when their shapes, codes, orders and feature bits match.
+    """
+
+    X: np.ndarray
+    sub: np.ndarray
+    order: np.ndarray
+
+    def __post_init__(self):
+        X = np.ascontiguousarray(self.X, dtype=np.float64)
+        sub = np.asarray(self.sub, dtype=np.intp)
+        order = np.asarray(self.order, dtype=np.int64)
+        if X.ndim != 2 or sub.shape != (len(X),) or order.shape != (len(X),):
+            raise DataError("a flow table needs an (N, F) matrix and N codes and orders")
+        if len(sub) and not 0 <= sub.min() <= sub.max() < len(SUB_ATTACKS):
+            raise DataError("sub-attack codes must index SUB_ATTACKS")
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "order", order)
 
     @staticmethod
-    def make(features: np.ndarray, sub_attack: str, order_index: int) -> "FlowRecord":
-        return FlowRecord(features, sub_attack, category_of(sub_attack), order_index)
+    def of(X, labels, order=None) -> "FlowTable":
+        """Table from a matrix and label names; ``order`` defaults to row order per class."""
+        sub = np.array([sub_code(name) for name in labels], dtype=np.intp)
+        return FlowTable(X, sub, _running_count(sub) if order is None else order)
+
+    def __len__(self) -> int:
+        return len(self.sub)
+
+    def __getitem__(self, rows) -> "FlowTable":
+        """The rows selected by a slice, index array or mask, as a new table."""
+        return FlowTable(self.X[rows], self.sub[rows], self.order[rows])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FlowTable):
+            return NotImplemented
+        return (self.X.shape == other.X.shape
+                and np.array_equal(self.sub, other.sub)
+                and np.array_equal(self.order, other.order)
+                and np.array_equal(self.X.view(np.uint64), other.X.view(np.uint64)))
+
+    @property
+    def width(self) -> int:
+        return self.X.shape[1]
+
+    @property
+    def labels(self) -> list[str]:
+        return [SUB_ATTACKS[code] for code in self.sub.tolist()]
 
 
-def records_by_class(records) -> dict[str, list[FlowRecord]]:
-    grouped: dict[str, list[FlowRecord]] = {}
-    for rec in records:
-        grouped.setdefault(rec.sub_attack, []).append(rec)
-    return grouped
+def records_by_class(table: FlowTable) -> dict[str, np.ndarray]:
+    """Row indices per sub-attack, classes in name order, rows in order_index order."""
+    rows = np.lexsort((table.order, table.sub))
+    counts = np.bincount(table.sub, minlength=len(SUB_ATTACKS))
+    parts = np.split(rows, np.cumsum(counts)[:-1])
+    return {SUB_ATTACKS[code]: parts[code]
+            for code in sorted(np.flatnonzero(counts), key=SUB_ATTACKS.__getitem__)}
 
 
 @dataclass(frozen=True)
@@ -80,12 +159,26 @@ class ColumnSpec:
 
     @staticmethod
     def from_json(path) -> "ColumnSpec":
-        raw = json.loads(Path(path).read_text())
-        return ColumnSpec(
-            feature_columns=tuple(raw["features"]),
-            label_column=raw["label"],
-            delimiter=raw.get("delimiter", ","),
-        )
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(raw["features"], list):
+                raise TypeError("'features' must be a list of column names")
+            spec = ColumnSpec(
+                feature_columns=tuple(raw["features"]),
+                label_column=raw["label"],
+                delimiter=raw.get("delimiter", ","),
+            )
+        except OSError as exc:
+            raise ConfigError(f"cannot read column spec: {exc}") from None
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"{path} is not a column spec "
+                              f"({type(exc).__name__}: {exc})") from None
+        names = (*spec.feature_columns, spec.label_column)
+        if not all(isinstance(name, str) for name in names):
+            raise ConfigError(f"{path}: column names must be strings")
+        if not (isinstance(spec.delimiter, str) and len(spec.delimiter) == 1):
+            raise ConfigError(f"{path}: delimiter must be one character")
+        return spec
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(
@@ -93,55 +186,121 @@ class ColumnSpec:
              "label": self.label_column,
              "delimiter": self.delimiter},
             indent=2,
-        ) + "\n")
+        ) + "\n", encoding="utf-8")
 
 
-def load_records(path, spec: ColumnSpec) -> list[FlowRecord]:
-    """Read one delimited file into FlowRecords.
+# Bytes of a plain text file: printable ASCII, tab and line breaks. On such
+# text numpy's float parser reads every field it accepts as Python's float()
+# does; it rejects some that float() accepts (``1_000``), and then the row
+# scan decides. Elsewhere they differ: numpy strips "\x1c" around a number.
+_PLAIN_TEXT = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+_QUOTE = '"'
 
-    ``order_index`` counts row order within each sub-attack class. Raises
+
+def load_records(path, spec: ColumnSpec) -> FlowTable:
+    """Read one delimited file into a FlowTable.
+
+    ``order_index`` counts row order within each sub-attack class. A plain
+    text file streams through numpy's C parser (:func:`_load_columns`); any
+    other file, or one that parser does not read exactly as ``csv.reader``
+    would, goes through the row scan (:func:`_scan_rows`), which raises
     LoadError naming the offending row/column for schema or parse problems,
     and the label and its first row for a sub-attack outside the roster.
     """
     path = Path(path)
     if not path.exists():
         raise LoadError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
+    try:
+        table = _load_columns(path, spec)
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        table = None
+    return table if table is not None else _scan_rows(path, spec)
+
+
+def _header_positions(reader, path, spec: ColumnSpec) -> tuple[list[int], int]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise LoadError(f"{path}: file is empty") from None
+    positions = {name: i for i, name in enumerate(header)}
+    missing = [c for c in (*spec.feature_columns, spec.label_column) if c not in positions]
+    if missing:
+        raise LoadError(f"{path}: header is missing column(s) {missing}")
+    return [positions[c] for c in spec.feature_columns], positions[spec.label_column]
+
+
+def _load_columns(path: Path, spec: ColumnSpec) -> FlowTable | None:
+    """The fast path: features by ``np.loadtxt``, labels by a line pass.
+
+    Returns None when the file is not plain text, when a row is ragged,
+    blank or badly quoted, or when a label is off the roster, so the row
+    scan decides (and names the problem).
+    """
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if chunk.translate(None, _PLAIN_TEXT):
+                return None
+    delim = spec.delimiter
+    codes = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delim)
+        feat_idx, label_idx = _header_positions(reader, path, spec)
+        if reader.line_num != 1 or not feat_idx:
+            return None
+        need = max([*feat_idx, label_idx])
+        for line in fh:
+            if _QUOTE in line:
+                fields = next(csv.reader([line], delimiter=delim, strict=True))
+            else:
+                fields = line.rstrip("\r\n").split(delim)
+            if len(fields) <= need:
+                return None
+            code = _CODE_OF.get(fields[label_idx])
+            if code is None:
+                return None
+            codes.append(code)
+    sub = np.array(codes, dtype=np.intp)
+    if not len(sub):
+        return FlowTable(np.empty((0, len(feat_idx))), sub, sub)
+    X = np.loadtxt(path, delimiter=delim, skiprows=1, usecols=feat_idx, quotechar=_QUOTE,
+                   ndmin=2, comments=None, encoding="utf-8")
+    if X.shape != (len(sub), len(feat_idx)):
+        return None
+    return FlowTable(X, sub, _running_count(sub))
+
+
+def _scan_rows(path: Path, spec: ColumnSpec) -> FlowTable:
+    """Row-by-row ``csv.reader`` load; the reference for what a file holds."""
+    rows: list[list[float]] = []
+    codes: list[int] = []
+    row_num = 1
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=spec.delimiter)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: file is empty") from None
-        positions = {name: i for i, name in enumerate(header)}
-        missing = [c for c in (*spec.feature_columns, spec.label_column) if c not in positions]
-        if missing:
-            raise LoadError(f"{path}: header is missing column(s) {missing}")
-        feat_idx = [positions[c] for c in spec.feature_columns]
-        label_idx = positions[spec.label_column]
-
-        records: list[FlowRecord] = []
-        counters: dict[str, int] = {}
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) <= max(*feat_idx, label_idx):
-                raise LoadError(f"{path}: row {row_num} has too few fields")
-            try:
-                feats = np.array([float(row[i]) for i in feat_idx])
-            except ValueError:
-                bad = next(c for c, i in zip(spec.feature_columns, feat_idx)
-                           if not _parses(row[i]))
-                raise LoadError(
-                    f"{path}: row {row_num}, column {bad!r}: "
-                    f"cannot parse {row[positions[bad]]!r} as a number"
-                ) from None
-            label = row[label_idx]
-            try:
-                category = category_of(label)
-            except CodecError as exc:
-                raise LoadError(f"{path}: row {row_num}: {exc}") from None
-            idx = counters.get(label, 0)
-            counters[label] = idx + 1
-            records.append(FlowRecord(feats, label, category, idx))
-    return records
+            feat_idx, label_idx = _header_positions(reader, path, spec)
+            need = max([*feat_idx, label_idx])
+            for row_num, row in enumerate(reader, start=2):
+                if len(row) <= need:
+                    raise LoadError(f"{path}: row {row_num} has too few fields")
+                try:
+                    rows.append([float(row[i]) for i in feat_idx])
+                except ValueError:
+                    bad, i = next((c, i) for c, i in zip(spec.feature_columns, feat_idx)
+                                  if not _parses(row[i]))
+                    raise LoadError(f"{path}: row {row_num}, column {bad!r}: "
+                                    f"cannot parse {row[i]!r} as a number") from None
+                try:
+                    codes.append(sub_code(row[label_idx]))
+                except CodecError as exc:
+                    raise LoadError(f"{path}: row {row_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise LoadError(f"{path}: not UTF-8 text ({exc.reason}; "
+                            f"rows up to {row_num} decoded)") from None
+        except csv.Error as exc:
+            raise LoadError(f"{path}: line {reader.line_num}: {exc}") from None
+    sub = np.array(codes, dtype=np.intp)
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), len(feat_idx))
+    return FlowTable(X, sub, _running_count(sub))
 
 
 def _parses(text: str) -> bool:
@@ -152,52 +311,42 @@ def _parses(text: str) -> bool:
         return False
 
 
-def clean(records: list[FlowRecord]) -> list[FlowRecord]:
+def clean(table: FlowTable) -> FlowTable:
     """Drop rows with non-finite features and the removed sub-attack class.
 
     Relative order is preserved and order_index is reassigned densely per
-    class, so clean is idempotent.
+    class in row order, so clean is idempotent.
     """
-    counters: dict[str, int] = {}
-    out: list[FlowRecord] = []
-    for rec in records:
-        if rec.sub_attack == REMOVED_SUB_ATTACK:
-            continue
-        if not np.all(np.isfinite(rec.features)):
-            continue
-        idx = counters.get(rec.sub_attack, 0)
-        counters[rec.sub_attack] = idx + 1
-        out.append(rec if rec.order_index == idx else replace(rec, order_index=idx))
-    return out
+    keep = (table.sub != _CODE_OF[REMOVED_SUB_ATTACK]) & np.isfinite(table.X).all(axis=1)
+    if not keep.all():
+        table = table[keep]
+    return FlowTable(table.X, table.sub, _running_count(table.sub))
 
 
-def stratified_split(records, train_fraction: float, seed: int):
-    """Per-class split into (train, test).
+def stratified_split(table: FlowTable, train_fraction: float, seed: int):
+    """Per-class split into (train, test) tables.
 
     Train size per class is round-half-up of fraction*n; membership is a
     seeded uniform draw but both halves keep within-class chronological
     order. Classes with fewer than 2 rows go entirely to train (with a
-    warning).
+    warning). Both tables hold their classes in name order.
     """
     if not 0 < train_fraction < 1:
         raise ConfigError("train_fraction must be strictly between 0 and 1")
-    train: list[FlowRecord] = []
-    test: list[FlowRecord] = []
-    grouped = records_by_class(records)
-    for cls in sorted(grouped):
-        rows = sorted(grouped[cls], key=lambda r: r.order_index)
+    train, test = [], []
+    for cls, rows in records_by_class(table).items():
         n = len(rows)
         if n < 2:
             warnings.warn(f"class {cls!r} has {n} row(s); assigning all to train")
-            train.extend(rows)
+            train.append(rows)
             continue
         k = int(np.floor(train_fraction * n + 0.5))
         chosen = rng_for(seed, "split", cls).permutation(n)[:k]
         mask = np.zeros(n, dtype=bool)
         mask[chosen] = True
-        train.extend(r for r, m in zip(rows, mask) if m)
-        test.extend(r for r, m in zip(rows, mask) if not m)
-    return train, test
+        train.append(rows[mask])
+        test.append(rows[~mask])
+    return table[concat_rows(train)], table[concat_rows(test)]
 
 
 @dataclass(frozen=True)
@@ -208,23 +357,19 @@ class ScalerStats:
     maxs: np.ndarray
 
 
-def fit_scaler(train: list[FlowRecord]) -> ScalerStats:
-    if not train:
+def fit_scaler(train: FlowTable) -> ScalerStats:
+    if not len(train):
         raise DataError("cannot fit a scaler on an empty training set")
-    matrix = np.stack([r.features for r in train])
-    return ScalerStats(matrix.min(axis=0), matrix.max(axis=0))
+    return ScalerStats(train.X.min(axis=0), train.X.max(axis=0))
 
 
-def apply_scaler(stats: ScalerStats, records: list[FlowRecord]) -> list[FlowRecord]:
+def apply_scaler(stats: ScalerStats, table: FlowTable) -> FlowTable:
     """Min-max transform; constant features map to 0, outputs clamp to [0, 1]."""
-    if not records:
-        return []
-    matrix = np.stack([r.features for r in records])
     span = stats.maxs - stats.mins
     safe = np.where(span > 0, span, 1.0)
-    scaled = np.clip((matrix - stats.mins) / safe, 0.0, 1.0)
+    scaled = np.clip((table.X - stats.mins) / safe, 0.0, 1.0)
     scaled[:, span == 0] = 0.0
-    return [replace(rec, features=scaled[i]) for i, rec in enumerate(records)]
+    return FlowTable(scaled, table.sub, table.order)
 
 
 @dataclass(frozen=True)
@@ -258,20 +403,19 @@ class LabelCodec:
     def benign_index(self) -> int:
         return 0
 
-    def encode_one(self, record: FlowRecord) -> int:
+    @property
+    def lut(self) -> np.ndarray:
+        """Class index per sub-attack code."""
         if self.task == "binary":
-            return 0 if record.category == "Benign" else 1
-        try:
-            return CATEGORIES.index(record.category)
-        except ValueError:
-            raise CodecError(f"category not mapped: {record.category!r}") from None
+            return (_CATEGORY_INDEX != 0).astype(np.int64)
+        return _CATEGORY_INDEX
 
 
-def encode_labels(codec: LabelCodec, records: list[FlowRecord],
-                  input_dim: int | None = None) -> LabeledData:
-    """Stack features and class indices; the mapping never depends on the subset."""
-    if not records:
-        return LabeledData(np.zeros((0, input_dim or 0)), np.zeros(0, dtype=np.int64))
-    X = np.stack([r.features for r in records])
-    y = np.array([codec.encode_one(r) for r in records], dtype=np.int64)
-    return LabeledData(X, y)
+def encode_labels(codec: LabelCodec, table: FlowTable, rows=None) -> LabeledData:
+    """Features and class indices of ``rows`` (all rows when None).
+
+    The mapping never depends on the subset.
+    """
+    if rows is None:
+        return LabeledData(table.X, codec.lut[table.sub])
+    return LabeledData(table.X[rows], codec.lut[table.sub[rows]])

@@ -155,9 +155,11 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -168,8 +170,8 @@ def load_config(path) -> RunConfig:
 def validate_config(cfg: RunConfig, records=None) -> list[str]:
     """Diagnostics for every violated constraint; empty means runnable.
 
-    ``records``, when given, are the rows a run would use instead of
-    ``cfg.data``, so their width is the feature count the arch must match.
+    ``records``, when given, is the table a run would use instead of
+    ``cfg.data``, so its width is the feature count the arch must match.
     """
     problems: list[str] = []
     if cfg.task not in tl.TASKS:
@@ -189,10 +191,13 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
         problems.append("train_fraction: must be strictly between 0 and 1")
     if not cfg.data.is_synthetic() and not Path(cfg.data.path).exists():
         problems.append(f"data.path: file not found: {cfg.data.path}")
+    if cfg.fed.seed != FedConfig.seed:
+        problems.append("federation.seed: has no effect in a run; client seeds derive "
+                        "from `seed`")
     try:
         features = _feature_count(cfg, records)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        problems.append(f"data.column_spec: cannot read {cfg.data.column_spec_path}: {exc}")
+    except ConfigError as exc:
+        problems.append(f"data.column_spec: {exc}")
     else:
         if cfg.arch.feature_width != features:
             problems.append(f"arch: input_dim * seq_len = {cfg.arch.feature_width} must equal "
@@ -202,8 +207,8 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
 
 def _feature_count(cfg: RunConfig, records=None) -> int:
     """Features per row of the data a run reads."""
-    if records:
-        return len(records[0].features)
+    if records is not None:
+        return records.width
     if cfg.data.is_synthetic():
         return NUM_FEATURES
     return len(_column_spec(cfg).feature_columns)
@@ -251,13 +256,13 @@ def _load_dataset(cfg: RunConfig):
 def prepare_experiment(cfg: RunConfig, records=None):
     """Shared data preparation: clean, split, scale, segment, cap, test sets.
 
-    Returns what ``run_strategy`` reads: the schedule, the capped training
-    segments per class, the encoded test set per period and the label codec.
+    Returns what ``run_strategy`` reads: the schedule, the scaled training
+    table, the capped training segments per class (row indices into it), the
+    encoded test set per period and the label codec.
     """
     if records is None:
         records = _load_dataset(cfg)
-    records = clean(records)
-    train, test = stratified_split(records, cfg.train_fraction, cfg.seed)
+    train, test = stratified_split(clean(records), cfg.train_fraction, cfg.seed)
     stats = fit_scaler(train)
     train = apply_scaler(stats, train)
     test = apply_scaler(stats, test)
@@ -270,30 +275,21 @@ def prepare_experiment(cfg: RunConfig, records=None):
                                      cfg.train_cap, cfg.seed, "cap-train")
     test_segments = segment_and_cap(records_by_class(test), n_test_periods,
                                     cfg.test_cap, cfg.seed, "cap-test")
-    test_sets = build_test_sets(schedule, test_segments)
-
     codec = LabelCodec.for_task(cfg.task)
-    encoded_tests = {
-        period: encode_labels(codec, _flatten_classes(per_class), cfg.arch.input_dim)
-        for period, per_class in test_sets.items()
-    }
+    encoded_tests = {period: encode_labels(codec, test, rows)
+                     for period, rows in build_test_sets(schedule, test_segments).items()}
     return {
         "schedule": schedule,
+        "train": train,
         "train_segments": train_segments,
         "encoded_tests": encoded_tests,
         "codec": codec,
     }
 
 
-def _flatten_classes(per_class: dict[str, list]) -> list:
-    rows = []
-    for cls in sorted(per_class):
-        rows.extend(per_class[cls])
-    return rows
-
-
 def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig):
     schedule = prep["schedule"]
+    train = prep["train"]
     codec: LabelCodec = prep["codec"]
     strategy_seed = rng_seed_for_period(cfg.seed, strategy, -1)
 
@@ -308,10 +304,8 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig):
                                 rng_seed_for_period(cfg.seed, strategy, period_id))
         period_inputs.append(PeriodInput(
             period_id=period_id,
-            client_train=[encode_labels(codec, c.train, cfg.arch.input_dim)
-                          for c in clients],
-            client_val=[encode_labels(codec, c.validation, cfg.arch.input_dim)
-                        for c in clients],
+            client_train=[encode_labels(codec, train, c.train) for c in clients],
+            client_val=[encode_labels(codec, train, c.validation) for c in clients],
         ))
 
     fed = replace(cfg.fed, seed=strategy_seed)

@@ -1,4 +1,4 @@
-"""Synthetic flow-record generation with controllable family divergence.
+"""Synthetic flow-table generation with controllable family divergence.
 
 Each attack family sits at a configurable mean in feature space; rows are
 isotropic Gaussian draws around it, clipped to a bounded range so min-max
@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .pipeline import CATEGORIES, ROSTER, ColumnSpec, FlowRecord
+from .pipeline import (CATEGORIES, ROSTER, SUB_ATTACKS, ColumnSpec, FlowTable, category_of,
+                       sub_code)
 from .seeds import rng_for
 
 DEFAULT_CLIP = (0.0, 10.0)
@@ -65,6 +66,12 @@ class ScenarioSpec:
                 raise ConfigError(f"family {fam.name!r}: rows_per_subattack must be >= 1")
             if not fam.scale > 0:
                 raise ConfigError(f"family {fam.name!r}: scale must be positive")
+            if not fam.sub_attacks:
+                raise ConfigError(f"family {fam.name!r} has no sub-attacks")
+            for sub in fam.sub_attacks:
+                if sub not in SUB_ATTACKS or category_of(sub) != fam.category:
+                    raise ConfigError(f"family {fam.name!r}: {sub!r} is not a "
+                                      f"{fam.category} sub-attack of the roster")
             if fam.name in names:
                 raise ConfigError(f"duplicate family name {fam.name!r}")
             names.add(fam.name)
@@ -80,22 +87,25 @@ class ScenarioSpec:
                 )
 
 
-def generate(spec: ScenarioSpec) -> list[FlowRecord]:
-    """Draw the full record list for a scenario; deterministic by spec.seed."""
+def generate(spec: ScenarioSpec) -> FlowTable:
+    """Draw the full table for a scenario; deterministic by spec.seed.
+
+    Rows come family by family and sub-attack by sub-attack, each block in
+    order_index order.
+    """
     spec.validate()
     lo, hi = spec.clip
-    records: list[FlowRecord] = []
+    blocks, codes, orders = [], [], []
     for fam in spec.families:
+        n = fam.rows_per_subattack
         for sub in fam.sub_attacks:
             rng = rng_for(spec.seed, "family", fam.name, "sub", sub)
-            rows = rng.normal(fam.mean, fam.scale,
-                              size=(fam.rows_per_subattack, spec.num_features))
+            rows = rng.normal(fam.mean, fam.scale, size=(n, spec.num_features))
             np.clip(rows, lo, hi, out=rows)
-            records.extend(
-                FlowRecord(rows[i], sub, fam.category, i)
-                for i in range(fam.rows_per_subattack)
-            )
-    return records
+            blocks.append(rows)
+            codes.append(np.full(n, sub_code(sub)))
+            orders.append(np.arange(n))
+    return FlowTable(np.concatenate(blocks), np.concatenate(codes), np.concatenate(orders))
 
 
 def default_drift_scenario(seed: int, rows_per_subattack: int = 1200) -> ScenarioSpec:
@@ -136,19 +146,19 @@ def default_column_spec(num_features: int = NUM_FEATURES, delimiter: str = ",") 
     return ColumnSpec(feature_columns(num_features), "Attack", delimiter)
 
 
-def write_delimited(records: list[FlowRecord], path,
+def write_delimited(table: FlowTable, path,
                     spec: ColumnSpec | None = None) -> ColumnSpec:
-    """Emit records in the same delimited format the pipeline loader reads.
+    """Emit a table in the same delimited format the pipeline loader reads.
 
-    Floats are written with repr so a load round-trips bit-exactly.
+    Floats are written as Python floats, which ``csv`` formats with repr, so
+    a load round-trips bit-exactly.
     """
     if spec is None:
-        width = len(records[0].features) if records else NUM_FEATURES
-        spec = default_column_spec(width)
+        spec = default_column_spec(table.width)
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=spec.delimiter)
         writer.writerow([*spec.feature_columns, spec.label_column])
-        for rec in records:
-            writer.writerow([*(repr(float(v)) for v in rec.features), rec.sub_attack])
+        for values, label in zip(table.X, table.labels):
+            writer.writerow([*values.tolist(), label])
     return spec

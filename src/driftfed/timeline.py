@@ -10,17 +10,18 @@ Each class's training rows are cut into one chronological segment per
 training period and each test side into one segment per test period, so no
 strategy ever re-reads the same rows across periods. Training strategies
 then differ only in which classes (and how many retained rows) they pull
-into each period's pool.
+into each period's pool. Segments, pools and client shards are arrays of
+row indices into the scaled train or test :class:`~driftfed.pipeline.FlowTable`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ScheduleError
-from .pipeline import ROSTER, FlowRecord
+from .pipeline import NO_ROWS, ROSTER, concat_rows
 from .seeds import rng_for
 
 TASKS = ("binary", "sixclass")
@@ -162,44 +163,46 @@ def test_periods(task: str) -> tuple[int, ...]:
     return tuple(p.period_id for p in build_schedule(task))
 
 
-def temporal_segment(class_records: list[FlowRecord], num_periods: int) -> list[list[FlowRecord]]:
+def temporal_segment(class_rows, num_periods: int) -> list:
     """Chronological, disjoint, near-equal segments.
 
     The first ``n % num_periods`` segments take one extra row, so sizes
     differ by at most one and earlier segments hold earlier order_index
-    values. Records must already be sorted by order_index.
+    values. Rows must already be in order_index order.
     """
     if num_periods < 1:
         raise ScheduleError("num_periods must be at least 1")
-    n = len(class_records)
+    n = len(class_rows)
     base, extra = divmod(n, num_periods)
     segments = []
     start = 0
     for k in range(num_periods):
         size = base + (1 if k < extra else 0)
-        segments.append(class_records[start:start + size])
+        segments.append(class_rows[start:start + size])
         start += size
     return segments
 
 
-def cap_records(records: list[FlowRecord], cap: int,
-                rng: np.random.Generator) -> list[FlowRecord]:
+def cap_records(rows: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform subsample without replacement, preserving chronological order."""
-    if len(records) <= cap:
-        return records
-    keep = np.sort(rng.permutation(len(records))[:cap])
-    return [records[i] for i in keep]
+    if len(rows) <= cap:
+        return rows
+    keep = np.sort(rng.permutation(len(rows))[:cap])
+    return rows[keep]
 
 
-def segment_and_cap(records_by_cls: dict[str, list[FlowRecord]], num_periods: int,
-                    cap: int, seed: int, tag: str) -> dict[str, list[list[FlowRecord]]]:
-    """Per class: segment chronologically, then cap each period independently."""
+def segment_and_cap(rows_by_cls: dict[str, np.ndarray], num_periods: int,
+                    cap: int, seed: int, tag: str) -> dict[str, list[np.ndarray]]:
+    """Per class: segment chronologically, then cap each period independently.
+
+    ``rows_by_cls`` is :func:`~driftfed.pipeline.records_by_class` of a
+    table: row indices in order_index order.
+    """
     if cap < 1:
         raise ConfigError("cap must be at least 1")
-    out: dict[str, list[list[FlowRecord]]] = {}
-    for cls in sorted(records_by_cls):
-        rows = sorted(records_by_cls[cls], key=lambda r: r.order_index)
-        segments = temporal_segment(rows, num_periods)
+    out: dict[str, list[np.ndarray]] = {}
+    for cls in sorted(rows_by_cls):
+        segments = temporal_segment(rows_by_cls[cls], num_periods)
         out[cls] = [
             cap_records(seg, cap, rng_for(seed, tag, cls, k))
             for k, seg in enumerate(segments)
@@ -207,39 +210,40 @@ def segment_and_cap(records_by_cls: dict[str, list[FlowRecord]], num_periods: in
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientSplit:
-    """One client's share of a period pool, sub-split for local use."""
+    """One client's share of a period pool, sub-split for local use (row indices)."""
 
-    train: list[FlowRecord] = field(default_factory=list)
-    client_test: list[FlowRecord] = field(default_factory=list)
-    validation: list[FlowRecord] = field(default_factory=list)
+    train: np.ndarray
+    client_test: np.ndarray
+    validation: np.ndarray
 
 
-def partition_iid(pool_by_class: dict[str, list[FlowRecord]], num_clients: int,
+def partition_iid(pool_by_class: dict[str, np.ndarray], num_clients: int,
                   seed: int) -> list[ClientSplit]:
     """Deal each class round-robin after a seeded shuffle.
 
     Shard sizes per class differ by at most one (earlier clients take the
     remainder). Within each client's per-class allocation the tail is held
-    out for client-side testing and validation.
+    out for client-side testing and validation. Each part lists its classes
+    in name order.
     """
     if num_clients < 1:
         raise ConfigError("num_clients must be at least 1")
-    clients = [ClientSplit() for _ in range(num_clients)]
+    parts = [([], [], []) for _ in range(num_clients)]
     for cls in sorted(pool_by_class):
         rows = pool_by_class[cls]
         perm = rng_for(seed, "deal", cls).permutation(len(rows))
-        for k in range(num_clients):
-            dealt = [rows[i] for i in perm[k::num_clients]]
+        for k, (train, client_test, validation) in enumerate(parts):
+            dealt = rows[perm[k::num_clients]]
             m = len(dealt)
             n_val = int(np.floor(m * CLIENT_VAL_FRACTION))
             n_ctest = int(np.floor(m * CLIENT_TEST_FRACTION))
             n_train = m - n_val - n_ctest
-            clients[k].train.extend(dealt[:n_train])
-            clients[k].client_test.extend(dealt[n_train:n_train + n_ctest])
-            clients[k].validation.extend(dealt[n_train + n_ctest:])
-    return clients
+            train.append(dealt[:n_train])
+            client_test.append(dealt[n_train:n_train + n_ctest])
+            validation.append(dealt[n_train + n_ctest:])
+    return [ClientSplit(*map(concat_rows, part)) for part in parts]
 
 
 class StrategyComposer:
@@ -247,20 +251,23 @@ class StrategyComposer:
 
     Call :meth:`compose` for the strategy's training periods in ascending
     order; the composer tracks which rows each class has already used so
-    retention buffers draw only from genuinely seen data.
+    retention buffers draw only from genuinely seen data. Pools are row
+    indices into the table the segments index.
     """
 
     def __init__(self, strategy: StrategyConfig, schedule: list[PeriodSchedule],
-                 train_segments: dict[str, list[list[FlowRecord]]], seed: int):
+                 train_segments: dict[str, list[np.ndarray]], seed: int):
         strategy.check()
         self.strategy = strategy
         self.schedule = {p.period_id: p for p in schedule}
         self.segments = train_segments
         self.seed = seed
         self.start_period = min(p.period_id for p in schedule if p.has_training)
-        # per class: ordered unique rows already used in earlier periods
-        self._used: dict[str, list[FlowRecord]] = {}
-        self._used_keys: dict[str, set[tuple[str, int]]] = {}
+        # rows used in earlier periods: one mask over the table's rows, and per
+        # class the same rows in first-use order
+        every_row = concat_rows(seg for segs in train_segments.values() for seg in segs)
+        self._seen = np.zeros(every_row.max() + 1 if len(every_row) else 0, dtype=bool)
+        self._used: dict[str, np.ndarray] = {}
         self._composed: list[int] = []
 
     def training_periods(self) -> list[int]:
@@ -268,15 +275,15 @@ class StrategyComposer:
             return [self.start_period]
         return sorted(p for p, s in self.schedule.items() if s.has_training)
 
-    def _segment(self, cls: str, period_id: int) -> list[FlowRecord]:
+    def _segment(self, cls: str, period_id: int) -> np.ndarray:
         # segment index counts training periods from the start of the task
         segments = self.segments.get(cls)
         k = period_id - self.start_period
         if segments is None or k >= len(segments):
-            return []
+            return NO_ROWS
         return segments[k]
 
-    def compose(self, period_id: int) -> dict[str, list[FlowRecord]]:
+    def compose(self, period_id: int) -> dict[str, np.ndarray]:
         sched = self.schedule.get(period_id)
         if sched is None or not sched.has_training:
             raise ScheduleError(f"period t{period_id} has no training data")
@@ -291,51 +298,47 @@ class StrategyComposer:
             )
 
         kind = self.strategy.kind
-        pool: dict[str, list[FlowRecord]] = {}
+        pool: dict[str, np.ndarray] = {}
 
         if kind == "representative":
             classes = set(sched.new_family_members) | {"Benign"}
             classes |= {rep for cat, rep in REPRESENTATIVES.items() if cat != sched.new_family}
             for cls in sorted(classes):
-                pool[cls] = list(self._segment(cls, period_id))
+                pool[cls] = self._segment(cls, period_id)
         elif kind == "cumulative":
             for cls in sorted(sched.full_marks | sched.retained_marks):
-                pool[cls] = list(self._segment(cls, period_id))
+                pool[cls] = self._segment(cls, period_id)
         elif kind == "retain":
             for cls in sorted(sched.full_marks):
-                pool[cls] = list(self._segment(cls, period_id))
+                pool[cls] = self._segment(cls, period_id)
             for cls in sorted(sched.retained_marks):
                 pool[cls] = self._draw_retention(cls, period_id)
         elif kind == "static" or period_id == self.start_period:
             for cls in sorted(sched.full_marks):
-                pool[cls] = list(self._segment(cls, period_id))
+                pool[cls] = self._segment(cls, period_id)
         else:  # simple and the averaging variants
             for cls in sorted(sched.new_family_members | {"Benign"}):
-                pool[cls] = list(self._segment(cls, period_id))
+                pool[cls] = self._segment(cls, period_id)
 
-        pool = {cls: rows for cls, rows in pool.items() if rows}
+        pool = {cls: rows for cls, rows in pool.items() if len(rows)}
         self._remember(pool)
         self._composed.append(period_id)
         return pool
 
-    def _draw_retention(self, cls: str, period_id: int) -> list[FlowRecord]:
-        available = self._used.get(cls, [])
+    def _draw_retention(self, cls: str, period_id: int) -> np.ndarray:
+        available = self._used.get(cls, NO_ROWS)
         r = self.strategy.retain_r
         if len(available) <= r:
-            return list(available)
+            return available
         rng = rng_for(self.seed, "retain", period_id, cls)
         keep = np.sort(rng.permutation(len(available))[:r])
-        return [available[i] for i in keep]
+        return available[keep]
 
-    def _remember(self, pool: dict[str, list[FlowRecord]]) -> None:
+    def _remember(self, pool: dict[str, np.ndarray]) -> None:
         for cls, rows in pool.items():
-            keys = self._used_keys.setdefault(cls, set())
-            store = self._used.setdefault(cls, [])
-            for rec in rows:
-                key = (rec.sub_attack, rec.order_index)
-                if key not in keys:
-                    keys.add(key)
-                    store.append(rec)
+            fresh = rows[~self._seen[rows]]
+            self._seen[fresh] = True
+            self._used[cls] = concat_rows([self._used.get(cls, NO_ROWS), fresh])
 
 
 def rng_seed_for_period(seed: int, strategy: StrategyConfig, period_id: int) -> int:
@@ -344,18 +347,14 @@ def rng_seed_for_period(seed: int, strategy: StrategyConfig, period_id: int) -> 
 
 
 def build_test_sets(schedule: list[PeriodSchedule],
-                    test_segments: dict[str, list[list[FlowRecord]]]
-                    ) -> dict[int, dict[str, list[FlowRecord]]]:
-    """Global test pool per period: the period's segment of every included class."""
+                    test_segments: dict[str, list[np.ndarray]]) -> dict[int, np.ndarray]:
+    """Global test rows per period: the period's segment of every included
+    class, classes in name order."""
     first = schedule[0].period_id
-    out: dict[int, dict[str, list[FlowRecord]]] = {}
+    out: dict[int, np.ndarray] = {}
     for sched in schedule:
         k = sched.period_id - first
-        per_class = {}
-        for cls in sorted(sched.included):
-            rows = test_segments.get(cls, [])
-            if k < len(rows) and rows[k]:
-                per_class[cls] = rows[k]
-        out[sched.period_id] = per_class
+        out[sched.period_id] = concat_rows(
+            test_segments[cls][k] for cls in sorted(sched.included)
+            if k < len(test_segments.get(cls, ())))
     return out
-

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from driftfed.pipeline import ROSTER, FlowRecord
+from driftfed.pipeline import ROSTER, FlowTable
 from driftfed.synth import FamilySpec, ScenarioSpec
 
 
-def make_records(sub_attack: str, n: int, dim: int = 4, seed: int = 0):
-    """Cheap per-class records with sequential order indices."""
+def make_records(sub_attack: str, n: int, dim: int = 4, seed: int = 0) -> FlowTable:
+    """Cheap one-class table with sequential order indices."""
     rng = np.random.default_rng(seed)
-    rows = rng.uniform(0, 1, size=(n, dim))
-    return [FlowRecord.make(rows[i], sub_attack, i) for i in range(n)]
+    return FlowTable.of(rng.uniform(0, 1, size=(n, dim)), [sub_attack] * n)
+
+
+def join(*tables: FlowTable) -> FlowTable:
+    """The rows of several tables, one after the other, orders kept."""
+    return FlowTable(np.concatenate([t.X for t in tables]),
+                     np.concatenate([t.sub for t in tables]),
+                     np.concatenate([t.order for t in tables]))
 
 
 def tiny_scenario(seed: int = 0, rows: int = 240, num_features: int = 8) -> ScenarioSpec:

@@ -14,10 +14,11 @@ import pytest
 
 from driftfed.dataset import LabeledData
 from driftfed.metrics import confusion, measure_inference, micro_accuracy
-from driftfed.nn import (ModelArch, backward, cross_entropy, forward, init_params,
-                         param_count, unflatten)
+from driftfed.nn import (ModelArch, ModelParams, backward, cross_entropy, forward,
+                         init_params, param_count)
 from driftfed.federation import fedavg_aggregate
-from driftfed.pipeline import apply_scaler, fit_scaler, records_by_class, stratified_split
+from driftfed.pipeline import (apply_scaler, concat_rows, fit_scaler, records_by_class,
+                               stratified_split)
 from driftfed.runner import DataSource, RunConfig, desk_scale, run_experiment
 from driftfed.synth import FamilySpec, ScenarioSpec, default_drift_scenario, generate
 from driftfed.timeline import (StrategyComposer, StrategyConfig, build_schedule,
@@ -84,8 +85,8 @@ def test_criterion_01_fedavg_oracle_equivalence():
             n_clients = int(gen.integers(2, 8))
             vectors = [gen.normal(size=width) for _ in range(n_clients)]
             sizes = [int(gen.integers(1, 5000)) for _ in range(n_clients)]
-            merged = fedavg_aggregate([unflatten(arch, v) for v in vectors],
-                                      sizes).flatten()
+            merged = fedavg_aggregate([ModelParams(arch, np.array(v, dtype=np.float64))
+                                       for v in vectors], sizes).vec
             total = float(sum(sizes))
             # independent oracle: per-element compensated sum over clients
             oracle = np.array([
@@ -116,17 +117,17 @@ def test_criterion_02_gradients_match_finite_differences():
             gen = np.random.default_rng(seed)
             arch = _random_tiny_arch(gen)
             flat = gen.normal(0, 0.5, param_count(arch))
-            params = unflatten(arch, flat)
+            params = ModelParams(arch, np.array(flat, dtype=np.float64))
             X = gen.normal(size=(4, arch.feature_width))
             y = gen.integers(0, arch.output_dim, 4)
             _, cache = forward(params, X)
-            analytic = backward(params, cache, y).flatten()
+            analytic = backward(params, cache, y).vec
             numeric = np.empty_like(flat)
             for k in range(flat.size):
                 up = flat.copy(); up[k] += step
                 dn = flat.copy(); dn[k] -= step
-                hi, _ = forward(unflatten(arch, up), X)
-                lo, _ = forward(unflatten(arch, dn), X)
+                hi, _ = forward(ModelParams(arch, up), X)
+                lo, _ = forward(ModelParams(arch, dn), X)
                 numeric[k] = (cross_entropy(hi, y) - cross_entropy(lo, y)) / (2 * step)
             denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
             rel = np.max(np.abs(analytic - numeric) / denom)
@@ -264,23 +265,22 @@ def test_criterion_09_data_contracts():
             sched = next(s for s in schedule if s.period_id == period)
             pool = composer.compose(period)
             for cls in sched.retained_marks & set(pool):
-                keys = {(r.sub_attack, r.order_index) for r in pool[cls]}
+                keys = set(pool[cls].tolist())
                 assert len(pool[cls]) <= 100
                 assert keys <= used[cls]
             clients = partition_iid(pool, 5, seed=period)
             for cls in pool:
-                counts = [sum(r.sub_attack == cls for r in
-                              c.train + c.client_test + c.validation)
+                counts = [int(np.isin(concat_rows([c.train, c.client_test, c.validation]),
+                                      pool[cls]).sum())
                           for c in clients]
                 assert max(counts) - min(counts) <= 1
-            used = {cls: {(r.sub_attack, r.order_index) for r in rows}
-                    for cls, rows in composer._used.items()}
+            used = {cls: set(rows.tolist()) for cls, rows in composer._used.items()}
 
         # min-max outputs live in [0, 1] for train and out-of-range test rows
         stats = fit_scaler(train)
         for part in (apply_scaler(stats, train[:2000]),
                      apply_scaler(stats, test[:2000])):
-            matrix = np.stack([r.features for r in part])
+            matrix = part.X
             assert matrix.min() >= 0.0 and matrix.max() <= 1.0
 
 

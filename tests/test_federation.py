@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfed.dataset import LabeledData
+from driftfed import federation
 from driftfed.errors import (AggregationError, CheckpointError, ConfigError, DriftFedError,
                              FederationError)
 from driftfed.federation import (Checkpoint, FedConfig, PeriodInput, fedavg_aggregate,
                                  init_from_history, load_checkpoint, run_round,
                                  run_timeline, save_checkpoint)
-from driftfed.nn import ModelArch, TrainConfig, init_params, param_count, train_local, unflatten
+from driftfed.nn import (ModelArch, ModelParams, TrainConfig, init_params, param_count,
+                         train_local)
 from driftfed.seeds import rng_for
 from driftfed.timeline import StrategyConfig
 
@@ -22,7 +24,7 @@ N = param_count(ARCH)  # 58, even
 
 
 def _params_from(vec):
-    return unflatten(ARCH, np.asarray(vec, dtype=float))
+    return ModelParams(ARCH, np.array(vec, dtype=np.float64))
 
 
 def test_fedavg_hand_computed_weighted_mean():
@@ -30,37 +32,37 @@ def test_fedavg_hand_computed_weighted_mean():
     a = _params_from(np.tile([1.0, 3.0], N // 2))
     b = _params_from(np.tile([5.0, 7.0], N // 2))
     merged = fedavg_aggregate([a, b], [2, 6])
-    assert np.allclose(merged.flatten(), np.tile([4.0, 6.0], N // 2), atol=1e-12)
+    assert np.allclose(merged.vec, np.tile([4.0, 6.0], N // 2), atol=1e-12)
 
 
 def test_fedavg_single_client_identity():
     params = init_params(ARCH, seed=0)
     merged = fedavg_aggregate([params], [123])
-    assert np.array_equal(merged.flatten(), params.flatten())
+    assert np.array_equal(merged.vec, params.vec)
 
 
 def test_fedavg_identical_params_fixed_point(rng):
     params = _params_from(rng.normal(size=N))
     merged = fedavg_aggregate([params, params, params], [1, 10, 100])
-    assert np.allclose(merged.flatten(), params.flatten(), atol=1e-12)
+    assert np.allclose(merged.vec, params.vec, atol=1e-12)
 
 
 def test_fedavg_permutation_and_scale_invariance(rng):
     plist = [_params_from(rng.normal(size=N)) for _ in range(4)]
     sizes = [3, 9, 1, 7]
-    base = fedavg_aggregate(plist, sizes).flatten()
+    base = fedavg_aggregate(plist, sizes).vec
     perm = [2, 0, 3, 1]
     shuffled = fedavg_aggregate([plist[i] for i in perm],
-                                [sizes[i] for i in perm]).flatten()
-    scaled = fedavg_aggregate(plist, [s * 10 for s in sizes]).flatten()
+                                [sizes[i] for i in perm]).vec
+    scaled = fedavg_aggregate(plist, [s * 10 for s in sizes]).vec
     assert np.max(np.abs(base - shuffled)) < 1e-12
     assert np.max(np.abs(base - scaled)) < 1e-12
 
 
 def test_fedavg_convex_hull(rng):
     plist = [_params_from(rng.normal(size=N)) for _ in range(5)]
-    merged = fedavg_aggregate(plist, [2, 3, 4, 5, 6]).flatten()
-    stack = np.stack([p.flatten() for p in plist])
+    merged = fedavg_aggregate(plist, [2, 3, 4, 5, 6]).vec
+    stack = np.stack([p.vec for p in plist])
     assert np.all(merged >= stack.min(axis=0) - 1e-12)
     assert np.all(merged <= stack.max(axis=0) + 1e-12)
 
@@ -100,7 +102,7 @@ def test_run_round_deterministic(rng):
     start = init_params(ARCH, seed=1)
     out1, secs1 = run_round(start, shards, cfg, round_index=4)
     out2, _ = run_round(start, shards, cfg, round_index=4)
-    assert np.array_equal(out1.flatten(), out2.flatten())
+    assert np.array_equal(out1.vec, out2.vec)
     assert isinstance(secs1, float) and secs1 > 0  # the round's training seconds
 
 
@@ -112,7 +114,7 @@ def test_run_round_single_client_equals_local_training(rng):
     seed = int(rng_for(cfg.seed, "round", 0, "client", 0).integers(0, 2**63 - 1))
     local, _, _ = train_local(start, shards[0],
                               TrainConfig(local_epochs=2, seed=seed))
-    assert np.array_equal(merged.flatten(), local.flatten())
+    assert np.array_equal(merged.vec, local.vec)
 
 
 def test_fed_config_validation():
@@ -130,32 +132,32 @@ def test_init_from_history_single_checkpoint_identity(rng):
     ckpt = _checkpoint(rng.normal(size=N), 1, 10)
     for mode in ("equal", "sample", "ema"):
         merged = init_from_history(mode, [ckpt])
-        assert np.array_equal(merged.flatten(), ckpt.params.flatten())
+        assert np.array_equal(merged.vec, ckpt.params.vec)
 
 
 def test_init_from_history_ema_hand_recursion():
     zeros = _checkpoint(np.zeros(N), 1, 10)
     ones = _checkpoint(np.ones(N), 2, 10)
     two = init_from_history("ema", [zeros, ones], ema_alpha=0.6)
-    assert np.allclose(two.flatten(), 0.6, atol=1e-15)
+    assert np.allclose(two.vec, 0.6, atol=1e-15)
     three = init_from_history("ema", [zeros, ones, _checkpoint(np.ones(N), 3, 10)],
                               ema_alpha=0.6)
     # 0.6*1 + 0.4*0.6 = 0.84
-    assert np.allclose(three.flatten(), 0.84, atol=1e-15)
+    assert np.allclose(three.vec, 0.84, atol=1e-15)
 
 
 def test_init_from_history_sample_weighted_hand_value():
     a = _checkpoint(np.zeros(N), 1, 100)
     b = _checkpoint(np.ones(N), 2, 300)
     merged = init_from_history("sample", [a, b])
-    assert np.allclose(merged.flatten(), 0.75, atol=1e-15)
+    assert np.allclose(merged.vec, 0.75, atol=1e-15)
 
 
 def test_init_from_history_equal_mean(rng):
     vecs = [rng.normal(size=N) for _ in range(3)]
     ckpts = [_checkpoint(v, i, 5) for i, v in enumerate(vecs)]
     merged = init_from_history("equal", ckpts)
-    assert np.allclose(merged.flatten(), np.mean(vecs, axis=0), atol=1e-14)
+    assert np.allclose(merged.vec, np.mean(vecs, axis=0), atol=1e-14)
 
 
 def test_init_from_history_errors(rng):
@@ -174,14 +176,28 @@ def _period_inputs(rng, periods, rows=30):
     return inputs
 
 
-def test_run_timeline_chains_checkpoints_bit_exact(rng):
+def _run_recording_starts(monkeypatch, strategy, inputs, cfg):
+    """``run_timeline`` plus, per period, the params its first round started from."""
+    starts = {}
+    real_round = federation.run_round
+
+    def recording_round(params, shards, cfg, round_index=0):
+        period, rnd = divmod(round_index, 1000)
+        if rnd == 0:
+            starts[period] = params
+        return real_round(params, shards, cfg, round_index=round_index)
+
+    monkeypatch.setattr(federation, "run_round", recording_round)
+    return run_timeline(strategy, inputs, cfg, ARCH), starts
+
+
+def test_run_timeline_chains_checkpoints_bit_exact(rng, monkeypatch):
     cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1), seed=3)
-    result = run_timeline(StrategyConfig("cumulative"),
-                          _period_inputs(rng, [1, 2, 3]), cfg, ARCH)
+    result, starts = _run_recording_starts(monkeypatch, StrategyConfig("cumulative"),
+                                           _period_inputs(rng, [1, 2, 3]), cfg)
     assert [c.period_id for c in result.checkpoints] == [1, 2, 3]
     for prev, period in zip(result.checkpoints, [2, 3]):
-        assert np.array_equal(result.initial_params[period].flatten(),
-                              prev.params.flatten())
+        assert np.array_equal(starts[period].vec, prev.params.vec)
     assert all(c.train_wall_clock > 0 for c in result.checkpoints)
     assert all(c.train_sample_count == 60 for c in result.checkpoints)
     assert all(log.val_accuracy is not None for log in result.round_logs)
@@ -193,16 +209,16 @@ def test_run_timeline_static_single_checkpoint(rng):
     assert len(result.checkpoints) == 1
 
 
-def test_run_timeline_averaging_initializes_from_history(rng):
+def test_run_timeline_averaging_initializes_from_history(rng, monkeypatch):
     cfg = FedConfig(num_clients=2, rounds=1, train=TrainConfig(local_epochs=1), seed=3)
-    result = run_timeline(StrategyConfig("avg_ema", ema_alpha=0.6),
-                          _period_inputs(rng, [1, 2, 3]), cfg, ARCH)
+    result, starts = _run_recording_starts(monkeypatch, StrategyConfig("avg_ema", ema_alpha=0.6),
+                                           _period_inputs(rng, [1, 2, 3]), cfg)
     expected = init_from_history("ema", result.checkpoints[:2], ema_alpha=0.6)
-    assert np.array_equal(result.initial_params[3].flatten(), expected.flatten())
-    sample = run_timeline(StrategyConfig("avg_sample"),
-                          _period_inputs(rng, [1, 2, 3]), cfg, ARCH)
+    assert np.array_equal(starts[3].vec, expected.vec)
+    sample, starts = _run_recording_starts(monkeypatch, StrategyConfig("avg_sample"),
+                                           _period_inputs(rng, [1, 2, 3]), cfg)
     expected = init_from_history("sample", sample.checkpoints[:2])
-    assert np.array_equal(sample.initial_params[3].flatten(), expected.flatten())
+    assert np.array_equal(starts[3].vec, expected.vec)
 
 
 def test_run_timeline_full_determinism(rng):
@@ -212,7 +228,7 @@ def test_run_timeline_full_determinism(rng):
     res_a = run_timeline(StrategyConfig("simple"), _period_inputs(gen_a, [1, 2]), cfg, ARCH)
     res_b = run_timeline(StrategyConfig("simple"), _period_inputs(gen_b, [1, 2]), cfg, ARCH)
     for ca, cb in zip(res_a.checkpoints, res_b.checkpoints):
-        assert np.array_equal(ca.params.flatten(), cb.params.flatten())
+        assert np.array_equal(ca.params.vec, cb.params.vec)
 
 
 def test_checkpoint_round_trip(tmp_path, rng):
@@ -222,7 +238,7 @@ def test_checkpoint_round_trip(tmp_path, rng):
     path = tmp_path / "t4.ckpt"
     save_checkpoint(path, ckpt)
     loaded = load_checkpoint(path)
-    assert np.array_equal(loaded.params.flatten(), vec)
+    assert np.array_equal(loaded.params.vec, vec)
     assert loaded.period_id == 4
     assert loaded.train_sample_count == 321
     assert loaded.params.arch == ARCH

@@ -10,8 +10,8 @@ from driftfed.metrics import (GeneralizationMatrix, attack_generalization_matrix
                               confusion, cross_period_eval, false_alarm_rate,
                               macro_prf, measure_inference, micro_accuracy,
                               protocol_cells)
-from driftfed.nn import ModelArch, TrainConfig, init_params, param_count, predict, unflatten
-from driftfed.pipeline import records_by_class, stratified_split
+from driftfed.nn import ModelArch, TrainConfig, init_params, param_count, predict
+from driftfed.pipeline import stratified_split
 from driftfed.synth import FamilySpec, ScenarioSpec, generate
 
 
@@ -182,6 +182,11 @@ def test_cross_period_eval_missing_period_rejected(rng):
         cross_period_eval(_checkpoints([1]), {}, 2)
 
 
+# one roster sub-attack per family
+_FAMILY_SUB = {"MQTT": "MQTT-Malformed_Data", "DoS": "TCP_IP-DoS-SYN",
+               "Recon": "Recon-Ping_Sweep"}
+
+
 def _family_scenario(seed=0, rows=260):
     base = np.full(10, 5.0)
     means = {"MQTT": +3.0, "DoS": -3.0, "Recon": 0.0}
@@ -192,30 +197,19 @@ def _family_scenario(seed=0, rows=260):
             mean[5:] += 3.0
         else:
             mean[:5] += delta
-        families.append(FamilySpec(cat, cat, (f"{cat}-probe",) if cat == "Recon"
-                                   else (f"{cat}-flood",), mean, 0.6, rows))
+        families.append(FamilySpec(cat, cat, (_FAMILY_SUB[cat],), mean, 0.6, rows))
     return ScenarioSpec(num_features=10, families=tuple(families), seed=seed)
 
 
 def test_attack_generalization_matrix_diagonal_dominates():
-    records = generate(_family_scenario())
-    # scenario sub-attack names are synthetic; map them into the known roster
-    renamed = []
-    mapping = {"MQTT-flood": "MQTT-Malformed_Data", "DoS-flood": "TCP_IP-DoS-SYN",
-               "Recon-probe": "Recon-Ping_Sweep", "Benign": "Benign"}
-    from driftfed.pipeline import FlowRecord
-    for rec in records:
-        renamed.append(FlowRecord.make(rec.features, mapping[rec.sub_attack],
-                                       rec.order_index))
-    train, test = stratified_split(renamed, 0.8, seed=0)
+    train, test = stratified_split(generate(_family_scenario()), 0.8, seed=0)
     members = {"MQTT": ("MQTT-Malformed_Data",), "DoS": ("TCP_IP-DoS-SYN",),
                "Recon": ("Recon-Ping_Sweep",)}
     cfg = FedConfig(num_clients=2, rounds=2,
                     train=TrainConfig(local_epochs=6, learning_rate=0.01), seed=1)
     arch = ModelArch(input_dim=10, hidden_layers=1, hidden_units=8, output_dim=2)
-    matrix = attack_generalization_matrix(
-        ["MQTT", "DoS", "Recon"], records_by_class(train), records_by_class(test),
-        cfg, arch, members)
+    matrix = attack_generalization_matrix(["MQTT", "DoS", "Recon"], train, test,
+                                          cfg, arch, members)
     f = len(matrix.families)
     assert matrix.values.shape == (f, f + 1)
     for i in range(f):
@@ -225,19 +219,12 @@ def test_attack_generalization_matrix_diagonal_dominates():
 
 
 def test_attack_generalization_matrix_skips_missing_family(rng):
-    records = generate(_family_scenario())
-    from driftfed.pipeline import FlowRecord
-    mapping = {"MQTT-flood": "MQTT-Malformed_Data", "DoS-flood": "TCP_IP-DoS-SYN",
-               "Recon-probe": "Recon-Ping_Sweep", "Benign": "Benign"}
-    renamed = [FlowRecord.make(r.features, mapping[r.sub_attack], r.order_index)
-               for r in records]
-    train, test = stratified_split(renamed, 0.8, seed=0)
+    train, test = stratified_split(generate(_family_scenario()), 0.8, seed=0)
     members = {"MQTT": ("MQTT-Malformed_Data",), "DoS": ("TCP_IP-DoS-SYN",),
                "DDoS": ("TCP_IP-DDoS-SYN",)}
     cfg = FedConfig(num_clients=2, rounds=1, train=TrainConfig(local_epochs=2), seed=1)
     arch = ModelArch(input_dim=10, hidden_layers=1, hidden_units=4, output_dim=2)
     with pytest.warns(UserWarning, match="DDoS"):
-        matrix = attack_generalization_matrix(
-            ["MQTT", "DoS", "DDoS"], records_by_class(train), records_by_class(test),
-            cfg, arch, members)
+        matrix = attack_generalization_matrix(["MQTT", "DoS", "DDoS"], train, test,
+                                              cfg, arch, members)
     assert matrix.families == ["MQTT", "DoS"]

@@ -9,7 +9,7 @@ from driftfed.dataset import LabeledData
 from driftfed.errors import ConfigError, DataError, LabelError, ShapeError
 from driftfed.nn import (COHORT_PARAMS, ModelArch, ModelParams, TrainConfig, backward,
                          cross_entropy, forward, init_params, param_count, predict, softmax,
-                         train_local, unflatten)
+                         train_local)
 
 
 def test_param_count_hand_example():
@@ -24,7 +24,7 @@ def test_param_count_hand_example():
 ])
 def test_param_count_matches_flatten(arch):
     params = init_params(arch, seed=0)
-    assert params.flatten().size == param_count(arch)
+    assert params.vec.size == param_count(arch)
 
 
 def test_invalid_arch_rejected():
@@ -40,9 +40,9 @@ def test_init_deterministic_bitwise():
     arch = ModelArch(input_dim=4, hidden_layers=2, hidden_units=3, output_dim=2)
     a = init_params(arch, seed=99)
     b = init_params(arch, seed=99)
-    assert np.array_equal(a.flatten(), b.flatten())
+    assert np.array_equal(a.vec, b.vec)
     c = init_params(arch, seed=100)
-    assert not np.array_equal(a.flatten(), c.flatten())
+    assert not np.array_equal(a.vec, c.vec)
 
 
 def test_init_bias_rules_and_weight_bounds():
@@ -74,18 +74,24 @@ def test_params_are_immutable():
 def test_flatten_unflatten_roundtrip_bits(seed, rng):
     arch = ModelArch(input_dim=3, hidden_layers=2, hidden_units=3, output_dim=4)
     vec = np.random.default_rng(seed).normal(size=param_count(arch))
-    assert np.array_equal(unflatten(arch, vec).flatten(), vec)
+    # views over a copy of the vector give back its exact bits, in canonical order
+    params = ModelParams(arch, np.array(vec, dtype=np.float64))
+    parts = [t for layer in zip(params.wx, params.wh, params.b) for t in layer]
+    parts += [params.w_out, params.b_out]
+    assert np.array_equal(np.concatenate([t.ravel() for t in parts]).view(np.uint64),
+                          vec.view(np.uint64))
+    assert np.array_equal(params.vec, vec) and not np.shares_memory(params.vec, vec)
 
 
 def test_unflatten_rejects_wrong_length():
     arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
     with pytest.raises(ShapeError):
-        unflatten(arch, np.zeros(param_count(arch) + 1))
+        ModelParams(arch, np.zeros(param_count(arch) + 1))
 
 
 def test_forward_zero_params_uniform_softmax():
     arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=3, output_dim=5)
-    params = unflatten(arch, np.zeros(param_count(arch)))
+    params = ModelParams(arch, np.zeros(param_count(arch)))
     logits, _ = forward(params, np.random.default_rng(0).normal(size=(7, 4)))
     assert np.all(logits == 0.0)
     assert np.allclose(softmax(logits), 1.0 / 5)
@@ -109,7 +115,7 @@ def test_forward_matches_hand_evaluated_lstm_step():
     w_out = np.array([[1.2, -0.7]])
     b_out = np.array([0.3, -0.2])
     flat = np.concatenate([wx.ravel(), wh.ravel(), b, w_out.ravel(), b_out])
-    params = unflatten(arch, flat)
+    params = ModelParams(arch, np.array(flat, dtype=np.float64))
 
     x = 0.7
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
@@ -128,20 +134,20 @@ def test_forward_matches_hand_evaluated_lstm_step():
 def _finite_diff_check(arch, param_seed, data_seed, step=1e-5):
     gen = np.random.default_rng(param_seed)
     flat = gen.normal(0, 0.5, param_count(arch))
-    params = unflatten(arch, flat)
+    params = ModelParams(arch, np.array(flat, dtype=np.float64))
     data_rng = np.random.default_rng(data_seed)
     X = data_rng.normal(size=(4, arch.feature_width))
     y = data_rng.integers(0, arch.output_dim, 4)
 
     _, cache = forward(params, X)
-    analytic = backward(params, cache, y).flatten()
+    analytic = backward(params, cache, y).vec
 
     numeric = np.empty_like(flat)
     for k in range(flat.size):
         up = flat.copy(); up[k] += step
         dn = flat.copy(); dn[k] -= step
-        lo_up, _ = forward(unflatten(arch, up), X)
-        lo_dn, _ = forward(unflatten(arch, dn), X)
+        lo_up, _ = forward(ModelParams(arch, up), X)
+        lo_dn, _ = forward(ModelParams(arch, dn), X)
         numeric[k] = (cross_entropy(lo_up, y) - cross_entropy(lo_dn, y)) / (2 * step)
 
     denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
@@ -165,27 +171,27 @@ def test_gradient_zero_when_prediction_is_exact():
     # logits with a +/-800 margin saturate softmax to an exact one-hot
     arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
     flat = np.zeros(param_count(arch))
-    params_zero = unflatten(arch, flat)
+    params_zero = ModelParams(arch, np.array(flat, dtype=np.float64))
     flat[-2:] = [800.0, -800.0]
-    params = unflatten(arch, flat)
+    params = ModelParams(arch, np.array(flat, dtype=np.float64))
     X = np.random.default_rng(0).normal(size=(5, 2))
     logits, cache = forward(params, X)
     assert np.array_equal(softmax(logits), np.tile([1.0, 0.0], (5, 1)))
     grads = backward(params, cache, np.zeros(5, dtype=int))
     assert np.all(grads.b_out == 0.0)
-    assert np.all(grads.flatten() == 0.0)
+    assert np.all(grads.vec == 0.0)
     del params_zero
 
 
 def test_gradient_invariant_to_row_duplication(rng):
     arch = ModelArch(input_dim=3, hidden_layers=1, hidden_units=4, output_dim=3)
-    params = unflatten(arch, rng.normal(0, 0.4, param_count(arch)))
+    params = ModelParams(arch, rng.normal(0, 0.4, param_count(arch)))
     X = rng.normal(size=(6, 3))
     y = rng.integers(0, 3, 6)
     _, cache1 = forward(params, X)
-    g1 = backward(params, cache1, y).flatten()
+    g1 = backward(params, cache1, y).vec
     _, cache2 = forward(params, np.vstack([X, X]))
-    g2 = backward(params, cache2, np.concatenate([y, y])).flatten()
+    g2 = backward(params, cache2, np.concatenate([y, y])).vec
     assert np.allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
 
@@ -199,7 +205,7 @@ def test_backward_rejects_bad_labels(rng):
 
 def test_predict_tie_break_and_argmax_consistency(rng):
     arch = ModelArch(input_dim=3, hidden_layers=1, hidden_units=2, output_dim=4)
-    zero = unflatten(arch, np.zeros(param_count(arch)))
+    zero = ModelParams(arch, np.zeros(param_count(arch)))
     X = rng.normal(size=(9, 3))
     assert np.all(predict(zero, X) == 0)     # all-equal logits -> lowest index
 
@@ -238,7 +244,7 @@ def test_train_local_deterministic_bitwise(rng):
     out1, n1, _ = train_local(params, data, cfg)
     out2, n2, _ = train_local(params, data, cfg)
     assert n1 == n2 == 40
-    assert np.array_equal(out1.flatten(), out2.flatten())
+    assert np.array_equal(out1.vec, out2.vec)
 
 
 def test_train_local_learns_separable_blobs():
@@ -289,7 +295,7 @@ def test_engine_matches_per_tensor_reference_bitwise(seed):
     arch = ModelArch(input_dim=int(gen.integers(1, 6)), hidden_layers=int(gen.integers(1, 4)),
                      hidden_units=int(gen.integers(1, 9)), output_dim=int(gen.integers(2, 5)),
                      seq_len=int(gen.integers(1, 4)))
-    params = unflatten(arch, gen.normal(0, float(gen.choice([0.3, 1.0, 4.0])),
+    params = ModelParams(arch, gen.normal(0, float(gen.choice([0.3, 1.0, 4.0])),
                                         param_count(arch)))
     X = gen.normal(scale=2.0, size=(37, arch.feature_width))
     y = gen.integers(0, arch.output_dim, 37)
@@ -311,7 +317,7 @@ def test_engine_matches_per_tensor_reference_bitwise(seed):
 def test_seq_len_one_gradient_is_zero_on_wh_and_forget_gate(rng):
     arch = ModelArch(input_dim=5, hidden_layers=3, hidden_units=4, output_dim=3)
     h = arch.hidden_units
-    params = unflatten(arch, rng.normal(0, 0.5, param_count(arch)))
+    params = ModelParams(arch, rng.normal(0, 0.5, param_count(arch)))
     X = rng.normal(size=(9, 5))
     _, cache = forward(params, X)
     grads = backward(params, cache, rng.integers(0, 3, 9))
@@ -355,7 +361,7 @@ def test_predict_is_cache_free_and_unchanged():
 
 
 def _lockstep_case(gen, arch, sizes):
-    params = unflatten(arch, gen.normal(0, 0.5, param_count(arch)))
+    params = ModelParams(arch, gen.normal(0, 0.5, param_count(arch)))
     shards = [LabeledData(gen.normal(scale=2.0, size=(n, arch.feature_width)),
                           gen.integers(0, arch.output_dim, n)) for n in sizes]
     return params, shards

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from driftfed.errors import CodecError, ConfigError, DataError, LoadError
-from driftfed.pipeline import (CATEGORIES, ROSTER, ColumnSpec, FlowRecord, LabelCodec,
-                               REMOVED_SUB_ATTACK, apply_scaler, category_of, clean,
-                               encode_labels, fit_scaler, load_records,
+from driftfed.pipeline import (CATEGORIES, NO_ROWS, ROSTER, SUB_ATTACKS, ColumnSpec,
+                               FlowTable, LabelCodec, REMOVED_SUB_ATTACK, apply_scaler,
+                               category_of, clean, encode_labels, fit_scaler, load_records,
                                records_by_class, stratified_split)
 
-from conftest import make_records
+from conftest import join, make_records
 
 
 @pytest.mark.parametrize("label,expected", [
@@ -54,9 +54,9 @@ def test_load_records_counts_order_within_class(tmp_path):
     records = load_records(path, SPEC3)
     assert len(records) == 3
     grouped = records_by_class(records)
-    assert [r.order_index for r in grouped["Benign"]] == [0, 1]
-    assert grouped["TCP_IP-DoS-SYN"][0].order_index == 0
-    assert np.array_equal(records[1].features, [4.0, 5.0, 6.0])
+    assert records.order[grouped["Benign"]].tolist() == [0, 1]
+    assert records.order[grouped["TCP_IP-DoS-SYN"]][0] == 0
+    assert np.array_equal(records.X[1], [4.0, 5.0, 6.0])
 
 
 def test_load_records_missing_column_named(tmp_path):
@@ -96,23 +96,35 @@ def test_load_records_missing_file():
 
 def test_clean_drops_nonfinite_and_removed_class():
     good = make_records("Benign", 3)
-    bad = FlowRecord.make(np.array([np.nan, 0, 0, 0]), "Benign", 3)
+    bad = FlowTable.of([[np.nan, 0, 0, 0]], ["Benign"], order=[3])
     removed = make_records(REMOVED_SUB_ATTACK, 2)
-    out = clean(good + [bad] + removed)
-    assert [r.sub_attack for r in out] == ["Benign"] * 3
-    assert [r.order_index for r in out] == [0, 1, 2]
+    out = clean(join(good, bad, removed))
+    assert out.labels == ["Benign"] * 3
+    assert out.order.tolist() == [0, 1, 2]
 
 
 def test_clean_only_removed_class_gives_empty():
-    assert clean(make_records(REMOVED_SUB_ATTACK, 5)) == []
+    out = clean(make_records(REMOVED_SUB_ATTACK, 5))
+    assert len(out) == 0 and out.X.shape == (0, 4)
 
 
 def test_clean_idempotent_and_densifies():
     records = make_records("Benign", 6)
-    records[2] = FlowRecord.make(np.array([np.inf, 0, 0, 0]), "Benign", 2)
-    once = clean(records)
-    assert [r.order_index for r in once] == [0, 1, 2, 3, 4]
+    X = records.X.copy()
+    X[2, 0] = np.inf
+    once = clean(FlowTable(X, records.sub, records.order))
+    assert once.order.tolist() == [0, 1, 2, 3, 4]
     assert clean(once) == once
+
+
+def test_clean_reranks_each_class_in_row_order():
+    # order_index is the running count per class in row order, whatever it was
+    table = FlowTable.of(np.zeros((5, 1)), ["Benign", "ARP_Spoofing", "Benign",
+                                            REMOVED_SUB_ATTACK, "Benign"],
+                         order=[7, 3, 2, 0, 9])
+    out = clean(table)
+    assert out.labels == ["Benign", "ARP_Spoofing", "Benign", "Benign"]
+    assert out.order.tolist() == [0, 0, 1, 2]
 
 
 def test_stratified_split_counts_and_rounding():
@@ -126,9 +138,9 @@ def test_stratified_split_counts_and_rounding():
 
 
 def test_stratified_split_per_class_proportions():
-    records = (make_records("Benign", 100) + make_records("TCP_IP-DoS-SYN", 57)
-               + make_records("ARP_Spoofing", 23))
-    train, _ = stratified_split(records, 0.8, seed=3)
+    records = (make_records("Benign", 100), make_records("TCP_IP-DoS-SYN", 57),
+               make_records("ARP_Spoofing", 23))
+    train, _ = stratified_split(join(*records), 0.8, seed=3)
     counts = {cls: len(rows) for cls, rows in records_by_class(train).items()}
     assert counts == {"Benign": 80, "TCP_IP-DoS-SYN": 46, "ARP_Spoofing": 18}
 
@@ -136,10 +148,9 @@ def test_stratified_split_per_class_proportions():
 def test_stratified_split_preserves_chronology_and_reconciles():
     records = make_records("Benign", 40)
     train, test = stratified_split(records, 0.75, seed=9)
-    assert [r.order_index for r in train] == sorted(r.order_index for r in train)
-    assert [r.order_index for r in test] == sorted(r.order_index for r in test)
-    combined = sorted(train + test, key=lambda r: r.order_index)
-    assert [r.order_index for r in combined] == list(range(40))
+    assert train.order.tolist() == sorted(train.order.tolist())
+    assert test.order.tolist() == sorted(test.order.tolist())
+    assert sorted(train.order.tolist() + test.order.tolist()) == list(range(40))
 
 
 def test_stratified_split_tiny_class_warns_all_train():
@@ -152,9 +163,25 @@ def test_stratified_split_deterministic():
     records = make_records("Benign", 30)
     a_train, _ = stratified_split(records, 0.8, seed=4)
     b_train, _ = stratified_split(records, 0.8, seed=4)
-    assert [r.order_index for r in a_train] == [r.order_index for r in b_train]
+    assert a_train == b_train
     c_train, _ = stratified_split(records, 0.8, seed=5)
-    assert [r.order_index for r in a_train] != [r.order_index for r in c_train]
+    assert a_train.order.tolist() != c_train.order.tolist()
+
+
+def test_stratified_split_classes_in_name_order_rows_in_time_order():
+    # rows arrive interleaved and out of time order; both halves come back
+    # grouped by class name, each class in order_index order
+    table = FlowTable.of(np.arange(8.0)[:, None],
+                         ["TCP_IP-DoS-SYN", "Benign", "TCP_IP-DoS-SYN", "Benign",
+                          "Benign", "TCP_IP-DoS-SYN", "Benign", "TCP_IP-DoS-SYN"],
+                         order=[3, 2, 0, 0, 3, 2, 1, 1])
+    train, test = stratified_split(table, 0.5, seed=0)
+    for half in (train, test):
+        names = half.labels
+        assert names == sorted(names)
+        for code in set(half.sub.tolist()):
+            orders = half.order[half.sub == code].tolist()
+            assert orders == sorted(orders)
 
 
 def test_stratified_split_bad_fraction():
@@ -163,41 +190,50 @@ def test_stratified_split_bad_fraction():
 
 
 def _column_records(column):
-    return [FlowRecord.make(np.array([v]), "Benign", i) for i, v in enumerate(column)]
+    return FlowTable.of(np.array(column)[:, None], ["Benign"] * len(column))
 
 
 def test_scaler_formula_by_hand():
     stats = fit_scaler(_column_records([2.0, 4.0, 6.0]))
     out = apply_scaler(stats, _column_records([2.0, 4.0, 6.0]))
-    assert [r.features[0] for r in out] == [0.0, 0.5, 1.0]
+    assert out.X[:, 0].tolist() == [0.0, 0.5, 1.0]
 
 
 def test_scaler_constant_column_maps_to_zero():
     stats = fit_scaler(_column_records([5.0, 5.0, 5.0]))
     out = apply_scaler(stats, _column_records([5.0, 7.0]))
-    assert [r.features[0] for r in out] == [0.0, 0.0]
+    assert out.X[:, 0].tolist() == [0.0, 0.0]
 
 
 def test_scaler_clamps_out_of_range_test_rows():
     stats = fit_scaler(_column_records([2.0, 6.0]))
     out = apply_scaler(stats, _column_records([8.0, 1.0]))
-    assert [r.features[0] for r in out] == [1.0, 0.0]
+    assert out.X[:, 0].tolist() == [1.0, 0.0]
 
 
 def test_scaler_requires_training_rows():
     with pytest.raises(DataError):
-        fit_scaler([])
+        fit_scaler(make_records("Benign", 0))
 
 
 def test_encode_labels_binary_and_sixclass():
     binary = LabelCodec.binary()
     six = LabelCodec.six_class()
-    dos = FlowRecord.make(np.zeros(2), "TCP_IP-DoS-SYN", 0)
-    benign = FlowRecord.make(np.zeros(2), "Benign", 0)
-    recon = FlowRecord.make(np.zeros(2), "Recon-Ping_Sweep", 0)
-    assert encode_labels(binary, [dos, benign]).y.tolist() == [1, 0]
-    assert encode_labels(six, [recon]).y.tolist() == [CATEGORIES.index("Recon")]
+    table = FlowTable.of(np.zeros((3, 2)), ["TCP_IP-DoS-SYN", "Benign", "Recon-Ping_Sweep"])
+    assert encode_labels(binary, table, [0, 1]).y.tolist() == [1, 0]
+    assert encode_labels(six, table, [2]).y.tolist() == [CATEGORIES.index("Recon")]
     assert CATEGORIES.index("Recon") == 4
+
+
+def test_encode_labels_lookup_covers_every_sub_attack():
+    table = FlowTable.of(np.arange(len(SUB_ATTACKS), dtype=float)[:, None], SUB_ATTACKS)
+    binary = encode_labels(LabelCodec.binary(), table)
+    six = encode_labels(LabelCodec.six_class(), table)
+    assert binary.y.tolist() == [int(category_of(s) != "Benign") for s in SUB_ATTACKS]
+    assert six.y.tolist() == [CATEGORIES.index(category_of(s)) for s in SUB_ATTACKS]
+    picked = encode_labels(LabelCodec.six_class(), table, [5, 0, 5])
+    assert picked.X[:, 0].tolist() == [5.0, 0.0, 5.0]
+    assert picked.y.dtype == np.int64
 
 
 def test_encode_labels_global_mapping_across_subsets():
@@ -210,5 +246,42 @@ def test_encode_labels_global_mapping_across_subsets():
 
 
 def test_encode_labels_empty():
-    data = encode_labels(LabelCodec.binary(), [], input_dim=7)
+    data = encode_labels(LabelCodec.binary(), make_records("Benign", 3, dim=7), NO_ROWS)
     assert data.X.shape == (0, 7) and len(data) == 0
+
+
+# --- the table ------------------------------------------------------------------
+
+def test_flow_table_normalises_and_checks_its_columns():
+    table = FlowTable(np.asfortranarray(np.ones((3, 2), dtype=np.float32)), [0, 1, 0], [0, 0, 1])
+    assert table.X.flags.c_contiguous and table.X.dtype == np.float64
+    assert table.order.dtype == np.int64 and len(table) == 3 and table.width == 2
+    with pytest.raises(DataError):
+        FlowTable(np.ones(3), [0, 0, 0], [0, 1, 2])
+    with pytest.raises(DataError):
+        FlowTable(np.ones((3, 1)), [0, 0], [0, 1, 2])
+    with pytest.raises(DataError):
+        FlowTable(np.ones((1, 1)), [len(SUB_ATTACKS)], [0])
+    with pytest.raises(CodecError, match="Slowloris"):
+        FlowTable.of(np.ones((1, 1)), ["Slowloris"])
+
+
+def test_flow_table_rows_and_bitwise_equality():
+    table = make_records("Benign", 5)
+    assert table[1:3] == FlowTable(table.X[1:3], table.sub[1:3], table.order[1:3])
+    assert table[[4, 0]].order.tolist() == [4, 0]
+    assert len(table[table.order > 2]) == 2
+    with pytest.raises(DataError):
+        table[0]  # one row is not a table
+    zeros = FlowTable.of([[0.0]], ["Benign"])
+    assert zeros != FlowTable.of([[-0.0]], ["Benign"])
+    assert FlowTable.of([[np.nan]], ["Benign"]) == FlowTable.of([[np.nan]], ["Benign"])
+
+
+def test_records_by_class_sorts_names_and_order():
+    table = FlowTable.of(np.zeros((5, 1)), ["TCP_IP-DoS-SYN", "Benign", "ARP_Spoofing",
+                                            "Benign", "Benign"], order=[0, 2, 0, 0, 1])
+    grouped = records_by_class(table)
+    assert list(grouped) == ["ARP_Spoofing", "Benign", "TCP_IP-DoS-SYN"]
+    assert grouped["Benign"].tolist() == [3, 4, 1]
+    assert records_by_class(make_records("Benign", 0)) == {}

@@ -386,3 +386,60 @@ def test_cli_unknown_strategy_filter_fails(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg_path),
                      "--strategies", "bogus"]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_validate_config_reports_an_inert_fed_seed(tmp_path, monkeypatch):
+    cfg = _tiny_cfg(tmp_path)
+    inert = replace(cfg, fed=replace(cfg.fed, seed=11))
+    assert validate_config(inert, _tiny_records()) == [
+        "federation.seed: has no effect in a run; client seeds derive from `seed`"]
+    monkeypatch.setattr(runner, "run_timeline", lambda *a, **k: pytest.fail("trained"))
+    with pytest.raises(ConfigError, match="federation.seed"):
+        run_experiment(inert, _tiny_records())
+
+
+def test_fed_seed_never_reached_the_run(tmp_path, monkeypatch):
+    # every strategy's timeline runs with its own strategy seed, whatever fed.seed says
+    seen = []
+    real = runner.run_timeline
+
+    def recording(strategy, inputs, fed, arch):
+        seen.append((strategy.label, fed.seed))
+        return real(strategy, inputs, fed, arch)
+
+    monkeypatch.setattr(runner, "run_timeline", recording)
+    cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"),))
+    run_experiment(cfg, _tiny_records())
+    assert seen == [("static", runner.rng_seed_for_period(cfg.seed, StrategyConfig("static"), -1))]
+
+
+@pytest.mark.parametrize("data,match", [
+    (b'{"seed": 1, "output_dir": "\xff"}', "not UTF-8"),
+    (b"{not json", "not valid JSON"),
+    (b"[1, 2]", "JSON object"),
+])
+def test_load_config_rejects_corrupt_files_by_name(tmp_path, data, match):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=match) as info:
+        load_config(path)
+    assert "cfg.json" in str(info.value)
+
+
+@pytest.mark.parametrize("data", [
+    b'{"features": ["a"], "label": "\xff"}',
+    b"{not json",
+    b'["a", "b"]',
+    b'{"label": "Attack"}',
+    b'{"features": 3, "label": "Attack"}',
+    b'{"features": ["a", 1], "label": "Attack"}',
+    b'{"features": ["a"], "label": "Attack", "delimiter": ";;"}',
+])
+def test_column_spec_rejects_corrupt_files_by_name(tmp_path, data):
+    path = tmp_path / "flows.columns.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match="flows.columns.json"):
+        ColumnSpec.from_json(path)
+    cfg = replace(_tiny_cfg(tmp_path),
+                  data=DataSource(path=str(path), column_spec_path=str(path)))
+    assert any(p.startswith("data.column_spec: ") for p in validate_config(cfg))

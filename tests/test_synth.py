@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,8 @@ def _midpoint_probe_accuracy(records):
     """Linear probe: project on the class-mean difference, threshold midway."""
     grouped = records_by_class(records)
     (name_a, rows_a), (name_b, rows_b) = sorted(grouped.items())
-    xa = np.stack([r.features for r in rows_a])
-    xb = np.stack([r.features for r in rows_b])
+    xa = records.X[rows_a]
+    xb = records.X[rows_b]
     direction = xb.mean(axis=0) - xa.mean(axis=0)
     threshold = (xa.mean(axis=0) + xb.mean(axis=0)) @ direction / 2.0
     correct = np.sum(xa @ direction < threshold) + np.sum(xb @ direction >= threshold)
@@ -44,8 +46,7 @@ def test_generate_deterministic():
     a = generate(spec)
     b = generate(spec)
     assert len(a) == len(b)
-    assert all(np.array_equal(x.features, y.features) and x.sub_attack == y.sub_attack
-               for x, y in zip(a, b))
+    assert a == b
 
 
 def test_distant_families_linearly_separable():
@@ -64,16 +65,17 @@ def test_identical_means_indistinguishable():
 def test_generated_features_finite_and_clipped():
     spec = tiny_scenario(seed=3)
     records = generate(spec)
-    matrix = np.stack([r.features for r in records])
+    matrix = records.X
     assert np.all(np.isfinite(matrix))
     assert matrix.min() >= spec.clip[0] and matrix.max() <= spec.clip[1]
 
 
 def test_generated_family_means_close_to_spec():
     spec = _two_family_spec(distance=4.0, rows=4000)
-    grouped = records_by_class(generate(spec))
+    table = generate(spec)
+    grouped = records_by_class(table)
     for family in spec.families:
-        rows = np.stack([r.features for r in grouped[family.sub_attacks[0]]])
+        rows = table.X[grouped[family.sub_attacks[0]]]
         err = np.abs(rows.mean(axis=0) - family.mean).max()
         assert err < 5 * family.scale / np.sqrt(len(rows))
 
@@ -129,6 +131,15 @@ def test_scenario_validation_errors():
     bad_cat = FamilySpec("Worm", "Worm", ("Worm-X",), np.zeros(8), 1.0, 5)
     with pytest.raises(ConfigError):
         ScenarioSpec(num_features=8, families=(bad_cat,), seed=0).validate()
+    off_roster = FamilySpec("DoS", "DoS", ("DoS-flood",), np.zeros(8), 1.0, 5)
+    with pytest.raises(ConfigError, match="DoS-flood"):
+        ScenarioSpec(num_features=8, families=(off_roster,), seed=0).validate()
+    wrong_family = FamilySpec("DoS", "DoS", ("TCP_IP-DDoS-SYN",), np.zeros(8), 1.0, 5)
+    with pytest.raises(ConfigError, match="TCP_IP-DDoS-SYN"):
+        ScenarioSpec(num_features=8, families=(wrong_family,), seed=0).validate()
+    empty = FamilySpec("DoS", "DoS", (), np.zeros(8), 1.0, 5)
+    with pytest.raises(ConfigError, match="no sub-attacks"):
+        ScenarioSpec(num_features=8, families=(empty,), seed=0).validate()
 
 
 def test_divergence_target_mismatch_rejected():
@@ -145,7 +156,31 @@ def test_write_and_load_round_trip(tmp_path):
     colspec = write_delimited(records, path)
     loaded = load_records(path, colspec)
     assert len(loaded) == len(records)
-    for orig, back in zip(records, loaded):
-        assert orig.sub_attack == back.sub_attack
-        assert orig.order_index == back.order_index
-        assert np.array_equal(orig.features, back.features)
+    assert loaded.labels == records.labels
+    assert np.array_equal(loaded.order, records.order)
+    assert np.array_equal(loaded.X, records.X)
+
+
+def test_generate_lays_out_blocks_in_family_then_roster_order():
+    spec = tiny_scenario(seed=4, rows=3)
+    table = generate(spec)
+    expected = [sub for fam in spec.families for sub in fam.sub_attacks
+                for _ in range(fam.rows_per_subattack)]
+    assert table.labels == expected
+    assert table.order.tolist() == [i for fam in spec.families for _ in fam.sub_attacks
+                                    for i in range(fam.rows_per_subattack)]
+
+
+def test_write_delimited_bytes_are_repr_floats_through_csv(tmp_path):
+    # the file format: csv.writer rows of repr(float) features and the label,
+    # as the loader and earlier datasets expect, byte for byte
+    table = generate(tiny_scenario(seed=6, rows=5))
+    path = tmp_path / "flows.csv"
+    spec = write_delimited(table, path)
+    expected = tmp_path / "expected.csv"
+    with expected.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*spec.feature_columns, spec.label_column])
+        for i in range(len(table)):
+            writer.writerow([*(repr(float(v)) for v in table.X[i]), table.labels[i]])
+    assert path.read_bytes() == expected.read_bytes()

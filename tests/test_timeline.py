@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftfed.errors import ConfigError, ScheduleError
-from driftfed.pipeline import records_by_class, stratified_split
+from driftfed.pipeline import concat_rows, records_by_class, stratified_split
 from driftfed.seeds import rng_for
 from driftfed.synth import generate
 from driftfed import timeline as tl
@@ -12,7 +12,7 @@ from driftfed.timeline import (FAMILY_MEMBERS, StrategyComposer, StrategyConfig,
                                build_schedule, build_test_sets, cap_records,
                                partition_iid, segment_and_cap, temporal_segment)
 
-from conftest import make_records, tiny_scenario
+from conftest import tiny_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -78,21 +78,21 @@ def test_bad_task_rejected():
 # --- segmentation ------------------------------------------------------------
 
 def test_temporal_segment_unit_sizes():
-    rows = make_records("Benign", 6)
+    rows = np.arange(6)
     segments = temporal_segment(rows, 6)
     assert [len(s) for s in segments] == [1] * 6
-    assert [s[0].order_index for s in segments] == list(range(6))
+    assert [s[0] for s in segments] == list(range(6))
 
 
 def test_temporal_segment_remainder_goes_first():
-    segments = temporal_segment(make_records("Benign", 7), 3)
+    segments = temporal_segment(np.arange(7), 3)
     assert [len(s) for s in segments] == [3, 2, 2]
 
 
 def test_temporal_segment_disjoint_exhaustive_ordered():
-    rows = make_records("Benign", 103)
+    rows = np.arange(103)
     segments = temporal_segment(rows, 6)
-    flat = [r.order_index for seg in segments for r in seg]
+    flat = [r for seg in segments for r in seg.tolist()]
     assert flat == list(range(103))
     sizes = [len(s) for s in segments]
     assert max(sizes) - min(sizes) <= 1
@@ -105,22 +105,22 @@ def test_temporal_segment_empty_class():
 # --- capping -----------------------------------------------------------------
 
 def test_cap_records_below_cap_untouched():
-    rows = make_records("Benign", 50)
+    rows = np.arange(50)
     assert cap_records(rows, 100, rng_for(0, "x")) is rows
 
 
 def test_cap_records_subsamples_in_order_deterministically():
-    rows = make_records("Benign", 500)
+    rows = np.arange(1000, 1500)
     a = cap_records(rows, 120, rng_for(7, "cap"))
     b = cap_records(rows, 120, rng_for(7, "cap"))
     assert len(a) == 120
-    assert [r.order_index for r in a] == [r.order_index for r in b]
-    assert [r.order_index for r in a] == sorted(r.order_index for r in a)
-    assert set(id(r) for r in a) <= set(id(r) for r in rows)
+    assert a.tolist() == b.tolist()
+    assert a.tolist() == sorted(set(a.tolist()))
+    assert set(a.tolist()) <= set(rows.tolist())
 
 
 def test_segment_and_cap_caps_each_period():
-    grouped = {"Benign": make_records("Benign", 1000)}
+    grouped = {"Benign": np.arange(1000)}
     segments = segment_and_cap(grouped, 4, cap=200, seed=0, tag="t")
     assert [len(s) for s in segments["Benign"]] == [200, 200, 200, 200]
 
@@ -128,14 +128,14 @@ def test_segment_and_cap_caps_each_period():
 # --- client partitioning -----------------------------------------------------
 
 def test_partition_iid_exact_division():
-    pool = {"Benign": make_records("Benign", 10_000)}
+    pool = {"Benign": np.arange(10_000)}
     clients = partition_iid(pool, 5, seed=1)
     sizes = [len(c.train) + len(c.client_test) + len(c.validation) for c in clients]
     assert sizes == [2000] * 5
 
 
 def test_partition_iid_remainder_pattern():
-    pool = {"Benign": make_records("Benign", 10_003)}
+    pool = {"Benign": np.arange(10_003)}
     clients = partition_iid(pool, 5, seed=1)
     sizes = sorted((len(c.train) + len(c.client_test) + len(c.validation)
                     for c in clients), reverse=True)
@@ -143,19 +143,18 @@ def test_partition_iid_remainder_pattern():
 
 
 def test_partition_iid_per_class_balance():
-    pool = {"Benign": make_records("Benign", 401),
-            "ARP_Spoofing": make_records("ARP_Spoofing", 77)}
+    pool = {"Benign": np.arange(401), "ARP_Spoofing": np.arange(401, 478)}
     clients = partition_iid(pool, 5, seed=3)
     for cls in pool:
         counts = []
         for c in clients:
-            rows = c.train + c.client_test + c.validation
-            counts.append(sum(r.sub_attack == cls for r in rows))
+            rows = concat_rows([c.train, c.client_test, c.validation])
+            counts.append(int(np.isin(rows, pool[cls]).sum()))
         assert max(counts) - min(counts) <= 1
 
 
 def test_partition_iid_local_split_fractions():
-    pool = {"Benign": make_records("Benign", 800)}
+    pool = {"Benign": np.arange(800)}
     clients = partition_iid(pool, 5, seed=3)
     for c in clients:
         # 160 rows per client: 120 train / 20 client-test / 20 validation
@@ -164,9 +163,12 @@ def test_partition_iid_local_split_fractions():
 
 # --- composition -------------------------------------------------------------
 
+def _split_for(seed=0):
+    return stratified_split(generate(tiny_scenario(seed=seed)), 0.8, seed)
+
+
 def _segments_for(task, seed=0):
-    records = generate(tiny_scenario(seed=seed))
-    train, test = stratified_split(records, 0.8, seed)
+    train, test = _split_for(seed)
     n_train = len(tl.training_periods(task))
     n_test = len(tl.test_periods(task))
     return (segment_and_cap(records_by_class(train), n_train, 10_000, seed, "a"),
@@ -240,11 +242,28 @@ def test_retention_buffers_bounded_and_from_used_rows():
         sched = next(s for s in schedule if s.period_id == period)
         pool = composer.compose(period)
         for cls in sched.retained_marks & set(pool):
-            keys = {(r.sub_attack, r.order_index) for r in pool[cls]}
+            keys = set(pool[cls].tolist())
             assert len(pool[cls]) <= 25
             assert keys <= used_before[cls]
-        used_before = {cls: {(r.sub_attack, r.order_index) for r in rows}
-                       for cls, rows in composer._used.items()}
+        used_before = {cls: set(rows.tolist()) for cls, rows in composer._used.items()}
+
+
+def test_composer_remembers_rows_in_first_use_order():
+    schedule = build_schedule("binary")
+    train_segments, _ = _segments_for("binary")
+    composer = StrategyComposer(StrategyConfig("cumulative"), schedule, train_segments, seed=0)
+    for period in (1, 2, 3):
+        composer.compose(period)
+    benign = train_segments["Benign"]
+    assert composer._used["Benign"].tolist() == concat_rows(benign[:3]).tolist()
+    dos = train_segments["TCP_IP-DoS-SYN"]
+    assert composer._used["TCP_IP-DoS-SYN"].tolist() == concat_rows(dos[1:3]).tolist()
+    # retention draws re-use remembered rows and add none
+    retain = StrategyComposer(StrategyConfig("retain", retain_r=5), schedule,
+                              train_segments, seed=0)
+    for period in retain.training_periods():
+        retain.compose(period)
+    assert retain._used["Benign"].tolist() == benign[0].tolist()
 
 
 def test_retention_label_sets_match_cumulative():
@@ -264,7 +283,7 @@ def test_retain_t3_full_ddos_plus_buffers():
     sched = {p.period_id: p for p in schedule}[3]
     for cls in FAMILY_MEMBERS["DDoS"]:
         # the newly introduced family uses its entire fresh segment
-        assert t3[cls] == train_segments[cls][2]
+        assert np.array_equal(t3[cls], train_segments[cls][2])
     for cls in sched.retained_marks:
         assert len(t3[cls]) <= 10
 
@@ -274,7 +293,7 @@ def test_segments_disjoint_across_periods():
     for cls, segments in train_segments.items():
         seen = set()
         for seg in segments:
-            keys = {(r.sub_attack, r.order_index) for r in seg}
+            keys = set(seg.tolist())
             assert not (keys & seen)
             seen |= keys
 
@@ -304,11 +323,22 @@ def test_invalid_retain_r_rejected_at_use():
 
 def test_build_test_sets_follow_included():
     schedule = build_schedule("binary")
+    _, test = _split_for()
     _, test_segments = _segments_for("binary")
     sets = build_test_sets(schedule, test_segments)
-    assert set(sets[1]) == {"Benign", *FAMILY_MEMBERS["MQTT"]}
-    assert len(sets[6]) == 18
-    assert set(sets[5]) == set(sets[6])
+    assert set(test[sets[1]].labels) == {"Benign", *FAMILY_MEMBERS["MQTT"]}
+    assert len(set(test[sets[6]].labels)) == 18
+    assert set(test[sets[5]].labels) == set(test[sets[6]].labels)
+
+
+def test_build_test_sets_concatenate_classes_in_name_order():
+    schedule = build_schedule("sixclass")
+    _, test_segments = _segments_for("sixclass")
+    sets = build_test_sets(schedule, test_segments)
+    for sched in schedule:
+        k = sched.period_id
+        expected = [test_segments[cls][k] for cls in sorted(sched.included)]
+        assert sets[k].tolist() == concat_rows(expected).tolist()
 
 
 # --- golden label sets --------------------------------------------------------
