@@ -9,8 +9,8 @@ variants) for accuracy under drift and wall-clock cost.
 
 from .dataset import LabeledData
 from .errors import (AggregationError, CheckpointError, CodecError, ConfigError, DataError,
-                     DriftFedError, EvaluationError, FederationError, LabelError,
-                     LoadError, MetricError, ScheduleError, ShapeError)
+                     DivergenceError, DriftFedError, EvaluationError, FederationError,
+                     LabelError, LoadError, MetricError, ScheduleError, ShapeError)
 from .federation import (Checkpoint, FedConfig, fedavg_aggregate, init_from_history,
                          load_checkpoint, run_round, run_timeline, save_checkpoint)
 from .metrics import (FAR_DEFINITION, GeneralizationMatrix, MetricsReport,

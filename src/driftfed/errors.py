@@ -45,6 +45,10 @@ class FederationError(DriftFedError):
     """Federated round cannot run (for example an empty client shard)."""
 
 
+class DivergenceError(FederationError):
+    """Training left non-finite parameters; names the period and round."""
+
+
 class MetricError(DriftFedError):
     """Metric is undefined for the given confusion matrix."""
 

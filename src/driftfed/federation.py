@@ -14,8 +14,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atomic import write_atomic
 from .dataset import LabeledData
-from .errors import AggregationError, CheckpointError, ConfigError, DriftFedError, FederationError
+from .errors import (AggregationError, CheckpointError, ConfigError, DivergenceError,
+                     DriftFedError, FederationError)
 from .nn import ModelArch, ModelParams, TrainConfig, init_params, param_count, predict, train_local
 from .seeds import rng_for
 from .timeline import StrategyConfig
@@ -61,9 +63,12 @@ def fedavg_aggregate(client_params: list[ModelParams],
     total = float(sum(client_sizes))
     if total <= 0:
         raise AggregationError("total client size must be positive")
+    # sum((n_k/N) * x_k) in client order, from zeros, with one scratch vector
     acc = np.zeros(param_count(arch))
+    term = np.empty_like(acc)
     for params, size in zip(client_params, client_sizes):
-        acc += (size / total) * params.vec
+        np.multiply(params.vec, size / total, out=term)
+        acc += term
     return ModelParams(arch, acc)
 
 
@@ -94,6 +99,10 @@ def init_from_history(mode: str, history: list[Checkpoint],
     equal: unweighted mean. sample: weighted by training sample count.
     ema: e_1 = params_1, e_k = alpha*params_k + (1-alpha)*e_{k-1}; it needs
     ``ema_alpha`` (``StrategyConfig`` holds its default).
+
+    The average accumulates into one vector with one scratch vector, and
+    gives the bits of ``np.mean`` and ``np.average`` over the stacked
+    checkpoints: their axis-0 sum adds the rows in order, starting from zero.
     """
     if mode not in AVERAGING_MODES:
         raise ConfigError(f"mode must be one of {AVERAGING_MODES}")
@@ -103,22 +112,32 @@ def init_from_history(mode: str, history: list[Checkpoint],
     for ckpt in history[1:]:
         if ckpt.params.arch != arch:
             raise AggregationError("checkpoint architectures differ")
-    if len(history) == 1:
+    if len(history) == 1:  # kept as is: (w * x) / w is not always x
         return history[0].params
     flats = [c.params.vec for c in history]
+    merged = np.zeros(param_count(arch))
+    term = np.empty_like(merged)
     if mode == "equal":
-        merged = np.mean(flats, axis=0)
+        for flat in flats:
+            merged += flat
+        merged /= len(flats)
     elif mode == "sample":
         weights = np.array([c.train_sample_count for c in history], dtype=float)
-        if weights.sum() <= 0:
+        total = weights.sum()
+        if total <= 0:
             raise AggregationError("sample counts must be positive for sample weighting")
-        merged = np.average(flats, axis=0, weights=weights)
+        for flat, weight in zip(flats, weights):
+            np.multiply(flat, weight, out=term)
+            merged += term
+        merged /= total
     else:
         if ema_alpha is None:
             raise ConfigError("ema averaging needs ema_alpha")
-        merged = flats[0]
+        merged[...] = flats[0]
         for flat in flats[1:]:
-            merged = ema_alpha * flat + (1.0 - ema_alpha) * merged
+            merged *= 1.0 - ema_alpha
+            np.multiply(flat, ema_alpha, out=term)
+            merged += term
     return ModelParams(arch, merged)
 
 
@@ -151,7 +170,8 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
     The first period starts from fresh initialization; later periods start
     from the previous checkpoint, except the averaging variants, which start
     from a parameter average over all previous checkpoints. Validation
-    accuracy is recorded after every round but never gates training.
+    accuracy is recorded after every round but never gates training. A round
+    that leaves a non-finite parameter raises :class:`DivergenceError`.
     """
     checkpoints: list[Checkpoint] = []
     logs: list[RoundLog] = []
@@ -173,6 +193,9 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
             params, _ = run_round(params, item.client_train, cfg,
                                   round_index=item.period_id * 1000 + rnd)
             wall += time.perf_counter() - tick
+            if not np.isfinite(params.vec).all():
+                raise DivergenceError(f"period {item.period_id} round {rnd}: training "
+                                      f"diverged to non-finite parameters")
             acc = None
             if val is not None:
                 acc = float(np.mean(predict(params, val.X) == val.y))
@@ -210,6 +233,7 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write ``ckpt`` to ``path`` atomically: a failed write leaves the old file."""
     arch = ckpt.params.arch
     flat = np.ascontiguousarray(ckpt.params.vec, dtype="<f8")
     header = json.dumps({
@@ -223,11 +247,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "dtype": "float64",
         "param_count": int(flat.size),
     }, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
-        fh.write(header)
-        fh.write(flat.data)
+    write_atomic(path, (CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(header)),
+                        header, flat.data))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -26,7 +26,9 @@ SGD update run once per run over ``(g, b, F)`` batches and ``(g, P)``
 parameter, gradient and moment blocks. A ragged last batch forms its own run:
 batches are stacked, never padded. Clients train in cohorts of at most
 ``max(1, COHORT_PARAMS // param_count(arch))``, so a cohort's optimizer state
-stays cache-sized; at the full 5x128 arch a cohort is one client. Per client
+stays cache-sized; at the full 5x128 arch a cohort is one client. The
+gradient, the moments and the optimizer scratch are allocated once per call,
+for the largest cohort, and reused by every cohort. Per client
 stay the shuffle, Adam's step count (clients with different batch counts
 share runs from the second epoch on) and the batch size that divides the
 loss gradient.
@@ -47,6 +49,7 @@ outputs across runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections.abc import Sequence
@@ -419,29 +422,41 @@ def predict(params: ModelParams, batch: np.ndarray, chunk: int = 8192) -> np.nda
 
 
 class _Optimizer:
-    """Adam or SGD, in place on a ``(K, P)`` block of ``K`` models.
+    """Adam or SGD, in place on the rows of a ``(K, P)`` block of ``K`` models.
 
-    It updates the live segments of each vector (see ``ModelArch.layout``),
-    for the rows of one lockstep run at a time. :meth:`segments` builds the
-    per-segment views of a run's rows once; a step allocates nothing beyond
-    its bias-correction column.
+    One optimizer serves a whole :func:`train_local` call and holds its
+    workspace, sized for the largest cohort: the gradient block, Adam's two
+    moments and two scratch vectors. The moments cover only the live
+    segments (see ``ModelArch.layout``), packed side by side, and
+    :meth:`reset` zeroes them for each cohort. The gradient is zeroed once:
+    backward overwrites all of it but the inert ``wh``, whose zeros stay.
+    :meth:`segments` builds the per-segment views of a run's rows once; a
+    step allocates nothing beyond its bias-correction column.
     """
 
-    def __init__(self, cfg: TrainConfig, arch: ModelArch, vec: np.ndarray, grad: np.ndarray):
+    def __init__(self, cfg: TrainConfig, arch: ModelArch, rows: int):
         self.adam = cfg.optimizer == "adam"
         self.lr = cfg.learning_rate
         self.live = arch.layout[1]
-        longest = max(sl.stop - sl.start for sl in self.live)
-        self.blocks = vec, grad, np.zeros_like(vec), np.zeros_like(vec)
-        self.scratch = np.empty(vec.shape[0] * longest), np.empty(vec.shape[0] * longest)
+        widths = [sl.stop - sl.start for sl in self.live]
+        offsets = list(itertools.accumulate(widths, initial=0))
+        self.packed = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+        self.grad = np.zeros((rows, param_count(arch)))
+        self.moments = np.zeros((2, rows, offsets[-1] if self.adam else 0))  # SGD keeps none
+        self.scratch = np.empty((2, rows * max(widths)))
 
-    def segments(self, rows: slice) -> list[tuple[np.ndarray, ...]]:
+    def reset(self, rows: int) -> None:
+        """Fresh moments for a cohort of ``rows`` models."""
+        self.moments[:, :rows] = 0.0
+
+    def segments(self, vec: np.ndarray, rows: slice) -> list[tuple[np.ndarray, ...]]:
         """``(p, g, m, v, a, b)`` views per live segment of ``rows``; a, b are scratch."""
         g = rows.stop - rows.start
+        m, v = self.moments
         out = []
-        for sl in self.live:
+        for sl, packed in zip(self.live, self.packed):
             width = sl.stop - sl.start
-            out.append(tuple(block[rows, sl] for block in self.blocks)
+            out.append((vec[rows, sl], self.grad[rows, sl], m[rows, packed], v[rows, packed])
                        + tuple(s[:g * width].reshape(g, width) for s in self.scratch))
         return out
 
@@ -496,14 +511,13 @@ class _Run:
 
 
 def _train_cohort(start: ModelParams, shards: list[LabeledData], seeds: list[int],
-                  cfg: TrainConfig, vec: np.ndarray) -> None:
+                  cfg: TrainConfig, vec: np.ndarray, optimizer: _Optimizer) -> None:
     """Train clients sorted by shard size in lockstep; their results go to the rows of ``vec``."""
     arch = start.arch
     bs = cfg.batch_size
     sizes = [len(s) for s in shards]
     vec[...] = start.vec
-    grad = np.zeros_like(vec)
-    optimizer = _Optimizer(cfg, arch, vec, grad)
+    optimizer.reset(len(shards))
     X = np.empty((len(shards), max(sizes), arch.feature_width))
     y = np.empty((len(shards), max(sizes)), dtype=np.int64)
 
@@ -522,8 +536,9 @@ def _train_cohort(start: ModelParams, shards: list[LabeledData], seeds: list[int
                 run, hi = slice(i, j), lo + rows[i]
                 counts = tuple(batches[run])
                 schedule.append(_Run(step, counts[0] if len(set(counts)) == 1 else counts,
-                                     ModelParams(arch, vec[run]), grad[run], X[run, lo:hi],
-                                     y[run, lo:hi], optimizer.segments(run)))
+                                     ModelParams(arch, vec[run]), optimizer.grad[run],
+                                     X[run, lo:hi], y[run, lo:hi],
+                                     optimizer.segments(vec, run)))
             i = j
 
     for epoch in range(cfg.local_epochs):
@@ -579,10 +594,11 @@ def train_local(params: ModelParams, data: LabeledData | Sequence[LabeledData],
     order = sorted(range(len(sizes)), key=sizes.__getitem__)  # stable: ties keep shard order
     trained = np.empty((len(order), param_count(arch)))
     per_cohort = max(1, COHORT_PARAMS // param_count(arch))
+    optimizer = _Optimizer(common, arch, min(per_cohort, len(order)))
     for lo in range(0, len(order), per_cohort):
         cohort = order[lo:lo + per_cohort]
         _train_cohort(params, [prepared[k] for k in cohort], [cfgs[k].seed for k in cohort],
-                      common, trained[lo:lo + len(cohort)])
+                      common, trained[lo:lo + len(cohort)], optimizer)
     results = [None] * len(order)
     for row, k in enumerate(order):
         results[k] = ModelParams(arch, trained[row])

@@ -11,6 +11,9 @@ configured strategy and writes, per task:
   checkpoints/<strategy>/t<i>.ckpt
   manifest.json           resolved config, seeds, artifact list, statuses
 
+Every file is written to a temp file beside it and renamed into place, so a
+failed write leaves the previous version.
+
 Accuracy, cells and composition tables are deterministic for a fixed config;
 timing lives only in the latency table, the JSON document and the manifest.
 """
@@ -23,6 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import timeline as tl
+from .atomic import write_atomic
 from .errors import ConfigError, DriftFedError
 from .federation import FedConfig, PeriodInput, run_timeline, save_checkpoint
 from .metrics import (FAR_DEFINITION, MetricsReport, cross_period_eval,
@@ -194,6 +198,9 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
     if cfg.fed.seed != FedConfig.seed:
         problems.append("federation.seed: has no effect in a run; client seeds derive "
                         "from `seed`")
+    if cfg.fed.train.seed != TrainConfig.seed:
+        problems.append("federation.train.seed: has no effect in a run; client seeds "
+                        "derive from `seed`")
     try:
         features = _feature_count(cfg, records)
     except ConfigError as exc:
@@ -351,6 +358,8 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
             save_checkpoint(path, ckpt)
             outcome.checkpoint_paths.append(str(path.relative_to(out_dir)))
             artifacts.append(str(path.relative_to(out_dir)))
+        # saved: release this strategy's checkpoints before the next one trains
+        result = ckpt = None
         outcomes[label] = outcome
 
     artifacts.extend(write_reports(out_dir, cfg, outcomes))
@@ -446,7 +455,7 @@ def write_reports(out_dir: Path, cfg: RunConfig,
                                            indent=2, sort_keys=True) + "\n",
     }
     for name, content in files.items():
-        (out_dir / name).write_text(content)
+        write_atomic(out_dir / name, [content.encode("utf-8")])
         written.append(name)
     return written
 
@@ -531,5 +540,5 @@ def _write_manifest(out_dir: Path, cfg: RunConfig,
             for label, o in outcomes.items()
         },
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(out_dir / "manifest.json",
+                 [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")])

@@ -1,3 +1,5 @@
+import errno
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,34 @@ def tiny_scenario(seed: int = 0, rows: int = 240, num_features: int = 8) -> Scen
         mean[: num_features // 2] += delta
         families.append(FamilySpec(cat, cat, ROSTER[cat], mean, 0.7, rows))
     return ScenarioSpec(num_features=num_features, families=tuple(families), seed=seed)
+
+
+class FillingFile:
+    """A binary file that takes ``room`` bytes, then fails like a full disk."""
+
+    def __init__(self, path, mode, room):
+        self.fh = open(path, mode)
+        self.room = room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        data = bytes(data)
+        self.fh.write(data[:self.room])
+        if len(data) > self.room:
+            self.room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return len(data)
+
+
+def full_disk(room):
+    """An ``open`` whose files fail after ``room`` bytes, to patch into ``driftfed.atomic``."""
+    return lambda path, mode: FillingFile(path, mode, room)
 
 
 @pytest.fixture

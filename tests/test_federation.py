@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from driftfed import atomic, federation
+from driftfed.atomic import write_atomic
 from driftfed.dataset import LabeledData
-from driftfed import federation
-from driftfed.errors import (AggregationError, CheckpointError, ConfigError, DriftFedError,
-                             FederationError)
+from driftfed.errors import (AggregationError, CheckpointError, ConfigError, DivergenceError,
+                             DriftFedError, FederationError)
 from driftfed.federation import (Checkpoint, FedConfig, PeriodInput, fedavg_aggregate,
                                  init_from_history, load_checkpoint, run_round,
                                  run_timeline, save_checkpoint)
@@ -18,6 +20,8 @@ from driftfed.nn import (ModelArch, ModelParams, TrainConfig, init_params, param
                          train_local)
 from driftfed.seeds import rng_for
 from driftfed.timeline import StrategyConfig
+
+from conftest import full_disk
 
 ARCH = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
 N = param_count(ARCH)  # 58, even
@@ -167,6 +171,48 @@ def test_init_from_history_errors(rng):
         init_from_history("median", [_checkpoint(np.zeros(N), 1, 1)])
 
 
+def _stacked_average(mode, history, alpha):
+    """The stacked-array expressions the in-place averaging must reproduce bit for bit."""
+    flats = [c.params.vec for c in history]
+    if len(flats) == 1:
+        return flats[0]
+    if mode == "equal":
+        return np.mean(flats, axis=0)
+    if mode == "sample":
+        weights = np.array([c.train_sample_count for c in history], dtype=float)
+        return np.average(flats, axis=0, weights=weights)
+    merged = flats[0]
+    for flat in flats[1:]:
+        merged = alpha * flat + (1.0 - alpha) * merged
+    return merged
+
+
+_VECTORS = st.lists(arrays(np.float64, N, elements=st.floats(allow_nan=False,
+                                                             allow_infinity=False)),
+                    min_size=1, max_size=7)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # sums of huge values overflow
+@settings(max_examples=150, deadline=None)
+@given(vecs=_VECTORS, counts=st.lists(st.integers(1, 10**6), min_size=7, max_size=7),
+       tied=st.booleans(), alpha=st.floats(0.01, 1.0), neg_zero=arrays(bool, N))
+def test_in_place_averaging_is_byte_equal_to_stacked_expressions(vecs, counts, tied, alpha,
+                                                                  neg_zero):
+    counts = [counts[0]] * len(vecs) if tied else counts[:len(vecs)]
+    for vec in vecs:  # -0.0 in every vector: a sum from zero and one from the first differ
+        vec[neg_zero] = -0.0
+    history = [_checkpoint(v, i, n) for i, (v, n) in enumerate(zip(vecs, counts))]
+    for mode in ("equal", "sample", "ema"):
+        merged = init_from_history(mode, history, ema_alpha=alpha).vec
+        assert merged.tobytes() == _stacked_average(mode, history, alpha).tobytes(), mode
+    total = float(sum(counts))
+    expected = np.zeros(N)
+    for vec, size in zip(vecs, counts):
+        expected += (size / total) * vec
+    merged = fedavg_aggregate([_params_from(v) for v in vecs], counts).vec
+    assert merged.tobytes() == expected.tobytes()
+
+
 def _period_inputs(rng, periods, rows=30):
     inputs = []
     for p in periods:
@@ -221,6 +267,17 @@ def test_run_timeline_averaging_initializes_from_history(rng, monkeypatch):
     assert np.array_equal(starts[3].vec, expected.vec)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_timeline_flags_divergence_by_period_and_round(rng):
+    cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1), seed=3)
+    inputs = _period_inputs(rng, [1, 2])
+    # features near the float64 limit overflow the first layer's pre-activations
+    huge = [LabeledData(s.X * 1e308, s.y) for s in inputs[1].client_train]
+    inputs[1] = PeriodInput(2, huge, inputs[1].client_val)
+    with pytest.raises(DivergenceError, match="period 2 round 0"):
+        run_timeline(StrategyConfig("cumulative"), inputs, cfg, ARCH)
+
+
 def test_run_timeline_full_determinism(rng):
     cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1), seed=8)
     gen_a = np.random.default_rng(42)
@@ -252,6 +309,44 @@ def test_checkpoint_files_reproducible(tmp_path, rng):
     save_checkpoint(first, Checkpoint(_params_from(vec), 1, 10, 0.123))
     save_checkpoint(second, Checkpoint(_params_from(vec), 1, 10, 99.9))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_write_replaces_the_file_and_leaves_no_temp_file(tmp_path, rng):
+    path = tmp_path / "t1.ckpt"
+    save_checkpoint(path, Checkpoint(_params_from(np.zeros(N)), 1, 10, 0.0))
+    vec = rng.normal(size=N)
+    save_checkpoint(path, Checkpoint(_params_from(vec), 1, 10, 0.0))
+    assert load_checkpoint(path).params.vec.tobytes() == vec.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["t1.ckpt"]
+
+
+@pytest.mark.parametrize("room", [0, 20, 8 * N])  # in the magic, the header, the payload
+def test_checkpoint_write_failing_partway_keeps_the_previous_file(tmp_path, monkeypatch, room):
+    path = tmp_path / "t1.ckpt"
+    save_checkpoint(path, Checkpoint(_params_from(np.ones(N)), 1, 10, 0.0))
+    before = path.read_bytes()
+    monkeypatch.setattr(atomic, "open", full_disk(room), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, Checkpoint(_params_from(np.zeros(N)), 1, 10, 0.0))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t1.ckpt"]
+
+
+def test_write_atomic_failing_partway_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "report.csv"
+    write_atomic(path, [b"old\n"])
+
+    def chunks():
+        yield b"new, half written"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(path, chunks())
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+    write_atomic(path, [b"new", b"\n"])
+    assert path.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -418,6 +418,25 @@ def test_lockstep_splits_clients_into_cohorts():
     _assert_lockstep_matches_reference(params, shards, cfgs)
 
 
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("seq_len", [1, 2])
+def test_one_client_cohorts_share_a_workspace_exactly(seq_len, optimizer):
+    # above COHORT_PARAMS every client is its own cohort, and the cohorts of one
+    # call reuse one gradient, moment and scratch workspace
+    gen = np.random.default_rng(seq_len)
+    arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=128, output_dim=3,
+                     seq_len=seq_len)
+    assert param_count(arch) > COHORT_PARAMS
+    params, shards = _lockstep_case(gen, arch, (13, 6, 21, 6))
+    cfgs = [TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2,
+                        optimizer=optimizer, seed=k) for k in range(4)]
+    outs, counts, _ = train_local(params, shards, cfgs)
+    assert counts == [13, 6, 21, 6]
+    for out, shard, cfg in zip(outs, shards, cfgs):
+        alone, _, _ = train_local(params, shard, cfg)
+        assert out.vec.tobytes() == alone.vec.tobytes()
+
+
 def test_lockstep_rejects_mismatched_configs(rng):
     arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
     params = init_params(arch, seed=0)

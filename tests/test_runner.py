@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftfed import cli, runner
+from driftfed import atomic, cli, federation, runner
 from driftfed.errors import ConfigError
 from driftfed.nn import OPTIMIZERS, ModelArch
 from driftfed.pipeline import ColumnSpec
@@ -16,7 +17,7 @@ from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, _config_dict
 from driftfed.synth import generate
 from driftfed.timeline import STRATEGY_KINDS, TASKS, StrategyConfig
 
-from conftest import tiny_scenario
+from conftest import full_disk, tiny_scenario
 
 
 def _tiny_cfg(tmp_path, task="binary", strategies=None, seed=3):
@@ -327,6 +328,80 @@ def test_partial_failure_flagged_in_manifest(tmp_path, monkeypatch):
     assert manifest["statuses"]["static"] == "ok"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_strategy_is_failed_by_name_not_scored(tmp_path, monkeypatch):
+    real = runner.run_timeline
+
+    def overflowing(strategy, inputs, fed, arch):
+        if strategy.label == "simple":  # a step near the float64 limit overflows the weights
+            fed = replace(fed, train=replace(fed.train, learning_rate=1e308))
+        return real(strategy, inputs, fed, arch)
+
+    monkeypatch.setattr(runner, "run_timeline", overflowing)
+    cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"), StrategyConfig("simple")))
+    result = run_experiment(cfg, records=_tiny_records())
+    assert list(result.failures) == ["simple"]
+    assert "period 1 round 0" in result.failures["simple"]
+    manifest = json.loads((result.output_dir / "manifest.json").read_text())
+    assert manifest["statuses"]["simple"].startswith("failed:")
+    assert manifest["statuses"]["static"] == "ok"
+    rows = (result.output_dir / "accuracy_binary.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[2:]] == ["static"]
+    assert not (result.output_dir / "checkpoints" / "simple").exists()
+
+
+def _memory_owner(array):
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def test_strategy_checkpoints_are_freed_before_the_next_strategy_trains(tmp_path,
+                                                                         monkeypatch):
+    saved = []  # weak references to the memory of every saved checkpoint
+    alive_at_rounds = []
+    real_save, real_round = runner.save_checkpoint, federation.run_round
+
+    def recording_save(path, ckpt):
+        real_save(path, ckpt)
+        saved.append(weakref.ref(_memory_owner(ckpt.params.vec)))
+
+    def recording_round(*args, **kwargs):
+        alive_at_rounds.append(sum(ref() is not None for ref in saved))
+        return real_round(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "save_checkpoint", recording_save)
+    monkeypatch.setattr(federation, "run_round", recording_round)
+    cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("cumulative"),
+                                          StrategyConfig("avg_equal"), StrategyConfig("static")))
+    assert run_experiment(cfg, records=_tiny_records()).ok
+    assert len(saved) == 11 and alive_at_rounds == [0] * 33  # 5 + 5 + 1 periods, 3 rounds
+
+
+def test_run_leaves_no_temp_files(tiny_run):
+    _, result = tiny_run
+    names = [p.name for p in result.output_dir.rglob("*")]
+    assert names and not [n for n in names if n.startswith(".") or n.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("room", [0, 100])
+def test_report_and_manifest_writes_failing_partway_keep_the_previous_files(tmp_path,
+                                                                            monkeypatch, room):
+    cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"),))
+    result = run_experiment(cfg, records=_tiny_records())
+
+    def files():
+        return {p: p.read_bytes() for p in result.output_dir.rglob("*") if p.is_file()}
+
+    before = files()
+    monkeypatch.setattr(atomic, "open", full_disk(room), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        rerender_reports(result.output_dir)
+    with pytest.raises(OSError, match="No space left"):
+        runner._write_manifest(result.output_dir, cfg, result.outcomes, {}, result.artifacts)
+    assert files() == before
+
+
 def test_report_rerender_matches_original(tiny_run):
     _, result = tiny_run
     original = (result.output_dir / "accuracy_binary.csv").read_bytes()
@@ -395,6 +470,17 @@ def test_validate_config_reports_an_inert_fed_seed(tmp_path, monkeypatch):
         "federation.seed: has no effect in a run; client seeds derive from `seed`"]
     monkeypatch.setattr(runner, "run_timeline", lambda *a, **k: pytest.fail("trained"))
     with pytest.raises(ConfigError, match="federation.seed"):
+        run_experiment(inert, _tiny_records())
+
+
+def test_validate_config_reports_an_inert_train_seed(tmp_path, monkeypatch):
+    # run_round gives every client its own seed, whatever fed.train.seed says
+    cfg = _tiny_cfg(tmp_path)
+    inert = replace(cfg, fed=replace(cfg.fed, train=replace(cfg.fed.train, seed=5)))
+    assert validate_config(inert, _tiny_records()) == [
+        "federation.train.seed: has no effect in a run; client seeds derive from `seed`"]
+    monkeypatch.setattr(runner, "run_timeline", lambda *a, **k: pytest.fail("trained"))
+    with pytest.raises(ConfigError, match="federation.train.seed"):
         run_experiment(inert, _tiny_records())
 
 
