@@ -28,14 +28,14 @@ with tempfile.TemporaryDirectory() as tmp:
           f"{cfg.fed.train.local_epochs} local epochs")
     start = time.perf_counter()
     result = run_experiment(cfg)
-    print(f"ran {len(result.outcomes)} strategies in "
+    print(f"ran {len(result.metrics['strategies'])} strategies in "
           f"{time.perf_counter() - start:.0f}s\n")
 
     print((result.output_dir / "accuracy_binary.csv").read_text())
     print((result.output_dir / "latency_binary.csv").read_text())
 
-    simple = result.outcomes["simple"].protocol
-    cumulative = result.outcomes["cumulative"].protocol
-    print(f"forgetting at t6: simple {simple[6].accuracy:.1%} "
-          f"vs cumulative {cumulative[6].accuracy:.1%}")
-    print(f"false-alarm rate at t6 (cumulative): {cumulative[6].far:.3f}")
+    simple = result.metrics["strategies"]["simple"]["protocol"]["t6"]
+    cumulative = result.metrics["strategies"]["cumulative"]["protocol"]["t6"]
+    print(f"forgetting at t6: simple {simple['accuracy']:.1%} "
+          f"vs cumulative {cumulative['accuracy']:.1%}")
+    print(f"false-alarm rate at t6 (cumulative): {cumulative['far']:.3f}")

@@ -10,13 +10,14 @@ variants) for accuracy under drift and wall-clock cost.
 from .dataset import LabeledData
 from .errors import (AggregationError, CheckpointError, CodecError, ConfigError, DataError,
                      DivergenceError, DriftFedError, EvaluationError, FederationError,
-                     LabelError, LoadError, MetricError, ScheduleError, ShapeError)
+                     LabelError, LoadError, MetricError, ReportError, ScheduleError,
+                     ShapeError)
 from .federation import (Checkpoint, FedConfig, fedavg_aggregate, init_from_history,
                          load_checkpoint, run_round, run_timeline, save_checkpoint)
 from .metrics import (FAR_DEFINITION, GeneralizationMatrix, MetricsReport,
                       attack_generalization_matrix, confusion, cross_period_eval,
                       false_alarm_rate, macro_prf, measure_inference, micro_accuracy,
-                      protocol_average, protocol_cells)
+                      protocol_cells)
 from .nn import (ModelArch, ModelParams, TrainConfig, backward, cross_entropy,
                  forward, init_params, param_count, predict, softmax, train_local)
 from .pipeline import (CATEGORIES, ROSTER, SUB_ATTACKS, ColumnSpec, FlowTable, LabelCodec,

@@ -76,7 +76,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = _apply_overrides(load_config(args.config), args)
             result = run_experiment(cfg)
-            for label in result.outcomes:
+            for label in result.metrics["strategy_order"]:
                 print(f"ok: {label}")
             for label, msg in result.failures.items():
                 print(f"failed: {label}: {msg}", file=sys.stderr)

@@ -55,3 +55,7 @@ class MetricError(DriftFedError):
 
 class EvaluationError(DriftFedError):
     """Cross-period evaluation is missing a required test set."""
+
+
+class ReportError(DriftFedError):
+    """A stored metrics document cannot be read or rendered; names the file."""

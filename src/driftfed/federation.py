@@ -171,7 +171,8 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
     from the previous checkpoint, except the averaging variants, which start
     from a parameter average over all previous checkpoints. Validation
     accuracy is recorded after every round but never gates training. A round
-    that leaves a non-finite parameter raises :class:`DivergenceError`.
+    whose training or validation overflows, or that leaves a non-finite
+    parameter, raises :class:`DivergenceError` naming the period and round.
     """
     checkpoints: list[Checkpoint] = []
     logs: list[RoundLog] = []
@@ -189,16 +190,21 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
         val = _concat_nonempty(item.client_val)
         wall = 0.0
         for rnd in range(cfg.rounds):
-            tick = time.perf_counter()
-            params, _ = run_round(params, item.client_train, cfg,
-                                  round_index=item.period_id * 1000 + rnd)
-            wall += time.perf_counter() - tick
-            if not np.isfinite(params.vec).all():
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    tick = time.perf_counter()
+                    params, _ = run_round(params, item.client_train, cfg,
+                                          round_index=item.period_id * 1000 + rnd)
+                    wall += time.perf_counter() - tick
+                    if not np.isfinite(params.vec).all():
+                        raise DivergenceError(f"period {item.period_id} round {rnd}: "
+                                              f"training diverged to non-finite parameters")
+                    acc = None
+                    if val is not None:
+                        acc = float(np.mean(predict(params, val.X) == val.y))
+            except FloatingPointError as exc:
                 raise DivergenceError(f"period {item.period_id} round {rnd}: training "
-                                      f"diverged to non-finite parameters")
-            acc = None
-            if val is not None:
-                acc = float(np.mean(predict(params, val.X) == val.y))
+                                      f"diverged: floating-point {exc}") from exc
             logs.append(RoundLog(item.period_id, rnd, acc))
 
         sample_count = sum(len(s) for s in item.client_train)

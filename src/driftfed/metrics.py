@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import LabeledData
-from .errors import EvaluationError, MetricError
+from .errors import DivergenceError, EvaluationError, MetricError
 from .federation import Checkpoint, FedConfig, run_round
 from .nn import ModelArch, ModelParams, init_params, predict
 from .pipeline import (NO_ROWS, FlowTable, LabelCodec, concat_rows, encode_labels,
@@ -108,7 +108,11 @@ def cross_period_eval(checkpoints: list[Checkpoint],
                       test_sets: dict[int, LabeledData],
                       num_classes: int,
                       benign_index: int = 0) -> list[MetricsReport]:
-    """Evaluate every checkpoint on every period's global test set."""
+    """Evaluate every checkpoint on every period's global test set.
+
+    A checkpoint whose predictions overflow raises :class:`DivergenceError`:
+    its parameters are finite but too large to score.
+    """
     if not test_sets:
         raise EvaluationError("no test sets supplied")
     reports = []
@@ -117,7 +121,12 @@ def cross_period_eval(checkpoints: list[Checkpoint],
             data = test_sets[period]
             if len(data) == 0:
                 raise EvaluationError(f"test period t{period} is empty")
-            preds, secs = measure_inference(ckpt.params, data.X)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    preds, secs = measure_inference(ckpt.params, data.X)
+            except FloatingPointError as exc:
+                raise DivergenceError(f"checkpoint t{ckpt.period_id}: predicting test "
+                                      f"period t{period} overflowed: {exc}") from exc
             matrix = confusion(data.y, preds, num_classes)
             p, r, f1 = macro_prf(matrix)
             reports.append(MetricsReport(
@@ -155,13 +164,6 @@ def protocol_cells(reports: list[MetricsReport],
             raise EvaluationError(f"missing evaluation cell for test period t{period}")
         cells[period] = cell
     return cells
-
-
-def protocol_average(cells: dict[int, MetricsReport]) -> float:
-    """Mean protocol accuracy across test periods (the tables' Avg column)."""
-    if not cells:
-        raise EvaluationError("no protocol cells to average")
-    return float(np.mean([c.accuracy for c in cells.values()]))
 
 
 @dataclass

@@ -3,10 +3,11 @@
 A run executes pipeline -> timeline -> federation -> metrics for each
 configured strategy and writes, per task:
 
+  metrics_<task>.json     the run's result record (all fields incl. timing);
+                          ``render_reports`` renders the four tables from it
   accuracy_<task>.csv     protocol accuracy row per strategy (+ Avg column)
   latency_<task>.csv      per-period training seconds, totals, total inference
   cells_<task>.csv        full checkpoint x test-period matrix, metric fields
-  metrics_<task>.json     machine-readable document (all fields incl. timing)
   composition_<task>.csv  per-strategy period/class/row-count audit
   checkpoints/<strategy>/t<i>.ckpt
   manifest.json           resolved config, seeds, artifact list, statuses
@@ -25,12 +26,13 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import timeline as tl
 from .atomic import write_atomic
-from .errors import ConfigError, DriftFedError
+from .errors import ConfigError, DriftFedError, ReportError
 from .federation import FedConfig, PeriodInput, run_timeline, save_checkpoint
-from .metrics import (FAR_DEFINITION, MetricsReport, cross_period_eval,
-                      protocol_average, protocol_cells)
+from .metrics import FAR_DEFINITION, cross_period_eval, protocol_cells
 from .nn import ModelArch, TrainConfig
 from .pipeline import (ColumnSpec, LabelCodec, apply_scaler, clean, encode_labels,
                        fit_scaler, load_records, records_by_class, stratified_split)
@@ -230,20 +232,9 @@ def _column_spec(cfg: RunConfig) -> ColumnSpec:
 
 
 @dataclass
-class StrategyOutcome:
-    strategy: StrategyConfig | None
-    reports: list[MetricsReport]
-    protocol: dict[int, MetricsReport]
-    train_latency: dict[int, float]       # period -> wall-clock seconds
-    train_samples: dict[int, int]
-    composition: dict[int, dict[str, int]]
-    checkpoint_paths: list[str]
-
-
-@dataclass
 class RunResult:
     output_dir: Path
-    outcomes: dict[str, StrategyOutcome]
+    metrics: dict          # the metrics document, as written to metrics_<task>.json
     failures: dict[str, str]
     artifacts: list[str]
 
@@ -295,6 +286,11 @@ def prepare_experiment(cfg: RunConfig, records=None):
 
 
 def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig):
+    """Train and evaluate one strategy.
+
+    Returns its metrics-document entry (with ``checkpoints`` still empty) and
+    the timeline result, whose checkpoints the caller saves.
+    """
     schedule = prep["schedule"]
     train = prep["train"]
     codec: LabelCodec = prep["codec"]
@@ -303,10 +299,10 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig):
     composer = StrategyComposer(strategy, schedule, prep["train_segments"],
                                 seed=strategy_seed)
     period_inputs = []
-    composition: dict[int, dict[str, int]] = {}
+    composition: dict[str, dict[str, int]] = {}
     for period_id in composer.training_periods():
         pool = composer.compose(period_id)
-        composition[period_id] = {cls: len(rows) for cls, rows in pool.items()}
+        composition[f"t{period_id}"] = {cls: len(rows) for cls, rows in pool.items()}
         clients = partition_iid(pool, cfg.fed.num_clients,
                                 rng_seed_for_period(cfg.seed, strategy, period_id))
         period_inputs.append(PeriodInput(
@@ -320,15 +316,17 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig):
     reports = cross_period_eval(result.checkpoints, prep["encoded_tests"],
                                 codec.num_classes, codec.benign_index)
     protocol = protocol_cells(reports, list(tl.test_periods(cfg.task)))
-    return StrategyOutcome(
-        strategy=strategy,
-        reports=reports,
-        protocol=protocol,
-        train_latency={c.period_id: c.train_wall_clock for c in result.checkpoints},
-        train_samples={c.period_id: c.train_sample_count for c in result.checkpoints},
-        composition=composition,
-        checkpoint_paths=[],
-    ), result
+    entry = {
+        "cells": [asdict(r) for r in reports],
+        "protocol": {f"t{p}": asdict(r) for p, r in protocol.items()},
+        "train_latency_seconds": {f"t{c.period_id}": c.train_wall_clock
+                                  for c in result.checkpoints},
+        "train_samples": {f"t{c.period_id}": c.train_sample_count
+                          for c in result.checkpoints},
+        "composition": composition,
+        "checkpoints": [],
+    }
+    return entry, result
 
 
 def run_experiment(cfg: RunConfig, records=None) -> RunResult:
@@ -341,30 +339,37 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     prep = prepare_experiment(cfg, records)
 
-    outcomes: dict[str, StrategyOutcome] = {}
+    doc = {
+        "task": cfg.task,
+        "far_definition": FAR_DEFINITION,
+        "test_periods": list(tl.test_periods(cfg.task)),
+        "strategy_order": [],
+        "strategies": {},
+    }
     failures: dict[str, str] = {}
     artifacts: list[str] = []
     for strategy in cfg.strategies:
         label = strategy.label
         try:
-            outcome, result = run_strategy(cfg, prep, strategy)
+            entry, result = run_strategy(cfg, prep, strategy)
         except DriftFedError as exc:
-            failures[label] = f"{type(exc).__module__.split('.')[-1]}: {exc}"
+            failures[label] = f"{type(exc).__name__}: {exc}"
             continue
         ckpt_dir = out_dir / "checkpoints" / label
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         for ckpt in result.checkpoints:
             path = ckpt_dir / f"t{ckpt.period_id}.ckpt"
             save_checkpoint(path, ckpt)
-            outcome.checkpoint_paths.append(str(path.relative_to(out_dir)))
-            artifacts.append(str(path.relative_to(out_dir)))
+            entry["checkpoints"].append(str(path.relative_to(out_dir)))
+        artifacts.extend(entry["checkpoints"])
         # saved: release this strategy's checkpoints before the next one trains
         result = ckpt = None
-        outcomes[label] = outcome
+        doc["strategy_order"].append(label)
+        doc["strategies"][label] = entry
 
-    artifacts.extend(write_reports(out_dir, cfg, outcomes))
-    _write_manifest(out_dir, cfg, outcomes, failures, artifacts)
-    return RunResult(out_dir, outcomes, failures, artifacts)
+    artifacts.extend(write_reports(out_dir, doc))
+    _write_manifest(out_dir, cfg, doc, failures, artifacts)
+    return RunResult(out_dir, doc, failures, artifacts)
 
 
 # --- report rendering --------------------------------------------------------
@@ -373,119 +378,82 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def render_accuracy_table(cfg_task: str, outcomes: dict[str, StrategyOutcome]) -> str:
-    periods = list(tl.test_periods(cfg_task))
-    lines = [f"# protocol accuracy per test period; {FAR_DEFINITION}"]
-    lines.append(",".join(["strategy", *(f"t{p}" for p in periods), "avg"]))
-    for label, outcome in outcomes.items():
-        cells = [outcome.protocol[p].accuracy for p in periods]
-        lines.append(",".join([label, *(_fmt(c) for c in cells),
-                               _fmt(protocol_average(outcome.protocol))]))
-    return "\n".join(lines) + "\n"
+def render_reports(doc: dict) -> dict[str, str]:
+    """The four delimited tables of a metrics document, by file name.
+
+    Reads the document only, so a run and ``driftfed report`` on its stored
+    JSON render the same bytes.
+    """
+    task = doc["task"]
+    test_periods = [f"t{p}" for p in doc["test_periods"]]
+    train_periods = [f"t{p}" for p in tl.training_periods(task)]
+    far = doc["far_definition"]
+
+    accuracy = [f"# protocol accuracy per test period; {far}",
+                ",".join(["strategy", *test_periods, "avg"])]
+    latency = ["# wall-clock seconds; training per period, then totals",
+               ",".join(["strategy", *(f"train_{p}" for p in train_periods),
+                         "train_total", "inference_total"])]
+    cells = [f"# full evaluation matrix; {far}",
+             "strategy,checkpoint_period,test_period,n_samples,"
+             "accuracy,precision_macro,recall_macro,f1_macro,far"]
+    composition = ["strategy,period,class,rows"]
+    for label in doc["strategy_order"]:
+        entry = doc["strategies"][label]
+        protocol = [entry["protocol"][p] for p in test_periods]
+        accs = [c["accuracy"] for c in protocol]
+        accuracy.append(",".join([label, *map(_fmt, accs), _fmt(float(np.mean(accs)))]))
+
+        seconds = entry["train_latency_seconds"]  # static trains in one period only
+        latency.append(",".join([
+            label, *(_fmt(seconds[p]) if p in seconds else "" for p in train_periods),
+            _fmt(sum(seconds[p] for p in train_periods if p in seconds)),
+            _fmt(sum(c["inference_seconds"] for c in protocol))]))
+
+        for c in entry["cells"]:
+            cells.append(",".join([
+                label, str(c["checkpoint_period"]), str(c["test_period"]),
+                str(c["n_samples"]), *(_fmt(c[k]) for k in (
+                    "accuracy", "precision_macro", "recall_macro", "f1_macro", "far"))]))
+
+        pools = entry["composition"]
+        for period in sorted(pools, key=lambda p: int(p[1:])):
+            for cls in sorted(pools[period]):
+                composition.append(f"{label},{period},{cls},{pools[period][cls]}")
+
+    tables = {"accuracy": accuracy, "latency": latency, "cells": cells,
+              "composition": composition}
+    return {f"{name}_{task}.csv": "\n".join(lines) + "\n" for name, lines in tables.items()}
 
 
-def render_latency_table(cfg_task: str, outcomes: dict[str, StrategyOutcome]) -> str:
-    periods = list(tl.training_periods(cfg_task))
-    lines = ["# wall-clock seconds; training per period, then totals"]
-    lines.append(",".join(["strategy", *(f"train_t{p}" for p in periods),
-                           "train_total", "inference_total"]))
-    for label, outcome in outcomes.items():
-        cells = []
-        for p in periods:
-            cells.append(_fmt(outcome.train_latency[p]) if p in outcome.train_latency else "")
-        total = sum(outcome.train_latency.values())
-        infer = sum(r.inference_seconds for r in outcome.protocol.values())
-        lines.append(",".join([label, *cells, _fmt(total), _fmt(infer)]))
-    return "\n".join(lines) + "\n"
-
-
-def render_cells_table(outcomes: dict[str, StrategyOutcome]) -> str:
-    lines = [f"# full evaluation matrix; {FAR_DEFINITION}"]
-    lines.append("strategy,checkpoint_period,test_period,n_samples,"
-                 "accuracy,precision_macro,recall_macro,f1_macro,far")
-    for label, outcome in outcomes.items():
-        for r in outcome.reports:
-            lines.append(",".join([
-                label, str(r.checkpoint_period), str(r.test_period), str(r.n_samples),
-                _fmt(r.accuracy), _fmt(r.precision_macro), _fmt(r.recall_macro),
-                _fmt(r.f1_macro), _fmt(r.far),
-            ]))
-    return "\n".join(lines) + "\n"
-
-
-def render_composition_table(outcomes: dict[str, StrategyOutcome]) -> str:
-    lines = ["strategy,period,class,rows"]
-    for label, outcome in outcomes.items():
-        for period in sorted(outcome.composition):
-            for cls in sorted(outcome.composition[period]):
-                lines.append(f"{label},t{period},{cls},{outcome.composition[period][cls]}")
-    return "\n".join(lines) + "\n"
-
-
-def metrics_document(cfg: RunConfig, outcomes: dict[str, StrategyOutcome]) -> dict:
-    doc = {
-        "task": cfg.task,
-        "far_definition": FAR_DEFINITION,
-        "test_periods": list(tl.test_periods(cfg.task)),
-        "strategy_order": list(outcomes),
-        "strategies": {},
-    }
-    for label, outcome in outcomes.items():
-        doc["strategies"][label] = {
-            "cells": [asdict(r) for r in outcome.reports],
-            "protocol": {f"t{p}": asdict(r) for p, r in outcome.protocol.items()},
-            "train_latency_seconds": {f"t{p}": s for p, s in outcome.train_latency.items()},
-            "train_samples": {f"t{p}": n for p, n in outcome.train_samples.items()},
-            "composition": {f"t{p}": counts for p, counts in outcome.composition.items()},
-            "checkpoints": outcome.checkpoint_paths,
-        }
-    return doc
-
-
-def write_reports(out_dir: Path, cfg: RunConfig,
-                  outcomes: dict[str, StrategyOutcome]) -> list[str]:
-    task = cfg.task
-    written = []
-    files = {
-        f"accuracy_{task}.csv": render_accuracy_table(task, outcomes),
-        f"latency_{task}.csv": render_latency_table(task, outcomes),
-        f"cells_{task}.csv": render_cells_table(outcomes),
-        f"composition_{task}.csv": render_composition_table(outcomes),
-        f"metrics_{task}.json": json.dumps(metrics_document(cfg, outcomes),
-                                           indent=2, sort_keys=True) + "\n",
-    }
+def _write_files(out_dir: Path, files: dict[str, str]) -> list[str]:
     for name, content in files.items():
         write_atomic(out_dir / name, [content.encode("utf-8")])
-        written.append(name)
-    return written
+    return list(files)
+
+
+def write_reports(out_dir: Path, doc: dict) -> list[str]:
+    """Write the metrics document and the tables rendered from it."""
+    return _write_files(out_dir, {
+        **render_reports(doc),
+        f"metrics_{doc['task']}.json": json.dumps(doc, indent=2, sort_keys=True) + "\n",
+    })
 
 
 def rerender_reports(run_dir) -> list[str]:
-    """Rebuild the delimited tables from a stored metrics JSON document."""
-    run_dir = Path(run_dir)
+    """Re-render the delimited tables from each stored metrics document.
+
+    A document that cannot be read or rendered raises :class:`ReportError`
+    naming its file.
+    """
     written = []
-    for doc_path in sorted(run_dir.glob("metrics_*.json")):
-        doc = json.loads(doc_path.read_text())
-        task = doc["task"]
-        outcomes = {}
-        order = doc.get("strategy_order", sorted(doc["strategies"]))
-        for label in order:
-            entry = doc["strategies"][label]
-            reports = [MetricsReport(**cell) for cell in entry["cells"]]
-            protocol = {int(k[1:]): MetricsReport(**v)
-                        for k, v in entry["protocol"].items()}
-            outcomes[label] = StrategyOutcome(
-                strategy=None, reports=reports, protocol=protocol,
-                train_latency={int(k[1:]): v
-                               for k, v in entry["train_latency_seconds"].items()},
-                train_samples={int(k[1:]): v for k, v in entry["train_samples"].items()},
-                composition={int(k[1:]): v for k, v in entry["composition"].items()},
-                checkpoint_paths=entry["checkpoints"],
-            )
-        cfg = RunConfig(task=task, output_dir=str(run_dir))
-        for name in write_reports(run_dir, cfg, outcomes):
-            if not name.startswith("metrics_"):
-                written.append(name)
+    for doc_path in sorted(Path(run_dir).glob("metrics_*.json")):
+        try:
+            files = render_reports(json.loads(doc_path.read_text(encoding="utf-8")))
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+                DriftFedError) as exc:
+            raise ReportError(f"{doc_path}: bad metrics document: {exc!r}") from exc
+        written.extend(_write_files(doc_path.parent, files))
     return written
 
 
@@ -523,21 +491,20 @@ def _config_dict(cfg: RunConfig) -> dict:
     }
 
 
-def _write_manifest(out_dir: Path, cfg: RunConfig,
-                    outcomes: dict[str, StrategyOutcome],
+def _write_manifest(out_dir: Path, cfg: RunConfig, doc: dict,
                     failures: dict[str, str], artifacts: list[str]) -> None:
     manifest = {
         "config": _config_dict(cfg),
         "master_seed": cfg.seed,
         "strategy_seeds": {s.label: rng_seed_for_period(cfg.seed, s, -1)
                            for s in cfg.strategies},
-        "statuses": {**{label: "ok" for label in outcomes},
+        "statuses": {**{label: "ok" for label in doc["strategy_order"]},
                      **{label: f"failed: {msg}" for label, msg in failures.items()}},
         "partial": bool(failures),
         "artifacts": sorted(artifacts),
         "timing": {
-            label: {"train_total_seconds": sum(o.train_latency.values())}
-            for label, o in outcomes.items()
+            label: {"train_total_seconds": sum(entry["train_latency_seconds"].values())}
+            for label, entry in doc["strategies"].items()
         },
     }
     write_atomic(out_dir / "manifest.json",

@@ -67,12 +67,12 @@ def desk_runs(tmp_path_factory):
 
 
 def _protocol_accuracy(result, label):
-    return {p: r.accuracy for p, r in result.outcomes[label].protocol.items()}
+    protocol = result.metrics["strategies"][label]["protocol"]
+    return {int(p[1:]): cell["accuracy"] for p, cell in protocol.items()}
 
 
 def _avg_accuracy(result, label):
-    cells = result.outcomes[label].protocol.values()
-    return float(np.mean([r.accuracy for r in cells]))
+    return float(np.mean(list(_protocol_accuracy(result, label).values())))
 
 
 def test_criterion_01_fedavg_oracle_equivalence():
@@ -295,9 +295,9 @@ def test_criterion_10_latency_accounting(desk_runs):
             cells = line.split(",")
             values = [float(v) for v in cells[1:] if v != ""]
             assert all(v > 0 for v in values)
-        for outcome in run.outcomes.values():
-            assert all(s > 0 for s in outcome.train_latency.values())
-            assert sum(r.inference_seconds for r in outcome.protocol.values()) > 0
+        for entry in run.metrics["strategies"].values():
+            assert all(s > 0 for s in entry["train_latency_seconds"].values())
+            assert sum(c["inference_seconds"] for c in entry["protocol"].values()) > 0
 
         arch = ModelArch(input_dim=45, hidden_layers=1, hidden_units=16,
                          output_dim=2)

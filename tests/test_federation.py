@@ -267,7 +267,7 @@ def test_run_timeline_averaging_initializes_from_history(rng, monkeypatch):
     assert np.array_equal(starts[3].vec, expected.vec)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # building the huge inputs overflows
 def test_run_timeline_flags_divergence_by_period_and_round(rng):
     cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1), seed=3)
     inputs = _period_inputs(rng, [1, 2])
@@ -276,6 +276,15 @@ def test_run_timeline_flags_divergence_by_period_and_round(rng):
     inputs[1] = PeriodInput(2, huge, inputs[1].client_val)
     with pytest.raises(DivergenceError, match="period 2 round 0"):
         run_timeline(StrategyConfig("cumulative"), inputs, cfg, ARCH)
+
+
+def test_run_timeline_flags_overflow_while_parameters_are_still_finite(rng):
+    # one step this large leaves finite parameters near 1e308, and predicting the
+    # validation rows with them overflows before any parameter turns non-finite
+    cfg = FedConfig(num_clients=2, rounds=2,
+                    train=TrainConfig(learning_rate=1e308, local_epochs=1), seed=3)
+    with pytest.raises(DivergenceError, match="period 1 round 0: .*overflow"):
+        run_timeline(StrategyConfig("simple"), _period_inputs(rng, [1]), cfg, ARCH)
 
 
 def test_run_timeline_full_determinism(rng):

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfed import atomic, cli, federation, runner
-from driftfed.errors import ConfigError
-from driftfed.nn import OPTIMIZERS, ModelArch
+from driftfed.errors import ConfigError, DivergenceError, ReportError
+from driftfed.nn import OPTIMIZERS, ModelArch, TrainConfig
 from driftfed.pipeline import ColumnSpec
 from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, _config_dict,
-                             config_from_dict, desk_scale, load_config, rerender_reports,
-                             run_experiment, validate_config)
+                             config_from_dict, desk_scale, load_config, render_reports,
+                             rerender_reports, run_experiment, validate_config)
 from driftfed.synth import generate
 from driftfed.timeline import STRATEGY_KINDS, TASKS, StrategyConfig
 
@@ -328,7 +328,6 @@ def test_partial_failure_flagged_in_manifest(tmp_path, monkeypatch):
     assert manifest["statuses"]["static"] == "ok"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_strategy_is_failed_by_name_not_scored(tmp_path, monkeypatch):
     real = runner.run_timeline
 
@@ -341,13 +340,29 @@ def test_diverged_strategy_is_failed_by_name_not_scored(tmp_path, monkeypatch):
     cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"), StrategyConfig("simple")))
     result = run_experiment(cfg, records=_tiny_records())
     assert list(result.failures) == ["simple"]
-    assert "period 1 round 0" in result.failures["simple"]
+    assert result.failures["simple"].startswith("DivergenceError: period 1 round 0")
     manifest = json.loads((result.output_dir / "manifest.json").read_text())
-    assert manifest["statuses"]["simple"].startswith("failed:")
+    assert manifest["statuses"]["simple"].startswith("failed: DivergenceError: ")
     assert manifest["statuses"]["static"] == "ok"
     rows = (result.output_dir / "accuracy_binary.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[2:]] == ["static"]
     assert not (result.output_dir / "checkpoints" / "simple").exists()
+
+
+def test_overflow_with_finite_parameters_is_divergence_not_a_score(tmp_path):
+    # one step per client at this step size leaves finite parameters near 1e308
+    # and no validation rows; predicting with them overflows, which marks the
+    # model diverged instead of scoring it
+    train = TrainConfig(learning_rate=1e308, local_epochs=1)
+    cfg = desk_scale(RunConfig(strategies=(StrategyConfig("static"),),
+                               data=DataSource(synthetic_seed=3, rows_per_subattack=40),
+                               output_dir=str(tmp_path / "run"), seed=3))
+    cfg = replace(cfg, fed=replace(cfg.fed, rounds=1, train=train))
+    result = run_experiment(cfg)
+    assert list(result.failures) == ["static"]
+    assert result.failures["static"].startswith("DivergenceError: checkpoint t1: ")
+    assert "overflow" in result.failures["static"]
+    assert result.metrics["strategies"] == {}
 
 
 def _memory_owner(array):
@@ -398,18 +413,68 @@ def test_report_and_manifest_writes_failing_partway_keep_the_previous_files(tmp_
     with pytest.raises(OSError, match="No space left"):
         rerender_reports(result.output_dir)
     with pytest.raises(OSError, match="No space left"):
-        runner._write_manifest(result.output_dir, cfg, result.outcomes, {}, result.artifacts)
+        runner._write_manifest(result.output_dir, cfg, result.metrics, {}, result.artifacts)
     assert files() == before
 
 
-def test_report_rerender_matches_original(tiny_run):
+def test_report_rerender_matches_original(tmp_path, monkeypatch):
+    real = runner.run_strategy
+
+    def failing(cfg, prep, strategy):
+        if strategy.label == "simple":
+            raise DivergenceError("induced failure")
+        return real(cfg, prep, strategy)
+
+    monkeypatch.setattr(runner, "run_strategy", failing)
+    cfg = _tiny_cfg(tmp_path)  # static trains in one period, so its latency row is sparse
+    result = run_experiment(cfg, records=_tiny_records())
+    assert list(result.failures) == ["simple"]
+    names = [f"{table}_binary.csv" for table in ("accuracy", "latency", "cells", "composition")]
+    original = {name: (result.output_dir / name).read_bytes() for name in names}
+    for name in names:
+        (result.output_dir / name).unlink()
+    assert rerender_reports(result.output_dir) == names
+    assert {name: (result.output_dir / name).read_bytes() for name in names} == original
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_render_reports_survives_a_json_round_trip(tmp_path, task):
+    cfg = _tiny_cfg(tmp_path, task=task,
+                    strategies=(StrategyConfig("static"), StrategyConfig("retain", retain_r=20)))
+    result = run_experiment(cfg, records=_tiny_records())
+    stored = json.loads((result.output_dir / f"metrics_{task}.json").read_text())
+    assert stored == result.metrics
+    assert render_reports(stored) == render_reports(result.metrics)
+    for name, text in render_reports(result.metrics).items():
+        assert (result.output_dir / name).read_bytes() == text.encode("utf-8")
+
+
+def _without(doc, *path):
+    """``doc`` as JSON bytes without the key at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    inner = doc
+    for name in parents:
+        inner = inner[name]
+    del inner[key]
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: b"{not json",
+    lambda doc: json.dumps(doc).encode("utf-8").replace(b'"static"', b'"st\xffatic"'),
+    lambda doc: b"[1, 2]",
+    lambda doc: _without(doc, "strategies"),
+    lambda doc: _without(doc, "strategies", "simple", "cells"),
+], ids=["garbage", "not-utf8", "list", "no-strategies", "no-cells"])
+def test_report_rejects_corrupt_metrics_documents_by_name(tiny_run, tmp_path, capsys, damage):
     _, result = tiny_run
-    original = (result.output_dir / "accuracy_binary.csv").read_bytes()
-    latency = (result.output_dir / "latency_binary.csv").read_bytes()
-    written = rerender_reports(result.output_dir)
-    assert "accuracy_binary.csv" in written
-    assert (result.output_dir / "accuracy_binary.csv").read_bytes() == original
-    assert (result.output_dir / "latency_binary.csv").read_bytes() == latency
+    (tmp_path / "metrics_binary.json").write_bytes(damage(result.metrics))
+    with pytest.raises(ReportError, match="metrics_binary.json"):
+        rerender_reports(tmp_path)
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == 2
+    assert "ReportError" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics_binary.json"]
 
 
 # --- CLI ---------------------------------------------------------------------
