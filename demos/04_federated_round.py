@@ -30,11 +30,11 @@ for _ in range(5):
     X = rng.normal(size=(60, 4))
     shards.append(LabeledData(X, (X[:, 0] + X[:, 1] > 0).astype(int)))
 cfg = FedConfig(num_clients=5, rounds=3,
-                train=TrainConfig(local_epochs=5, learning_rate=0.01), seed=9)
+                train=TrainConfig(local_epochs=5, learning_rate=0.01))
 model = init_params(arch, seed=2)
 full = LabeledData.concat(shards)
 for rnd in range(cfg.rounds):
-    model, seconds = run_round(model, shards, cfg, round_index=rnd)
+    model, seconds = run_round(model, shards, cfg, seed=9, round_index=rnd)
     acc = np.mean(predict(model, full.X) == full.y)
     print(f"round {rnd}: global accuracy {acc:.3f} (training {seconds * 1000:.0f} ms)")
 

@@ -17,11 +17,11 @@ records = generate(default_drift_scenario(seed=3, rows_per_subattack=300))
 train, test = stratified_split(records, 0.8, seed=3)
 
 families = ["MQTT", "DoS", "DDoS", "Recon", "Spoofing"]
-cfg = FedConfig(num_clients=5, rounds=3,
-                train=TrainConfig(local_epochs=5), seed=3)
+cfg = FedConfig(num_clients=5, rounds=3, train=TrainConfig(local_epochs=5))
 arch = ModelArch(input_dim=45, hidden_layers=1, hidden_units=16, output_dim=2)
 
-matrix = attack_generalization_matrix(families, train, test, cfg, arch, FAMILY_MEMBERS)
+matrix = attack_generalization_matrix(families, train, test, cfg, arch, FAMILY_MEMBERS,
+                                      seed=3)
 
 header = " ".join(f"{name:>9}" for name in matrix.families) + "      mean"
 corner = "train \\ test"

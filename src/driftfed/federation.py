@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .dataset import LabeledData
 from .errors import (AggregationError, CheckpointError, ConfigError, DivergenceError,
                      DriftFedError, FederationError)
 from .nn import ModelArch, ModelParams, TrainConfig, init_params, param_count, predict, train_local
-from .seeds import rng_for
+from .seeds import derive_seed
 from .timeline import StrategyConfig
 
 AVERAGING_MODES = ("equal", "sample", "ema")
@@ -32,7 +32,6 @@ class FedConfig:
     num_clients: int = 5
     rounds: int = 15
     train: TrainConfig = field(default_factory=TrainConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_clients < 1:
@@ -73,22 +72,19 @@ def fedavg_aggregate(client_params: list[ModelParams],
 
 
 def run_round(global_params: ModelParams, client_train: list[LabeledData],
-              cfg: FedConfig, round_index: int = 0):
+              cfg: FedConfig, seed: int, round_index: int = 0):
     """One communication round: broadcast, local training, FedAvg.
 
     All clients train in one lockstep :func:`train_local` call. Returns
     ``(new_global, training_seconds)``, the wall time of that call.
-    Deterministic: client k's shuffles derive from (cfg.seed, round_index, k).
+    Deterministic: client k's shuffles derive from (seed, round_index, k).
     """
     for k, shard in enumerate(client_train):
         if len(shard) == 0:
             raise FederationError(f"client {k} has an empty training shard")
-    local_cfgs = [
-        replace(cfg.train, seed=int(rng_for(cfg.seed, "round", round_index, "client", k)
-                                    .integers(0, 2**63 - 1)))
-        for k in range(len(client_train))
-    ]
-    params, sizes, seconds = train_local(global_params, client_train, local_cfgs)
+    seeds = [derive_seed(seed, "round", round_index, "client", k)
+             for k in range(len(client_train))]
+    params, sizes, seconds = train_local(global_params, client_train, cfg.train, seeds)
     return fedavg_aggregate(params, sizes), seconds
 
 
@@ -164,10 +160,11 @@ class PeriodInput:
 
 
 def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
-                 cfg: FedConfig, arch: ModelArch) -> TimelineResult:
+                 cfg: FedConfig, arch: ModelArch, seed: int) -> TimelineResult:
     """Train across periods with checkpoint chaining.
 
-    The first period starts from fresh initialization; later periods start
+    The first period starts from a fresh initialization derived from
+    ``seed``, which also derives every round's client seeds; later periods start
     from the previous checkpoint, except the averaging variants, which start
     from a parameter average over all previous checkpoints. Validation
     accuracy is recorded after every round but never gates training. A round
@@ -180,8 +177,7 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
 
     for item in sorted(period_inputs, key=lambda p: p.period_id):
         if not checkpoints:
-            params = init_params(arch, seed=int(
-                rng_for(cfg.seed, "model-init").integers(0, 2**63 - 1)))
+            params = init_params(arch, seed=derive_seed(seed, "model-init"))
         elif mode is not None:
             params = init_from_history(mode, checkpoints, ema_alpha=strategy.ema_alpha)
         else:
@@ -193,7 +189,7 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
             try:
                 with np.errstate(over="raise", invalid="raise"):
                     tick = time.perf_counter()
-                    params, _ = run_round(params, item.client_train, cfg,
+                    params, _ = run_round(params, item.client_train, cfg, seed,
                                           round_index=item.period_id * 1000 + rnd)
                     wall += time.perf_counter() - tick
                     if not np.isfinite(params.vec).all():

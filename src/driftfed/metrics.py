@@ -20,7 +20,7 @@ from .federation import Checkpoint, FedConfig, run_round
 from .nn import ModelArch, ModelParams, init_params, predict
 from .pipeline import (NO_ROWS, FlowTable, LabelCodec, concat_rows, encode_labels,
                        records_by_class)
-from .seeds import rng_for
+from .seeds import derive_seed
 from .timeline import partition_iid
 
 FAR_DEFINITION = "FAR = benign samples predicted as attack / total benign samples"
@@ -179,13 +179,14 @@ class GeneralizationMatrix:
 
 def attack_generalization_matrix(families: list[str], train: FlowTable, test: FlowTable,
                                  cfg: FedConfig, arch: ModelArch,
-                                 family_members: dict[str, tuple[str, ...]]
-                                 ) -> GeneralizationMatrix:
+                                 family_members: dict[str, tuple[str, ...]],
+                                 seed: int) -> GeneralizationMatrix:
     """Train Benign-vs-family binary models and score them across families.
 
     Cell (i, j) is the accuracy of the model trained on (Benign, family i)
-    over the test rows of (Benign, family j). Families without data are
-    skipped with a warning.
+    over the test rows of (Benign, family j). Each family's partition, model
+    and training derive from ``seed``. Families without data are skipped
+    with a warning.
     """
     codec = LabelCodec.binary()
     train_by_class = records_by_class(train)
@@ -214,17 +215,15 @@ def attack_generalization_matrix(families: list[str], train: FlowTable, test: Fl
     values = np.zeros((len(usable), len(usable) + 1))
     for i, fam_train in enumerate(usable):
         pool = {"Benign": benign_train, fam_train: family_rows(train_by_class, fam_train)}
-        seed = int(rng_for(cfg.seed, "generalization", fam_train).integers(0, 2**63 - 1))
-        clients = partition_iid(pool, cfg.num_clients, seed)
+        fam_seed = derive_seed(seed, "generalization", fam_train)
+        clients = partition_iid(pool, cfg.num_clients, fam_seed)
         shards = [encode_labels(codec, train,
                                 concat_rows([c.train, c.client_test, c.validation]))
                   for c in clients]
         shards = [s for s in shards if len(s) > 0]
-        params = init_params(arch, seed=seed)
-        fam_cfg = FedConfig(num_clients=len(shards), rounds=cfg.rounds,
-                            train=cfg.train, seed=seed)
+        params = init_params(arch, seed=fam_seed)
         for rnd in range(cfg.rounds):
-            params, _ = run_round(params, shards, fam_cfg, round_index=rnd)
+            params, _ = run_round(params, shards, cfg, fam_seed, round_index=rnd)
         for j, fam_test in enumerate(usable):
             data = encode_labels(codec, test,
                                  concat_rows([benign_test, family_rows(test_by_class, fam_test)]))

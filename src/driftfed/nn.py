@@ -41,10 +41,10 @@ not be exact: OpenBLAS picks its kernel by the row count, so ``x @ wx`` on a
 batch padded with zero rows can differ in the last bit. The per-client
 formulation in ``tests/reference_lstm.py`` pins this byte for byte.
 
-Determinism contract: every function here is a pure function of its inputs
-plus the seeds carried in the configs. Shuffling uses per-epoch generators
-derived from ``TrainConfig.seed``, so identical inputs give bit-identical
-outputs across runs.
+Determinism contract: every function here is a pure function of its inputs,
+seeds included. Shuffling uses per-epoch generators derived from each
+client's seed argument, so identical inputs give bit-identical outputs
+across runs.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import itertools
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -134,7 +134,6 @@ class TrainConfig:
     batch_size: int = 16
     local_epochs: int = 100
     optimizer: str = "adam"
-    seed: int = 0
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -553,26 +552,24 @@ def _train_cohort(start: ModelParams, shards: list[LabeledData], seeds: list[int
 
 
 def train_local(params: ModelParams, data: LabeledData | Sequence[LabeledData],
-                cfg: TrainConfig | Sequence[TrainConfig]):
+                cfg: TrainConfig, seed: int | Sequence[int]):
     """Mini-batch training of one client's shard, or of several clients in lockstep.
 
-    ``data`` is one shard, or a list of client shards that all start from
-    ``params``; ``cfg`` is then one TrainConfig per shard, differing at most
-    in ``seed``. Each client runs ``local_epochs`` epochs with a fresh
-    optimizer state; shuffling is a per-epoch permutation from a generator
-    derived from its seed. The result for a client does not depend on which
-    other clients train beside it. Returns ``(updated_params, sample_count,
-    wall_clock_seconds)``; for a list of shards the first two are lists in
-    shard order and the seconds cover all of them.
+    ``data`` is one shard and ``seed`` one seed, or a list of client shards
+    that all start from ``params`` and a parallel list of seeds. Each client
+    runs ``cfg.local_epochs`` epochs with a fresh optimizer state; shuffling
+    is a per-epoch permutation from a generator derived from its seed. The
+    result for a client does not depend on which other clients train beside
+    it. Returns ``(updated_params, sample_count, wall_clock_seconds)``; for a
+    list of shards the first two are lists in shard order and the seconds
+    cover all of them.
     """
     single = isinstance(data, LabeledData)
     shards = [data] if single else list(data)
-    cfgs = [cfg] if single else list(cfg)
-    if not shards or len(cfgs) != len(shards):
-        raise ConfigError("need one training config per shard, and at least one shard")
-    common = replace(cfgs[0], seed=0)
-    if any(replace(c, seed=0) != common for c in cfgs):
-        raise ConfigError("lockstep clients must share every training setting but the seed")
+    seeds = list(seed) if isinstance(seed, Sequence) else [seed]
+    if not shards or len(seeds) != len(shards):
+        raise ConfigError(f"need one seed per shard and at least one shard, got "
+                          f"{len(seeds)} seed(s) for {len(shards)} shard(s)")
     arch = params.arch
     prepared = []
     for shard in shards:
@@ -594,11 +591,11 @@ def train_local(params: ModelParams, data: LabeledData | Sequence[LabeledData],
     order = sorted(range(len(sizes)), key=sizes.__getitem__)  # stable: ties keep shard order
     trained = np.empty((len(order), param_count(arch)))
     per_cohort = max(1, COHORT_PARAMS // param_count(arch))
-    optimizer = _Optimizer(common, arch, min(per_cohort, len(order)))
+    optimizer = _Optimizer(cfg, arch, min(per_cohort, len(order)))
     for lo in range(0, len(order), per_cohort):
         cohort = order[lo:lo + per_cohort]
-        _train_cohort(params, [prepared[k] for k in cohort], [cfgs[k].seed for k in cohort],
-                      common, trained[lo:lo + len(cohort)], optimizer)
+        _train_cohort(params, [prepared[k] for k in cohort], [seeds[k] for k in cohort],
+                      cfg, trained[lo:lo + len(cohort)], optimizer)
     results = [None] * len(order)
     for row, k in enumerate(order):
         results[k] = ModelParams(arch, trained[row])

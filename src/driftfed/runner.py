@@ -22,8 +22,9 @@ timing lives only in the latency table, the JSON document and the manifest.
 from __future__ import annotations
 
 import json
+import numbers
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +38,7 @@ from .nn import ModelArch, TrainConfig
 from .pipeline import (ColumnSpec, LabelCodec, apply_scaler, clean, encode_labels,
                        fit_scaler, load_records, records_by_class, stratified_split)
 from .synth import NUM_FEATURES, default_column_spec, default_drift_scenario, generate
-from .timeline import (DEFAULT_NUM_CLIENTS, DEFAULT_TEST_CAP, DEFAULT_TRAIN_CAP,
-                       StrategyConfig, StrategyComposer, build_schedule, build_test_sets,
+from .timeline import (StrategyConfig, StrategyComposer, build_schedule, build_test_sets,
                        partition_iid, rng_seed_for_period, segment_and_cap)
 
 OUTPUT_DIR_ENV = "DRIFTFED_OUTPUT"
@@ -80,8 +80,8 @@ class RunConfig:
     data: DataSource = field(default_factory=DataSource)
     arch: ModelArch = field(default_factory=ModelArch)
     fed: FedConfig = field(default_factory=FedConfig)
-    train_cap: int = DEFAULT_TRAIN_CAP
-    test_cap: int = DEFAULT_TEST_CAP
+    train_cap: int = 10_000
+    test_cap: int = 2_000
     train_fraction: float = 0.8
     output_dir: str = "runs"
     seed: int = 0
@@ -99,61 +99,80 @@ def desk_scale(cfg: RunConfig) -> RunConfig:
     return replace(cfg, arch=arch, fed=replace(cfg.fed, rounds=3, train=train))
 
 
-def config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from parsed JSON, applying defaults field by field."""
-    task = raw.get("task", "binary")
-    if task not in tl.TASKS:
-        raise ConfigError(f"task must be one of {tl.TASKS}")
+# Top-level keys that are RunConfig fields, and JSON key -> field maps where
+# the schema names fields differently
+_TOP_LEVEL = ("task", "train_fraction", "output_dir", "seed")
+_CAPS = {"train": "train_cap", "test": "test_cap"}
+_DATA_FILE = {"path": "path", "column_spec": "column_spec_path", "delimiter": "delimiter"}
+_SYNTHETIC = {"seed": "synthetic_seed", "rows_per_subattack": "rows_per_subattack"}
 
-    strategies = []
-    for entry in raw.get("strategies", []):
-        strategies.append(StrategyConfig(
-            kind=entry["kind"],
-            retain_r=entry.get("retain_r"),
-            ema_alpha=entry.get("ema_alpha"),
-        ))
-    if not strategies:
-        strategies = list(ALL_STRATEGIES)
+
+def _fields(raw, name: str, schema) -> dict:
+    """``raw`` as ``{field: value}``, or ConfigError naming section ``name``.
+
+    ``schema`` maps each JSON key to its field, or lists keys named as fields.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name}: must be a JSON object, got {type(raw).__name__}")
+    schema = schema if isinstance(schema, dict) else dict(zip(schema, schema))
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ConfigError(f"{name}: unknown key(s) {unknown}")
+    return {schema[k]: v for k, v in raw.items()}
+
+
+def _build(cls, raw, name: str, schema=None):
+    """``cls`` from the keys present in ``raw``; absent fields keep its defaults."""
+    kwargs = _fields(raw, name, schema or [f.name for f in fields(cls)])
+    try:
+        return cls(**kwargs)
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def config_from_dict(raw: dict) -> RunConfig:
+    """Build a RunConfig from parsed JSON.
+
+    A key that is absent takes its dataclass default; a key the schema does
+    not have raises :class:`ConfigError` naming its path.
+    """
+    _fields(raw, "config", [*_TOP_LEVEL, "strategies", "data", "arch", "federation",
+                            "caps", "desk_scale"])
+    if "task" in raw and raw["task"] not in tl.TASKS:
+        raise ConfigError(f"task: must be one of {tl.TASKS}")
+    settings = {k: raw[k] for k in _TOP_LEVEL if k in raw}
+    settings.update(_fields(raw.get("caps", {}), "caps", _CAPS))
+    if "output_dir" not in settings and OUTPUT_DIR_ENV in os.environ:
+        settings["output_dir"] = os.environ[OUTPUT_DIR_ENV]
+
+    strategies = raw.get("strategies", [])
+    if not isinstance(strategies, list):
+        raise ConfigError(f"strategies: must be a JSON list, got {type(strategies).__name__}")
+    if strategies:  # an empty list runs every strategy, as an absent one does
+        settings["strategies"] = tuple(_build(StrategyConfig, entry, f"strategies[{i}]")
+                                       for i, entry in enumerate(strategies))
 
     data_raw = raw.get("data", {})
-    if "path" in data_raw:
-        data = DataSource(path=data_raw["path"],
-                          column_spec_path=data_raw.get("column_spec"),
-                          delimiter=data_raw.get("delimiter", ","))
+    if isinstance(data_raw, dict) and "path" in data_raw:
+        data = _build(DataSource, data_raw, "data", _DATA_FILE)
     else:
-        synth = data_raw.get("synthetic", {})
-        data = DataSource(synthetic_seed=synth.get("seed"),
-                          rows_per_subattack=synth.get("rows_per_subattack", 1200))
+        synthetic = _fields(data_raw, "data", ["synthetic"]).get("synthetic", {})
+        data = _build(DataSource, synthetic, "data.synthetic", _SYNTHETIC)
 
-    arch_raw = raw.get("arch", {})
-    arch = ModelArch(
-        input_dim=arch_raw.get("input_dim", 45),
-        hidden_layers=arch_raw.get("hidden_layers", 5),
-        hidden_units=arch_raw.get("hidden_units", 128),
-        seq_len=arch_raw.get("seq_len", 1),
-    )
+    # output_dim is accepted but not read: RunConfig derives it from the task
+    arch_raw = _fields(raw.get("arch", {}), "arch", [f.name for f in fields(ModelArch)])
+    arch = _build(ModelArch, {k: v for k, v in arch_raw.items() if k != "output_dim"}, "arch")
 
-    fed_raw = raw.get("federation", {})
-    train_raw = fed_raw.get("train", {})
-    train = TrainConfig(
-        learning_rate=train_raw.get("learning_rate", 0.001),
-        batch_size=train_raw.get("batch_size", 16),
-        local_epochs=train_raw.get("local_epochs", 100),
-        optimizer=train_raw.get("optimizer", "adam"),
-    )
-    fed = FedConfig(num_clients=fed_raw.get("num_clients", DEFAULT_NUM_CLIENTS),
-                    rounds=fed_raw.get("rounds", 15), train=train)
+    fed_raw = _fields(raw.get("federation", {}), "federation",
+                      [f.name for f in fields(FedConfig)])
+    if "train" in fed_raw:
+        fed_raw["train"] = _build(TrainConfig, fed_raw["train"], "federation.train")
+    fed = _build(FedConfig, fed_raw, "federation")
 
-    caps = raw.get("caps", {})
-    cfg = RunConfig(
-        task=task, strategies=tuple(strategies), data=data, arch=arch, fed=fed,
-        train_cap=caps.get("train", DEFAULT_TRAIN_CAP),
-        test_cap=caps.get("test", DEFAULT_TEST_CAP),
-        train_fraction=raw.get("train_fraction", 0.8),
-        output_dir=raw.get("output_dir",
-                           os.environ.get(OUTPUT_DIR_ENV, "runs")),
-        seed=raw.get("seed", 0),
-    )
+    cfg = RunConfig(**settings, data=data, arch=arch, fed=fed)
+    wrong = _wrong_types(cfg)
+    if wrong:
+        raise ConfigError("; ".join(wrong.values()))
     if raw.get("desk_scale"):
         cfg = desk_scale(cfg)
     return cfg
@@ -170,7 +189,24 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must contain a JSON object")
-    return config_from_dict(raw)
+    try:
+        return config_from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _wrong_types(cfg: RunConfig) -> dict[str, str]:
+    """Diagnostics for top-level settings of the wrong type, by key path.
+
+    ``config_from_dict`` raises them; ``validate_config`` reports them for a
+    config built in code. The integer check is ``ModelArch``'s.
+    """
+    ints = {"caps.train": cfg.train_cap, "caps.test": cfg.test_cap, "seed": cfg.seed}
+    wrong = {name: f"{name}: must be an integer, got {value!r}"
+             for name, value in ints.items() if not isinstance(value, (int, np.integer))}
+    if not isinstance(cfg.train_fraction, numbers.Real):
+        wrong["train_fraction"] = f"train_fraction: must be a number, got {cfg.train_fraction!r}"
+    return wrong
 
 
 def validate_config(cfg: RunConfig, records=None) -> list[str]:
@@ -189,20 +225,15 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
             strat.check()
         except ConfigError as exc:
             problems.append(f"strategies[{strat.label}]: {exc}")
-    if cfg.train_cap < 1:
-        problems.append("caps.train: must be at least 1")
-    if cfg.test_cap < 1:
-        problems.append("caps.test: must be at least 1")
-    if not 0 < cfg.train_fraction < 1:
+    wrong = _wrong_types(cfg)
+    problems.extend(wrong.values())
+    for name, cap in (("caps.train", cfg.train_cap), ("caps.test", cfg.test_cap)):
+        if name not in wrong and cap < 1:
+            problems.append(f"{name}: must be at least 1")
+    if "train_fraction" not in wrong and not 0 < cfg.train_fraction < 1:
         problems.append("train_fraction: must be strictly between 0 and 1")
     if not cfg.data.is_synthetic() and not Path(cfg.data.path).exists():
         problems.append(f"data.path: file not found: {cfg.data.path}")
-    if cfg.fed.seed != FedConfig.seed:
-        problems.append("federation.seed: has no effect in a run; client seeds derive "
-                        "from `seed`")
-    if cfg.fed.train.seed != TrainConfig.seed:
-        problems.append("federation.train.seed: has no effect in a run; client seeds "
-                        "derive from `seed`")
     try:
         features = _feature_count(cfg, records)
     except ConfigError as exc:
@@ -311,8 +342,7 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig):
             client_val=[encode_labels(codec, train, c.validation) for c in clients],
         ))
 
-    fed = replace(cfg.fed, seed=strategy_seed)
-    result = run_timeline(strategy, period_inputs, fed, cfg.arch)
+    result = run_timeline(strategy, period_inputs, cfg.fed, cfg.arch, strategy_seed)
     reports = cross_period_eval(result.checkpoints, prep["encoded_tests"],
                                 codec.num_classes, codec.benign_index)
     protocol = protocol_cells(reports, list(tl.test_periods(cfg.task)))
@@ -443,11 +473,14 @@ def write_reports(out_dir: Path, doc: dict) -> list[str]:
 def rerender_reports(run_dir) -> list[str]:
     """Re-render the delimited tables from each stored metrics document.
 
-    A document that cannot be read or rendered raises :class:`ReportError`
-    naming its file.
+    A directory without a metrics document, or a document that cannot be
+    read or rendered, raises :class:`ReportError` naming it.
     """
+    doc_paths = sorted(Path(run_dir).glob("metrics_*.json"))
+    if not doc_paths:
+        raise ReportError(f"{run_dir}: no metrics_<task>.json document to render")
     written = []
-    for doc_path in sorted(Path(run_dir).glob("metrics_*.json")):
+    for doc_path in doc_paths:
         try:
             files = render_reports(json.loads(doc_path.read_text(encoding="utf-8")))
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
@@ -466,9 +499,8 @@ def _config_dict(cfg: RunConfig) -> dict:
     else:
         data_raw = {"path": data.path, "column_spec": data.column_spec_path,
                     "delimiter": data.delimiter}
-    # output_dim follows the task and each client's seed follows the strategy
+    # output_dim follows the task
     arch = {k: v for k, v in asdict(cfg.arch).items() if k != "output_dim"}
-    train = {k: v for k, v in asdict(cfg.fed.train).items() if k != "seed"}
     return {
         "task": cfg.task,
         "strategies": [
@@ -482,7 +514,7 @@ def _config_dict(cfg: RunConfig) -> dict:
         "federation": {
             "num_clients": cfg.fed.num_clients,
             "rounds": cfg.fed.rounds,
-            "train": train,
+            "train": asdict(cfg.fed.train),
         },
         "caps": {"train": cfg.train_cap, "test": cfg.test_cap},
         "train_fraction": cfg.train_fraction,

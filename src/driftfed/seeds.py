@@ -2,6 +2,8 @@
 
 Every random decision in the package draws from a generator derived from a
 master seed plus a path of labels, e.g. ``rng_for(seed, "round", 3, "client", 1)``.
+A function that hands a seed on derives it with ``derive_seed``; seeds travel
+as arguments, never as config fields.
 Derivation goes through ``numpy.random.SeedSequence`` so child streams are
 independent and the same (seed, path) pair always yields the same stream,
 regardless of call order or thread scheduling.
@@ -33,3 +35,8 @@ def seed_sequence(master: int, *path) -> np.random.SeedSequence:
 def rng_for(master: int, *path) -> np.random.Generator:
     """Generator for the stream named by ``path`` under ``master``."""
     return np.random.default_rng(seed_sequence(master, *path))
+
+
+def derive_seed(master: int, *path) -> int:
+    """A non-negative 63-bit integer seed for the stream named by ``path``."""
+    return int(rng_for(master, *path).integers(0, 2**63 - 1))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ScheduleError
 from .pipeline import NO_ROWS, ROSTER, concat_rows
-from .seeds import rng_for
+from .seeds import derive_seed, rng_for
 
 TASKS = ("binary", "sixclass")
 
@@ -42,10 +42,6 @@ REPRESENTATIVES = {
 }
 
 FAMILY_INTRODUCED_AT = {1: "MQTT", 2: "DoS", 3: "DDoS", 4: "Recon", 5: "Spoofing"}
-
-DEFAULT_TRAIN_CAP = 10_000
-DEFAULT_TEST_CAP = 2_000
-DEFAULT_NUM_CLIENTS = 5
 
 # Fractions of each client's allocation (the 80% training side of the data):
 # 75/12.5/12.5 here corresponds to 60/10/10 of the original dataset.
@@ -342,8 +338,7 @@ class StrategyComposer:
 
 
 def rng_seed_for_period(seed: int, strategy: StrategyConfig, period_id: int) -> int:
-    stream = rng_for(seed, "partition", strategy.label, period_id)
-    return int(stream.integers(0, 2**63 - 1))
+    return derive_seed(seed, "partition", strategy.label, period_id)
 
 
 def build_test_sets(schedule: list[PeriodSchedule],

@@ -98,14 +98,14 @@ def backward(arch, tensors, cache, labels):
     return grads
 
 
-def train(arch, flat, X, y, cfg):
+def train(arch, flat, X, y, cfg, seed):
     """Local training as ``driftfed.nn.train_local``; returns the flat vector."""
     tensors = split(arch, flat)
     m = [np.zeros_like(t) for t in tensors]
     v = [np.zeros_like(t) for t in tensors]
     step = 0
     for epoch in range(cfg.local_epochs):
-        order = rng_for(cfg.seed, "shuffle", epoch).permutation(len(y))
+        order = rng_for(seed, "shuffle", epoch).permutation(len(y))
         for lo in range(0, len(y), cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             _, cache = forward(arch, tensors, X[idx])

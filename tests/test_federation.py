@@ -95,29 +95,28 @@ def _shards(rng, n_clients=3, rows=24):
 def test_run_round_empty_shard_names_client(rng):
     shards = _shards(rng)
     shards[1] = LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int))
-    cfg = FedConfig(num_clients=3, rounds=1, train=TrainConfig(local_epochs=1), seed=0)
+    cfg = FedConfig(num_clients=3, rounds=1, train=TrainConfig(local_epochs=1))
     with pytest.raises(FederationError, match="client 1"):
-        run_round(init_params(ARCH, seed=0), shards, cfg)
+        run_round(init_params(ARCH, seed=0), shards, cfg, seed=0)
 
 
 def test_run_round_deterministic(rng):
     shards = _shards(rng)
-    cfg = FedConfig(num_clients=3, rounds=1, train=TrainConfig(local_epochs=2), seed=5)
+    cfg = FedConfig(num_clients=3, rounds=1, train=TrainConfig(local_epochs=2))
     start = init_params(ARCH, seed=1)
-    out1, secs1 = run_round(start, shards, cfg, round_index=4)
-    out2, _ = run_round(start, shards, cfg, round_index=4)
+    out1, secs1 = run_round(start, shards, cfg, 5, round_index=4)
+    out2, _ = run_round(start, shards, cfg, 5, round_index=4)
     assert np.array_equal(out1.vec, out2.vec)
     assert isinstance(secs1, float) and secs1 > 0  # the round's training seconds
 
 
 def test_run_round_single_client_equals_local_training(rng):
     shards = _shards(rng, n_clients=1)
-    cfg = FedConfig(num_clients=1, rounds=1, train=TrainConfig(local_epochs=2), seed=9)
+    cfg = FedConfig(num_clients=1, rounds=1, train=TrainConfig(local_epochs=2))
     start = init_params(ARCH, seed=2)
-    merged, _ = run_round(start, shards, cfg, round_index=0)
-    seed = int(rng_for(cfg.seed, "round", 0, "client", 0).integers(0, 2**63 - 1))
-    local, _, _ = train_local(start, shards[0],
-                              TrainConfig(local_epochs=2, seed=seed))
+    merged, _ = run_round(start, shards, cfg, 9, round_index=0)
+    seed = int(rng_for(9, "round", 0, "client", 0).integers(0, 2**63 - 1))
+    local, _, _ = train_local(start, shards[0], TrainConfig(local_epochs=2), seed)
     assert np.array_equal(merged.vec, local.vec)
 
 
@@ -227,18 +226,18 @@ def _run_recording_starts(monkeypatch, strategy, inputs, cfg):
     starts = {}
     real_round = federation.run_round
 
-    def recording_round(params, shards, cfg, round_index=0):
+    def recording_round(params, shards, cfg, seed, round_index=0):
         period, rnd = divmod(round_index, 1000)
         if rnd == 0:
             starts[period] = params
-        return real_round(params, shards, cfg, round_index=round_index)
+        return real_round(params, shards, cfg, seed, round_index=round_index)
 
     monkeypatch.setattr(federation, "run_round", recording_round)
-    return run_timeline(strategy, inputs, cfg, ARCH), starts
+    return run_timeline(strategy, inputs, cfg, ARCH, seed=3), starts
 
 
 def test_run_timeline_chains_checkpoints_bit_exact(rng, monkeypatch):
-    cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1), seed=3)
+    cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1))
     result, starts = _run_recording_starts(monkeypatch, StrategyConfig("cumulative"),
                                            _period_inputs(rng, [1, 2, 3]), cfg)
     assert [c.period_id for c in result.checkpoints] == [1, 2, 3]
@@ -250,13 +249,13 @@ def test_run_timeline_chains_checkpoints_bit_exact(rng, monkeypatch):
 
 
 def test_run_timeline_static_single_checkpoint(rng):
-    cfg = FedConfig(num_clients=2, rounds=1, train=TrainConfig(local_epochs=1), seed=3)
-    result = run_timeline(StrategyConfig("static"), _period_inputs(rng, [1]), cfg, ARCH)
+    cfg = FedConfig(num_clients=2, rounds=1, train=TrainConfig(local_epochs=1))
+    result = run_timeline(StrategyConfig("static"), _period_inputs(rng, [1]), cfg, ARCH, 3)
     assert len(result.checkpoints) == 1
 
 
 def test_run_timeline_averaging_initializes_from_history(rng, monkeypatch):
-    cfg = FedConfig(num_clients=2, rounds=1, train=TrainConfig(local_epochs=1), seed=3)
+    cfg = FedConfig(num_clients=2, rounds=1, train=TrainConfig(local_epochs=1))
     result, starts = _run_recording_starts(monkeypatch, StrategyConfig("avg_ema", ema_alpha=0.6),
                                            _period_inputs(rng, [1, 2, 3]), cfg)
     expected = init_from_history("ema", result.checkpoints[:2], ema_alpha=0.6)
@@ -269,30 +268,30 @@ def test_run_timeline_averaging_initializes_from_history(rng, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # building the huge inputs overflows
 def test_run_timeline_flags_divergence_by_period_and_round(rng):
-    cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1), seed=3)
+    cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1))
     inputs = _period_inputs(rng, [1, 2])
     # features near the float64 limit overflow the first layer's pre-activations
     huge = [LabeledData(s.X * 1e308, s.y) for s in inputs[1].client_train]
     inputs[1] = PeriodInput(2, huge, inputs[1].client_val)
     with pytest.raises(DivergenceError, match="period 2 round 0"):
-        run_timeline(StrategyConfig("cumulative"), inputs, cfg, ARCH)
+        run_timeline(StrategyConfig("cumulative"), inputs, cfg, ARCH, 3)
 
 
 def test_run_timeline_flags_overflow_while_parameters_are_still_finite(rng):
     # one step this large leaves finite parameters near 1e308, and predicting the
     # validation rows with them overflows before any parameter turns non-finite
     cfg = FedConfig(num_clients=2, rounds=2,
-                    train=TrainConfig(learning_rate=1e308, local_epochs=1), seed=3)
+                    train=TrainConfig(learning_rate=1e308, local_epochs=1))
     with pytest.raises(DivergenceError, match="period 1 round 0: .*overflow"):
-        run_timeline(StrategyConfig("simple"), _period_inputs(rng, [1]), cfg, ARCH)
+        run_timeline(StrategyConfig("simple"), _period_inputs(rng, [1]), cfg, ARCH, 3)
 
 
 def test_run_timeline_full_determinism(rng):
-    cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1), seed=8)
+    cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1))
     gen_a = np.random.default_rng(42)
     gen_b = np.random.default_rng(42)
-    res_a = run_timeline(StrategyConfig("simple"), _period_inputs(gen_a, [1, 2]), cfg, ARCH)
-    res_b = run_timeline(StrategyConfig("simple"), _period_inputs(gen_b, [1, 2]), cfg, ARCH)
+    res_a = run_timeline(StrategyConfig("simple"), _period_inputs(gen_a, [1, 2]), cfg, ARCH, 8)
+    res_b = run_timeline(StrategyConfig("simple"), _period_inputs(gen_b, [1, 2]), cfg, ARCH, 8)
     for ca, cb in zip(res_a.checkpoints, res_b.checkpoints):
         assert np.array_equal(ca.params.vec, cb.params.vec)
 

@@ -206,10 +206,10 @@ def test_attack_generalization_matrix_diagonal_dominates():
     members = {"MQTT": ("MQTT-Malformed_Data",), "DoS": ("TCP_IP-DoS-SYN",),
                "Recon": ("Recon-Ping_Sweep",)}
     cfg = FedConfig(num_clients=2, rounds=2,
-                    train=TrainConfig(local_epochs=6, learning_rate=0.01), seed=1)
+                    train=TrainConfig(local_epochs=6, learning_rate=0.01))
     arch = ModelArch(input_dim=10, hidden_layers=1, hidden_units=8, output_dim=2)
     matrix = attack_generalization_matrix(["MQTT", "DoS", "Recon"], train, test,
-                                          cfg, arch, members)
+                                          cfg, arch, members, seed=1)
     f = len(matrix.families)
     assert matrix.values.shape == (f, f + 1)
     for i in range(f):
@@ -222,9 +222,9 @@ def test_attack_generalization_matrix_skips_missing_family(rng):
     train, test = stratified_split(generate(_family_scenario()), 0.8, seed=0)
     members = {"MQTT": ("MQTT-Malformed_Data",), "DoS": ("TCP_IP-DoS-SYN",),
                "DDoS": ("TCP_IP-DDoS-SYN",)}
-    cfg = FedConfig(num_clients=2, rounds=1, train=TrainConfig(local_epochs=2), seed=1)
+    cfg = FedConfig(num_clients=2, rounds=1, train=TrainConfig(local_epochs=2))
     arch = ModelArch(input_dim=10, hidden_layers=1, hidden_units=4, output_dim=2)
     with pytest.warns(UserWarning, match="DDoS"):
         matrix = attack_generalization_matrix(["MQTT", "DoS", "DDoS"], train, test,
-                                              cfg, arch, members)
+                                              cfg, arch, members, seed=1)
     assert matrix.families == ["MQTT", "DoS"]

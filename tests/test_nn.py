@@ -230,19 +230,19 @@ def test_train_local_rejects_empty_and_bad_labels():
     params = init_params(arch, seed=0)
     with pytest.raises(DataError):
         train_local(params, LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int)),
-                    TrainConfig(local_epochs=1))
+                    TrainConfig(local_epochs=1), seed=0)
     with pytest.raises(LabelError):
         train_local(params, LabeledData(np.zeros((2, 2)), np.array([0, 3])),
-                    TrainConfig(local_epochs=1))
+                    TrainConfig(local_epochs=1), seed=0)
 
 
 def test_train_local_deterministic_bitwise(rng):
     arch = ModelArch(input_dim=3, hidden_layers=1, hidden_units=4, output_dim=2)
     params = init_params(arch, seed=2)
     data = LabeledData(rng.normal(size=(40, 3)), rng.integers(0, 2, 40))
-    cfg = TrainConfig(local_epochs=3, seed=77)
-    out1, n1, _ = train_local(params, data, cfg)
-    out2, n2, _ = train_local(params, data, cfg)
+    cfg = TrainConfig(local_epochs=3)
+    out1, n1, _ = train_local(params, data, cfg, seed=77)
+    out2, n2, _ = train_local(params, data, cfg, seed=77)
     assert n1 == n2 == 40
     assert np.array_equal(out1.vec, out2.vec)
 
@@ -255,7 +255,7 @@ def test_train_local_learns_separable_blobs():
                        np.array([0] * 60 + [1] * 60))
     arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=8, output_dim=2)
     params = init_params(arch, seed=1)
-    out, _, secs = train_local(params, data, TrainConfig(local_epochs=20, seed=5))
+    out, _, secs = train_local(params, data, TrainConfig(local_epochs=20), seed=5)
     acc = np.mean(predict(out, data.X) == data.y)
     assert acc >= 0.95
     assert secs > 0
@@ -268,14 +268,13 @@ def test_full_batch_descent_loss_non_increasing(rng):
     X = rng.uniform(0, 1, size=(32, 4))
     y = rng.integers(0, 2, 32)
     data = LabeledData(X, y)
-    cfg = TrainConfig(learning_rate=1e-3, batch_size=32, local_epochs=1,
-                      optimizer="sgd", seed=0)
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=32, local_epochs=1, optimizer="sgd")
     losses = []
     current = params
     for _ in range(20):
         logits, _ = forward(current, X)
         losses.append(cross_entropy(logits, y))
-        current, _, _ = train_local(current, data, cfg)
+        current, _, _ = train_local(current, data, cfg, seed=0)
     logits, _ = forward(current, X)
     losses.append(cross_entropy(logits, y))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -309,9 +308,10 @@ def test_engine_matches_per_tensor_reference_bitwise(seed):
 
     for optimizer in ("adam", "sgd"):
         cfg = TrainConfig(learning_rate=0.05, batch_size=int(gen.integers(1, 20)),
-                          local_epochs=2, optimizer=optimizer, seed=seed)
-        out, _, _ = train_local(params, LabeledData(X, y), cfg)
-        assert out.vec.tobytes() == reference_lstm.train(arch, params.vec, X, y, cfg).tobytes()
+                          local_epochs=2, optimizer=optimizer)
+        out, _, _ = train_local(params, LabeledData(X, y), cfg, seed)
+        assert (out.vec.tobytes()
+                == reference_lstm.train(arch, params.vec, X, y, cfg, seed).tobytes())
 
 
 def test_seq_len_one_gradient_is_zero_on_wh_and_forget_gate(rng):
@@ -330,14 +330,13 @@ def test_seq_len_one_gradient_is_zero_on_wh_and_forget_gate(rng):
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 def test_recurrent_weights_inert_only_at_seq_len_one(rng, optimizer):
-    cfg = TrainConfig(learning_rate=0.01, batch_size=8, local_epochs=2,
-                      optimizer=optimizer, seed=4)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=8, local_epochs=2, optimizer=optimizer)
     for seq_len, changes in ((1, False), (3, True)):
         arch = ModelArch(input_dim=3, hidden_layers=2, hidden_units=4, output_dim=2,
                          seq_len=seq_len)
         params = init_params(arch, seed=6)
         data = LabeledData(rng.normal(size=(40, arch.feature_width)), rng.integers(0, 2, 40))
-        out, _, _ = train_local(params, data, cfg)
+        out, _, _ = train_local(params, data, cfg, seed=4)
         for before, after in zip(params.wh, out.wh):
             assert np.array_equal(before, after) != changes
         assert not np.array_equal(params.wx[0], out.wx[0])
@@ -367,11 +366,11 @@ def _lockstep_case(gen, arch, sizes):
     return params, shards
 
 
-def _assert_lockstep_matches_reference(params, shards, cfgs):
-    outs, counts, seconds = train_local(params, shards, cfgs)
+def _assert_lockstep_matches_reference(params, shards, cfg, seeds):
+    outs, counts, seconds = train_local(params, shards, cfg, seeds)
     assert counts == [len(s) for s in shards] and seconds > 0
-    for out, shard, cfg in zip(outs, shards, cfgs):
-        expected = reference_lstm.train(params.arch, params.vec, shard.X, shard.y, cfg)
+    for out, shard, seed in zip(outs, shards, seeds):
+        expected = reference_lstm.train(params.arch, params.vec, shard.X, shard.y, cfg, seed)
         assert out.vec.tobytes() == expected.tobytes()
 
 
@@ -390,21 +389,21 @@ def test_lockstep_clients_match_per_client_reference_bitwise(sizes, optimizer):
                          seq_len=seq_len)
         params, shards = _lockstep_case(gen, arch, sizes)
         for epochs in (1, 3):
-            cfgs = [TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=epochs,
-                                optimizer=optimizer, seed=100 * seq_len + k)
-                    for k in range(len(sizes))]
-            _assert_lockstep_matches_reference(params, shards, cfgs)
+            cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=epochs,
+                              optimizer=optimizer)
+            seeds = [100 * seq_len + k for k in range(len(sizes))]
+            _assert_lockstep_matches_reference(params, shards, cfg, seeds)
 
 
 def test_lockstep_single_client_matches_reference_bitwise():
     gen = np.random.default_rng(7)
     arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=6, output_dim=2, seq_len=2)
     params, shards = _lockstep_case(gen, arch, (27,))
-    cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3, seed=11)
-    _assert_lockstep_matches_reference(params, shards, [cfg])
-    out, n, _ = train_local(params, shards[0], cfg)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3)
+    _assert_lockstep_matches_reference(params, shards, cfg, [11])
+    out, n, _ = train_local(params, shards[0], cfg, 11)
     assert n == 27
-    assert out.vec.tobytes() == train_local(params, shards, [cfg])[0][0].vec.tobytes()
+    assert out.vec.tobytes() == train_local(params, shards, cfg, [11])[0][0].vec.tobytes()
 
 
 def test_lockstep_splits_clients_into_cohorts():
@@ -413,9 +412,8 @@ def test_lockstep_splits_clients_into_cohorts():
     arch = ModelArch(input_dim=4, hidden_layers=2, hidden_units=45, output_dim=2)
     assert COHORT_PARAMS // param_count(arch) == 2
     params, shards = _lockstep_case(gen, arch, (11, 9, 17, 9, 12))
-    cfgs = [TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2, seed=k)
-            for k in range(5)]
-    _assert_lockstep_matches_reference(params, shards, cfgs)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2)
+    _assert_lockstep_matches_reference(params, shards, cfg, list(range(5)))
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -428,24 +426,23 @@ def test_one_client_cohorts_share_a_workspace_exactly(seq_len, optimizer):
                      seq_len=seq_len)
     assert param_count(arch) > COHORT_PARAMS
     params, shards = _lockstep_case(gen, arch, (13, 6, 21, 6))
-    cfgs = [TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2,
-                        optimizer=optimizer, seed=k) for k in range(4)]
-    outs, counts, _ = train_local(params, shards, cfgs)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2, optimizer=optimizer)
+    outs, counts, _ = train_local(params, shards, cfg, list(range(4)))
     assert counts == [13, 6, 21, 6]
-    for out, shard, cfg in zip(outs, shards, cfgs):
-        alone, _, _ = train_local(params, shard, cfg)
+    for seed, (out, shard) in enumerate(zip(outs, shards)):
+        alone, _, _ = train_local(params, shard, cfg, seed)
         assert out.vec.tobytes() == alone.vec.tobytes()
 
 
 def test_lockstep_rejects_mismatched_configs(rng):
+    # one seed per shard: a count that differs from the shard count is refused
     arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
     params = init_params(arch, seed=0)
+    cfg = TrainConfig(local_epochs=1)
     shards = [LabeledData(rng.normal(size=(6, 2)), rng.integers(0, 2, 6)) for _ in range(2)]
-    with pytest.raises(ConfigError):
-        train_local(params, shards, [TrainConfig(local_epochs=1)])
-    with pytest.raises(ConfigError):
-        train_local(params, shards, [TrainConfig(local_epochs=1, seed=1),
-                                     TrainConfig(local_epochs=2, seed=2)])
+    for data, seeds in ((shards, [0]), (shards, 7), (shards, [7, 8, 9]), (shards[0], [7, 8]),
+                        ([], [])):
+        with pytest.raises(ConfigError, match=f"got {np.size(seeds)} seed"):
+            train_local(params, data, cfg, seeds)
     with pytest.raises(ShapeError):
-        train_local(params, LabeledData(np.zeros((3, 5)), np.zeros(3, dtype=int)),
-                    TrainConfig(local_epochs=1))
+        train_local(params, LabeledData(np.zeros((3, 5)), np.zeros(3, dtype=int)), cfg, seed=0)

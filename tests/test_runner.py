@@ -1,6 +1,7 @@
 import json
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ def test_validate_config_flags_bad_values(tmp_path):
 
     bad_caps = replace(RunConfig(output_dir=str(tmp_path)), train_cap=0)
     assert any("caps.train" in p for p in validate_config(bad_caps))
+    # settings of the wrong type are named, as config_from_dict names them
+    wrong = replace(RunConfig(output_dir=str(tmp_path)), train_cap="10", test_cap=2.5,
+                    seed="abc", train_fraction="0.8")
+    assert validate_config(wrong) == [
+        "caps.train: must be an integer, got '10'",
+        "caps.test: must be an integer, got 2.5",
+        "seed: must be an integer, got 'abc'",
+        "train_fraction: must be a number, got '0.8'",
+    ]
 
     missing = replace(RunConfig(output_dir=str(tmp_path)),
                       data=DataSource(path="/does/not/exist.csv"))
@@ -331,10 +341,10 @@ def test_partial_failure_flagged_in_manifest(tmp_path, monkeypatch):
 def test_diverged_strategy_is_failed_by_name_not_scored(tmp_path, monkeypatch):
     real = runner.run_timeline
 
-    def overflowing(strategy, inputs, fed, arch):
+    def overflowing(strategy, inputs, fed, arch, seed):
         if strategy.label == "simple":  # a step near the float64 limit overflows the weights
             fed = replace(fed, train=replace(fed.train, learning_rate=1e308))
-        return real(strategy, inputs, fed, arch)
+        return real(strategy, inputs, fed, arch, seed)
 
     monkeypatch.setattr(runner, "run_timeline", overflowing)
     cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"), StrategyConfig("simple")))
@@ -477,6 +487,17 @@ def test_report_rejects_corrupt_metrics_documents_by_name(tiny_run, tmp_path, ca
     assert [p.name for p in tmp_path.iterdir()] == ["metrics_binary.json"]
 
 
+@pytest.mark.parametrize("make", [False, True], ids=["missing", "empty"])
+def test_report_without_a_metrics_document_fails_by_name(tmp_path, capsys, make):
+    run_dir = tmp_path / "no-run"
+    if make:
+        run_dir.mkdir()
+    with pytest.raises(ReportError, match="no-run"):
+        rerender_reports(run_dir)
+    assert cli.main(["report", "--run-dir", str(run_dir)]) == 2
+    assert "ReportError" in capsys.readouterr().err
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def test_cli_gen_data_validate_run_report(tmp_path, capsys):
@@ -528,35 +549,14 @@ def test_cli_unknown_strategy_filter_fails(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_validate_config_reports_an_inert_fed_seed(tmp_path, monkeypatch):
-    cfg = _tiny_cfg(tmp_path)
-    inert = replace(cfg, fed=replace(cfg.fed, seed=11))
-    assert validate_config(inert, _tiny_records()) == [
-        "federation.seed: has no effect in a run; client seeds derive from `seed`"]
-    monkeypatch.setattr(runner, "run_timeline", lambda *a, **k: pytest.fail("trained"))
-    with pytest.raises(ConfigError, match="federation.seed"):
-        run_experiment(inert, _tiny_records())
-
-
-def test_validate_config_reports_an_inert_train_seed(tmp_path, monkeypatch):
-    # run_round gives every client its own seed, whatever fed.train.seed says
-    cfg = _tiny_cfg(tmp_path)
-    inert = replace(cfg, fed=replace(cfg.fed, train=replace(cfg.fed.train, seed=5)))
-    assert validate_config(inert, _tiny_records()) == [
-        "federation.train.seed: has no effect in a run; client seeds derive from `seed`"]
-    monkeypatch.setattr(runner, "run_timeline", lambda *a, **k: pytest.fail("trained"))
-    with pytest.raises(ConfigError, match="federation.train.seed"):
-        run_experiment(inert, _tiny_records())
-
-
 def test_fed_seed_never_reached_the_run(tmp_path, monkeypatch):
-    # every strategy's timeline runs with its own strategy seed, whatever fed.seed says
+    # every strategy's timeline runs with its own strategy seed, passed as an argument
     seen = []
     real = runner.run_timeline
 
-    def recording(strategy, inputs, fed, arch):
-        seen.append((strategy.label, fed.seed))
-        return real(strategy, inputs, fed, arch)
+    def recording(strategy, inputs, fed, arch, seed):
+        seen.append((strategy.label, seed))
+        return real(strategy, inputs, fed, arch, seed)
 
     monkeypatch.setattr(runner, "run_timeline", recording)
     cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"),))
@@ -564,17 +564,60 @@ def test_fed_seed_never_reached_the_run(tmp_path, monkeypatch):
     assert seen == [("static", runner.rng_seed_for_period(cfg.seed, StrategyConfig("static"), -1))]
 
 
+def _json(raw):
+    return json.dumps(raw).encode("utf-8")
+
+
+_FILE_DATA = {"path": "flows.csv", "column_spec": "flows.columns.json", "delimiter": ";"}
+
+
 @pytest.mark.parametrize("data,match", [
     (b'{"seed": 1, "output_dir": "\xff"}', "not UTF-8"),
     (b"{not json", "not valid JSON"),
     (b"[1, 2]", "JSON object"),
+    # malformed values
+    (_json({"caps": {"train": "10"}}), "caps.train: must be an integer, got '10'"),
+    (_json({"caps": {"test": 2.5}}), "caps.test: must be an integer, got 2.5"),
+    (_json({"train_fraction": "0.8"}), "train_fraction: must be a number, got '0.8'"),
+    (_json({"seed": "abc"}), "seed: must be an integer, got 'abc'"),
+    (_json({"strategies": [{"retain_r": 5}]}),
+     "strategies[0]: StrategyConfig.__init__() missing 1 required positional argument: 'kind'"),
+    (_json({"strategies": "cumulative"}), "strategies: must be a JSON list"),
+    (_json({"strategies": ["cumulative"]}), "strategies[0]: must be a JSON object"),
+    (_json({"arch": [1, 2]}), "arch: must be a JSON object"),
+    (_json({"data": "flows.csv"}), "data: must be a JSON object"),
+    (_json({"federation": {"train": {"learning_rate": "0.1"}}}), "federation.train: "),
+    (_json({"federation": {"rounds": "3"}}), "federation: "),
+    # an unknown key at each level
+    (_json({"taks": "sixclass"}), "config: unknown key(s) ['taks']"),
+    (_json({"arch": {"hidden_unit": 16}}), "arch: unknown key(s) ['hidden_unit']"),
+    (_json({"federation": {"seed": 11}}), "federation: unknown key(s) ['seed']"),
+    (_json({"federation": {"train": {"seed": 5}}}),
+     "federation.train: unknown key(s) ['seed']"),
+    (_json({"strategies": [{"kind": "static"}, {"kind": "retain", "retain": 5}]}),
+     "strategies[1]: unknown key(s) ['retain']"),
+    (_json({"data": {"synthetic": {"seed": 1}, "rows": 5}}), "data: unknown key(s) ['rows']"),
+    (_json({"data": {"synthetic": {"rows": 5}}}), "data.synthetic: unknown key(s) ['rows']"),
+    (_json({"data": {**_FILE_DATA, "synthetic": {}}}), "data: unknown key(s) ['synthetic']"),
+    (_json({"caps": {"train": 10, "val": 3}}), "caps: unknown key(s) ['val']"),
 ])
-def test_load_config_rejects_corrupt_files_by_name(tmp_path, data, match):
+def test_load_config_rejects_corrupt_files_by_name(tmp_path, capsys, data, match):
     path = tmp_path / "cfg.json"
     path.write_bytes(data)
-    with pytest.raises(ConfigError, match=match) as info:
+    with pytest.raises(ConfigError) as info:
         load_config(path)
-    assert "cfg.json" in str(info.value)
+    assert match in str(info.value) and "cfg.json" in str(info.value)
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
+def test_readme_run_config_loads_and_validates_clean():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Run config", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = config_from_dict(json.loads(example))
+    assert validate_config(cfg) == []
+    assert config_from_dict(json.loads(json.dumps(_config_dict(cfg)))) == cfg
 
 
 @pytest.mark.parametrize("data", [
