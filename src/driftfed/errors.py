@@ -1,4 +1,7 @@
-"""Exception taxonomy. Every module raises subclasses of DriftFedError."""
+"""Exception taxonomy (every package error is a DriftFedError) and check_field."""
+
+import math
+import numbers
 
 
 class DriftFedError(Exception):
@@ -59,3 +62,27 @@ class EvaluationError(DriftFedError):
 
 class ReportError(DriftFedError):
     """A stored metrics document cannot be read or rendered; names the file."""
+
+
+_KINDS = {"integer": numbers.Integral, "number": numbers.Real, "string": str}
+
+
+def check_field(name: str, value, kind: str, low=-math.inf, high=math.inf,
+                optional: bool = False) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless ``value`` is a ``kind`` in range.
+
+    ``kind`` is "integer", "number" or "string", and a bool is none of them.
+    An integer must lie in [low, high]; a number in (low, high), so never
+    NaN or infinite. An ``optional`` field may also be None. The config
+    dataclasses name each field by its JSON key under the section they are
+    loaded from.
+    """
+    if optional and value is None:
+        return
+    if not isinstance(value, _KINDS[kind]) or isinstance(value, bool):
+        article = "an" if kind == "integer" else "a"
+        raise ConfigError(f"{name}: must be {article} {kind}, got {value!r}")
+    if kind == "integer" and not low <= value <= high:
+        raise ConfigError(f"{name}: must be an integer in [{low}, {high}], got {value!r}")
+    if kind == "number" and not low < value < high:
+        raise ConfigError(f"{name}: must be a number in ({low}, {high}), got {value!r}")

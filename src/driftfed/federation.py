@@ -17,7 +17,7 @@ import numpy as np
 from .atomic import write_atomic
 from .dataset import LabeledData
 from .errors import (AggregationError, CheckpointError, ConfigError, DivergenceError,
-                     DriftFedError, FederationError)
+                     DriftFedError, FederationError, check_field)
 from .nn import ModelArch, ModelParams, TrainConfig, init_params, param_count, predict, train_local
 from .seeds import derive_seed
 from .timeline import StrategyConfig
@@ -34,10 +34,8 @@ class FedConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.num_clients < 1:
-            raise ConfigError("num_clients must be at least 1")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be at least 1")
+        check_field("num_clients", self.num_clients, "integer", 1)
+        check_field("rounds", self.rounds, "integer", 1)
 
 
 @dataclass(frozen=True)

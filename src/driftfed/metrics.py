@@ -16,12 +16,12 @@ import numpy as np
 
 from .dataset import LabeledData
 from .errors import DivergenceError, EvaluationError, MetricError
-from .federation import Checkpoint, FedConfig, run_round
-from .nn import ModelArch, ModelParams, init_params, predict
+from .federation import Checkpoint, FedConfig, PeriodInput, run_timeline
+from .nn import ModelArch, ModelParams, predict
 from .pipeline import (NO_ROWS, FlowTable, LabelCodec, concat_rows, encode_labels,
                        records_by_class)
 from .seeds import derive_seed
-from .timeline import partition_iid
+from .timeline import StrategyConfig, partition_iid
 
 FAR_DEFINITION = "FAR = benign samples predicted as attack / total benign samples"
 
@@ -184,9 +184,11 @@ def attack_generalization_matrix(families: list[str], train: FlowTable, test: Fl
     """Train Benign-vs-family binary models and score them across families.
 
     Cell (i, j) is the accuracy of the model trained on (Benign, family i)
-    over the test rows of (Benign, family j). Each family's partition, model
-    and training derive from ``seed``. Families without data are skipped
-    with a warning.
+    over the test rows of (Benign, family j). Each family's model is one
+    period of :func:`run_timeline` scored by :func:`cross_period_eval`, so a
+    diverged model raises :class:`DivergenceError`. Each family's partition,
+    model and training derive from ``seed``. Families without data are
+    skipped with a warning.
     """
     codec = LabelCodec.binary()
     train_by_class = records_by_class(train)
@@ -212,6 +214,9 @@ def attack_generalization_matrix(families: list[str], train: FlowTable, test: Fl
         return concat_rows(by_class.get(m, NO_ROWS) for m in family_members[family])
 
     arch = replace(arch, output_dim=codec.num_classes)
+    test_sets = {j: encode_labels(codec, test, concat_rows(
+                     [benign_test, family_rows(test_by_class, fam_test)]))
+                 for j, fam_test in enumerate(usable)}
     values = np.zeros((len(usable), len(usable) + 1))
     for i, fam_train in enumerate(usable):
         pool = {"Benign": benign_train, fam_train: family_rows(train_by_class, fam_train)}
@@ -220,14 +225,10 @@ def attack_generalization_matrix(families: list[str], train: FlowTable, test: Fl
         shards = [encode_labels(codec, train,
                                 concat_rows([c.train, c.client_test, c.validation]))
                   for c in clients]
-        shards = [s for s in shards if len(s) > 0]
-        params = init_params(arch, seed=fam_seed)
-        for rnd in range(cfg.rounds):
-            params, _ = run_round(params, shards, cfg, fam_seed, round_index=rnd)
-        for j, fam_test in enumerate(usable):
-            data = encode_labels(codec, test,
-                                 concat_rows([benign_test, family_rows(test_by_class, fam_test)]))
-            preds = predict(params, data.X)
-            values[i, j] = float(np.mean(preds == data.y))
+        period = PeriodInput(0, [s for s in shards if len(s) > 0], client_val=[])
+        result = run_timeline(StrategyConfig("static"), [period], cfg, arch, fam_seed)
+        reports = cross_period_eval(result.checkpoints, test_sets, codec.num_classes,
+                                    codec.benign_index)
+        values[i, :len(usable)] = [r.accuracy for r in reports]
         values[i, -1] = values[i, :len(usable)].mean()
     return GeneralizationMatrix(usable, values)

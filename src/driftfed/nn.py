@@ -59,7 +59,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import LabeledData
-from .errors import ConfigError, DataError, LabelError, ShapeError
+from .errors import ConfigError, DataError, LabelError, ShapeError, check_field
 from .seeds import rng_for
 
 OPTIMIZERS = ("adam", "sgd")
@@ -84,12 +84,9 @@ class ModelArch:
     seq_len: int = 1
 
     def __post_init__(self):
-        for name in ("input_dim", "hidden_layers", "hidden_units", "output_dim", "seq_len"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"arch.{name} must be a positive integer, got {value!r}")
-        if self.output_dim < 2:
-            raise ConfigError("arch.output_dim must be at least 2")
+        for name in ("input_dim", "hidden_layers", "hidden_units", "seq_len"):
+            check_field(name, getattr(self, name), "integer", 1)
+        check_field("output_dim", self.output_dim, "integer", 2)
 
     @property
     def layer_input_dims(self) -> tuple[int, ...]:
@@ -136,14 +133,11 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.local_epochs < 1:
-            raise ConfigError("local_epochs must be at least 1")
+        check_field("learning_rate", self.learning_rate, "number", 0)
+        check_field("batch_size", self.batch_size, "integer", 1)
+        check_field("local_epochs", self.local_epochs, "integer", 1)
         if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
+            raise ConfigError(f"optimizer: must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 
 
 def tensor_shapes(arch: ModelArch) -> list[tuple[int, ...]]:

@@ -22,7 +22,6 @@ timing lives only in the latency table, the JSON document and the manifest.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import timeline as tl
 from .atomic import write_atomic
-from .errors import ConfigError, DriftFedError, ReportError
+from .errors import ConfigError, DriftFedError, ReportError, check_field
 from .federation import FedConfig, PeriodInput, run_timeline, save_checkpoint
 from .metrics import FAR_DEFINITION, cross_period_eval, protocol_cells
 from .nn import ModelArch, TrainConfig
@@ -59,13 +58,24 @@ ALL_STRATEGIES = (
 
 @dataclass(frozen=True)
 class DataSource:
-    """Either a synthetic scenario or a delimited file plus column spec."""
+    """Either a synthetic scenario or a delimited file plus column spec.
+
+    The column spec names the file's delimiter; a file without one is read
+    as ``driftfed gen-data`` writes it, comma-separated.
+    """
 
     synthetic_seed: int | None = None
     rows_per_subattack: int = 1200
     path: str | None = None
     column_spec_path: str | None = None
-    delimiter: str = ","
+
+    def __post_init__(self):
+        check_field("synthetic.seed", self.synthetic_seed, "integer", optional=True)
+        check_field("synthetic.rows_per_subattack", self.rows_per_subattack, "integer", 1)
+        check_field("path", self.path, "string", optional=True)
+        check_field("column_spec", self.column_spec_path, "string", optional=True)
+        if self.column_spec_path is not None and self.path is None:
+            raise ConfigError("column_spec: only a data file has one; set path")
 
     def is_synthetic(self) -> bool:
         return self.path is None
@@ -87,9 +97,17 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.task in tl.TASKS:  # an unknown task is left for validate_config
-            out = LabelCodec.for_task(self.task).num_classes
-            object.__setattr__(self, "arch", replace(self.arch, output_dim=out))
+        if self.task not in tl.TASKS:
+            raise ConfigError(f"task: must be one of {tl.TASKS}, got {self.task!r}")
+        if not self.strategies:
+            raise ConfigError("strategies: at least one strategy is required")
+        check_field("caps.train", self.train_cap, "integer", 1)
+        check_field("caps.test", self.test_cap, "integer", 1)
+        check_field("train_fraction", self.train_fraction, "number", 0, 1)
+        check_field("output_dir", self.output_dir, "string")
+        check_field("seed", self.seed, "integer")
+        out = LabelCodec.for_task(self.task).num_classes
+        object.__setattr__(self, "arch", replace(self.arch, output_dim=out))
 
 
 def desk_scale(cfg: RunConfig) -> RunConfig:
@@ -103,7 +121,7 @@ def desk_scale(cfg: RunConfig) -> RunConfig:
 # the schema names fields differently
 _TOP_LEVEL = ("task", "train_fraction", "output_dir", "seed")
 _CAPS = {"train": "train_cap", "test": "test_cap"}
-_DATA_FILE = {"path": "path", "column_spec": "column_spec_path", "delimiter": "delimiter"}
+_DATA_FILE = {"path": "path", "column_spec": "column_spec_path"}
 _SYNTHETIC = {"seed": "synthetic_seed", "rows_per_subattack": "rows_per_subattack"}
 
 
@@ -126,7 +144,9 @@ def _build(cls, raw, name: str, schema=None):
     kwargs = _fields(raw, name, schema or [f.name for f in fields(cls)])
     try:
         return cls(**kwargs)
-    except (TypeError, ConfigError) as exc:
+    except ConfigError as exc:  # it starts with the field's key, so this names its path
+        raise ConfigError(f"{name}.{exc}") from None
+    except TypeError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
@@ -138,8 +158,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     """
     _fields(raw, "config", [*_TOP_LEVEL, "strategies", "data", "arch", "federation",
                             "caps", "desk_scale"])
-    if "task" in raw and raw["task"] not in tl.TASKS:
-        raise ConfigError(f"task: must be one of {tl.TASKS}")
+    if not isinstance(raw.get("desk_scale", False), bool):
+        raise ConfigError(f"desk_scale: must be true or false, got {raw['desk_scale']!r}")
     settings = {k: raw[k] for k in _TOP_LEVEL if k in raw}
     settings.update(_fields(raw.get("caps", {}), "caps", _CAPS))
     if "output_dir" not in settings and OUTPUT_DIR_ENV in os.environ:
@@ -157,7 +177,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         data = _build(DataSource, data_raw, "data", _DATA_FILE)
     else:
         synthetic = _fields(data_raw, "data", ["synthetic"]).get("synthetic", {})
-        data = _build(DataSource, synthetic, "data.synthetic", _SYNTHETIC)
+        data = _build(DataSource, _fields(synthetic, "data.synthetic", _SYNTHETIC), "data")
 
     # output_dim is accepted but not read: RunConfig derives it from the task
     arch_raw = _fields(raw.get("arch", {}), "arch", [f.name for f in fields(ModelArch)])
@@ -170,9 +190,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     fed = _build(FedConfig, fed_raw, "federation")
 
     cfg = RunConfig(**settings, data=data, arch=arch, fed=fed)
-    wrong = _wrong_types(cfg)
-    if wrong:
-        raise ConfigError("; ".join(wrong.values()))
     if raw.get("desk_scale"):
         cfg = desk_scale(cfg)
     return cfg
@@ -195,45 +212,16 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _wrong_types(cfg: RunConfig) -> dict[str, str]:
-    """Diagnostics for top-level settings of the wrong type, by key path.
-
-    ``config_from_dict`` raises them; ``validate_config`` reports them for a
-    config built in code. The integer check is ``ModelArch``'s.
-    """
-    ints = {"caps.train": cfg.train_cap, "caps.test": cfg.test_cap, "seed": cfg.seed}
-    wrong = {name: f"{name}: must be an integer, got {value!r}"
-             for name, value in ints.items() if not isinstance(value, (int, np.integer))}
-    if not isinstance(cfg.train_fraction, numbers.Real):
-        wrong["train_fraction"] = f"train_fraction: must be a number, got {cfg.train_fraction!r}"
-    return wrong
-
-
 def validate_config(cfg: RunConfig, records=None) -> list[str]:
-    """Diagnostics for every violated constraint; empty means runnable.
+    """Diagnostics that need the filesystem or the data; empty means runnable.
 
-    ``records``, when given, is the table a run would use instead of
-    ``cfg.data``, so its width is the feature count the arch must match.
+    A malformed field never gets here: its dataclass rejects it. ``records``,
+    when given, is the table a run would use instead of ``cfg.data``, so its
+    width is the feature count the arch must match.
     """
     problems: list[str] = []
-    if cfg.task not in tl.TASKS:
-        problems.append(f"task: must be one of {tl.TASKS}")
-    if not cfg.strategies:
-        problems.append("strategies: at least one strategy is required")
-    for strat in cfg.strategies:
-        try:
-            strat.check()
-        except ConfigError as exc:
-            problems.append(f"strategies[{strat.label}]: {exc}")
-    wrong = _wrong_types(cfg)
-    problems.extend(wrong.values())
-    for name, cap in (("caps.train", cfg.train_cap), ("caps.test", cfg.test_cap)):
-        if name not in wrong and cap < 1:
-            problems.append(f"{name}: must be at least 1")
-    if "train_fraction" not in wrong and not 0 < cfg.train_fraction < 1:
-        problems.append("train_fraction: must be strictly between 0 and 1")
-    if not cfg.data.is_synthetic() and not Path(cfg.data.path).exists():
-        problems.append(f"data.path: file not found: {cfg.data.path}")
+    if not cfg.data.is_synthetic() and not Path(cfg.data.path).is_file():
+        problems.append(f"data.path: not a file: {cfg.data.path!r}")
     try:
         features = _feature_count(cfg, records)
     except ConfigError as exc:
@@ -257,9 +245,8 @@ def _feature_count(cfg: RunConfig, records=None) -> int:
 def _column_spec(cfg: RunConfig) -> ColumnSpec:
     """Columns of the data file: its JSON spec, or the default with input_dim columns."""
     if cfg.data.column_spec_path:
-        spec = ColumnSpec.from_json(cfg.data.column_spec_path)
-        return replace(spec, delimiter=cfg.data.delimiter)
-    return default_column_spec(cfg.arch.input_dim, cfg.data.delimiter)
+        return ColumnSpec.from_json(cfg.data.column_spec_path)
+    return default_column_spec(cfg.arch.input_dim)
 
 
 @dataclass
@@ -491,35 +478,21 @@ def rerender_reports(run_dir) -> list[str]:
 
 
 def _config_dict(cfg: RunConfig) -> dict:
-    """``cfg`` in the schema ``config_from_dict`` reads, so a manifest loads back."""
+    """``cfg`` through the loader's key maps, so a manifest loads back."""
+    def keyed(obj, schema) -> dict:
+        return {key: getattr(obj, name) for key, name in schema.items()}
+
     data = cfg.data
-    if data.is_synthetic():
-        data_raw = {"synthetic": {"seed": data.synthetic_seed,
-                                  "rows_per_subattack": data.rows_per_subattack}}
-    else:
-        data_raw = {"path": data.path, "column_spec": data.column_spec_path,
-                    "delimiter": data.delimiter}
-    # output_dim follows the task
-    arch = {k: v for k, v in asdict(cfg.arch).items() if k != "output_dim"}
     return {
-        "task": cfg.task,
-        "strategies": [
-            {"kind": s.kind,
-             **({"retain_r": s.retain_r} if s.retain_r is not None else {}),
-             **({"ema_alpha": s.ema_alpha} if s.ema_alpha is not None else {})}
-            for s in cfg.strategies
-        ],
-        "data": data_raw,
-        "arch": arch,
-        "federation": {
-            "num_clients": cfg.fed.num_clients,
-            "rounds": cfg.fed.rounds,
-            "train": asdict(cfg.fed.train),
-        },
-        "caps": {"train": cfg.train_cap, "test": cfg.test_cap},
-        "train_fraction": cfg.train_fraction,
-        "output_dir": cfg.output_dir,
-        "seed": cfg.seed,
+        **{key: getattr(cfg, key) for key in _TOP_LEVEL},
+        "strategies": [{k: v for k, v in asdict(s).items() if v is not None}
+                       for s in cfg.strategies],
+        "data": ({"synthetic": keyed(data, _SYNTHETIC)} if data.is_synthetic()
+                 else keyed(data, _DATA_FILE)),
+        # output_dim is left out: it follows the task
+        "arch": {k: v for k, v in asdict(cfg.arch).items() if k != "output_dim"},
+        "federation": asdict(cfg.fed),
+        "caps": keyed(cfg, _CAPS),
     }
 
 

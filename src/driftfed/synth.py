@@ -142,8 +142,8 @@ def feature_columns(num_features: int) -> tuple[str, ...]:
     return tuple(f"f{i:02d}" for i in range(num_features))
 
 
-def default_column_spec(num_features: int = NUM_FEATURES, delimiter: str = ",") -> ColumnSpec:
-    return ColumnSpec(feature_columns(num_features), "Attack", delimiter)
+def default_column_spec(num_features: int = NUM_FEATURES) -> ColumnSpec:
+    return ColumnSpec(feature_columns(num_features), "Attack")
 
 
 def write_delimited(table: FlowTable, path,

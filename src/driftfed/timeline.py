@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ScheduleError
+from .errors import ConfigError, ScheduleError, check_field
 from .pipeline import NO_ROWS, ROSTER, concat_rows
 from .seeds import derive_seed, rng_for
 
@@ -53,10 +53,9 @@ CLIENT_TEST_FRACTION = 0.125
 class StrategyConfig:
     """One training strategy row of the benchmark.
 
-    An unknown ``kind`` raises here; ``avg_ema`` defaults ``ema_alpha`` to 0.6.
-    The numeric rules (retain_r > 0, 0 < ema_alpha < 1) live in :meth:`check`,
-    which ``runner.validate_config`` reports and ``StrategyComposer`` enforces,
-    so an invalid value can be carried into diagnostics without raising here.
+    ``retain`` needs ``retain_r``; ``avg_ema`` defaults ``ema_alpha`` to 0.6.
+    A value that is given must be valid whatever the kind: retain_r a
+    positive integer, ema_alpha a number in (0, 1).
     """
 
     kind: str
@@ -65,15 +64,13 @@ class StrategyConfig:
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy kind {self.kind!r}")
+            raise ConfigError(f"kind: must be one of {STRATEGY_KINDS}, got {self.kind!r}")
         if self.kind == "avg_ema" and self.ema_alpha is None:
             object.__setattr__(self, "ema_alpha", 0.6)
-
-    def check(self) -> None:
-        if self.kind == "retain" and (self.retain_r is None or self.retain_r <= 0):
-            raise ConfigError("retain strategy needs retain_r > 0")
-        if self.kind == "avg_ema" and not 0 < (self.ema_alpha or 0) < 1:
-            raise ConfigError("ema_alpha must be in (0, 1)")
+        if self.kind == "retain" and self.retain_r is None:
+            raise ConfigError("retain_r: the retain strategy needs one")
+        check_field("retain_r", self.retain_r, "integer", 1, optional=True)
+        check_field("ema_alpha", self.ema_alpha, "number", 0, 1, optional=True)
 
     @property
     def label(self) -> str:
@@ -253,7 +250,6 @@ class StrategyComposer:
 
     def __init__(self, strategy: StrategyConfig, schedule: list[PeriodSchedule],
                  train_segments: dict[str, list[np.ndarray]], seed: int):
-        strategy.check()
         self.strategy = strategy
         self.schedule = {p.period_id: p for p in schedule}
         self.segments = train_segments

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfed.dataset import LabeledData
-from driftfed.errors import EvaluationError, MetricError
+from driftfed.errors import DivergenceError, EvaluationError, MetricError
 from driftfed.federation import Checkpoint, FedConfig
 from driftfed.metrics import (GeneralizationMatrix, attack_generalization_matrix,
                               confusion, cross_period_eval, false_alarm_rate,
@@ -216,6 +216,17 @@ def test_attack_generalization_matrix_diagonal_dominates():
         row = matrix.values[i, :f]
         assert row[i] == row.max()
         assert matrix.values[i, -1] == pytest.approx(row.mean())
+
+
+def test_attack_generalization_matrix_flags_a_diverged_model():
+    train, test = stratified_split(generate(_family_scenario()), 0.8, seed=0)
+    members = {"MQTT": ("MQTT-Malformed_Data",), "DoS": ("TCP_IP-DoS-SYN",)}
+    # a step near the float64 limit overflows the weights, as in run_timeline's tests
+    cfg = FedConfig(num_clients=2, rounds=1,
+                    train=TrainConfig(local_epochs=1, learning_rate=1e308))
+    arch = ModelArch(input_dim=10, hidden_layers=1, hidden_units=4, output_dim=2)
+    with pytest.raises(DivergenceError, match="period 0 round 0"):
+        attack_generalization_matrix(["MQTT", "DoS"], train, test, cfg, arch, members, seed=1)
 
 
 def test_attack_generalization_matrix_skips_missing_family(rng):

@@ -13,9 +13,10 @@ from driftfed.errors import ConfigError, DivergenceError, ReportError
 from driftfed.nn import OPTIMIZERS, ModelArch, TrainConfig
 from driftfed.pipeline import ColumnSpec
 from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, _config_dict,
-                             config_from_dict, desk_scale, load_config, render_reports,
-                             rerender_reports, run_experiment, validate_config)
-from driftfed.synth import generate
+                             config_from_dict, desk_scale, load_config, prepare_experiment,
+                             render_reports, rerender_reports, run_experiment,
+                             validate_config)
+from driftfed.synth import default_column_spec, generate, write_delimited
 from driftfed.timeline import STRATEGY_KINDS, TASKS, StrategyConfig
 
 from conftest import full_disk, tiny_scenario
@@ -46,42 +47,41 @@ def test_validate_config_defaults_clean(tmp_path):
 
 
 def test_validate_config_flags_bad_values(tmp_path):
-    cfg = RunConfig(
-        strategies=(StrategyConfig("retain", retain_r=0),
-                    StrategyConfig("avg_ema", ema_alpha=1.5)),
-        output_dir=str(tmp_path),
-    )
-    problems = validate_config(cfg)
-    assert any("retain_r" in p for p in problems)
-    assert any("ema_alpha" in p for p in problems)
+    # a malformed value cannot be built: the dataclass that owns it names it,
+    # in the words config_from_dict passes on
+    cfg = RunConfig(output_dir=str(tmp_path))
+    for build, message in [
+        (lambda: StrategyConfig("retain", retain_r=0),
+         "retain_r: must be an integer in [1, inf], got 0"),
+        (lambda: StrategyConfig("avg_ema", ema_alpha=1.5),
+         "ema_alpha: must be a number in (0, 1), got 1.5"),
+        (lambda: replace(cfg, strategies=()), "strategies: at least one strategy is required"),
+        (lambda: replace(cfg, train_cap=0), "caps.train: must be an integer in [1, inf], got 0"),
+        (lambda: replace(cfg, train_cap="10"), "caps.train: must be an integer, got '10'"),
+        (lambda: replace(cfg, test_cap=2.5), "caps.test: must be an integer, got 2.5"),
+        (lambda: replace(cfg, seed="abc"), "seed: must be an integer, got 'abc'"),
+        (lambda: replace(cfg, train_fraction="0.8"),
+         "train_fraction: must be a number, got '0.8'"),
+        (lambda: replace(cfg, train_fraction=1.0),
+         "train_fraction: must be a number in (0, 1), got 1.0"),
+        (lambda: replace(cfg, output_dir=5), "output_dir: must be a string, got 5"),
+        (lambda: replace(cfg, task="ternary"),
+         "task: must be one of ('binary', 'sixclass'), got 'ternary'"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == message
 
-    empty = replace(cfg, strategies=())
-    assert any("strategies" in p for p in validate_config(empty))
-
-    bad_caps = replace(RunConfig(output_dir=str(tmp_path)), train_cap=0)
-    assert any("caps.train" in p for p in validate_config(bad_caps))
-    # settings of the wrong type are named, as config_from_dict names them
-    wrong = replace(RunConfig(output_dir=str(tmp_path)), train_cap="10", test_cap=2.5,
-                    seed="abc", train_fraction="0.8")
-    assert validate_config(wrong) == [
-        "caps.train: must be an integer, got '10'",
-        "caps.test: must be an integer, got 2.5",
-        "seed: must be an integer, got 'abc'",
-        "train_fraction: must be a number, got '0.8'",
-    ]
-
-    missing = replace(RunConfig(output_dir=str(tmp_path)),
-                      data=DataSource(path="/does/not/exist.csv"))
-    assert any("data.path" in p for p in validate_config(missing))
+    # what needs the filesystem is left to validate_config
+    for path in ("/does/not/exist.csv", str(tmp_path), ""):
+        missing = replace(cfg, data=DataSource(path=path))
+        assert any(p.startswith("data.path: ") for p in validate_config(missing))
 
     # output_dim follows the task, so a mismatched one cannot be built
     six = RunConfig(task="sixclass", output_dir=str(tmp_path))
     assert six.arch.output_dim == 6
     assert replace(six, task="binary").arch.output_dim == 2
     assert replace(six, arch=ModelArch(output_dim=2)).arch.output_dim == 6
-    # an unknown task is left for validate_config to report
-    assert any(p.startswith("task:")
-               for p in validate_config(replace(six, task="ternary")))
 
 
 def test_validate_config_checks_arch_against_feature_count(tmp_path, monkeypatch):
@@ -144,12 +144,12 @@ def test_config_from_dict_round_trip():
     assert cfg.seed == 42
 
 
-def test_strategy_problems_come_from_check(tmp_path):
-    bad = StrategyConfig("avg_ema", ema_alpha=0.0)
+def test_strategy_problems_come_from_the_strategy_config():
     with pytest.raises(ConfigError) as exc:
-        bad.check()
-    problems = validate_config(RunConfig(strategies=(bad,), output_dir=str(tmp_path)))
-    assert problems == [f"strategies[avg_ema]: {exc.value}"]
+        StrategyConfig("avg_ema", ema_alpha=0.0)
+    with pytest.raises(ConfigError) as loaded:
+        config_from_dict({"strategies": [{"kind": "avg_ema", "ema_alpha": 0.0}]})
+    assert str(loaded.value) == f"strategies[0].{exc.value}"
 
 
 _positive = st.integers(1, 64)
@@ -158,14 +158,14 @@ _raw_configs = st.fixed_dictionaries({}, optional={
     "task": st.sampled_from(TASKS),
     "strategies": st.lists(st.fixed_dictionaries(
         {"kind": st.sampled_from(STRATEGY_KINDS)},
-        optional={"retain_r": st.integers(-5, 2000),
-                  "ema_alpha": st.floats(-1, 2, allow_nan=False)}), max_size=4),
+        optional={"retain_r": st.integers(1, 2000),
+                  "ema_alpha": st.floats(0, 1, exclude_min=True, exclude_max=True)},
+    ).filter(lambda s: s["kind"] != "retain" or "retain_r" in s), max_size=4),
     "data": st.one_of(
         st.fixed_dictionaries({}, optional={"synthetic": st.fixed_dictionaries({}, optional={
             "seed": st.none() | st.integers(0, 2**31), "rows_per_subattack": _positive})}),
         st.fixed_dictionaries({"path": st.text(min_size=1)}, optional={
-            "column_spec": st.none() | st.text(min_size=1),
-            "delimiter": st.sampled_from([",", ";", "\t"])})),
+            "column_spec": st.none() | st.text(min_size=1)})),
     "arch": st.fixed_dictionaries({}, optional={
         "input_dim": _positive, "hidden_layers": _positive, "hidden_units": _positive,
         "seq_len": _positive, "output_dim": _positive}),
@@ -220,6 +220,19 @@ def test_desk_scale_preset():
     assert cfg.arch.hidden_units == 16
     assert cfg.fed.rounds == 3
     assert cfg.fed.train.local_epochs == 5
+
+
+def test_delimiter_comes_from_the_column_spec(tmp_path):
+    records = _tiny_records()
+    path = tmp_path / "flows.csv"
+    spec = write_delimited(records, path, replace(default_column_spec(records.width),
+                                                  delimiter=";"))
+    spec.to_json(tmp_path / "flows.columns.json")
+    cfg = replace(_tiny_cfg(tmp_path), data=DataSource(
+        path=str(path), column_spec_path=str(tmp_path / "flows.columns.json")))
+    assert validate_config(cfg) == []
+    assert np.array_equal(prepare_experiment(cfg)["train"].X,
+                          prepare_experiment(cfg, records)["train"].X)
 
 
 # --- experiment --------------------------------------------------------------
@@ -312,10 +325,11 @@ def test_sixclass_accuracy_table_columns(tmp_path):
 
 
 def test_run_experiment_rejects_invalid_config(tmp_path):
-    cfg = replace(_tiny_cfg(tmp_path),
-                  strategies=(StrategyConfig("retain", retain_r=0),))
-    with pytest.raises(ConfigError):
-        run_experiment(cfg, records=_tiny_records())
+    with pytest.raises(ConfigError, match="retain_r"):
+        replace(_tiny_cfg(tmp_path), strategies=(StrategyConfig("retain", retain_r=0),))
+    missing = replace(_tiny_cfg(tmp_path), data=DataSource(path=str(tmp_path / "absent.csv")))
+    with pytest.raises(ConfigError, match="data.path"):
+        run_experiment(missing)
 
 
 def test_partial_failure_flagged_in_manifest(tmp_path, monkeypatch):
@@ -532,13 +546,19 @@ def test_cli_gen_data_validate_run_report(tmp_path, capsys):
 
 
 def test_cli_validate_reports_problems(tmp_path, capsys):
+    # a malformed config exits 2 ...
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({
         "strategies": [{"kind": "retain", "retain_r": 0}],
         "output_dir": str(tmp_path),
     }))
+    assert cli.main(["validate", "--config", str(cfg_path)]) == 2
+    assert "strategies[0].retain_r" in capsys.readouterr().err
+    # ... and a well-formed one whose data is missing exits 1
+    cfg_path.write_text(json.dumps({"data": {"path": str(tmp_path / "absent.csv")},
+                                    "output_dir": str(tmp_path)}))
     assert cli.main(["validate", "--config", str(cfg_path)]) == 1
-    assert "retain_r" in capsys.readouterr().out
+    assert "data.path" in capsys.readouterr().out
 
 
 def test_cli_unknown_strategy_filter_fails(tmp_path, capsys):
@@ -568,7 +588,7 @@ def _json(raw):
     return json.dumps(raw).encode("utf-8")
 
 
-_FILE_DATA = {"path": "flows.csv", "column_spec": "flows.columns.json", "delimiter": ";"}
+_FILE_DATA = {"path": "flows.csv", "column_spec": "flows.columns.json"}
 
 
 @pytest.mark.parametrize("data,match", [
@@ -586,8 +606,26 @@ _FILE_DATA = {"path": "flows.csv", "column_spec": "flows.columns.json", "delimit
     (_json({"strategies": ["cumulative"]}), "strategies[0]: must be a JSON object"),
     (_json({"arch": [1, 2]}), "arch: must be a JSON object"),
     (_json({"data": "flows.csv"}), "data: must be a JSON object"),
-    (_json({"federation": {"train": {"learning_rate": "0.1"}}}), "federation.train: "),
-    (_json({"federation": {"rounds": "3"}}), "federation: "),
+    (_json({"federation": {"train": {"learning_rate": "0.1"}}}),
+     "federation.train.learning_rate: must be a number, got '0.1'"),
+    (_json({"federation": {"rounds": "3"}}), "federation.rounds: must be an integer, got '3'"),
+    (_json({"federation": {"train": {"local_epochs": 2.5}}}),
+     "federation.train.local_epochs: must be an integer, got 2.5"),
+    (_json({"federation": {"rounds": 1.5}}), "federation.rounds: must be an integer, got 1.5"),
+    (_json({"data": {"synthetic": {"rows_per_subattack": "10"}}}),
+     "data.synthetic.rows_per_subattack: must be an integer, got '10'"),
+    (_json({"data": {"synthetic": {"seed": "1"}}}),
+     "data.synthetic.seed: must be an integer, got '1'"),
+    (_json({"output_dir": 5}), "output_dir: must be a string, got 5"),
+    (_json({"desk_scale": "no"}), "desk_scale: must be true or false, got 'no'"),
+    (_json({"strategies": [{"kind": "retain", "retain_r": 0}]}),
+     "strategies[0].retain_r: must be an integer in [1, inf], got 0"),
+    (_json({"strategies": [{"kind": "avg_ema", "ema_alpha": 1.5}]}),
+     "strategies[0].ema_alpha: must be a number in (0, 1), got 1.5"),
+    (_json({"task": "ternary"}), "task: must be one of ('binary', 'sixclass'), got 'ternary'"),
+    (_json({"arch": {"hidden_layers": True}}), "arch.hidden_layers: must be an integer, got True"),
+    (_json({"federation": {"train": {"learning_rate": float("nan")}}}),
+     "federation.train.learning_rate: must be a number in (0, inf), got nan"),
     # an unknown key at each level
     (_json({"taks": "sixclass"}), "config: unknown key(s) ['taks']"),
     (_json({"arch": {"hidden_unit": 16}}), "arch: unknown key(s) ['hidden_unit']"),
@@ -599,6 +637,9 @@ _FILE_DATA = {"path": "flows.csv", "column_spec": "flows.columns.json", "delimit
     (_json({"data": {"synthetic": {"seed": 1}, "rows": 5}}), "data: unknown key(s) ['rows']"),
     (_json({"data": {"synthetic": {"rows": 5}}}), "data.synthetic: unknown key(s) ['rows']"),
     (_json({"data": {**_FILE_DATA, "synthetic": {}}}), "data: unknown key(s) ['synthetic']"),
+    (_json({"data": {**_FILE_DATA, "delimiter": ";"}}), "data: unknown key(s) ['delimiter']"),
+    (_json({"data": {"path": None, "column_spec": "flows.columns.json"}}),
+     "data.column_spec: only a data file has one; set path"),
     (_json({"caps": {"train": 10, "val": 3}}), "caps: unknown key(s) ['val']"),
 ])
 def test_load_config_rejects_corrupt_files_by_name(tmp_path, capsys, data, match):
