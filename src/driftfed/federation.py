@@ -256,8 +256,11 @@ def load_checkpoint(path) -> Checkpoint:
 
     Any malformed file raises :class:`CheckpointError` naming ``path``.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     if len(blob) < 16:

@@ -95,12 +95,12 @@ class MetricsReport:
     n_samples: int
 
 
-def measure_inference(params: ModelParams, X: np.ndarray, chunk: int = 8192):
+def measure_inference(params: ModelParams, X: np.ndarray):
     """Predict the full batch, timing the complete pass."""
     if len(X) == 0:
         raise MetricError("cannot measure inference on an empty test set")
     start = time.perf_counter()
-    preds = predict(params, X, chunk=chunk)
+    preds = predict(params, X)
     return preds, time.perf_counter() - start
 
 

@@ -17,6 +17,20 @@ forward and backward skip the terms that only add exact zeros there (``h @
 wh``, the forget gate, the carries into t=-1). At ``seq_len == 1`` ``wh`` is
 therefore inert: its gradient is exactly zero, so with fresh optimizer moments
 per :func:`train_local` call it would never change, and the optimizer skips it.
+A step is at the zero state when it has no carried ``c``: every step at
+``seq_len == 1``, otherwise t=0. There the sigmoid runs only on the input and
+output gate blocks, read through the strided view ``[..., ::3, :]`` of the
+``(.., 4, H)`` gate preactivations, tanh on the cell block, and ``c = i * g``;
+the forget gate is never computed and backward writes zeros for its block.
+Later steps take the sigmoid of all four blocks. The matmuls stay ``4H``
+wide: a product with a column slice of ``wx`` (``x @ wx[:, 2H:]``) can pick
+another BLAS kernel and differ from the full product in the last bit
+(seen with OpenBLAS for H not a multiple of 4).
+
+The sigmoid avoids ``np.where``: with ``e = exp(-|x|)`` it divides the
+numerator ``max(e, x >= 0)``, which is 1 for x >= 0 and e below, by ``1 + e``.
+Each element gets the same division the piecewise form ``1/(1+e)`` or
+``e/(1+e)`` would pick, so the bits are those of ``tests/reference_lstm.py``.
 
 Lockstep clients: :func:`train_local` trains the clients of a FedAvg round
 together. The clients are ordered by shard size, so at each step of an epoch
@@ -223,10 +237,15 @@ def init_params(arch: ModelArch, seed: int) -> ModelParams:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # piecewise form avoids exp overflow for large |x|: 1/(1+exp(-x)) for
-    # x >= 0 and exp(x)/(1+exp(x)) below, both from e = exp(-|x|)
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # x >= 0 and exp(x)/(1+exp(x)) below, both from e = exp(-|x|). Since
+    # 0 <= e <= 1, the numerator max(e, x >= 0) is 1 or e as the piece needs.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -280,15 +299,21 @@ def _lstm(params: ModelParams, X: np.ndarray, keep: bool):
             if h is not None:
                 z += h @ wh
             z += bias
-            act = _sigmoid(z)  # gates i, f, o; the cell slice goes through tanh
-            gi, gf, go = act[..., :hu], act[..., hu:2 * hu], act[..., 3 * hu:]
-            gg = np.tanh(z[..., 2 * hu:3 * hu])
-            del z
+            gates = z.reshape(g, n, 4, hu)  # blocks i, f, g, o
+            gg = np.tanh(gates[..., 2, :])
             c_prev = c
-            c = gi * gg if c_prev is None else gf * c_prev + gi * gg
+            if c_prev is None:  # the forget gate would only scale the zero state
+                act = _sigmoid(gates[..., ::3, :])  # blocks i and o
+                gi, gf, go = act[..., 0, :], None, act[..., 1, :]
+                c = gi * gg
+            else:
+                act = _sigmoid(gates)  # the cell block's sigmoid goes unread
+                gi, gf, go = act[..., 0, :], act[..., 1, :], act[..., 3, :]
+                c = gf * c_prev + gi * gg
+            del z, gates
             tc = np.tanh(c)
             if keep:
-                cache.append((x, h, c_prev, act, gg, tc))
+                cache.append((x, h, c_prev, gi, gf, go, gg, tc))
             h = go * tc
             del act, gi, gf, go, gg, tc
             outputs.append(h)
@@ -354,13 +379,15 @@ def backward(params: ModelParams, cache, labels: np.ndarray,
     last = arch.seq_len - 1
     # gradient flowing into the hidden outputs of the layer above; None is zero
     upstream: list[np.ndarray | None] = [None] * last + [dlogits @ _t(params.w_out)]
+    # gate gradients of one step, blocks i, f, g, o; every step overwrites them
+    dz_gates = np.empty(dlogits.shape[:-1] + (4, hu))
+    dz = dz_gates.reshape(dlogits.shape[:-1] + (4 * hu,))
     for layer in reversed(range(arch.hidden_layers)):
         wx, wh = params.wx[layer], params.wh[layer]
         gwx, gwh, gb = g_wx[layer], g_wh[layer], g_b[layer]
         dxs: list[np.ndarray | None] = [None] * (last + 1)
         for t in reversed(range(last + 1)):
-            x, h_prev, c_prev, act, gg, tc = cache["layers"][layer][t]
-            gi, gf, go = act[..., :hu], act[..., hu:2 * hu], act[..., 3 * hu:]
+            x, h_prev, c_prev, gi, gf, go, gg, tc = cache["layers"][layer][t]
             if t == last:
                 dh = upstream[t]
             elif upstream[t] is None:
@@ -370,13 +397,13 @@ def backward(params: ModelParams, cache, labels: np.ndarray,
             dc = dh * go * (1.0 - tc * tc)
             if t < last:
                 dc += dc_carry
-            one_minus = 1.0 - act
-            dz = np.concatenate([
-                dc * gg * gi * one_minus[..., :hu],
-                np.zeros_like(dc) if c_prev is None else dc * c_prev * gf * one_minus[..., hu:2 * hu],
-                dc * gi * (1.0 - gg * gg),
-                dh * tc * go * one_minus[..., 3 * hu:],
-            ], axis=-1)
+            np.multiply(dc * gg * gi, 1.0 - gi, out=dz_gates[..., 0, :])
+            if c_prev is None:
+                dz_gates[..., 1, :] = 0.0
+            else:
+                np.multiply(dc * c_prev * gf, 1.0 - gf, out=dz_gates[..., 1, :])
+            np.multiply(dc * gi, 1.0 - gg * gg, out=dz_gates[..., 2, :])
+            np.multiply(dh * tc * go, 1.0 - go, out=dz_gates[..., 3, :])
             if t == last:
                 np.matmul(_t(x), dz, out=gwx)
                 np.sum(dz, axis=-2, keepdims=True, out=gb)

@@ -210,6 +210,8 @@ def load_records(path, spec: ColumnSpec) -> FlowTable:
     path = Path(path)
     if not path.exists():
         raise LoadError(f"input file not found: {path}")
+    if not path.is_file():
+        raise LoadError(f"input path is not a file: {path}")
     try:
         table = _load_columns(path, spec)
     except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError

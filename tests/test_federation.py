@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -360,8 +361,10 @@ def test_write_atomic_failing_partway_keeps_the_previous_file(tmp_path):
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")
-    with pytest.raises(CheckpointError, match="bad.ckpt"):
-        load_checkpoint(path)
+    # garbage, a missing file and a directory all fail by name
+    for bad in (path, tmp_path / "missing.ckpt", tmp_path):
+        with pytest.raises(CheckpointError, match=re.escape(str(bad))):
+            load_checkpoint(bad)
 
 
 def _checkpoint_blob(tmp_path):

@@ -7,9 +7,9 @@ import pytest
 import reference_lstm
 from driftfed.dataset import LabeledData
 from driftfed.errors import ConfigError, DataError, LabelError, ShapeError
-from driftfed.nn import (COHORT_PARAMS, ModelArch, ModelParams, TrainConfig, backward,
-                         cross_entropy, forward, init_params, param_count, predict, softmax,
-                         train_local)
+from driftfed.nn import (COHORT_PARAMS, ModelArch, ModelParams, TrainConfig, _lstm, _sigmoid,
+                         backward, cross_entropy, forward, init_params, param_count, predict,
+                         softmax, train_local)
 
 
 def test_param_count_hand_example():
@@ -312,6 +312,36 @@ def test_engine_matches_per_tensor_reference_bitwise(seed):
         out, _, _ = train_local(params, LabeledData(X, y), cfg, seed)
         assert (out.vec.tobytes()
                 == reference_lstm.train(arch, params.vec, X, y, cfg, seed).tobytes())
+
+
+@pytest.mark.parametrize("seq_len", [1, 2, 3])
+@pytest.mark.parametrize("hidden_units", range(1, 9))
+def test_inference_logits_match_reference_bitwise(hidden_units, seq_len):
+    # the cache-free pass that predict runs, zero-state gates included, must
+    # give the reference logits byte for byte, not only their argmax
+    gen = np.random.default_rng(10 * hidden_units + seq_len)
+    arch = ModelArch(input_dim=int(gen.integers(1, 6)), hidden_layers=int(gen.integers(1, 4)),
+                     hidden_units=hidden_units, output_dim=int(gen.integers(2, 5)),
+                     seq_len=seq_len)
+    params = ModelParams(arch, gen.normal(0, float(gen.choice([0.3, 1.0, 4.0])),
+                                        param_count(arch)))
+    X = gen.normal(scale=2.0, size=(37, arch.feature_width))
+    logits, _, _ = _lstm(params, X[None], keep=False)
+    expected, _ = reference_lstm.forward(arch, reference_lstm.split(arch, params.vec), X)
+    assert logits[0].tobytes() == expected.tobytes()
+
+
+def test_sigmoid_matches_reference_bitwise_at_edges(rng):
+    # signed zeros and tiny values; 1 + exp(-|x|) rounds to 1 from |x| ~ 36.74;
+    # exp(-|x|) goes subnormal at 745 and underflows to 0 by 750; infinities
+    edges = np.array([0.0, 1e-300, 36.7, 36.8, 745.0, 750.0, np.inf])
+    x = np.concatenate([edges, -edges])
+    assert _sigmoid(x).tobytes() == reference_lstm._sigmoid(x).tobytes()
+    # the zero-state step reads the i and o gate blocks through a strided view
+    view = rng.normal(scale=8.0, size=(3, 5, 4, 7))[..., ::3, :]
+    dense = view.copy()
+    assert _sigmoid(view).tobytes() == _sigmoid(dense).tobytes()
+    assert _sigmoid(dense).tobytes() == reference_lstm._sigmoid(dense).tobytes()
 
 
 def test_seq_len_one_gradient_is_zero_on_wh_and_forget_gate(rng):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,9 +91,11 @@ def test_load_records_rejects_off_roster_sub_attack_by_name(tmp_path):
         load_records(path, SPEC3)
 
 
-def test_load_records_missing_file():
-    with pytest.raises(LoadError):
-        load_records("/nonexistent/flows.csv", SPEC3)
+def test_load_records_missing_file(tmp_path):
+    # a missing path and a directory both fail by name, not with a raw OSError
+    for path in (tmp_path / "absent.csv", tmp_path):
+        with pytest.raises(LoadError, match=re.escape(str(path))):
+            load_records(path, SPEC3)
 
 
 def test_clean_drops_nonfinite_and_removed_class():
