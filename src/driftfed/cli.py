@@ -18,6 +18,7 @@ from .errors import DriftFedError
 from .runner import (desk_scale, load_config, rerender_reports, run_experiment,
                      validate_config)
 from .synth import default_drift_scenario, generate, write_delimited
+from .timeline import TASKS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="override the master seed")
     run.add_argument("--strategies", help="comma-separated strategy filter "
                                           "(labels like cumulative,retain_100)")
-    run.add_argument("--task", choices=("binary", "sixclass"), help="task filter")
+    run.add_argument("--task", choices=TASKS, help="task filter")
     run.add_argument("--desk-scale", action="store_true",
                      help="apply the laptop preset (1x16 LSTM, 3 rounds, 5 epochs)")
 
@@ -107,8 +108,7 @@ def main(argv=None) -> int:
                 print(f"rendered {name}")
             return 0
     except DriftFedError as exc:
-        module = type(exc).__module__.rsplit(".", 1)[-1]
-        print(f"error [{module}.{type(exc).__name__}]: {exc}", file=sys.stderr)
+        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -35,7 +35,9 @@ class FedConfig:
 
     def __post_init__(self):
         check_field("num_clients", self.num_clients, "integer", 1)
-        check_field("rounds", self.rounds, "integer", 1)
+        # run_timeline seeds round r of period p as 1000 * p + r, so a 1001st
+        # round would replay the client shuffles of the next period's first
+        check_field("rounds", self.rounds, "integer", 1, high=1000)
 
 
 @dataclass(frozen=True)

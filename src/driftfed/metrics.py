@@ -72,11 +72,16 @@ def macro_prf(matrix: np.ndarray) -> tuple[float, float, float]:
             float(f1[present].mean()))
 
 
-def false_alarm_rate(matrix: np.ndarray, benign_index: int = 0) -> float:
-    benign_total = int(matrix[benign_index].sum())
+def false_alarm_rate(matrix: np.ndarray) -> float:
+    """Off-diagonal share of the benign row.
+
+    Benign is class 0 in both label codecs, because ``pipeline.ROSTER``
+    lists it first.
+    """
+    benign_total = int(matrix[0].sum())
     if benign_total == 0:
         raise MetricError("FAR is undefined without benign samples")
-    false_alarms = benign_total - int(matrix[benign_index, benign_index])
+    false_alarms = benign_total - int(matrix[0, 0])
     return false_alarms / benign_total
 
 
@@ -106,9 +111,10 @@ def measure_inference(params: ModelParams, X: np.ndarray):
 
 def cross_period_eval(checkpoints: list[Checkpoint],
                       test_sets: dict[int, LabeledData],
-                      num_classes: int,
-                      benign_index: int = 0) -> list[MetricsReport]:
+                      num_classes: int) -> list[MetricsReport]:
     """Evaluate every checkpoint on every period's global test set.
+
+    The FAR of each cell takes Benign as class 0, as both label codecs do.
 
     A checkpoint whose predictions overflow raises :class:`DivergenceError`:
     its parameters are finite but too large to score.
@@ -133,7 +139,7 @@ def cross_period_eval(checkpoints: list[Checkpoint],
                 checkpoint_period=ckpt.period_id, test_period=period,
                 accuracy=micro_accuracy(matrix), precision_macro=p,
                 recall_macro=r, f1_macro=f1,
-                far=false_alarm_rate(matrix, benign_index),
+                far=false_alarm_rate(matrix),
                 inference_seconds=secs, n_samples=len(data),
             ))
     return reports
@@ -227,8 +233,7 @@ def attack_generalization_matrix(families: list[str], train: FlowTable, test: Fl
                   for c in clients]
         period = PeriodInput(0, [s for s in shards if len(s) > 0], client_val=[])
         result = run_timeline(StrategyConfig("static"), [period], cfg, arch, fam_seed)
-        reports = cross_period_eval(result.checkpoints, test_sets, codec.num_classes,
-                                    codec.benign_index)
+        reports = cross_period_eval(result.checkpoints, test_sets, codec.num_classes)
         values[i, :len(usable)] = [r.accuracy for r in reports]
         values[i, -1] = values[i, :len(usable)].mean()
     return GeneralizationMatrix(usable, values)

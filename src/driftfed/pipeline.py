@@ -402,10 +402,6 @@ class LabelCodec:
         return len(self.class_names)
 
     @property
-    def benign_index(self) -> int:
-        return 0
-
-    @property
     def lut(self) -> np.ndarray:
         """Class index per sub-attack code."""
         if self.task == "binary":

@@ -284,12 +284,11 @@ def prepare_experiment(cfg: RunConfig, records=None):
     test = apply_scaler(stats, test)
 
     schedule = build_schedule(cfg.task)
-    n_train_periods = len(tl.training_periods(cfg.task))
-    n_test_periods = len(tl.test_periods(cfg.task))
+    n_train_periods = sum(p.has_training for p in schedule)
 
     train_segments = segment_and_cap(records_by_class(train), n_train_periods,
                                      cfg.train_cap, cfg.seed, "cap-train")
-    test_segments = segment_and_cap(records_by_class(test), n_test_periods,
+    test_segments = segment_and_cap(records_by_class(test), len(schedule),
                                     cfg.test_cap, cfg.seed, "cap-test")
     codec = LabelCodec.for_task(cfg.task)
     encoded_tests = {period: encode_labels(codec, test, rows)
@@ -330,8 +329,7 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig):
         ))
 
     result = run_timeline(strategy, period_inputs, cfg.fed, cfg.arch, strategy_seed)
-    reports = cross_period_eval(result.checkpoints, prep["encoded_tests"],
-                                codec.num_classes, codec.benign_index)
+    reports = cross_period_eval(result.checkpoints, prep["encoded_tests"], codec.num_classes)
     protocol = protocol_cells(reports, list(tl.test_periods(cfg.task)))
     entry = {
         "cells": [asdict(r) for r in reports],

@@ -8,10 +8,18 @@ binary task starts at t1.
 
 Each class's training rows are cut into one chronological segment per
 training period and each test side into one segment per test period, so no
-strategy ever re-reads the same rows across periods. Training strategies
-then differ only in which classes (and how many retained rows) they pull
-into each period's pool. Segments, pools and client shards are arrays of
-row indices into the scaled train or test :class:`~driftfed.pipeline.FlowTable`.
+strategy ever re-reads the same rows across periods. Segments, pools and
+client shards are arrays of row indices into the scaled train or test
+:class:`~driftfed.pipeline.FlowTable`.
+
+A period's pool is its *full marks* (the t0 baseline, then the new family,
+with Benign at t1) on fresh segments, plus per strategy: ``cumulative`` the
+fresh segments of its *retained marks* (classes trained since t1, less the
+new family), ``retain`` draws from rows already used for them, and the rest
+Benign, with ``representative`` adding every other category's
+representative. So in six-class the t0 representatives of DoS, DDoS, Recon
+and Spoofing return only with their family, and in binary
+``representative`` trains at t1 on families introduced later.
 """
 
 from __future__ import annotations
@@ -85,16 +93,13 @@ class PeriodSchedule:
 
     period_id: int
     included: frozenset[str]        # classes present in this period's test data
-    introduced: frozenset[str]      # classes appearing for the first time
     full_marks: frozenset[str]      # classes trained on their full segment
     retained_marks: frozenset[str]  # classes carried as retention samples
     new_family: str | None          # family introduced this period
-    new_family_members: frozenset[str]
-    has_training: bool
 
     @property
-    def name(self) -> str:
-        return f"t{self.period_id}"
+    def has_training(self) -> bool:
+        return bool(self.full_marks)
 
 
 def build_schedule(task: str) -> list[PeriodSchedule]:
@@ -102,49 +107,23 @@ def build_schedule(task: str) -> list[PeriodSchedule]:
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}")
 
-    reps = frozenset({"Benign", *REPRESENTATIVES.values()})
     schedules: list[PeriodSchedule] = []
-    included: set[str] = set()
-    seen: set[str] = set()
-    retain_eligible: set[str] = set()  # classes with retained marks next period onward
-
+    included: frozenset[str] = frozenset()
     if task == "sixclass":
-        included = set(reps)
-        seen = set(reps)
-        schedules.append(PeriodSchedule(
-            period_id=0, included=frozenset(included), introduced=reps,
-            full_marks=reps, retained_marks=frozenset(), new_family=None,
-            new_family_members=frozenset(), has_training=True,
-        ))
+        included = frozenset({"Benign", *REPRESENTATIVES.values()})
+        schedules.append(PeriodSchedule(0, included, included, frozenset(), None))
 
-    for period in range(1, 6):
-        family = FAMILY_INTRODUCED_AT[period]
+    # classes trained from t1 on; the t0 baseline is not carried
+    carried: set[str] = set()
+    for period, family in FAMILY_INTRODUCED_AT.items():
         members = frozenset(FAMILY_MEMBERS[family])
-        introduced = frozenset(m for m in members if m not in seen)
-        if period == 1 and task == "binary":
-            # the binary timeline starts here, Benign included
-            introduced = introduced | {"Benign"}
-        seen |= members | {"Benign"}
-        included |= members | {"Benign"}
-        if period == 1:
-            full = members | {"Benign"}
-            retained: frozenset[str] = frozenset()
-            retain_eligible = set(full)
-        else:
-            full = members
-            retained = frozenset(retain_eligible - members)
-            retain_eligible |= members
-        schedules.append(PeriodSchedule(
-            period_id=period, included=frozenset(included), introduced=introduced,
-            full_marks=frozenset(full), retained_marks=retained, new_family=family,
-            new_family_members=members, has_training=True,
-        ))
+        full = members if carried else members | {"Benign"}
+        included |= full
+        schedules.append(PeriodSchedule(period, included, full,
+                                        frozenset(carried - members), family))
+        carried |= full
 
-    schedules.append(PeriodSchedule(
-        period_id=6, included=frozenset(included), introduced=frozenset(),
-        full_marks=frozenset(), retained_marks=frozenset(), new_family=None,
-        new_family_members=frozenset(), has_training=False,
-    ))
+    schedules.append(PeriodSchedule(period + 1, included, frozenset(), frozenset(), None))
     return schedules
 
 
@@ -255,10 +234,8 @@ class StrategyComposer:
         self.segments = train_segments
         self.seed = seed
         self.start_period = min(p.period_id for p in schedule if p.has_training)
-        # rows used in earlier periods: one mask over the table's rows, and per
-        # class the same rows in first-use order
-        every_row = concat_rows(seg for segs in train_segments.values() for seg in segs)
-        self._seen = np.zeros(every_row.max() + 1 if len(every_row) else 0, dtype=bool)
+        # per class, the rows taken so far in first-use order; segments are
+        # disjoint across periods and classes, so a taken segment is all new
         self._used: dict[str, np.ndarray] = {}
         self._composed: list[int] = []
 
@@ -276,6 +253,7 @@ class StrategyComposer:
         return segments[k]
 
     def compose(self, period_id: int) -> dict[str, np.ndarray]:
+        """The pool of ``period_id``, by the rule in the module docstring."""
         sched = self.schedule.get(period_id)
         if sched is None or not sched.has_training:
             raise ScheduleError(f"period t{period_id} has no training data")
@@ -290,47 +268,24 @@ class StrategyComposer:
             )
 
         kind = self.strategy.kind
-        pool: dict[str, np.ndarray] = {}
-
+        fresh = set(sched.full_marks)
+        if kind == "cumulative":
+            fresh |= sched.retained_marks
+        elif kind != "retain":
+            fresh.add("Benign")
         if kind == "representative":
-            classes = set(sched.new_family_members) | {"Benign"}
-            classes |= {rep for cat, rep in REPRESENTATIVES.items() if cat != sched.new_family}
-            for cls in sorted(classes):
-                pool[cls] = self._segment(cls, period_id)
-        elif kind == "cumulative":
-            for cls in sorted(sched.full_marks | sched.retained_marks):
-                pool[cls] = self._segment(cls, period_id)
-        elif kind == "retain":
-            for cls in sorted(sched.full_marks):
-                pool[cls] = self._segment(cls, period_id)
-            for cls in sorted(sched.retained_marks):
-                pool[cls] = self._draw_retention(cls, period_id)
-        elif kind == "static" or period_id == self.start_period:
-            for cls in sorted(sched.full_marks):
-                pool[cls] = self._segment(cls, period_id)
-        else:  # simple and the averaging variants
-            for cls in sorted(sched.new_family_members | {"Benign"}):
-                pool[cls] = self._segment(cls, period_id)
+            fresh |= {rep for cat, rep in REPRESENTATIVES.items() if cat != sched.new_family}
 
+        pool = {cls: self._segment(cls, period_id) for cls in sorted(fresh)}
+        if kind == "retain":
+            for cls in sorted(sched.retained_marks):
+                rng = rng_for(self.seed, "retain", period_id, cls)
+                pool[cls] = cap_records(self._used.get(cls, NO_ROWS), self.strategy.retain_r, rng)
         pool = {cls: rows for cls, rows in pool.items() if len(rows)}
-        self._remember(pool)
+        for cls in sorted(fresh.intersection(pool)):
+            self._used[cls] = concat_rows([self._used.get(cls, NO_ROWS), pool[cls]])
         self._composed.append(period_id)
         return pool
-
-    def _draw_retention(self, cls: str, period_id: int) -> np.ndarray:
-        available = self._used.get(cls, NO_ROWS)
-        r = self.strategy.retain_r
-        if len(available) <= r:
-            return available
-        rng = rng_for(self.seed, "retain", period_id, cls)
-        keep = np.sort(rng.permutation(len(available))[:r])
-        return available[keep]
-
-    def _remember(self, pool: dict[str, np.ndarray]) -> None:
-        for cls, rows in pool.items():
-            fresh = rows[~self._seen[rows]]
-            self._seen[fresh] = True
-            self._used[cls] = concat_rows([self._used.get(cls, NO_ROWS), fresh])
 
 
 def rng_seed_for_period(seed: int, strategy: StrategyConfig, period_id: int) -> int:

@@ -79,23 +79,23 @@ def test_macro_prf_absent_class_excluded():
 
 def test_false_alarm_rate_cases():
     clean = confusion([0, 0, 1], [0, 0, 1], 2)
-    assert false_alarm_rate(clean, 0) == 0.0
+    assert false_alarm_rate(clean) == 0.0
     m = np.array([[8, 2], [0, 5]])
-    assert false_alarm_rate(m, 0) == pytest.approx(0.2)
+    assert false_alarm_rate(m) == pytest.approx(0.2)
     all_wrong = np.array([[0, 4], [0, 5]])
-    assert false_alarm_rate(all_wrong, 0) == 1.0
+    assert false_alarm_rate(all_wrong) == 1.0
     with pytest.raises(MetricError):
-        false_alarm_rate(np.array([[0, 0], [1, 1]]), 0)
+        false_alarm_rate(np.array([[0, 0], [1, 1]]))
 
 
 def test_false_alarm_rate_invariant_to_attack_relabeling(rng):
     y = rng.integers(0, 3, 200)
     preds = rng.integers(0, 3, 200)
-    base = false_alarm_rate(confusion(y, preds, 3), 0)
+    base = false_alarm_rate(confusion(y, preds, 3))
     swap = {0: 0, 1: 2, 2: 1}
     y2 = np.vectorize(swap.get)(y)
     p2 = np.vectorize(swap.get)(preds)
-    assert false_alarm_rate(confusion(y2, p2, 3), 0) == base
+    assert false_alarm_rate(confusion(y2, p2, 3)) == base
 
 
 @settings(max_examples=50, deadline=None)

@@ -225,6 +225,25 @@ def test_train_config_validation():
         TrainConfig(optimizer="momentum")
 
 
+def test_labeled_data_rejects_non_integer_labels():
+    with pytest.raises(LabelError, match="integer"):
+        LabeledData(np.zeros((4, 2)), np.array([0.5, 1.0, 0.2, 0.9]))
+
+
+def test_labeled_data_rejects_bad_shapes():
+    with pytest.raises(DataError, match="2-D"):
+        LabeledData(np.zeros(4), np.zeros(4, dtype=int))
+    with pytest.raises(DataError, match="one entry per row"):
+        LabeledData(np.zeros((4, 2)), np.zeros(3, dtype=int))
+
+
+def test_labeled_data_concat_of_nothing_rejected():
+    empty = LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int))
+    for parts in ([], [empty]):
+        with pytest.raises(DataError, match="nothing to concatenate"):
+            LabeledData.concat(parts)
+
+
 def test_train_local_rejects_empty_and_bad_labels():
     arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
     params = init_params(arch, seed=0)

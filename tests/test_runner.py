@@ -509,7 +509,7 @@ def test_report_without_a_metrics_document_fails_by_name(tmp_path, capsys, make)
     with pytest.raises(ReportError, match="no-run"):
         rerender_reports(run_dir)
     assert cli.main(["report", "--run-dir", str(run_dir)]) == 2
-    assert "ReportError" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error [ReportError]: ")
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -612,6 +612,8 @@ _FILE_DATA = {"path": "flows.csv", "column_spec": "flows.columns.json"}
     (_json({"federation": {"train": {"local_epochs": 2.5}}}),
      "federation.train.local_epochs: must be an integer, got 2.5"),
     (_json({"federation": {"rounds": 1.5}}), "federation.rounds: must be an integer, got 1.5"),
+    (_json({"federation": {"rounds": 1001}}),
+     "federation.rounds: must be an integer in [1, 1000], got 1001"),
     (_json({"data": {"synthetic": {"rows_per_subattack": "10"}}}),
      "data.synthetic.rows_per_subattack: must be an integer, got '10'"),
     (_json({"data": {"synthetic": {"seed": "1"}}}),

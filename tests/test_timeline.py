@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from driftfed.errors import ConfigError, ScheduleError
 from driftfed.pipeline import concat_rows, records_by_class, stratified_split
+from driftfed.runner import ALL_STRATEGIES
 from driftfed.seeds import rng_for
 from driftfed.synth import generate
 from driftfed import timeline as tl
@@ -51,13 +53,8 @@ def test_included_sets_accumulate():
 
 def test_dos_introductions_respect_baseline():
     schedule = {p.period_id: p for p in build_schedule("sixclass")}
-    assert "TCP_IP-DoS-UDP" in schedule[0].introduced
-    assert schedule[2].introduced == frozenset(
-        {"TCP_IP-DoS-TCP", "TCP_IP-DoS-ICMP", "TCP_IP-DoS-SYN"})
     # the baseline member rejoins its family as a plain inclusion
     assert "TCP_IP-DoS-UDP" in schedule[2].full_marks
-    binary = {p.period_id: p for p in build_schedule("binary")}
-    assert binary[2].introduced == frozenset(FAMILY_MEMBERS["DoS"])
 
 
 def test_retention_marks_start_at_t2():
@@ -367,3 +364,23 @@ def test_composition_matches_golden_files(task):
     rendered = _render_label_sets(task)
     golden = (GOLDEN_DIR / f"composition_{task}.csv").read_text()
     assert rendered == golden
+
+
+def _render_pools(task: str) -> str:
+    schedule = build_schedule(task)
+    train_segments, _ = _segments_for(task)
+    lines = ["strategy,period,class,rows,sha256"]
+    for strategy in ALL_STRATEGIES:
+        composer = StrategyComposer(strategy, schedule, train_segments, seed=0)
+        for period in composer.training_periods():
+            for cls, rows in composer.compose(period).items():
+                digest = hashlib.sha256(rows.astype(np.int64).tobytes()).hexdigest()
+                lines.append(f"{strategy.label},t{period},{cls},{len(rows)},{digest}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("task", ["binary", "sixclass"])
+def test_pools_match_golden_files(task):
+    """Every pool row for row, in pool order: a row count and a digest per class."""
+    golden = (GOLDEN_DIR / f"pools_{task}.csv").read_text()
+    assert _render_pools(task) == golden
