@@ -8,8 +8,10 @@ is reproducible regardless of how clients would be scheduled.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +20,8 @@ from .atomic import write_atomic
 from .dataset import LabeledData
 from .errors import (AggregationError, CheckpointError, ConfigError, DivergenceError,
                      DriftFedError, FederationError, check_field)
-from .nn import ModelArch, ModelParams, TrainConfig, init_params, param_count, predict, train_local
+from .nn import (ModelArch, ModelParams, Optimizer, TrainConfig, cohort_size, init_params,
+                 param_count, predict, train_local)
 from .seeds import derive_seed
 from .timeline import StrategyConfig
 
@@ -50,91 +53,167 @@ class Checkpoint:
     train_wall_clock: float
 
 
-def fedavg_aggregate(client_params: list[ModelParams],
-                     client_sizes: list[int]) -> ModelParams:
-    """Element-wise mean weighted by client data size."""
+# FedAvg and the running averages scale a vector into a scratch of this many
+# elements at a time, which stays in cache, instead of a full-length one.
+_CHUNK = 2**13
+
+
+def _add_scaled(acc: np.ndarray, terms: list[tuple[np.ndarray, float]]) -> None:
+    """``acc += w * x`` for each ``(x, w)`` of ``terms`` in order, one chunk at a time.
+
+    Every element gets the products and sums of the whole-vector form, in
+    the same order, so the bits are the same.
+    """
+    scratch = np.empty(min(_CHUNK, acc.size))
+    for lo in range(0, acc.size, _CHUNK):
+        part = acc[lo:lo + _CHUNK]
+        term = scratch[:part.size]
+        for x, w in terms:
+            np.multiply(x[lo:lo + _CHUNK], w, out=term)
+            part += term
+
+
+def fedavg_aggregate(client_params: list[ModelParams], client_sizes: list[int],
+                     total: float | None = None, acc: np.ndarray | None = None) -> ModelParams:
+    """Element-wise mean weighted by client data size: ``sum(n_k / N * x_k)`` in client order.
+
+    The sum starts from zeros. A round that trains its clients cohort by
+    cohort folds each cohort with one call: ``total`` is the round's ``N``
+    (by default the sum of ``client_sizes``) and ``acc`` the running sum,
+    a float64 vector that the call adds into in place and returns a view of.
+    """
     if not client_params or len(client_params) != len(client_sizes):
         raise AggregationError("need matching, non-empty params and size lists")
     arch = client_params[0].arch
     for p in client_params[1:]:
         if p.arch != arch:
             raise AggregationError("client architectures differ")
-    total = float(sum(client_sizes))
+    total = float(sum(client_sizes)) if total is None else total
     if total <= 0:
         raise AggregationError("total client size must be positive")
-    # sum((n_k/N) * x_k) in client order, from zeros, with one scratch vector
-    acc = np.zeros(param_count(arch))
-    term = np.empty_like(acc)
-    for params, size in zip(client_params, client_sizes):
-        np.multiply(params.vec, size / total, out=term)
-        acc += term
-    return ModelParams(arch, acc)
+    if acc is None:
+        acc = np.zeros(param_count(arch))
+    merged = ModelParams(arch, acc)  # checks a running sum passed in
+    _add_scaled(acc, [(p.vec, size / total) for p, size in zip(client_params, client_sizes)])
+    return merged
 
 
 def run_round(global_params: ModelParams, client_train: list[LabeledData],
               cfg: FedConfig, seed: int, round_index: int = 0):
     """One communication round: broadcast, local training, FedAvg.
 
-    All clients train in one lockstep :func:`train_local` call. Returns
-    ``(new_global, training_seconds)``, the wall time of that call.
-    Deterministic: client k's shuffles derive from (seed, round_index, k).
+    The clients train in cohorts of :func:`~driftfed.nn.cohort_size`
+    consecutive clients, one :func:`train_local` call per cohort with one
+    optimizer workspace for the round, which also holds the cohort's trained
+    vectors. Each cohort is folded into FedAvg's running sum before the next
+    one trains, so the round holds one cohort's client vectors at a time.
+    Returns ``(new_global, training_seconds)``, the summed wall time of the
+    calls. Deterministic: client k's shuffles derive from (seed, round_index, k).
     """
+    if not client_train:
+        raise FederationError("a round needs at least one client")
     for k, shard in enumerate(client_train):
         if len(shard) == 0:
             raise FederationError(f"client {k} has an empty training shard")
+    arch = global_params.arch
     seeds = [derive_seed(seed, "round", round_index, "client", k)
              for k in range(len(client_train))]
-    params, sizes, seconds = train_local(global_params, client_train, cfg.train, seeds)
-    return fedavg_aggregate(params, sizes), seconds
+    total = float(sum(len(shard) for shard in client_train))
+    per_cohort = cohort_size(arch)
+    workspace = Optimizer(cfg.train, arch, min(per_cohort, len(client_train)))
+    running = None
+    seconds = 0.0
+    for lo in range(0, len(client_train), per_cohort):
+        cohort = slice(lo, lo + per_cohort)
+        params, sizes, secs = train_local(global_params, client_train[cohort], cfg.train,
+                                          seeds[cohort], workspace=workspace)
+        if running is None:
+            # allocated after the first cohort trains: allocated ahead of the
+            # workspace, it measured about 7% slower desk-scale training (heap layout)
+            running = np.zeros(param_count(arch))
+        merged = fedavg_aggregate(params, sizes, total, running)
+        seconds += secs
+    return merged, seconds
 
 
-def init_from_history(mode: str, history: list[Checkpoint],
-                      ema_alpha: float | None = None) -> ModelParams:
+class RunningAverage:
+    """Parameter average over period checkpoints, folded in one at a time in period order.
+
+    equal keeps the sum of the parameters, sample the sum of ``count *
+    params`` and the counts, both from zero; ema keeps the EMA itself. An
+    average of one checkpoint is that checkpoint, so the first is kept only
+    until the second arrives.
+    """
+
+    def __init__(self, mode: str, ema_alpha: float | None = None):
+        if mode not in AVERAGING_MODES:
+            raise ConfigError(f"mode must be one of {AVERAGING_MODES}")
+        self.mode, self.ema_alpha = mode, ema_alpha
+        self.arch: ModelArch | None = None
+        self.counts: list[int] = []
+        self.first: ModelParams | None = None
+        self.acc: np.ndarray | None = None
+
+    def add(self, ckpt: Checkpoint) -> None:
+        params = ckpt.params
+        if self.counts and params.arch != self.arch:
+            raise AggregationError("checkpoint architectures differ")
+        self.arch = params.arch
+        if self.mode == "ema":
+            if self.counts:  # e_k = alpha*params_k + (1-alpha)*e_{k-1}, in a fresh vector
+                if self.ema_alpha is None:
+                    raise ConfigError("ema averaging needs ema_alpha")
+                prev = self.first.vec if self.acc is None else self.acc
+                self.acc = np.multiply(prev, 1.0 - self.ema_alpha)
+                _add_scaled(self.acc, [(params.vec, self.ema_alpha)])
+        else:
+            if self.acc is None:
+                self.acc = np.zeros(param_count(params.arch))
+            if self.mode == "equal":
+                self.acc += params.vec
+            else:
+                _add_scaled(self.acc, [(params.vec, float(ckpt.train_sample_count))])
+        self.first = None if self.counts else params
+        self.counts.append(ckpt.train_sample_count)
+
+    def value(self) -> ModelParams:
+        """The average of the checkpoints added so far."""
+        if not self.counts:
+            raise AggregationError("history must contain at least one checkpoint")
+        if self.first is not None:  # kept as is: (w * x) / w is not always x
+            return self.first
+        if self.mode == "equal":
+            return ModelParams(self.arch, self.acc / len(self.counts))
+        if self.mode == "sample":
+            total = np.array(self.counts, dtype=float).sum()
+            if total <= 0:
+                raise AggregationError("sample counts must be positive for sample weighting")
+            return ModelParams(self.arch, self.acc / total)
+        return ModelParams(self.arch, self.acc)  # each add makes a fresh EMA vector
+
+
+def init_from_history(mode: str, history: list[Checkpoint], ema_alpha: float | None = None,
+                      running: RunningAverage | None = None) -> ModelParams:
     """Parameter average over previous period checkpoints.
 
     equal: unweighted mean. sample: weighted by training sample count.
     ema: e_1 = params_1, e_k = alpha*params_k + (1-alpha)*e_{k-1}; it needs
     ``ema_alpha`` (``StrategyConfig`` holds its default).
 
-    The average accumulates into one vector with one scratch vector, and
-    gives the bits of ``np.mean`` and ``np.average`` over the stacked
-    checkpoints: their axis-0 sum adds the rows in order, starting from zero.
+    The checkpoints are folded into ``running``, a :class:`RunningAverage`
+    for ``mode`` and ``ema_alpha`` that holds the checkpoints before
+    ``history``, or a fresh one; the result is its average. The bits are
+    those of ``np.mean`` and ``np.average`` over the stacked checkpoints:
+    their axis-0 sum adds the rows in order, starting from zero.
     """
-    if mode not in AVERAGING_MODES:
-        raise ConfigError(f"mode must be one of {AVERAGING_MODES}")
-    if not history:
-        raise AggregationError("history must contain at least one checkpoint")
-    arch = history[0].params.arch
-    for ckpt in history[1:]:
-        if ckpt.params.arch != arch:
-            raise AggregationError("checkpoint architectures differ")
-    if len(history) == 1:  # kept as is: (w * x) / w is not always x
-        return history[0].params
-    flats = [c.params.vec for c in history]
-    merged = np.zeros(param_count(arch))
-    term = np.empty_like(merged)
-    if mode == "equal":
-        for flat in flats:
-            merged += flat
-        merged /= len(flats)
-    elif mode == "sample":
-        weights = np.array([c.train_sample_count for c in history], dtype=float)
-        total = weights.sum()
-        if total <= 0:
-            raise AggregationError("sample counts must be positive for sample weighting")
-        for flat, weight in zip(flats, weights):
-            np.multiply(flat, weight, out=term)
-            merged += term
-        merged /= total
-    else:
-        if ema_alpha is None:
-            raise ConfigError("ema averaging needs ema_alpha")
-        merged[...] = flats[0]
-        for flat in flats[1:]:
-            merged *= 1.0 - ema_alpha
-            np.multiply(flat, ema_alpha, out=term)
-            merged += term
-    return ModelParams(arch, merged)
+    if running is None:
+        running = RunningAverage(mode, ema_alpha)
+    elif (running.mode, running.ema_alpha) != (mode, ema_alpha):
+        raise ConfigError(f"running average is {running.mode} with ema_alpha "
+                          f"{running.ema_alpha}, not {mode} with {ema_alpha}")
+    for ckpt in history:
+        running.add(ckpt)
+    return running.value()
 
 
 @dataclass
@@ -160,28 +239,33 @@ class PeriodInput:
 
 
 def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
-                 cfg: FedConfig, arch: ModelArch, seed: int) -> TimelineResult:
+                 cfg: FedConfig, arch: ModelArch, seed: int,
+                 on_checkpoint: Callable[[Checkpoint], None] | None = None) -> TimelineResult:
     """Train across periods with checkpoint chaining.
 
     The first period starts from a fresh initialization derived from
     ``seed``, which also derives every round's client seeds; later periods start
     from the previous checkpoint, except the averaging variants, which start
-    from a parameter average over all previous checkpoints. Validation
-    accuracy is recorded after every round but never gates training. A round
-    whose training or validation overflows, or that leaves a non-finite
-    parameter, raises :class:`DivergenceError` naming the period and round.
+    from a parameter average over all previous checkpoints, kept as one
+    :class:`RunningAverage`. Validation accuracy is recorded after every round
+    but never gates training. A round whose training or validation overflows,
+    or that leaves a non-finite parameter, raises :class:`DivergenceError`
+    naming the period and round.
+
+    Each period's checkpoint goes to ``on_checkpoint`` as the period ends,
+    and the result then lists none; without it the result lists them all.
     """
     checkpoints: list[Checkpoint] = []
     logs: list[RoundLog] = []
     mode = _INIT_MODE_BY_KIND.get(strategy.kind)
+    running = None if mode is None else RunningAverage(mode, strategy.ema_alpha)
+    params = init_params(arch, seed=derive_seed(seed, "model-init"))
+    ckpt = None
 
     for item in sorted(period_inputs, key=lambda p: p.period_id):
-        if not checkpoints:
-            params = init_params(arch, seed=derive_seed(seed, "model-init"))
-        elif mode is not None:
-            params = init_from_history(mode, checkpoints, ema_alpha=strategy.ema_alpha)
-        else:
-            params = checkpoints[-1].params
+        if ckpt is not None and running is not None:
+            params = init_from_history(mode, [ckpt], strategy.ema_alpha, running)
+        ckpt = None  # folded into the average, or training resumes from its params
 
         val = _concat_nonempty(item.client_val)
         wall = 0.0
@@ -204,7 +288,11 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
             logs.append(RoundLog(item.period_id, rnd, acc))
 
         sample_count = sum(len(s) for s in item.client_train)
-        checkpoints.append(Checkpoint(params, item.period_id, sample_count, wall))
+        ckpt = Checkpoint(params, item.period_id, sample_count, wall)
+        if on_checkpoint is None:
+            checkpoints.append(ckpt)
+        else:
+            on_checkpoint(ckpt)
 
     return TimelineResult(checkpoints, logs)
 
@@ -256,22 +344,29 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Restore a persisted checkpoint (wall clock is not persisted; it loads as 0).
 
-    Any malformed file raises :class:`CheckpointError` naming ``path``.
+    The payload is read straight into the parameter vector, so loading holds
+    one copy of it. Any malformed file raises :class:`CheckpointError`
+    naming ``path``.
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_checkpoint(path, fh)
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    if blob[:8] != CHECKPOINT_MAGIC:
+
+
+def _read_checkpoint(path, fh) -> Checkpoint:
+    size = os.fstat(fh.fileno()).st_size
+    start = fh.read(16)
+    if start[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    if len(blob) < 16:
+    if len(start) < 16:
         raise CheckpointError(f"{path}: header truncated")
-    version, header_len = struct.unpack_from("<II", blob, 8)
+    version, header_len = struct.unpack_from("<II", start, 8)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+        header = json.loads(fh.read(min(header_len, size)).decode("utf-8"))
         arch = ModelArch(**header["arch"])
         count, period_id, samples, dtype = (header[k] for k in (
             "param_count", "period_id", "train_sample_count", "dtype"))
@@ -279,9 +374,12 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: bad header: {exc!r}") from exc
     if not all(type(v) is int for v in (count, period_id, samples)) or dtype != "float64":
         raise CheckpointError(f"{path}: bad header field types")
-    payload = len(blob) - 16 - header_len
+    payload = size - 16 - header_len
     if count != param_count(arch) or payload != 8 * count:
         raise CheckpointError(f"{path}: {payload}-byte payload does not hold the "
                               f"{param_count(arch)} float64 parameters of {arch}")
-    vec = np.frombuffer(blob, dtype="<f8", offset=16 + header_len).astype(np.float64)
-    return Checkpoint(ModelParams(arch, vec), period_id, samples, 0.0)
+    vec = np.empty(count, dtype="<f8")
+    if fh.readinto(vec) != payload:
+        raise CheckpointError(f"{path}: payload changed while it was read")
+    return Checkpoint(ModelParams(arch, vec.astype(np.float64, copy=False)), period_id,
+                      samples, 0.0)

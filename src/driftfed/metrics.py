@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,10 +110,13 @@ def measure_inference(params: ModelParams, X: np.ndarray):
     return preds, time.perf_counter() - start
 
 
-def cross_period_eval(checkpoints: list[Checkpoint],
+def cross_period_eval(checkpoints: Iterable[Checkpoint],
                       test_sets: dict[int, LabeledData],
                       num_classes: int) -> list[MetricsReport]:
     """Evaluate every checkpoint on every period's global test set.
+
+    The checkpoints are taken one at a time, so an iterator that loads each
+    from disk holds one at once.
 
     The FAR of each cell takes Benign as class 0, as both label codecs do.
 

@@ -32,17 +32,21 @@ numerator ``max(e, x >= 0)``, which is 1 for x >= 0 and e below, by ``1 + e``.
 Each element gets the same division the piecewise form ``1/(1+e)`` or
 ``e/(1+e)`` would pick, so the bits are those of ``tests/reference_lstm.py``.
 
-Lockstep clients: :func:`train_local` trains the clients of a FedAvg round
-together. The clients are ordered by shard size, so at each step of an epoch
+Lockstep clients: :func:`train_local` trains several clients together, in
+cohorts of at most :func:`cohort_size` consecutive clients, so a cohort's
+optimizer state stays cache-sized; at the desk 1x16 arch a round's five
+clients are one cohort, at the full 5x128 arch each client is its own. Within
+a cohort the clients are ordered by shard size, so at each step of an epoch
 the clients whose batch has the same row count are consecutive. Each maximal
 such run is stacked on a leading axis, and forward, backward and the Adam or
 SGD update run once per run over ``(g, b, F)`` batches and ``(g, P)``
 parameter, gradient and moment blocks. A ragged last batch forms its own run:
-batches are stacked, never padded. Clients train in cohorts of at most
-``max(1, COHORT_PARAMS // param_count(arch))``, so a cohort's optimizer state
-stays cache-sized; at the full 5x128 arch a cohort is one client. The
-gradient, the moments and the optimizer scratch are allocated once per call,
-for the largest cohort, and reused by every cohort. Per client
+batches are stacked, never padded. The trained parameters, the gradient,
+the moments and the optimizer scratch live in one :class:`Optimizer`
+workspace, sized for the largest cohort and reused by every cohort.
+``run_round`` calls :func:`train_local` once per cohort and passes each call
+the round's one workspace: fresh buffers would be paged in again on every
+call. Per client
 stay the shuffle, Adam's step count (clients with different batch counts
 share runs from the second epoch on) and the batch size that divides the
 loss gradient.
@@ -83,7 +87,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # Parameters trained together: a cohort of lockstep clients holds at most
-# max(1, COHORT_PARAMS // param_count(arch)) of them.
+# cohort_size(arch) = max(1, COHORT_PARAMS // param_count(arch)) of them.
 COHORT_PARAMS = 2**16
 
 
@@ -137,6 +141,11 @@ def param_count(arch: ModelArch) -> int:
     h = arch.hidden_units
     fan_in = arch.input_dim + (arch.hidden_layers - 1) * h
     return 4 * h * (fan_in + arch.hidden_layers * (h + 1)) + arch.output_dim * (h + 1)
+
+
+def cohort_size(arch: ModelArch) -> int:
+    """Most clients :func:`train_local` trains in lockstep at ``arch``."""
+    return max(1, COHORT_PARAMS // param_count(arch))
 
 
 @dataclass(frozen=True)
@@ -441,12 +450,14 @@ def predict(params: ModelParams, batch: np.ndarray, chunk: int = 8192) -> np.nda
     return out
 
 
-class _Optimizer:
+class Optimizer:
     """Adam or SGD, in place on the rows of a ``(K, P)`` block of ``K`` models.
 
-    One optimizer serves a whole :func:`train_local` call and holds its
-    workspace, sized for the largest cohort: the gradient block, Adam's two
-    moments and two scratch vectors. The moments cover only the live
+    One optimizer holds the training workspace for ``cfg`` and ``arch``,
+    sized for cohorts of up to ``rows`` clients: the block the trained
+    parameters go to, the gradient block, Adam's two moments and two scratch
+    vectors. :func:`train_local` makes one per call unless it is given one to
+    reuse. The moments cover only the live
     segments (see ``ModelArch.layout``), packed side by side, and
     :meth:`reset` zeroes them for each cohort. The gradient is zeroed once:
     backward overwrites all of it but the inert ``wh``, whose zeros stay.
@@ -455,6 +466,8 @@ class _Optimizer:
     """
 
     def __init__(self, cfg: TrainConfig, arch: ModelArch, rows: int):
+        self.cfg, self.arch, self.rows = cfg, arch, rows
+        self.out = np.empty((rows, param_count(arch)))
         self.adam = cfg.optimizer == "adam"
         self.lr = cfg.learning_rate
         self.live = arch.layout[1]
@@ -531,7 +544,7 @@ class _Run:
 
 
 def _train_cohort(start: ModelParams, shards: list[LabeledData], seeds: list[int],
-                  cfg: TrainConfig, vec: np.ndarray, optimizer: _Optimizer) -> None:
+                  cfg: TrainConfig, vec: np.ndarray, optimizer: Optimizer) -> None:
     """Train clients sorted by shard size in lockstep; their results go to the rows of ``vec``."""
     arch = start.arch
     bs = cfg.batch_size
@@ -573,7 +586,8 @@ def _train_cohort(start: ModelParams, shards: list[LabeledData], seeds: list[int
 
 
 def train_local(params: ModelParams, data: LabeledData | Sequence[LabeledData],
-                cfg: TrainConfig, seed: int | Sequence[int]):
+                cfg: TrainConfig, seed: int | Sequence[int],
+                workspace: Optimizer | None = None):
     """Mini-batch training of one client's shard, or of several clients in lockstep.
 
     ``data`` is one shard and ``seed`` one seed, or a list of client shards
@@ -581,9 +595,15 @@ def train_local(params: ModelParams, data: LabeledData | Sequence[LabeledData],
     runs ``cfg.local_epochs`` epochs with a fresh optimizer state; shuffling
     is a per-epoch permutation from a generator derived from its seed. The
     result for a client does not depend on which other clients train beside
-    it. Returns ``(updated_params, sample_count, wall_clock_seconds)``; for a
-    list of shards the first two are lists in shard order and the seconds
-    cover all of them.
+    it. Clients train in cohorts of :func:`cohort_size` consecutive shards,
+    ordered by shard size within a cohort. ``workspace``, if given, is an
+    :class:`Optimizer` for ``cfg`` and the arch with room for a cohort; it is
+    reused instead of a fresh one. Results that fit its output block are
+    views of it, so a caller that passes one workspace to several calls must
+    be done with one call's results before the next. Returns
+    ``(updated_params, sample_count, wall_clock_seconds)``; for a list of
+    shards the first two are lists in shard order and the seconds cover all
+    of them.
     """
     single = isinstance(data, LabeledData)
     shards = [data] if single else list(data)
@@ -607,19 +627,27 @@ def train_local(params: ModelParams, data: LabeledData | Sequence[LabeledData],
                              f"input_dim*seq_len = {arch.feature_width}")
         prepared.append(LabeledData(X, y))
 
+    per_cohort = cohort_size(arch)
+    rows = min(per_cohort, len(shards))
+    if workspace is not None and (workspace.cfg != cfg or workspace.arch != arch
+                                  or workspace.rows < rows):
+        raise ConfigError(f"workspace is for {workspace.rows} client(s) of another config or "
+                          f"arch; this call needs {rows} of {cfg} at {arch}")
+
     start = time.perf_counter()
+    if workspace is None:
+        workspace = Optimizer(cfg, arch, rows)
     sizes = [len(s) for s in prepared]
-    order = sorted(range(len(sizes)), key=sizes.__getitem__)  # stable: ties keep shard order
-    trained = np.empty((len(order), param_count(arch)))
-    per_cohort = max(1, COHORT_PARAMS // param_count(arch))
-    optimizer = _Optimizer(cfg, arch, min(per_cohort, len(order)))
-    for lo in range(0, len(order), per_cohort):
-        cohort = order[lo:lo + per_cohort]
+    trained = (workspace.out if len(prepared) <= workspace.rows
+               else np.empty((len(prepared), param_count(arch))))
+    results = [None] * len(prepared)
+    for lo in range(0, len(prepared), per_cohort):
+        # stable: ties keep shard order
+        cohort = sorted(range(lo, min(lo + per_cohort, len(prepared))), key=sizes.__getitem__)
         _train_cohort(params, [prepared[k] for k in cohort], [seeds[k] for k in cohort],
-                      cfg, trained[lo:lo + len(cohort)], optimizer)
-    results = [None] * len(order)
-    for row, k in enumerate(order):
-        results[k] = ModelParams(arch, trained[row])
+                      cfg, trained[lo:lo + len(cohort)], workspace)
+        for row, k in enumerate(cohort, lo):
+            results[k] = ModelParams(arch, trained[row])
     seconds = time.perf_counter() - start
     if single:
         return results[0], sizes[0], seconds

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -31,7 +32,7 @@ import numpy as np
 from . import timeline as tl
 from .atomic import write_atomic
 from .errors import ConfigError, DriftFedError, ReportError, check_field
-from .federation import FedConfig, PeriodInput, run_timeline, save_checkpoint
+from .federation import FedConfig, PeriodInput, load_checkpoint, run_timeline, save_checkpoint
 from .metrics import FAR_DEFINITION, cross_period_eval, protocol_cells
 from .nn import ModelArch, TrainConfig
 from .pipeline import (ColumnSpec, LabelCodec, apply_scaler, clean, encode_labels,
@@ -302,11 +303,15 @@ def prepare_experiment(cfg: RunConfig, records=None):
     }
 
 
-def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig):
-    """Train and evaluate one strategy.
+def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig) -> dict:
+    """Train and evaluate one strategy; return its metrics-document entry.
 
-    Returns its metrics-document entry (with ``checkpoints`` still empty) and
-    the timeline result, whose checkpoints the caller saves.
+    Each period's checkpoint is saved as the period ends, under a staging
+    directory ``checkpoints/.<label>.tmp`` of the output directory, so the
+    run holds one checkpoint at a time. Evaluation then reads them back one
+    at a time. The files move to ``checkpoints/<label>/`` when the strategy
+    has succeeded; if it fails, the staging directory is removed and
+    nothing of the strategy is left.
     """
     schedule = prep["schedule"]
     train = prep["train"]
@@ -328,20 +333,41 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig):
             client_val=[encode_labels(codec, train, c.validation) for c in clients],
         ))
 
-    result = run_timeline(strategy, period_inputs, cfg.fed, cfg.arch, strategy_seed)
-    reports = cross_period_eval(result.checkpoints, prep["encoded_tests"], codec.num_classes)
-    protocol = protocol_cells(reports, list(tl.test_periods(cfg.task)))
-    entry = {
+    out_dir = Path(cfg.output_dir)
+    ckpt_dir = out_dir / "checkpoints" / strategy.label
+    staging = ckpt_dir.with_name(f".{ckpt_dir.name}.tmp")
+    shutil.rmtree(staging, ignore_errors=True)  # left by a run that was killed
+    staging.mkdir(parents=True)
+    names: list[str] = []
+    latency: dict[str, float] = {}
+    samples: dict[str, int] = {}
+
+    def save(ckpt) -> None:
+        key = f"t{ckpt.period_id}"
+        save_checkpoint(staging / f"{key}.ckpt", ckpt)
+        names.append(f"{key}.ckpt")
+        latency[key] = ckpt.train_wall_clock
+        samples[key] = ckpt.train_sample_count
+
+    try:
+        run_timeline(strategy, period_inputs, cfg.fed, cfg.arch, strategy_seed,
+                     on_checkpoint=save)
+        reports = cross_period_eval((load_checkpoint(staging / name) for name in names),
+                                    prep["encoded_tests"], codec.num_classes)
+        protocol = protocol_cells(reports, list(tl.test_periods(cfg.task)))
+        ckpt_dir.mkdir(exist_ok=True)
+        for name in names:
+            os.replace(staging / name, ckpt_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return {
         "cells": [asdict(r) for r in reports],
         "protocol": {f"t{p}": asdict(r) for p, r in protocol.items()},
-        "train_latency_seconds": {f"t{c.period_id}": c.train_wall_clock
-                                  for c in result.checkpoints},
-        "train_samples": {f"t{c.period_id}": c.train_sample_count
-                          for c in result.checkpoints},
+        "train_latency_seconds": latency,
+        "train_samples": samples,
         "composition": composition,
-        "checkpoints": [],
+        "checkpoints": [str((ckpt_dir / name).relative_to(out_dir)) for name in names],
     }
-    return entry, result
 
 
 def run_experiment(cfg: RunConfig, records=None) -> RunResult:
@@ -366,19 +392,11 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
     for strategy in cfg.strategies:
         label = strategy.label
         try:
-            entry, result = run_strategy(cfg, prep, strategy)
+            entry = run_strategy(cfg, prep, strategy)
         except DriftFedError as exc:
             failures[label] = f"{type(exc).__name__}: {exc}"
             continue
-        ckpt_dir = out_dir / "checkpoints" / label
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-        for ckpt in result.checkpoints:
-            path = ckpt_dir / f"t{ckpt.period_id}.ckpt"
-            save_checkpoint(path, ckpt)
-            entry["checkpoints"].append(str(path.relative_to(out_dir)))
         artifacts.extend(entry["checkpoints"])
-        # saved: release this strategy's checkpoints before the next one trains
-        result = ckpt = None
         doc["strategy_order"].append(label)
         doc["strategies"][label] = entry
 

@@ -17,9 +17,9 @@ from driftfed.errors import (AggregationError, CheckpointError, ConfigError, Div
 from driftfed.federation import (Checkpoint, FedConfig, PeriodInput, fedavg_aggregate,
                                  init_from_history, load_checkpoint, run_round,
                                  run_timeline, save_checkpoint)
-from driftfed.nn import (ModelArch, ModelParams, TrainConfig, init_params, param_count,
-                         train_local)
-from driftfed.seeds import rng_for
+from driftfed.nn import (ModelArch, ModelParams, TrainConfig, cohort_size, init_params,
+                         param_count, train_local)
+from driftfed.seeds import derive_seed, rng_for
 from driftfed.timeline import StrategyConfig
 
 from conftest import full_disk
@@ -119,6 +119,25 @@ def test_run_round_single_client_equals_local_training(rng):
     seed = int(rng_for(9, "round", 0, "client", 0).integers(0, 2**63 - 1))
     local, _, _ = train_local(start, shards[0], TrainConfig(local_epochs=2), seed)
     assert np.array_equal(merged.vec, local.vec)
+
+
+@pytest.mark.parametrize("hidden,per_cohort", [(48, 2), (40, 3), (36, 4)])
+def test_run_round_folds_cohorts_bit_exact_to_clients_trained_alone(hidden, per_cohort):
+    # five clients train in cohorts of consecutive clients, each reordered by size
+    arch = ModelArch(input_dim=2, hidden_layers=2, hidden_units=hidden, output_dim=2)
+    assert cohort_size(arch) == per_cohort
+    gen = np.random.default_rng(hidden)
+    shards = []
+    for rows in (30, 17, 25, 40, 9):
+        X = gen.normal(size=(rows, 2))
+        shards.append(LabeledData(X, (X[:, 0] > 0).astype(int)))
+    cfg = FedConfig(num_clients=5, rounds=1, train=TrainConfig(local_epochs=2))
+    start = init_params(arch, seed=4)
+    merged, _ = run_round(start, shards, cfg, 6, round_index=2)
+    alone = [train_local(start, shard, cfg.train, derive_seed(6, "round", 2, "client", k))[0]
+             for k, shard in enumerate(shards)]
+    expected = fedavg_aggregate(alone, [len(s) for s in shards])
+    assert merged.vec.tobytes() == expected.vec.tobytes()
 
 
 def test_fed_config_validation():
@@ -265,6 +284,34 @@ def test_run_timeline_averaging_initializes_from_history(rng, monkeypatch):
                                            _period_inputs(rng, [1, 2, 3]), cfg)
     expected = init_from_history("sample", sample.checkpoints[:2])
     assert np.array_equal(starts[3].vec, expected.vec)
+
+
+@pytest.mark.parametrize("kind", ["avg_equal", "avg_sample", "avg_ema"])
+def test_run_timeline_streams_the_checkpoints_it_would_collect(monkeypatch, kind):
+    cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1))
+    strategy = StrategyConfig(kind)
+    periods = [1, 2, 3, 4]
+    collected = run_timeline(strategy, _period_inputs(np.random.default_rng(7), periods),
+                             cfg, ARCH, 3)
+    starts = {}
+    real_round = federation.run_round
+
+    def recording_round(params, *args, round_index=0):
+        starts.setdefault(round_index // 1000, params)
+        return real_round(params, *args, round_index=round_index)
+
+    monkeypatch.setattr(federation, "run_round", recording_round)
+    streamed = []
+    result = run_timeline(strategy, _period_inputs(np.random.default_rng(7), periods), cfg,
+                          ARCH, 3, on_checkpoint=streamed.append)
+    assert result.checkpoints == [] and result.round_logs == collected.round_logs
+    assert ([(c.period_id, c.train_sample_count, c.params.vec.tobytes()) for c in streamed]
+            == [(c.period_id, c.train_sample_count, c.params.vec.tobytes())
+                for c in collected.checkpoints])
+    # each period started from the stacked average of every checkpoint before it
+    for k, period in enumerate(periods[1:], 1):
+        expected = _stacked_average(kind[4:], collected.checkpoints[:k], strategy.ema_alpha)
+        assert starts[period].vec.tobytes() == expected.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # building the huge inputs overflows

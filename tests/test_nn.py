@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import pytest
 import reference_lstm
 from driftfed.dataset import LabeledData
 from driftfed.errors import ConfigError, DataError, LabelError, ShapeError
-from driftfed.nn import (COHORT_PARAMS, ModelArch, ModelParams, TrainConfig, _lstm, _sigmoid,
-                         backward, cross_entropy, forward, init_params, param_count, predict,
-                         softmax, train_local)
+from driftfed.nn import (COHORT_PARAMS, ModelArch, ModelParams, Optimizer, TrainConfig, _lstm,
+                         _sigmoid, backward, cross_entropy, forward, init_params, param_count,
+                         predict, softmax, train_local)
 
 
 def test_param_count_hand_example():
@@ -495,3 +496,18 @@ def test_lockstep_rejects_mismatched_configs(rng):
             train_local(params, data, cfg, seeds)
     with pytest.raises(ShapeError):
         train_local(params, LabeledData(np.zeros((3, 5)), np.zeros(3, dtype=int)), cfg, seed=0)
+
+
+def test_train_local_refuses_a_workspace_it_does_not_fit(rng):
+    arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
+    params = init_params(arch, seed=0)
+    cfg = TrainConfig(local_epochs=1)
+    shards = [LabeledData(rng.normal(size=(6, 2)), rng.integers(0, 2, 6)) for _ in range(2)]
+    for workspace in (Optimizer(replace(cfg, learning_rate=0.5), arch, 2),
+                      Optimizer(cfg, replace(arch, hidden_units=3), 2),
+                      Optimizer(cfg, arch, 1)):  # too small for the two-client cohort
+        with pytest.raises(ConfigError, match="workspace"):
+            train_local(params, shards, cfg, [1, 2], workspace=workspace)
+    reused, _, _ = train_local(params, shards, cfg, [1, 2], workspace=Optimizer(cfg, arch, 2))
+    fresh, _, _ = train_local(params, shards, cfg, [1, 2])
+    assert [p.vec.tobytes() for p in reused] == [p.vec.tobytes() for p in fresh]

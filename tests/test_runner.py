@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from driftfed import atomic, cli, federation, runner
 from driftfed.errors import ConfigError, DivergenceError, ReportError
-from driftfed.nn import OPTIMIZERS, ModelArch, TrainConfig
+from driftfed.federation import FedConfig
+from driftfed.nn import OPTIMIZERS, ModelArch, TrainConfig, param_count
 from driftfed.pipeline import ColumnSpec
 from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, _config_dict,
                              config_from_dict, desk_scale, load_config, prepare_experiment,
@@ -355,10 +357,10 @@ def test_partial_failure_flagged_in_manifest(tmp_path, monkeypatch):
 def test_diverged_strategy_is_failed_by_name_not_scored(tmp_path, monkeypatch):
     real = runner.run_timeline
 
-    def overflowing(strategy, inputs, fed, arch, seed):
+    def overflowing(strategy, inputs, fed, arch, seed, **kwargs):
         if strategy.label == "simple":  # a step near the float64 limit overflows the weights
             fed = replace(fed, train=replace(fed.train, learning_rate=1e308))
-        return real(strategy, inputs, fed, arch, seed)
+        return real(strategy, inputs, fed, arch, seed, **kwargs)
 
     monkeypatch.setattr(runner, "run_timeline", overflowing)
     cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"), StrategyConfig("simple")))
@@ -389,6 +391,53 @@ def test_overflow_with_finite_parameters_is_divergence_not_a_score(tmp_path):
     assert result.metrics["strategies"] == {}
 
 
+def test_strategy_failing_after_saving_a_checkpoint_leaves_none(tmp_path, monkeypatch):
+    saved = []
+    real_save, real_round = runner.save_checkpoint, federation.run_round
+
+    def recording_save(path, ckpt):
+        real_save(path, ckpt)
+        saved.append(path)
+
+    def diverging(*args, round_index=0):
+        if round_index == 3000:  # period 3, after t1 and t2 were saved
+            raise DivergenceError("period 3 round 0: induced")
+        return real_round(*args, round_index=round_index)
+
+    monkeypatch.setattr(runner, "save_checkpoint", recording_save)
+    monkeypatch.setattr(federation, "run_round", diverging)
+    cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"), StrategyConfig("cumulative")))
+    result = run_experiment(cfg, records=_tiny_records())
+    assert list(result.failures) == ["cumulative"]
+    assert [p.name for p in saved] == ["t1.ckpt", "t1.ckpt", "t2.ckpt"]
+    assert not any(p.exists() for p in saved[1:])
+    assert [p.name for p in (result.output_dir / "checkpoints").iterdir()] == ["static"]
+    manifest = json.loads((result.output_dir / "manifest.json").read_text())
+    for artifacts in (result.artifacts, manifest["artifacts"]):
+        assert "checkpoints/static/t1.ckpt" in artifacts
+        assert not [a for a in artifacts if "cumulative" in a]
+
+
+def test_run_holds_a_bounded_number_of_parameter_vectors(tmp_path):
+    # At 2x64 a parameter vector (415 kB) outweighs the data and each client is
+    # its own cohort. A round holds the global model, the running average and
+    # the period's start, FedAvg's sum, one client's result and the workspace
+    # (gradient, moments, scratch): about 8.5 vectors. Holding every period's
+    # checkpoint or every client's result at once passes 13.
+    cfg = RunConfig(strategies=(StrategyConfig("cumulative"), StrategyConfig("avg_sample")),
+                    arch=ModelArch(input_dim=8, hidden_layers=2, hidden_units=64),
+                    fed=FedConfig(num_clients=5, rounds=2, train=TrainConfig(local_epochs=1)),
+                    output_dir=str(tmp_path / "run"), seed=3)
+    records = generate(tiny_scenario(seed=3, rows=60))
+    tracemalloc.start()
+    try:
+        assert run_experiment(cfg, records).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * param_count(cfg.arch)
+
+
 def _memory_owner(array):
     while array.base is not None:
         array = array.base
@@ -397,24 +446,36 @@ def _memory_owner(array):
 
 def test_strategy_checkpoints_are_freed_before_the_next_strategy_trains(tmp_path,
                                                                          monkeypatch):
-    saved = []  # weak references to the memory of every saved checkpoint
-    alive_at_rounds = []
-    real_save, real_round = runner.save_checkpoint, federation.run_round
+    # weak references to the memory of every checkpoint made, trained or read
+    # back, keyed by the strategy whose timeline made it
+    made: dict[str, list] = {}
+    alive_at_rounds = []  # per round: (alive of this strategy, alive of earlier ones)
+    real_timeline, real_round = runner.run_timeline, federation.run_round
+    real_checkpoint = federation.Checkpoint
 
-    def recording_save(path, ckpt):
-        real_save(path, ckpt)
-        saved.append(weakref.ref(_memory_owner(ckpt.params.vec)))
+    def recording_timeline(strategy, *args, **kwargs):
+        made[strategy.label] = []
+        return real_timeline(strategy, *args, **kwargs)
+
+    def recording_checkpoint(params, *args):
+        made[list(made)[-1]].append(weakref.ref(_memory_owner(params.vec)))
+        return real_checkpoint(params, *args)
 
     def recording_round(*args, **kwargs):
-        alive_at_rounds.append(sum(ref() is not None for ref in saved))
+        alive = [sum(ref() is not None for ref in refs) for refs in made.values()]
+        alive_at_rounds.append((alive[-1], sum(alive[:-1])))
         return real_round(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "save_checkpoint", recording_save)
+    monkeypatch.setattr(runner, "run_timeline", recording_timeline)
+    monkeypatch.setattr(federation, "Checkpoint", recording_checkpoint)
     monkeypatch.setattr(federation, "run_round", recording_round)
     cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("cumulative"),
                                           StrategyConfig("avg_equal"), StrategyConfig("static")))
     assert run_experiment(cfg, records=_tiny_records()).ok
-    assert len(saved) == 11 and alive_at_rounds == [0] * 33  # 5 + 5 + 1 periods, 3 rounds
+    assert [len(refs) for refs in made.values()] == [10, 10, 2]  # trained, then read back
+    assert len(alive_at_rounds) == 33  # 5 + 5 + 1 periods, 3 rounds
+    # at most the checkpoint its period started from, and none of an earlier strategy
+    assert all(mine <= 1 and earlier == 0 for mine, earlier in alive_at_rounds)
 
 
 def test_run_leaves_no_temp_files(tiny_run):
@@ -574,9 +635,9 @@ def test_fed_seed_never_reached_the_run(tmp_path, monkeypatch):
     seen = []
     real = runner.run_timeline
 
-    def recording(strategy, inputs, fed, arch, seed):
+    def recording(strategy, inputs, fed, arch, seed, **kwargs):
         seen.append((strategy.label, seed))
-        return real(strategy, inputs, fed, arch, seed)
+        return real(strategy, inputs, fed, arch, seed, **kwargs)
 
     monkeypatch.setattr(runner, "run_timeline", recording)
     cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"),))
