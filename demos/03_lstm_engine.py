@@ -46,7 +46,6 @@ data = LabeledData(np.vstack([blob_a, blob_b]), np.array([0] * 80 + [1] * 80))
 small = ModelArch(input_dim=4, hidden_layers=1, hidden_units=8, output_dim=2)
 model = init_params(small, seed=1)
 for epochs in (1, 5, 20):
-    trained, n, secs = train_local(model, data, TrainConfig(local_epochs=epochs), seed=3)
+    [trained] = train_local(model, [data], TrainConfig(local_epochs=epochs), seeds=[3])
     acc = np.mean(predict(trained, data.X) == data.y)
-    print(f"train_local: {epochs:>2} epochs over {n} rows -> "
-          f"accuracy {acc:.3f} ({secs*1000:.0f} ms)")
+    print(f"train_local: {epochs:>2} epochs over {len(data)} rows -> accuracy {acc:.3f}")

@@ -99,16 +99,15 @@ def fedavg_aggregate(client_params: list[ModelParams], client_sizes: list[int],
 
 
 def run_round(global_params: ModelParams, client_train: list[LabeledData],
-              cfg: FedConfig, seed: int, round_index: int = 0):
-    """One communication round: broadcast, local training, FedAvg.
+              cfg: FedConfig, seed: int, round_index: int = 0) -> ModelParams:
+    """One communication round: broadcast, local training, FedAvg; returns the new global.
 
     The clients train in cohorts of :func:`~driftfed.nn.cohort_size`
     consecutive clients, one :func:`train_local` call per cohort with one
     optimizer workspace for the round, which also holds the cohort's trained
     vectors. Each cohort is folded into FedAvg's running sum before the next
     one trains, so the round holds one cohort's client vectors at a time.
-    Returns ``(new_global, training_seconds)``, the summed wall time of the
-    calls. Deterministic: client k's shuffles derive from (seed, round_index, k).
+    Deterministic: client k's shuffles derive from (seed, round_index, k).
     """
     if not client_train:
         raise FederationError("a round needs at least one client")
@@ -122,18 +121,16 @@ def run_round(global_params: ModelParams, client_train: list[LabeledData],
     per_cohort = cohort_size(arch)
     workspace = Optimizer(cfg.train, arch, min(per_cohort, len(client_train)))
     running = None
-    seconds = 0.0
     for lo in range(0, len(client_train), per_cohort):
-        cohort = slice(lo, lo + per_cohort)
-        params, sizes, secs = train_local(global_params, client_train[cohort], cfg.train,
-                                          seeds[cohort], workspace=workspace)
+        cohort = client_train[lo:lo + per_cohort]
+        params = train_local(global_params, cohort, cfg.train, seeds[lo:lo + per_cohort],
+                             workspace=workspace)
         if running is None:
             # allocated after the first cohort trains: allocated ahead of the
             # workspace, it measured about 7% slower desk-scale training (heap layout)
             running = np.zeros(param_count(arch))
-        merged = fedavg_aggregate(params, sizes, total, running)
-        seconds += secs
-    return merged, seconds
+        merged = fedavg_aggregate(params, [len(s) for s in cohort], total, running)
+    return merged
 
 
 class RunningAverage:
@@ -224,12 +221,6 @@ class RoundLog:
 
 
 @dataclass
-class TimelineResult:
-    checkpoints: list[Checkpoint]
-    round_logs: list[RoundLog]
-
-
-@dataclass
 class PeriodInput:
     """Encoded shards for one training period."""
 
@@ -240,7 +231,7 @@ class PeriodInput:
 
 def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
                  cfg: FedConfig, arch: ModelArch, seed: int,
-                 on_checkpoint: Callable[[Checkpoint], None] | None = None) -> TimelineResult:
+                 on_checkpoint: Callable[[Checkpoint], None]) -> list[RoundLog]:
     """Train across periods with checkpoint chaining.
 
     The first period starts from a fresh initialization derived from
@@ -252,10 +243,9 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
     or that leaves a non-finite parameter, raises :class:`DivergenceError`
     naming the period and round.
 
-    Each period's checkpoint goes to ``on_checkpoint`` as the period ends,
-    and the result then lists none; without it the result lists them all.
+    Each period's checkpoint goes to ``on_checkpoint`` as the period ends;
+    the timeline keeps none. Returns the round logs.
     """
-    checkpoints: list[Checkpoint] = []
     logs: list[RoundLog] = []
     mode = _INIT_MODE_BY_KIND.get(strategy.kind)
     running = None if mode is None else RunningAverage(mode, strategy.ema_alpha)
@@ -273,8 +263,8 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
             try:
                 with np.errstate(over="raise", invalid="raise"):
                     tick = time.perf_counter()
-                    params, _ = run_round(params, item.client_train, cfg, seed,
-                                          round_index=item.period_id * 1000 + rnd)
+                    params = run_round(params, item.client_train, cfg, seed,
+                                       round_index=item.period_id * 1000 + rnd)
                     wall += time.perf_counter() - tick
                     if not np.isfinite(params.vec).all():
                         raise DivergenceError(f"period {item.period_id} round {rnd}: "
@@ -289,12 +279,9 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
 
         sample_count = sum(len(s) for s in item.client_train)
         ckpt = Checkpoint(params, item.period_id, sample_count, wall)
-        if on_checkpoint is None:
-            checkpoints.append(ckpt)
-        else:
-            on_checkpoint(ckpt)
+        on_checkpoint(ckpt)
 
-    return TimelineResult(checkpoints, logs)
+    return logs
 
 
 def _concat_nonempty(shards: list[LabeledData]) -> LabeledData | None:

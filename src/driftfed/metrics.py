@@ -236,8 +236,9 @@ def attack_generalization_matrix(families: list[str], train: FlowTable, test: Fl
                                 concat_rows([c.train, c.client_test, c.validation]))
                   for c in clients]
         period = PeriodInput(0, [s for s in shards if len(s) > 0], client_val=[])
-        result = run_timeline(StrategyConfig("static"), [period], cfg, arch, fam_seed)
-        reports = cross_period_eval(result.checkpoints, test_sets, codec.num_classes)
+        checkpoints = []
+        run_timeline(StrategyConfig("static"), [period], cfg, arch, fam_seed, checkpoints.append)
+        reports = cross_period_eval(checkpoints, test_sets, codec.num_classes)
         values[i, :len(usable)] = [r.accuracy for r in reports]
         values[i, -1] = values[i, :len(usable)].mean()
     return GeneralizationMatrix(usable, values)

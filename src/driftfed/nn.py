@@ -32,24 +32,22 @@ numerator ``max(e, x >= 0)``, which is 1 for x >= 0 and e below, by ``1 + e``.
 Each element gets the same division the piecewise form ``1/(1+e)`` or
 ``e/(1+e)`` would pick, so the bits are those of ``tests/reference_lstm.py``.
 
-Lockstep clients: :func:`train_local` trains several clients together, in
-cohorts of at most :func:`cohort_size` consecutive clients, so a cohort's
-optimizer state stays cache-sized; at the desk 1x16 arch a round's five
-clients are one cohort, at the full 5x128 arch each client is its own. Within
-a cohort the clients are ordered by shard size, so at each step of an epoch
-the clients whose batch has the same row count are consecutive. Each maximal
-such run is stacked on a leading axis, and forward, backward and the Adam or
-SGD update run once per run over ``(g, b, F)`` batches and ``(g, P)``
-parameter, gradient and moment blocks. A ragged last batch forms its own run:
-batches are stacked, never padded. The trained parameters, the gradient,
-the moments and the optimizer scratch live in one :class:`Optimizer`
-workspace, sized for the largest cohort and reused by every cohort.
-``run_round`` calls :func:`train_local` once per cohort and passes each call
-the round's one workspace: fresh buffers would be paged in again on every
-call. Per client
-stay the shuffle, Adam's step count (clients with different batch counts
-share runs from the second epoch on) and the batch size that divides the
-loss gradient.
+Lockstep clients: :func:`train_local` trains a list of client shards
+together, as one cohort. The clients are ordered by shard size, so at each
+step of an epoch the clients whose batch has the same row count are
+consecutive. Each maximal such run is stacked on a leading axis, and
+forward, backward and the Adam or SGD update run once per run over ``(g, b,
+F)`` batches and ``(g, P)`` parameter, gradient and moment blocks. A ragged
+last batch forms its own run: batches are stacked, never padded. The trained
+parameters, the gradient, the moments and the optimizer scratch live in one
+:class:`Optimizer` workspace. ``run_round`` owns the cohorts: it splits a
+round's clients into cohorts of at most :func:`cohort_size`, so a cohort's
+optimizer state stays cache-sized (at the desk 1x16 arch a round's five
+clients are one cohort, at the full 5x128 arch each client is its own), and
+passes every :func:`train_local` call of the round one workspace: fresh
+buffers would be paged in again on every call. Per client stay the shuffle,
+Adam's step count (clients with different batch counts share runs from the
+second epoch on) and the batch size that divides the loss gradient.
 
 Stacking is exact. A 3-D ``matmul`` runs the same BLAS call per stacked
 matrix as a 2-D ``matmul`` on that matrix, since the matrices have the same
@@ -69,7 +67,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -144,7 +141,7 @@ def param_count(arch: ModelArch) -> int:
 
 
 def cohort_size(arch: ModelArch) -> int:
-    """Most clients :func:`train_local` trains in lockstep at ``arch``."""
+    """Most clients ``run_round`` trains in one lockstep cohort at ``arch``."""
     return max(1, COHORT_PARAMS // param_count(arch))
 
 
@@ -457,12 +454,12 @@ class Optimizer:
     sized for cohorts of up to ``rows`` clients: the block the trained
     parameters go to, the gradient block, Adam's two moments and two scratch
     vectors. :func:`train_local` makes one per call unless it is given one to
-    reuse. The moments cover only the live
-    segments (see ``ModelArch.layout``), packed side by side, and
-    :meth:`reset` zeroes them for each cohort. The gradient is zeroed once:
-    backward overwrites all of it but the inert ``wh``, whose zeros stay.
-    :meth:`segments` builds the per-segment views of a run's rows once; a
-    step allocates nothing beyond its bias-correction column.
+    reuse. The moments cover only the live segments (see
+    ``ModelArch.layout``), packed side by side, and :meth:`reset` zeroes them
+    for each cohort. The gradient is zeroed once: backward overwrites all of
+    it but the inert ``wh``, whose zeros stay. :meth:`segments` builds the
+    per-segment views of a run's rows once; a step allocates nothing beyond
+    its bias-correction column.
     """
 
     def __init__(self, cfg: TrainConfig, arch: ModelArch, rows: int):
@@ -543,71 +540,21 @@ class _Run:
         return [epoch * nb + self.step + 1 for nb in self.batches]
 
 
-def _train_cohort(start: ModelParams, shards: list[LabeledData], seeds: list[int],
-                  cfg: TrainConfig, vec: np.ndarray, optimizer: Optimizer) -> None:
-    """Train clients sorted by shard size in lockstep; their results go to the rows of ``vec``."""
-    arch = start.arch
-    bs = cfg.batch_size
-    sizes = [len(s) for s in shards]
-    vec[...] = start.vec
-    optimizer.reset(len(shards))
-    X = np.empty((len(shards), max(sizes), arch.feature_width))
-    y = np.empty((len(shards), max(sizes)), dtype=np.int64)
+def train_local(params: ModelParams, shards: Sequence[LabeledData], cfg: TrainConfig,
+                seeds: Sequence[int], workspace: Optimizer | None = None) -> list[ModelParams]:
+    """Mini-batch training of client shards in lockstep, as one cohort.
 
-    # The run schedule is the same every epoch; only the buffer contents change.
-    batches = [-(-n // bs) for n in sizes]
-    schedule = []
-    for step in range(max(batches)):
-        lo = step * bs
-        rows = [min(bs, n - lo) for n in sizes]
-        i = 0
-        while i < len(rows):
-            j = i + 1
-            while j < len(rows) and rows[j] == rows[i]:
-                j += 1
-            if rows[i] > 0:
-                run, hi = slice(i, j), lo + rows[i]
-                counts = tuple(batches[run])
-                schedule.append(_Run(step, counts[0] if len(set(counts)) == 1 else counts,
-                                     ModelParams(arch, vec[run]), optimizer.grad[run],
-                                     X[run, lo:hi], y[run, lo:hi],
-                                     optimizer.segments(vec, run)))
-            i = j
-
-    for epoch in range(cfg.local_epochs):
-        for k, (shard, seed) in enumerate(zip(shards, seeds)):
-            order = rng_for(seed, "shuffle", epoch).permutation(sizes[k])
-            X[k, :sizes[k]] = shard.X[order]
-            y[k, :sizes[k]] = shard.y[order]
-        for run in schedule:
-            _, cache = forward(run.params, run.X)
-            backward(run.params, cache, run.y, out=run.grad)
-            optimizer.step(run.segments, run.adam_step(epoch))
-
-
-def train_local(params: ModelParams, data: LabeledData | Sequence[LabeledData],
-                cfg: TrainConfig, seed: int | Sequence[int],
-                workspace: Optimizer | None = None):
-    """Mini-batch training of one client's shard, or of several clients in lockstep.
-
-    ``data`` is one shard and ``seed`` one seed, or a list of client shards
-    that all start from ``params`` and a parallel list of seeds. Each client
-    runs ``cfg.local_epochs`` epochs with a fresh optimizer state; shuffling
-    is a per-epoch permutation from a generator derived from its seed. The
-    result for a client does not depend on which other clients train beside
-    it. Clients train in cohorts of :func:`cohort_size` consecutive shards,
-    ordered by shard size within a cohort. ``workspace``, if given, is an
-    :class:`Optimizer` for ``cfg`` and the arch with room for a cohort; it is
-    reused instead of a fresh one. Results that fit its output block are
-    views of it, so a caller that passes one workspace to several calls must
-    be done with one call's results before the next. Returns
-    ``(updated_params, sample_count, wall_clock_seconds)``; for a list of
-    shards the first two are lists in shard order and the seconds cover all
-    of them.
+    Every shard starts from ``params``, with its own seed from the parallel
+    list ``seeds``, and runs ``cfg.local_epochs`` epochs with a fresh
+    optimizer state; shuffling is a per-epoch permutation from a generator
+    derived from its seed. The result for a client does not depend on which
+    other clients train beside it. ``workspace`` is an :class:`Optimizer`
+    for ``cfg`` and the arch with at least one row per shard, or ``None`` for
+    a fresh one. The results, in shard order, are views of its output
+    block, so a caller that passes one workspace to several calls must be
+    done with one call's results before the next.
     """
-    single = isinstance(data, LabeledData)
-    shards = [data] if single else list(data)
-    seeds = list(seed) if isinstance(seed, Sequence) else [seed]
+    shards, seeds = list(shards), list(seeds)
     if not shards or len(seeds) != len(shards):
         raise ConfigError(f"need one seed per shard and at least one shard, got "
                           f"{len(seeds)} seed(s) for {len(shards)} shard(s)")
@@ -626,29 +573,56 @@ def train_local(params: ModelParams, data: LabeledData | Sequence[LabeledData],
             raise ShapeError(f"shard has {X.shape[1]} columns, expected "
                              f"input_dim*seq_len = {arch.feature_width}")
         prepared.append(LabeledData(X, y))
-
-    per_cohort = cohort_size(arch)
-    rows = min(per_cohort, len(shards))
-    if workspace is not None and (workspace.cfg != cfg or workspace.arch != arch
-                                  or workspace.rows < rows):
-        raise ConfigError(f"workspace is for {workspace.rows} client(s) of another config or "
-                          f"arch; this call needs {rows} of {cfg} at {arch}")
-
-    start = time.perf_counter()
     if workspace is None:
-        workspace = Optimizer(cfg, arch, rows)
+        workspace = Optimizer(cfg, arch, len(shards))
+    elif workspace.cfg != cfg or workspace.arch != arch or workspace.rows < len(shards):
+        raise ConfigError(f"workspace is for {workspace.rows} client(s) of another config or "
+                          f"arch; this call needs {len(shards)} of {cfg} at {arch}")
+
+    # clients sorted by shard size (stable: ties keep shard order) make each
+    # step's runs of equal batch row counts consecutive
+    order = sorted(range(len(prepared)), key=lambda k: len(prepared[k]))
+    prepared = [prepared[k] for k in order]
+    seeds = [seeds[k] for k in order]
+    bs = cfg.batch_size
     sizes = [len(s) for s in prepared]
-    trained = (workspace.out if len(prepared) <= workspace.rows
-               else np.empty((len(prepared), param_count(arch))))
+    vec = workspace.out[:len(prepared)]
+    vec[...] = params.vec
+    workspace.reset(len(prepared))
+    X = np.empty((len(prepared), max(sizes), arch.feature_width))
+    y = np.empty((len(prepared), max(sizes)), dtype=np.int64)
+
+    # The run schedule is the same every epoch; only the buffer contents change.
+    batches = [-(-n // bs) for n in sizes]
+    schedule = []
+    for step in range(max(batches)):
+        lo = step * bs
+        rows = [min(bs, n - lo) for n in sizes]
+        i = 0
+        while i < len(rows):
+            j = i + 1
+            while j < len(rows) and rows[j] == rows[i]:
+                j += 1
+            if rows[i] > 0:
+                run, hi = slice(i, j), lo + rows[i]
+                counts = tuple(batches[run])
+                schedule.append(_Run(step, counts[0] if len(set(counts)) == 1 else counts,
+                                     ModelParams(arch, vec[run]), workspace.grad[run],
+                                     X[run, lo:hi], y[run, lo:hi],
+                                     workspace.segments(vec, run)))
+            i = j
+
+    for epoch in range(cfg.local_epochs):
+        for k, (shard, seed) in enumerate(zip(prepared, seeds)):
+            perm = rng_for(seed, "shuffle", epoch).permutation(sizes[k])
+            X[k, :sizes[k]] = shard.X[perm]
+            y[k, :sizes[k]] = shard.y[perm]
+        for run in schedule:
+            _, cache = forward(run.params, run.X)
+            backward(run.params, cache, run.y, out=run.grad)
+            workspace.step(run.segments, run.adam_step(epoch))
+
     results = [None] * len(prepared)
-    for lo in range(0, len(prepared), per_cohort):
-        # stable: ties keep shard order
-        cohort = sorted(range(lo, min(lo + per_cohort, len(prepared))), key=sizes.__getitem__)
-        _train_cohort(params, [prepared[k] for k in cohort], [seeds[k] for k in cohort],
-                      cfg, trained[lo:lo + len(cohort)], workspace)
-        for row, k in enumerate(cohort, lo):
-            results[k] = ModelParams(arch, trained[row])
-    seconds = time.perf_counter() - start
-    if single:
-        return results[0], sizes[0], seconds
-    return results, sizes, seconds
+    for row, k in enumerate(order):
+        results[k] = ModelParams(arch, vec[row])
+    return results

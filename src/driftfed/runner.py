@@ -12,6 +12,10 @@ configured strategy and writes, per task:
   checkpoints/<strategy>/t<i>.ckpt
   manifest.json           resolved config, seeds, artifact list, statuses
 
+Checkpoints and the manifest are not keyed by task, so an output directory
+holds one task's run: ``validate_config`` refuses a directory whose manifest
+records another task.
+
 Every file is written to a temp file beside it and renamed into place, so a
 failed write leaves the previous version.
 
@@ -218,9 +222,21 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
 
     A malformed field never gets here: its dataclass rejects it. ``records``,
     when given, is the table a run would use instead of ``cfg.data``, so its
-    width is the feature count the arch must match.
+    width is the feature count the arch must match. An output directory
+    whose manifest records another task is refused, since the run would
+    overwrite that task's checkpoints and manifest.
     """
     problems: list[str] = []
+    manifest = Path(cfg.output_dir) / "manifest.json"
+    if manifest.exists():
+        try:
+            task = json.loads(manifest.read_text(encoding="utf-8"))["config"]["task"]
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+            problems.append(f"output_dir: cannot read {manifest}: {exc!r}")
+        else:
+            if task != cfg.task:
+                problems.append(f"output_dir: {manifest} records task {task!r}, not "
+                                f"{cfg.task!r}; use another output directory")
     if not cfg.data.is_synthetic() and not Path(cfg.data.path).is_file():
         problems.append(f"data.path: not a file: {cfg.data.path!r}")
     try:

@@ -11,7 +11,7 @@ generalization is visibly asymmetric.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ class FamilySpec:
 class ScenarioSpec:
     num_features: int = NUM_FEATURES
     families: tuple[FamilySpec, ...] = ()
-    divergence: dict = field(default_factory=dict)  # (name, name) -> mean distance
     seed: int = 0
     clip: tuple[float, float] = DEFAULT_CLIP
 
@@ -75,16 +74,6 @@ class ScenarioSpec:
             if fam.name in names:
                 raise ConfigError(f"duplicate family name {fam.name!r}")
             names.add(fam.name)
-        by_name = {f.name: f for f in self.families}
-        for (a, b), target in self.divergence.items():
-            if a not in by_name or b not in by_name:
-                raise ConfigError(f"divergence pair ({a!r}, {b!r}) names an unknown family")
-            actual = float(np.linalg.norm(by_name[a].mean - by_name[b].mean))
-            if abs(actual - target) > 0.1 * max(target, 1e-12):
-                raise ConfigError(
-                    f"divergence target for ({a}, {b}) is {target:.4g} "
-                    f"but the means are {actual:.4g} apart"
-                )
 
 
 def generate(spec: ScenarioSpec) -> FlowTable:
@@ -133,9 +122,7 @@ def default_drift_scenario(seed: int, rows_per_subattack: int = 1200) -> Scenari
         families.append(FamilySpec(category, category, ROSTER[category], mean,
                                    0.8, rows_per_subattack))
 
-    divergence = {("MQTT", "DDoS"): float(2 * offset * np.sqrt(8))}
-    return ScenarioSpec(num_features=num_features, families=tuple(families),
-                        divergence=divergence, seed=seed)
+    return ScenarioSpec(num_features=num_features, families=tuple(families), seed=seed)
 
 
 def feature_columns(num_features: int) -> tuple[str, ...]:

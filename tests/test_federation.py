@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+import reference_lstm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -105,19 +106,18 @@ def test_run_round_deterministic(rng):
     shards = _shards(rng)
     cfg = FedConfig(num_clients=3, rounds=1, train=TrainConfig(local_epochs=2))
     start = init_params(ARCH, seed=1)
-    out1, secs1 = run_round(start, shards, cfg, 5, round_index=4)
-    out2, _ = run_round(start, shards, cfg, 5, round_index=4)
+    out1 = run_round(start, shards, cfg, 5, round_index=4)
+    out2 = run_round(start, shards, cfg, 5, round_index=4)
     assert np.array_equal(out1.vec, out2.vec)
-    assert isinstance(secs1, float) and secs1 > 0  # the round's training seconds
 
 
 def test_run_round_single_client_equals_local_training(rng):
     shards = _shards(rng, n_clients=1)
     cfg = FedConfig(num_clients=1, rounds=1, train=TrainConfig(local_epochs=2))
     start = init_params(ARCH, seed=2)
-    merged, _ = run_round(start, shards, cfg, 9, round_index=0)
+    merged = run_round(start, shards, cfg, 9, round_index=0)
     seed = int(rng_for(9, "round", 0, "client", 0).integers(0, 2**63 - 1))
-    local, _, _ = train_local(start, shards[0], TrainConfig(local_epochs=2), seed)
+    [local] = train_local(start, shards, TrainConfig(local_epochs=2), [seed])
     assert np.array_equal(merged.vec, local.vec)
 
 
@@ -133,9 +133,37 @@ def test_run_round_folds_cohorts_bit_exact_to_clients_trained_alone(hidden, per_
         shards.append(LabeledData(X, (X[:, 0] > 0).astype(int)))
     cfg = FedConfig(num_clients=5, rounds=1, train=TrainConfig(local_epochs=2))
     start = init_params(arch, seed=4)
-    merged, _ = run_round(start, shards, cfg, 6, round_index=2)
-    alone = [train_local(start, shard, cfg.train, derive_seed(6, "round", 2, "client", k))[0]
+    merged = run_round(start, shards, cfg, 6, round_index=2)
+    alone = [train_local(start, [shard], cfg.train, [derive_seed(6, "round", 2, "client", k)])[0]
              for k, shard in enumerate(shards)]
+    expected = fedavg_aggregate(alone, [len(s) for s in shards])
+    assert merged.vec.tobytes() == expected.vec.tobytes()
+
+
+def test_run_round_splits_clients_into_cohorts(monkeypatch):
+    # a cohort holds 2 of these models, so 5 clients train as cohorts of 2, 2
+    # and 1, and every client as the per-client reference trains it
+    gen = np.random.default_rng(8)
+    arch = ModelArch(input_dim=4, hidden_layers=2, hidden_units=45, output_dim=2)
+    assert cohort_size(arch) == 2
+    start = ModelParams(arch, gen.normal(0, 0.5, param_count(arch)))
+    shards = [LabeledData(gen.normal(scale=2.0, size=(n, 4)), gen.integers(0, 2, n))
+              for n in (11, 9, 17, 9, 12)]
+    cfg = FedConfig(num_clients=5, rounds=1,
+                    train=TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2))
+    widths = []
+    real_train = federation.train_local
+
+    def recording_train(params, cohort, *args, **kwargs):
+        widths.append(len(cohort))
+        return real_train(params, cohort, *args, **kwargs)
+
+    monkeypatch.setattr(federation, "train_local", recording_train)
+    merged = run_round(start, shards, cfg, 6, round_index=1)
+    assert widths == [2, 2, 1]
+    alone = [ModelParams(arch, reference_lstm.train(arch, start.vec, s.X, s.y, cfg.train,
+                                                    derive_seed(6, "round", 1, "client", k)))
+             for k, s in enumerate(shards)]
     expected = fedavg_aggregate(alone, [len(s) for s in shards])
     assert merged.vec.tobytes() == expected.vec.tobytes()
 
@@ -241,8 +269,15 @@ def _period_inputs(rng, periods, rows=30):
     return inputs
 
 
+def _timeline(strategy, inputs, cfg, seed):
+    """``run_timeline``'s checkpoints, collected, and its round logs."""
+    checkpoints = []
+    logs = run_timeline(strategy, inputs, cfg, ARCH, seed, checkpoints.append)
+    return checkpoints, logs
+
+
 def _run_recording_starts(monkeypatch, strategy, inputs, cfg):
-    """``run_timeline`` plus, per period, the params its first round started from."""
+    """``_timeline`` plus, per period, the params its first round started from."""
     starts = {}
     real_round = federation.run_round
 
@@ -253,65 +288,63 @@ def _run_recording_starts(monkeypatch, strategy, inputs, cfg):
         return real_round(params, shards, cfg, seed, round_index=round_index)
 
     monkeypatch.setattr(federation, "run_round", recording_round)
-    return run_timeline(strategy, inputs, cfg, ARCH, seed=3), starts
+    return _timeline(strategy, inputs, cfg, seed=3), starts
 
 
 def test_run_timeline_chains_checkpoints_bit_exact(rng, monkeypatch):
     cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1))
-    result, starts = _run_recording_starts(monkeypatch, StrategyConfig("cumulative"),
-                                           _period_inputs(rng, [1, 2, 3]), cfg)
-    assert [c.period_id for c in result.checkpoints] == [1, 2, 3]
-    for prev, period in zip(result.checkpoints, [2, 3]):
+    (checkpoints, logs), starts = _run_recording_starts(
+        monkeypatch, StrategyConfig("cumulative"), _period_inputs(rng, [1, 2, 3]), cfg)
+    assert [c.period_id for c in checkpoints] == [1, 2, 3]
+    for prev, period in zip(checkpoints, [2, 3]):
         assert np.array_equal(starts[period].vec, prev.params.vec)
-    assert all(c.train_wall_clock > 0 for c in result.checkpoints)
-    assert all(c.train_sample_count == 60 for c in result.checkpoints)
-    assert all(log.val_accuracy is not None for log in result.round_logs)
+    assert all(c.train_wall_clock > 0 for c in checkpoints)
+    assert all(c.train_sample_count == 60 for c in checkpoints)
+    assert all(log.val_accuracy is not None for log in logs)
 
 
 def test_run_timeline_static_single_checkpoint(rng):
     cfg = FedConfig(num_clients=2, rounds=1, train=TrainConfig(local_epochs=1))
-    result = run_timeline(StrategyConfig("static"), _period_inputs(rng, [1]), cfg, ARCH, 3)
-    assert len(result.checkpoints) == 1
+    checkpoints, _ = _timeline(StrategyConfig("static"), _period_inputs(rng, [1]), cfg, 3)
+    assert len(checkpoints) == 1
 
 
 def test_run_timeline_averaging_initializes_from_history(rng, monkeypatch):
     cfg = FedConfig(num_clients=2, rounds=1, train=TrainConfig(local_epochs=1))
-    result, starts = _run_recording_starts(monkeypatch, StrategyConfig("avg_ema", ema_alpha=0.6),
-                                           _period_inputs(rng, [1, 2, 3]), cfg)
-    expected = init_from_history("ema", result.checkpoints[:2], ema_alpha=0.6)
+    (ema, _), starts = _run_recording_starts(
+        monkeypatch, StrategyConfig("avg_ema", ema_alpha=0.6), _period_inputs(rng, [1, 2, 3]),
+        cfg)
+    expected = init_from_history("ema", ema[:2], ema_alpha=0.6)
     assert np.array_equal(starts[3].vec, expected.vec)
-    sample, starts = _run_recording_starts(monkeypatch, StrategyConfig("avg_sample"),
-                                           _period_inputs(rng, [1, 2, 3]), cfg)
-    expected = init_from_history("sample", sample.checkpoints[:2])
+    (sample, _), starts = _run_recording_starts(monkeypatch, StrategyConfig("avg_sample"),
+                                                _period_inputs(rng, [1, 2, 3]), cfg)
+    expected = init_from_history("sample", sample[:2])
     assert np.array_equal(starts[3].vec, expected.vec)
 
 
 @pytest.mark.parametrize("kind", ["avg_equal", "avg_sample", "avg_ema"])
-def test_run_timeline_streams_the_checkpoints_it_would_collect(monkeypatch, kind):
+def test_run_timeline_streams_the_checkpoints_it_would_collect(kind):
+    # the streamed checkpoints are those of a loop over run_round that keeps
+    # every checkpoint and starts each period from their stacked average
     cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1))
     strategy = StrategyConfig(kind)
-    periods = [1, 2, 3, 4]
-    collected = run_timeline(strategy, _period_inputs(np.random.default_rng(7), periods),
-                             cfg, ARCH, 3)
-    starts = {}
-    real_round = federation.run_round
-
-    def recording_round(params, *args, round_index=0):
-        starts.setdefault(round_index // 1000, params)
-        return real_round(params, *args, round_index=round_index)
-
-    monkeypatch.setattr(federation, "run_round", recording_round)
-    streamed = []
-    result = run_timeline(strategy, _period_inputs(np.random.default_rng(7), periods), cfg,
-                          ARCH, 3, on_checkpoint=streamed.append)
-    assert result.checkpoints == [] and result.round_logs == collected.round_logs
+    inputs = _period_inputs(np.random.default_rng(7), [1, 2, 3, 4])
+    streamed, logs = _timeline(strategy, inputs, cfg, 3)
+    assert [(log.period_id, log.round_index) for log in logs] == [
+        (p, r) for p in (1, 2, 3, 4) for r in range(2)]
+    collected = []
+    params = init_params(ARCH, seed=derive_seed(3, "model-init"))
+    for item in inputs:
+        if collected:
+            params = ModelParams(ARCH, _stacked_average(kind[4:], collected,
+                                                        strategy.ema_alpha))
+        for rnd in range(cfg.rounds):
+            params = run_round(params, item.client_train, cfg, 3,
+                               round_index=1000 * item.period_id + rnd)
+        collected.append(Checkpoint(params, item.period_id, 60, 0.0))
     assert ([(c.period_id, c.train_sample_count, c.params.vec.tobytes()) for c in streamed]
             == [(c.period_id, c.train_sample_count, c.params.vec.tobytes())
-                for c in collected.checkpoints])
-    # each period started from the stacked average of every checkpoint before it
-    for k, period in enumerate(periods[1:], 1):
-        expected = _stacked_average(kind[4:], collected.checkpoints[:k], strategy.ema_alpha)
-        assert starts[period].vec.tobytes() == expected.tobytes()
+                for c in collected])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # building the huge inputs overflows
@@ -322,7 +355,7 @@ def test_run_timeline_flags_divergence_by_period_and_round(rng):
     huge = [LabeledData(s.X * 1e308, s.y) for s in inputs[1].client_train]
     inputs[1] = PeriodInput(2, huge, inputs[1].client_val)
     with pytest.raises(DivergenceError, match="period 2 round 0"):
-        run_timeline(StrategyConfig("cumulative"), inputs, cfg, ARCH, 3)
+        _timeline(StrategyConfig("cumulative"), inputs, cfg, 3)
 
 
 def test_run_timeline_flags_overflow_while_parameters_are_still_finite(rng):
@@ -331,16 +364,17 @@ def test_run_timeline_flags_overflow_while_parameters_are_still_finite(rng):
     cfg = FedConfig(num_clients=2, rounds=2,
                     train=TrainConfig(learning_rate=1e308, local_epochs=1))
     with pytest.raises(DivergenceError, match="period 1 round 0: .*overflow"):
-        run_timeline(StrategyConfig("simple"), _period_inputs(rng, [1]), cfg, ARCH, 3)
+        _timeline(StrategyConfig("simple"), _period_inputs(rng, [1]), cfg, 3)
 
 
 def test_run_timeline_full_determinism(rng):
     cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1))
     gen_a = np.random.default_rng(42)
     gen_b = np.random.default_rng(42)
-    res_a = run_timeline(StrategyConfig("simple"), _period_inputs(gen_a, [1, 2]), cfg, ARCH, 8)
-    res_b = run_timeline(StrategyConfig("simple"), _period_inputs(gen_b, [1, 2]), cfg, ARCH, 8)
-    for ca, cb in zip(res_a.checkpoints, res_b.checkpoints):
+    res_a, _ = _timeline(StrategyConfig("simple"), _period_inputs(gen_a, [1, 2]), cfg, 8)
+    res_b, _ = _timeline(StrategyConfig("simple"), _period_inputs(gen_b, [1, 2]), cfg, 8)
+    assert len(res_a) == len(res_b) == 2
+    for ca, cb in zip(res_a, res_b):
         assert np.array_equal(ca.params.vec, cb.params.vec)
 
 

@@ -8,9 +8,11 @@ import pytest
 import reference_lstm
 from driftfed.dataset import LabeledData
 from driftfed.errors import ConfigError, DataError, LabelError, ShapeError
+from driftfed.federation import FedConfig, fedavg_aggregate, run_round
 from driftfed.nn import (COHORT_PARAMS, ModelArch, ModelParams, Optimizer, TrainConfig, _lstm,
-                         _sigmoid, backward, cross_entropy, forward, init_params, param_count,
-                         predict, softmax, train_local)
+                         _sigmoid, backward, cohort_size, cross_entropy, forward, init_params,
+                         param_count, predict, softmax, train_local)
+from driftfed.seeds import derive_seed
 
 
 def test_param_count_hand_example():
@@ -249,11 +251,11 @@ def test_train_local_rejects_empty_and_bad_labels():
     arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
     params = init_params(arch, seed=0)
     with pytest.raises(DataError):
-        train_local(params, LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int)),
-                    TrainConfig(local_epochs=1), seed=0)
+        train_local(params, [LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int))],
+                    TrainConfig(local_epochs=1), [0])
     with pytest.raises(LabelError):
-        train_local(params, LabeledData(np.zeros((2, 2)), np.array([0, 3])),
-                    TrainConfig(local_epochs=1), seed=0)
+        train_local(params, [LabeledData(np.zeros((2, 2)), np.array([0, 3]))],
+                    TrainConfig(local_epochs=1), [0])
 
 
 def test_train_local_deterministic_bitwise(rng):
@@ -261,9 +263,8 @@ def test_train_local_deterministic_bitwise(rng):
     params = init_params(arch, seed=2)
     data = LabeledData(rng.normal(size=(40, 3)), rng.integers(0, 2, 40))
     cfg = TrainConfig(local_epochs=3)
-    out1, n1, _ = train_local(params, data, cfg, seed=77)
-    out2, n2, _ = train_local(params, data, cfg, seed=77)
-    assert n1 == n2 == 40
+    [out1] = train_local(params, [data], cfg, [77])
+    [out2] = train_local(params, [data], cfg, [77])
     assert np.array_equal(out1.vec, out2.vec)
 
 
@@ -275,10 +276,9 @@ def test_train_local_learns_separable_blobs():
                        np.array([0] * 60 + [1] * 60))
     arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=8, output_dim=2)
     params = init_params(arch, seed=1)
-    out, _, secs = train_local(params, data, TrainConfig(local_epochs=20), seed=5)
+    [out] = train_local(params, [data], TrainConfig(local_epochs=20), [5])
     acc = np.mean(predict(out, data.X) == data.y)
     assert acc >= 0.95
-    assert secs > 0
 
 
 def test_full_batch_descent_loss_non_increasing(rng):
@@ -294,7 +294,7 @@ def test_full_batch_descent_loss_non_increasing(rng):
     for _ in range(20):
         logits, _ = forward(current, X)
         losses.append(cross_entropy(logits, y))
-        current, _, _ = train_local(current, data, cfg, seed=0)
+        [current] = train_local(current, [data], cfg, [0])
     logits, _ = forward(current, X)
     losses.append(cross_entropy(logits, y))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -329,7 +329,7 @@ def test_engine_matches_per_tensor_reference_bitwise(seed):
     for optimizer in ("adam", "sgd"):
         cfg = TrainConfig(learning_rate=0.05, batch_size=int(gen.integers(1, 20)),
                           local_epochs=2, optimizer=optimizer)
-        out, _, _ = train_local(params, LabeledData(X, y), cfg, seed)
+        [out] = train_local(params, [LabeledData(X, y)], cfg, [seed])
         assert (out.vec.tobytes()
                 == reference_lstm.train(arch, params.vec, X, y, cfg, seed).tobytes())
 
@@ -386,7 +386,7 @@ def test_recurrent_weights_inert_only_at_seq_len_one(rng, optimizer):
                          seq_len=seq_len)
         params = init_params(arch, seed=6)
         data = LabeledData(rng.normal(size=(40, arch.feature_width)), rng.integers(0, 2, 40))
-        out, _, _ = train_local(params, data, cfg, seed=4)
+        [out] = train_local(params, [data], cfg, [4])
         for before, after in zip(params.wh, out.wh):
             assert np.array_equal(before, after) != changes
         assert not np.array_equal(params.wx[0], out.wx[0])
@@ -417,8 +417,7 @@ def _lockstep_case(gen, arch, sizes):
 
 
 def _assert_lockstep_matches_reference(params, shards, cfg, seeds):
-    outs, counts, seconds = train_local(params, shards, cfg, seeds)
-    assert counts == [len(s) for s in shards] and seconds > 0
+    outs = train_local(params, shards, cfg, seeds)
     for out, shard, seed in zip(outs, shards, seeds):
         expected = reference_lstm.train(params.arch, params.vec, shard.X, shard.y, cfg, seed)
         assert out.vec.tobytes() == expected.tobytes()
@@ -451,37 +450,30 @@ def test_lockstep_single_client_matches_reference_bitwise():
     params, shards = _lockstep_case(gen, arch, (27,))
     cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3)
     _assert_lockstep_matches_reference(params, shards, cfg, [11])
-    out, n, _ = train_local(params, shards[0], cfg, 11)
-    assert n == 27
-    assert out.vec.tobytes() == train_local(params, shards, cfg, [11])[0][0].vec.tobytes()
-
-
-def test_lockstep_splits_clients_into_cohorts():
-    # a cohort holds 2 of these models, so 5 clients train as cohorts of 2, 2 and 1
-    gen = np.random.default_rng(8)
-    arch = ModelArch(input_dim=4, hidden_layers=2, hidden_units=45, output_dim=2)
-    assert COHORT_PARAMS // param_count(arch) == 2
-    params, shards = _lockstep_case(gen, arch, (11, 9, 17, 9, 12))
-    cfg = TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2)
-    _assert_lockstep_matches_reference(params, shards, cfg, list(range(5)))
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("seq_len", [1, 2])
 def test_one_client_cohorts_share_a_workspace_exactly(seq_len, optimizer):
-    # above COHORT_PARAMS every client is its own cohort, and the cohorts of one
-    # call reuse one gradient, moment and scratch workspace
+    # above COHORT_PARAMS every client of a round is its own cohort, and the
+    # cohorts reuse one gradient, moment and scratch workspace: each client
+    # must train as it does with a fresh one, and the round must be FedAvg
+    # over clients trained alone
     gen = np.random.default_rng(seq_len)
     arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=128, output_dim=3,
                      seq_len=seq_len)
-    assert param_count(arch) > COHORT_PARAMS
+    assert param_count(arch) > COHORT_PARAMS and cohort_size(arch) == 1
     params, shards = _lockstep_case(gen, arch, (13, 6, 21, 6))
     cfg = TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2, optimizer=optimizer)
-    outs, counts, _ = train_local(params, shards, cfg, list(range(4)))
-    assert counts == [13, 6, 21, 6]
-    for seed, (out, shard) in enumerate(zip(outs, shards)):
-        alone, _, _ = train_local(params, shard, cfg, seed)
-        assert out.vec.tobytes() == alone.vec.tobytes()
+    seeds = [derive_seed(5, "round", 0, "client", k) for k in range(len(shards))]
+    alone = [train_local(params, [shard], cfg, [seed])[0] for shard, seed in zip(shards, seeds)]
+    workspace = Optimizer(cfg, arch, 1)
+    for shard, seed, expected in zip(shards, seeds, alone):
+        [shared] = train_local(params, [shard], cfg, [seed], workspace=workspace)
+        assert shared.vec.tobytes() == expected.vec.tobytes()
+    merged = run_round(params, shards, FedConfig(num_clients=4, rounds=1, train=cfg), 5)
+    expected = fedavg_aggregate(alone, [len(s) for s in shards])
+    assert merged.vec.tobytes() == expected.vec.tobytes()
 
 
 def test_lockstep_rejects_mismatched_configs(rng):
@@ -490,12 +482,11 @@ def test_lockstep_rejects_mismatched_configs(rng):
     params = init_params(arch, seed=0)
     cfg = TrainConfig(local_epochs=1)
     shards = [LabeledData(rng.normal(size=(6, 2)), rng.integers(0, 2, 6)) for _ in range(2)]
-    for data, seeds in ((shards, [0]), (shards, 7), (shards, [7, 8, 9]), (shards[0], [7, 8]),
-                        ([], [])):
-        with pytest.raises(ConfigError, match=f"got {np.size(seeds)} seed"):
+    for data, seeds in ((shards, [0]), (shards, [7, 8, 9]), ([], [])):
+        with pytest.raises(ConfigError, match=f"got {len(seeds)} seed"):
             train_local(params, data, cfg, seeds)
     with pytest.raises(ShapeError):
-        train_local(params, LabeledData(np.zeros((3, 5)), np.zeros(3, dtype=int)), cfg, seed=0)
+        train_local(params, [LabeledData(np.zeros((3, 5)), np.zeros(3, dtype=int))], cfg, [0])
 
 
 def test_train_local_refuses_a_workspace_it_does_not_fit(rng):
@@ -508,6 +499,6 @@ def test_train_local_refuses_a_workspace_it_does_not_fit(rng):
                       Optimizer(cfg, arch, 1)):  # too small for the two-client cohort
         with pytest.raises(ConfigError, match="workspace"):
             train_local(params, shards, cfg, [1, 2], workspace=workspace)
-    reused, _, _ = train_local(params, shards, cfg, [1, 2], workspace=Optimizer(cfg, arch, 2))
-    fresh, _, _ = train_local(params, shards, cfg, [1, 2])
+    reused = train_local(params, shards, cfg, [1, 2], workspace=Optimizer(cfg, arch, 2))
+    fresh = train_local(params, shards, cfg, [1, 2])
     assert [p.vec.tobytes() for p in reused] == [p.vec.tobytes() for p in fresh]

@@ -418,6 +418,42 @@ def test_strategy_failing_after_saving_a_checkpoint_leaves_none(tmp_path, monkey
         assert not [a for a in artifacts if "cumulative" in a]
 
 
+def test_output_dir_holds_one_task(tmp_path, capsys):
+    # checkpoints/<strategy>/ and manifest.json are not keyed by task, so a
+    # six-class run into a binary run's directory is refused before it writes
+    records = _tiny_records()
+    binary = _tiny_cfg(tmp_path, strategies=(StrategyConfig("simple"),))
+    out = run_experiment(binary, records).output_dir
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert out / "checkpoints" / "simple" / "t1.ckpt" in before
+    six = _tiny_cfg(tmp_path, task="sixclass", strategies=(StrategyConfig("simple"),))
+    problem = (f"output_dir: {out / 'manifest.json'} records task 'binary', not 'sixclass'; "
+               f"use another output directory")
+    assert validate_config(six, records) == [problem]
+    with pytest.raises(ConfigError, match="records task 'binary'"):
+        run_experiment(six, records)
+    cfg_path = tmp_path / "six.json"
+    cfg_path.write_text(json.dumps({"output_dir": str(out), "strategies": [{"kind": "simple"}]}))
+    assert cli.main(["validate", "--config", str(cfg_path)]) == 0
+    cfg_path.write_text(json.dumps({"output_dir": str(out), "task": "sixclass"}))
+    assert cli.main(["validate", "--config", str(cfg_path)]) == 1
+    assert problem in capsys.readouterr().out
+    assert cli.main(["run", "--config", str(cfg_path), "--task", "sixclass"]) == 2
+    assert problem in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert validate_config(binary, records) == []  # the same task may run there again
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff", b"[1, 2]", b'{"config": {}}'])
+def test_unreadable_manifest_is_reported_by_path(tmp_path, content):
+    cfg = RunConfig(output_dir=str(tmp_path / "run"))
+    manifest = tmp_path / "run" / "manifest.json"
+    manifest.parent.mkdir()
+    manifest.write_bytes(content)
+    [problem] = validate_config(cfg)
+    assert problem.startswith(f"output_dir: cannot read {manifest}: ")
+
+
 def test_run_holds_a_bounded_number_of_parameter_vectors(tmp_path):
     # At 2x64 a parameter vector (415 kB) outweighs the data and each client is
     # its own cohort. A round holds the global model, the running average and

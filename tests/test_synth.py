@@ -142,14 +142,6 @@ def test_scenario_validation_errors():
         ScenarioSpec(num_features=8, families=(empty,), seed=0).validate()
 
 
-def test_divergence_target_mismatch_rejected():
-    spec = _two_family_spec(distance=4.0)
-    bad = ScenarioSpec(num_features=spec.num_features, families=spec.families,
-                       divergence={("Benign", "DoS"): 9.0}, seed=0, clip=spec.clip)
-    with pytest.raises(ConfigError, match="divergence"):
-        bad.validate()
-
-
 def test_write_and_load_round_trip(tmp_path):
     records = generate(tiny_scenario(seed=2, rows=20))
     path = tmp_path / "flows.csv"
