@@ -24,7 +24,7 @@ for cls in sorted(by_class):
     print(f"  {category_of(cls):<9} {cls:<26} {len(by_class[cls])} rows")
 
 # pairwise family mean distances: MQTT vs DDoS should be the widest gap
-means = {f.name: f.mean for f in spec.families if f.name != "Benign"}
+means = {f.category: f.mean for f in spec.families if f.category != "Benign"}
 print("\npairwise family mean distances:")
 names = sorted(means)
 for i, a in enumerate(names):
@@ -36,5 +36,5 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "flows.csv"
     colspec = write_delimited(records, path)
     loaded = load_records(path, colspec)
-    identical = loaded == records  # same labels, order indices and feature bits
+    identical = loaded == records  # same labels, row order and feature bits
     print(f"\nCSV round trip: {len(loaded)} rows restored, bit-identical: {identical}")

@@ -12,7 +12,7 @@ import os
 import struct
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -311,14 +311,9 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write ``ckpt`` to ``path`` atomically: a failed write leaves the old file."""
-    arch = ckpt.params.arch
     flat = np.ascontiguousarray(ckpt.params.vec, dtype="<f8")
     header = json.dumps({
-        "arch": {
-            "input_dim": arch.input_dim, "hidden_layers": arch.hidden_layers,
-            "hidden_units": arch.hidden_units, "output_dim": arch.output_dim,
-            "seq_len": arch.seq_len,
-        },
+        "arch": asdict(ckpt.params.arch),
         "period_id": ckpt.period_id,
         "train_sample_count": ckpt.train_sample_count,
         "dtype": "float64",

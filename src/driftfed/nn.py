@@ -87,6 +87,9 @@ ADAM_EPS = 1e-8
 # cohort_size(arch) = max(1, COHORT_PARAMS // param_count(arch)) of them.
 COHORT_PARAMS = 2**16
 
+# Rows per forward pass in predict.
+PREDICT_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class ModelArch:
@@ -430,20 +433,21 @@ def backward(params: ModelParams, cache, labels: np.ndarray,
     return grads
 
 
-def predict(params: ModelParams, batch: np.ndarray, chunk: int = 8192) -> np.ndarray:
+def predict(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index.
 
-    Runs without the BPTT cache, chunk by chunk, so memory stays at a few
-    gate blocks of one chunk.
+    Runs without the BPTT cache, :data:`PREDICT_CHUNK` rows at a time, so
+    memory stays at a few gate blocks of one chunk.
     """
     X = np.asarray(batch, dtype=np.float64)
     if params.vec.ndim != 1:
         raise ShapeError("predict takes the parameters of one model")
     _check_batch(params, X)
     out = np.empty(X.shape[0], dtype=np.int64)
-    for start in range(0, X.shape[0], chunk):
-        logits, _, _ = _lstm(params, X[None, start:start + chunk], keep=False)
-        out[start:start + chunk] = np.argmax(logits[0], axis=1)
+    for start in range(0, X.shape[0], PREDICT_CHUNK):
+        rows = slice(start, start + PREDICT_CHUNK)
+        logits, _, _ = _lstm(params, X[None, rows], keep=False)
+        out[rows] = np.argmax(logits[0], axis=1)
     return out
 
 

@@ -5,10 +5,12 @@ plus a sub-attack label column), cleans them, splits train/test per class,
 min-max normalizes on training statistics only, and encodes labels for the
 binary or six-class task. The same code path serves synthetic datasets.
 
-A row set is one :class:`FlowTable`: an (N, F) feature matrix, a sub-attack
-code per row and the row's ``order_index`` within its class. Later stages
-(segmenting, capping, pools, client shards, test sets) pass arrays of row
-indices into a table instead of copying rows.
+A row set is one :class:`FlowTable`: an (N, F) feature matrix and a
+sub-attack code per row. A row's time is its position: each class's rows are
+in time order down the table, as the file or the generator lays them out, so
+a row's ``order_index`` is its rank among the earlier rows of its class.
+Later stages (segmenting, capping, pools, client shards, test sets) pass
+arrays of row indices into a table instead of copying rows.
 """
 
 from __future__ import annotations
@@ -74,61 +76,50 @@ def concat_rows(parts) -> np.ndarray:
     return np.concatenate([NO_ROWS, *parts])
 
 
-def _running_count(sub: np.ndarray) -> np.ndarray:
-    """Per row, how many earlier rows share its sub-attack code."""
-    by_code = np.argsort(sub, kind="stable")
-    counts = np.bincount(sub, minlength=len(SUB_ATTACKS))
-    starts = np.cumsum(counts) - counts
-    rank = np.empty(len(sub), dtype=np.int64)
-    rank[by_code] = np.arange(len(sub)) - np.repeat(starts, counts)
-    return rank
-
-
 @dataclass(frozen=True, eq=False)
 class FlowTable:
     """Network-flow rows in columns.
 
-    ``X`` is a C-contiguous (N, F) float64 matrix, ``sub`` the (N,) index of
-    each row's label in :data:`SUB_ATTACKS` and ``order`` the (N,) int64
-    ``order_index``: the row's position in time within its class. Tables
-    compare equal when their shapes, codes, orders and feature bits match.
+    ``X`` is a C-contiguous (N, F) float64 matrix and ``sub`` the (N,)
+    index of each row's label in :data:`SUB_ATTACKS`; codes of any
+    non-integer dtype raise :class:`DataError` rather than being truncated.
+    Each class's rows are in time order by position. Tables compare equal
+    when their shapes, codes and feature bits match.
     """
 
     X: np.ndarray
     sub: np.ndarray
-    order: np.ndarray
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.X, dtype=np.float64)
-        sub = np.asarray(self.sub, dtype=np.intp)
-        order = np.asarray(self.order, dtype=np.int64)
-        if X.ndim != 2 or sub.shape != (len(X),) or order.shape != (len(X),):
-            raise DataError("a flow table needs an (N, F) matrix and N codes and orders")
+        sub = np.asarray(self.sub)
+        if sub.size and not np.issubdtype(sub.dtype, np.integer):
+            raise DataError(f"sub-attack codes must be integers, got dtype {sub.dtype}")
+        sub = sub.astype(np.intp, copy=False)
+        if X.ndim != 2 or sub.shape != (len(X),):
+            raise DataError("a flow table needs an (N, F) matrix and N codes")
         if len(sub) and not 0 <= sub.min() <= sub.max() < len(SUB_ATTACKS):
             raise DataError("sub-attack codes must index SUB_ATTACKS")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "order", order)
 
     @staticmethod
-    def of(X, labels, order=None) -> "FlowTable":
-        """Table from a matrix and label names; ``order`` defaults to row order per class."""
-        sub = np.array([sub_code(name) for name in labels], dtype=np.intp)
-        return FlowTable(X, sub, _running_count(sub) if order is None else order)
+    def of(X, labels) -> "FlowTable":
+        """Table from a matrix and label names, rows in time order per class."""
+        return FlowTable(X, np.array([sub_code(name) for name in labels], dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.sub)
 
     def __getitem__(self, rows) -> "FlowTable":
         """The rows selected by a slice, index array or mask, as a new table."""
-        return FlowTable(self.X[rows], self.sub[rows], self.order[rows])
+        return FlowTable(self.X[rows], self.sub[rows])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlowTable):
             return NotImplemented
         return (self.X.shape == other.X.shape
                 and np.array_equal(self.sub, other.sub)
-                and np.array_equal(self.order, other.order)
                 and np.array_equal(self.X.view(np.uint64), other.X.view(np.uint64)))
 
     @property
@@ -141,8 +132,8 @@ class FlowTable:
 
 
 def records_by_class(table: FlowTable) -> dict[str, np.ndarray]:
-    """Row indices per sub-attack, classes in name order, rows in order_index order."""
-    rows = np.lexsort((table.order, table.sub))
+    """Row indices per sub-attack, classes in name order, rows in table (time) order."""
+    rows = np.argsort(table.sub, kind="stable")
     counts = np.bincount(table.sub, minlength=len(SUB_ATTACKS))
     parts = np.split(rows, np.cumsum(counts)[:-1])
     return {SUB_ATTACKS[code]: parts[code]
@@ -200,7 +191,7 @@ _QUOTE = '"'
 def load_records(path, spec: ColumnSpec) -> FlowTable:
     """Read one delimited file into a FlowTable.
 
-    ``order_index`` counts row order within each sub-attack class. A plain
+    Each class's rows keep the file's row order, their time order. A plain
     text file streams through numpy's C parser (:func:`_load_columns`); any
     other file, or one that parser does not read exactly as ``csv.reader``
     would, goes through the row scan (:func:`_scan_rows`), which raises
@@ -263,12 +254,12 @@ def _load_columns(path: Path, spec: ColumnSpec) -> FlowTable | None:
             codes.append(code)
     sub = np.array(codes, dtype=np.intp)
     if not len(sub):
-        return FlowTable(np.empty((0, len(feat_idx))), sub, sub)
+        return FlowTable(np.empty((0, len(feat_idx))), sub)
     X = np.loadtxt(path, delimiter=delim, skiprows=1, usecols=feat_idx, quotechar=_QUOTE,
                    ndmin=2, comments=None, encoding="utf-8")
     if X.shape != (len(sub), len(feat_idx)):
         return None
-    return FlowTable(X, sub, _running_count(sub))
+    return FlowTable(X, sub)
 
 
 def _scan_rows(path: Path, spec: ColumnSpec) -> FlowTable:
@@ -302,7 +293,7 @@ def _scan_rows(path: Path, spec: ColumnSpec) -> FlowTable:
             raise LoadError(f"{path}: line {reader.line_num}: {exc}") from None
     sub = np.array(codes, dtype=np.intp)
     X = np.array(rows, dtype=np.float64).reshape(len(rows), len(feat_idx))
-    return FlowTable(X, sub, _running_count(sub))
+    return FlowTable(X, sub)
 
 
 def _parses(text: str) -> bool:
@@ -316,13 +307,11 @@ def _parses(text: str) -> bool:
 def clean(table: FlowTable) -> FlowTable:
     """Drop rows with non-finite features and the removed sub-attack class.
 
-    Relative order is preserved and order_index is reassigned densely per
-    class in row order, so clean is idempotent.
+    Relative order is preserved, so each class stays in time order and
+    clean is idempotent.
     """
     keep = (table.sub != _CODE_OF[REMOVED_SUB_ATTACK]) & np.isfinite(table.X).all(axis=1)
-    if not keep.all():
-        table = table[keep]
-    return FlowTable(table.X, table.sub, _running_count(table.sub))
+    return table if keep.all() else table[keep]
 
 
 def stratified_split(table: FlowTable, train_fraction: float, seed: int):
@@ -371,7 +360,7 @@ def apply_scaler(stats: ScalerStats, table: FlowTable) -> FlowTable:
     safe = np.where(span > 0, span, 1.0)
     scaled = np.clip((table.X - stats.mins) / safe, 0.0, 1.0)
     scaled[:, span == 0] = 0.0
-    return FlowTable(scaled, table.sub, table.order)
+    return FlowTable(scaled, table.sub)
 
 
 @dataclass(frozen=True)

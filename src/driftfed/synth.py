@@ -29,7 +29,6 @@ NUM_FEATURES = 45
 
 @dataclass(frozen=True)
 class FamilySpec:
-    name: str
     category: str
     sub_attacks: tuple[str, ...]
     mean: np.ndarray
@@ -52,49 +51,48 @@ class ScenarioSpec:
         lo, hi = self.clip
         if not hi > lo:
             raise ConfigError("clip range must be non-empty")
-        names = set()
+        seen = set()
         for fam in self.families:
             if fam.category not in CATEGORIES:
                 raise ConfigError(f"unknown category {fam.category!r}")
             if fam.mean.shape != (self.num_features,):
                 raise ConfigError(
-                    f"family {fam.name!r}: mean length {fam.mean.shape} "
+                    f"family {fam.category!r}: mean length {fam.mean.shape} "
                     f"!= num_features {self.num_features}"
                 )
             if fam.rows_per_subattack < 1:
-                raise ConfigError(f"family {fam.name!r}: rows_per_subattack must be >= 1")
+                raise ConfigError(f"family {fam.category!r}: rows_per_subattack must be >= 1")
             if not fam.scale > 0:
-                raise ConfigError(f"family {fam.name!r}: scale must be positive")
+                raise ConfigError(f"family {fam.category!r}: scale must be positive")
             if not fam.sub_attacks:
-                raise ConfigError(f"family {fam.name!r} has no sub-attacks")
+                raise ConfigError(f"family {fam.category!r} has no sub-attacks")
             for sub in fam.sub_attacks:
                 if sub not in SUB_ATTACKS or category_of(sub) != fam.category:
-                    raise ConfigError(f"family {fam.name!r}: {sub!r} is not a "
+                    raise ConfigError(f"family {fam.category!r}: {sub!r} is not a "
                                       f"{fam.category} sub-attack of the roster")
-            if fam.name in names:
-                raise ConfigError(f"duplicate family name {fam.name!r}")
-            names.add(fam.name)
+            if fam.category in seen:
+                raise ConfigError(f"duplicate family {fam.category!r}")
+            seen.add(fam.category)
 
 
 def generate(spec: ScenarioSpec) -> FlowTable:
     """Draw the full table for a scenario; deterministic by spec.seed.
 
     Rows come family by family and sub-attack by sub-attack, each block in
-    order_index order.
+    draw order, which is the class's time order.
     """
     spec.validate()
     lo, hi = spec.clip
-    blocks, codes, orders = [], [], []
+    blocks, codes = [], []
     for fam in spec.families:
         n = fam.rows_per_subattack
         for sub in fam.sub_attacks:
-            rng = rng_for(spec.seed, "family", fam.name, "sub", sub)
+            rng = rng_for(spec.seed, "family", fam.category, "sub", sub)
             rows = rng.normal(fam.mean, fam.scale, size=(n, spec.num_features))
             np.clip(rows, lo, hi, out=rows)
             blocks.append(rows)
             codes.append(np.full(n, sub_code(sub)))
-            orders.append(np.arange(n))
-    return FlowTable(np.concatenate(blocks), np.concatenate(codes), np.concatenate(orders))
+    return FlowTable(np.concatenate(blocks), np.concatenate(codes))
 
 
 def default_drift_scenario(seed: int, rows_per_subattack: int = 1200) -> ScenarioSpec:
@@ -113,13 +111,13 @@ def default_drift_scenario(seed: int, rows_per_subattack: int = 1200) -> Scenari
     blocks = {"MQTT": (0, +offset), "DDoS": (0, -offset), "DoS": (8, +offset),
               "Recon": (16, +offset), "Spoofing": (24, +offset)}
 
-    families = [FamilySpec("Benign", "Benign", ROSTER["Benign"], base.copy(),
+    families = [FamilySpec("Benign", ROSTER["Benign"], base.copy(),
                            0.8, 4 * rows_per_subattack)]
     for category in CATEGORIES[1:]:
         start, delta = blocks[category]
         mean = base.copy()
         mean[start:start + 8] += delta
-        families.append(FamilySpec(category, category, ROSTER[category], mean,
+        families.append(FamilySpec(category, ROSTER[category], mean,
                                    0.8, rows_per_subattack))
 
     return ScenarioSpec(num_features=num_features, families=tuple(families), seed=seed)

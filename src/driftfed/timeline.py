@@ -8,9 +8,10 @@ binary task starts at t1.
 
 Each class's training rows are cut into one chronological segment per
 training period and each test side into one segment per test period, so no
-strategy ever re-reads the same rows across periods. Segments, pools and
-client shards are arrays of row indices into the scaled train or test
-:class:`~driftfed.pipeline.FlowTable`.
+strategy ever re-reads the same rows across periods. A row's time is its
+position in its table, so chronological means in increasing row index.
+Segments, pools and client shards are arrays of row indices into the scaled
+train or test :class:`~driftfed.pipeline.FlowTable`.
 
 A period's pool is its *full marks* (the t0 baseline, then the new family,
 with Benign at t1) on fresh segments, plus per strategy: ``cumulative`` the
@@ -139,8 +140,9 @@ def temporal_segment(class_rows, num_periods: int) -> list:
     """Chronological, disjoint, near-equal segments.
 
     The first ``n % num_periods`` segments take one extra row, so sizes
-    differ by at most one and earlier segments hold earlier order_index
-    values. Rows must already be in order_index order.
+    differ by at most one and earlier segments hold earlier rows. Rows must
+    already be in time order, as :func:`~driftfed.pipeline.records_by_class`
+    gives them.
     """
     if num_periods < 1:
         raise ScheduleError("num_periods must be at least 1")
@@ -168,7 +170,7 @@ def segment_and_cap(rows_by_cls: dict[str, np.ndarray], num_periods: int,
     """Per class: segment chronologically, then cap each period independently.
 
     ``rows_by_cls`` is :func:`~driftfed.pipeline.records_by_class` of a
-    table: row indices in order_index order.
+    table: row indices in increasing order, which is time order.
     """
     if cap < 1:
         raise ConfigError("cap must be at least 1")

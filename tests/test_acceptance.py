@@ -147,14 +147,14 @@ def test_criterion_03_schedule_golden_files():
 def test_criterion_04_segmentation_arithmetic():
     big = ScenarioSpec(
         num_features=1,
-        families=(FamilySpec("DoS", "DoS", ("TCP_IP-DoS-TCP",),
+        families=(FamilySpec("DoS", ("TCP_IP-DoS-TCP",),
                              np.array([5.0]), 1.0, 462_480),),
         seed=0,
     )
     big_rows = generate(big)
     small = ScenarioSpec(
         num_features=1,
-        families=(FamilySpec("MQTT", "MQTT", ("MQTT-Malformed_Data",),
+        families=(FamilySpec("MQTT", ("MQTT-Malformed_Data",),
                              np.array([5.0]), 1.0, 6_877),),
         seed=0,
     )
@@ -238,7 +238,7 @@ def test_criterion_09_data_contracts():
         # caps engage on an oversized class: 90k rows -> 14,400-row segments
         big = ScenarioSpec(
             num_features=4,
-            families=(FamilySpec("DoS", "DoS", ("TCP_IP-DoS-TCP",),
+            families=(FamilySpec("DoS", ("TCP_IP-DoS-TCP",),
                                  np.full(4, 5.0), 1.0, 90_000),),
             seed=1,
         )

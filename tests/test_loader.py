@@ -46,7 +46,7 @@ def delimited_tables(draw):
     table = FlowTable.of(np.array(values, dtype=np.float64).reshape(n, width), labels)
     written = ColumnSpec(tuple(names), "Attack", delimiter)
     read = ColumnSpec(tuple(names[c] for c in cols), "Attack", delimiter)
-    expected = FlowTable(table.X[:, cols], table.sub, table.order)
+    expected = FlowTable(table.X[:, cols], table.sub)
     return table, written, read, expected
 
 

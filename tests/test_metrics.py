@@ -190,14 +190,14 @@ _FAMILY_SUB = {"MQTT": "MQTT-Malformed_Data", "DoS": "TCP_IP-DoS-SYN",
 def _family_scenario(seed=0, rows=260):
     base = np.full(10, 5.0)
     means = {"MQTT": +3.0, "DoS": -3.0, "Recon": 0.0}
-    families = [FamilySpec("Benign", "Benign", ("Benign",), base.copy(), 0.6, rows)]
+    families = [FamilySpec("Benign", ("Benign",), base.copy(), 0.6, rows)]
     for cat, delta in means.items():
         mean = base.copy()
         if cat == "Recon":
             mean[5:] += 3.0
         else:
             mean[:5] += delta
-        families.append(FamilySpec(cat, cat, (_FAMILY_SUB[cat],), mean, 0.6, rows))
+        families.append(FamilySpec(cat, (_FAMILY_SUB[cat],), mean, 0.6, rows))
     return ScenarioSpec(num_features=10, families=tuple(families), seed=seed)
 
 

@@ -56,8 +56,8 @@ def test_load_records_counts_order_within_class(tmp_path):
     records = load_records(path, SPEC3)
     assert len(records) == 3
     grouped = records_by_class(records)
-    assert records.order[grouped["Benign"]].tolist() == [0, 1]
-    assert records.order[grouped["TCP_IP-DoS-SYN"]][0] == 0
+    assert grouped["Benign"].tolist() == [0, 2]
+    assert grouped["TCP_IP-DoS-SYN"].tolist() == [1]
     assert np.array_equal(records.X[1], [4.0, 5.0, 6.0])
 
 
@@ -100,11 +100,10 @@ def test_load_records_missing_file(tmp_path):
 
 def test_clean_drops_nonfinite_and_removed_class():
     good = make_records("Benign", 3)
-    bad = FlowTable.of([[np.nan, 0, 0, 0]], ["Benign"], order=[3])
+    bad = FlowTable.of([[np.nan, 0, 0, 0]], ["Benign"])
     removed = make_records(REMOVED_SUB_ATTACK, 2)
     out = clean(join(good, bad, removed))
-    assert out.labels == ["Benign"] * 3
-    assert out.order.tolist() == [0, 1, 2]
+    assert out == good
 
 
 def test_clean_only_removed_class_gives_empty():
@@ -116,19 +115,9 @@ def test_clean_idempotent_and_densifies():
     records = make_records("Benign", 6)
     X = records.X.copy()
     X[2, 0] = np.inf
-    once = clean(FlowTable(X, records.sub, records.order))
-    assert once.order.tolist() == [0, 1, 2, 3, 4]
-    assert clean(once) == once
-
-
-def test_clean_reranks_each_class_in_row_order():
-    # order_index is the running count per class in row order, whatever it was
-    table = FlowTable.of(np.zeros((5, 1)), ["Benign", "ARP_Spoofing", "Benign",
-                                            REMOVED_SUB_ATTACK, "Benign"],
-                         order=[7, 3, 2, 0, 9])
-    out = clean(table)
-    assert out.labels == ["Benign", "ARP_Spoofing", "Benign", "Benign"]
-    assert out.order.tolist() == [0, 0, 1, 2]
+    once = clean(FlowTable(X, records.sub))
+    assert once == records[[0, 1, 3, 4, 5]]
+    assert clean(once) is once
 
 
 def test_stratified_split_counts_and_rounding():
@@ -150,11 +139,12 @@ def test_stratified_split_per_class_proportions():
 
 
 def test_stratified_split_preserves_chronology_and_reconciles():
-    records = make_records("Benign", 40)
+    # the one feature is the row's index, so each half shows which rows it took
+    records = _column_records(np.arange(40.0))
     train, test = stratified_split(records, 0.75, seed=9)
-    assert train.order.tolist() == sorted(train.order.tolist())
-    assert test.order.tolist() == sorted(test.order.tolist())
-    assert sorted(train.order.tolist() + test.order.tolist()) == list(range(40))
+    taken = train.X[:, 0].tolist(), test.X[:, 0].tolist()
+    assert all(rows == sorted(rows) for rows in taken)
+    assert sorted(taken[0] + taken[1]) == list(range(40))
 
 
 def test_stratified_split_tiny_class_warns_all_train():
@@ -169,23 +159,23 @@ def test_stratified_split_deterministic():
     b_train, _ = stratified_split(records, 0.8, seed=4)
     assert a_train == b_train
     c_train, _ = stratified_split(records, 0.8, seed=5)
-    assert a_train.order.tolist() != c_train.order.tolist()
+    assert a_train != c_train
 
 
 def test_stratified_split_classes_in_name_order_rows_in_time_order():
-    # rows arrive interleaved and out of time order; both halves come back
-    # grouped by class name, each class in order_index order
+    # classes arrive interleaved; both halves come back grouped by class
+    # name, each class a subsequence of its rows (the feature is the row index)
     table = FlowTable.of(np.arange(8.0)[:, None],
                          ["TCP_IP-DoS-SYN", "Benign", "TCP_IP-DoS-SYN", "Benign",
-                          "Benign", "TCP_IP-DoS-SYN", "Benign", "TCP_IP-DoS-SYN"],
-                         order=[3, 2, 0, 0, 3, 2, 1, 1])
+                          "Benign", "TCP_IP-DoS-SYN", "Benign", "TCP_IP-DoS-SYN"])
     train, test = stratified_split(table, 0.5, seed=0)
     for half in (train, test):
         names = half.labels
         assert names == sorted(names)
         for code in set(half.sub.tolist()):
-            orders = half.order[half.sub == code].tolist()
-            assert orders == sorted(orders)
+            rows = half.X[half.sub == code, 0].tolist()
+            assert rows == sorted(rows)
+            assert set(rows) <= set(np.flatnonzero(table.sub == code).tolist())
 
 
 def test_stratified_split_bad_fraction():
@@ -257,24 +247,26 @@ def test_encode_labels_empty():
 # --- the table ------------------------------------------------------------------
 
 def test_flow_table_normalises_and_checks_its_columns():
-    table = FlowTable(np.asfortranarray(np.ones((3, 2), dtype=np.float32)), [0, 1, 0], [0, 0, 1])
+    table = FlowTable(np.asfortranarray(np.ones((3, 2), dtype=np.float32)),
+                      np.array([0, 1, 0], dtype=np.int32))
     assert table.X.flags.c_contiguous and table.X.dtype == np.float64
-    assert table.order.dtype == np.int64 and len(table) == 3 and table.width == 2
+    assert table.sub.dtype == np.intp and len(table) == 3 and table.width == 2
+    assert len(FlowTable(np.empty((0, 2)), [])) == 0
     with pytest.raises(DataError):
-        FlowTable(np.ones(3), [0, 0, 0], [0, 1, 2])
+        FlowTable(np.ones(3), [0, 0, 0])
     with pytest.raises(DataError):
-        FlowTable(np.ones((3, 1)), [0, 0], [0, 1, 2])
+        FlowTable(np.ones((3, 1)), [0, 0])
     with pytest.raises(DataError):
-        FlowTable(np.ones((1, 1)), [len(SUB_ATTACKS)], [0])
+        FlowTable(np.ones((1, 1)), [len(SUB_ATTACKS)])
     with pytest.raises(CodecError, match="Slowloris"):
         FlowTable.of(np.ones((1, 1)), ["Slowloris"])
 
 
 def test_flow_table_rows_and_bitwise_equality():
     table = make_records("Benign", 5)
-    assert table[1:3] == FlowTable(table.X[1:3], table.sub[1:3], table.order[1:3])
-    assert table[[4, 0]].order.tolist() == [4, 0]
-    assert len(table[table.order > 2]) == 2
+    assert table[1:3] == FlowTable(table.X[1:3], table.sub[1:3])
+    assert np.array_equal(table[[4, 0]].X, table.X[[4, 0]])
+    assert table[np.arange(5) > 2] == table[3:]
     with pytest.raises(DataError):
         table[0]  # one row is not a table
     zeros = FlowTable.of([[0.0]], ["Benign"])
@@ -284,8 +276,15 @@ def test_flow_table_rows_and_bitwise_equality():
 
 def test_records_by_class_sorts_names_and_order():
     table = FlowTable.of(np.zeros((5, 1)), ["TCP_IP-DoS-SYN", "Benign", "ARP_Spoofing",
-                                            "Benign", "Benign"], order=[0, 2, 0, 0, 1])
+                                            "Benign", "Benign"])
     grouped = records_by_class(table)
     assert list(grouped) == ["ARP_Spoofing", "Benign", "TCP_IP-DoS-SYN"]
-    assert grouped["Benign"].tolist() == [3, 4, 1]
+    assert grouped["Benign"].tolist() == [1, 3, 4]
     assert records_by_class(make_records("Benign", 0)) == {}
+
+
+@pytest.mark.parametrize("codes", [[0.5, 1.7], [1.0, 0.0], [True, False]])
+def test_flow_table_rejects_non_integer_codes(codes):
+    # a float or bool code would otherwise be truncated to a different label
+    with pytest.raises(DataError, match=str(np.asarray(codes).dtype)):
+        FlowTable(np.zeros((2, 3)), codes)

@@ -21,8 +21,8 @@ def _two_family_spec(distance: float, sigma: float = 1.0, rows: int = 400, seed:
     return ScenarioSpec(
         num_features=dim,
         families=(
-            FamilySpec("Benign", "Benign", ("Benign",), mean_a, sigma, rows),
-            FamilySpec("DoS", "DoS", ("TCP_IP-DoS-SYN",), mean_b, sigma, rows),
+            FamilySpec("Benign", ("Benign",), mean_a, sigma, rows),
+            FamilySpec("DoS", ("TCP_IP-DoS-SYN",), mean_b, sigma, rows),
         ),
         seed=seed,
         clip=(-50.0, 50.0),
@@ -111,9 +111,9 @@ def test_default_scenario_segments_evenly():
 
 def test_default_scenario_mqtt_ddos_farthest():
     spec = default_drift_scenario(seed=0)
-    means = {f.name: f.mean for f in spec.families}
+    means = {f.category: f.mean for f in spec.families}
     pairs = {}
-    names = [f.name for f in spec.families if f.name != "Benign"]
+    names = [f.category for f in spec.families if f.category != "Benign"]
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             pairs[(a, b)] = np.linalg.norm(means[a] - means[b])
@@ -125,21 +125,24 @@ def test_scenario_validation_errors():
     spec = tiny_scenario()
     with pytest.raises(ConfigError):
         ScenarioSpec(num_features=0, families=spec.families, seed=0).validate()
-    bad_rows = FamilySpec("Benign", "Benign", ("Benign",), np.zeros(8), 1.0, 0)
+    bad_rows = FamilySpec("Benign", ("Benign",), np.zeros(8), 1.0, 0)
     with pytest.raises(ConfigError):
         ScenarioSpec(num_features=8, families=(bad_rows,), seed=0).validate()
-    bad_cat = FamilySpec("Worm", "Worm", ("Worm-X",), np.zeros(8), 1.0, 5)
+    bad_cat = FamilySpec("Worm", ("Worm-X",), np.zeros(8), 1.0, 5)
     with pytest.raises(ConfigError):
         ScenarioSpec(num_features=8, families=(bad_cat,), seed=0).validate()
-    off_roster = FamilySpec("DoS", "DoS", ("DoS-flood",), np.zeros(8), 1.0, 5)
+    off_roster = FamilySpec("DoS", ("DoS-flood",), np.zeros(8), 1.0, 5)
     with pytest.raises(ConfigError, match="DoS-flood"):
         ScenarioSpec(num_features=8, families=(off_roster,), seed=0).validate()
-    wrong_family = FamilySpec("DoS", "DoS", ("TCP_IP-DDoS-SYN",), np.zeros(8), 1.0, 5)
+    wrong_family = FamilySpec("DoS", ("TCP_IP-DDoS-SYN",), np.zeros(8), 1.0, 5)
     with pytest.raises(ConfigError, match="TCP_IP-DDoS-SYN"):
         ScenarioSpec(num_features=8, families=(wrong_family,), seed=0).validate()
-    empty = FamilySpec("DoS", "DoS", (), np.zeros(8), 1.0, 5)
+    empty = FamilySpec("DoS", (), np.zeros(8), 1.0, 5)
     with pytest.raises(ConfigError, match="no sub-attacks"):
         ScenarioSpec(num_features=8, families=(empty,), seed=0).validate()
+    twice = spec.families[1]
+    with pytest.raises(ConfigError, match=f"duplicate family '{twice.category}'"):
+        ScenarioSpec(num_features=8, families=(twice, twice), seed=0).validate()
 
 
 def test_write_and_load_round_trip(tmp_path):
@@ -149,8 +152,8 @@ def test_write_and_load_round_trip(tmp_path):
     loaded = load_records(path, colspec)
     assert len(loaded) == len(records)
     assert loaded.labels == records.labels
-    assert np.array_equal(loaded.order, records.order)
     assert np.array_equal(loaded.X, records.X)
+    assert loaded == records
 
 
 def test_generate_lays_out_blocks_in_family_then_roster_order():
@@ -159,8 +162,14 @@ def test_generate_lays_out_blocks_in_family_then_roster_order():
     expected = [sub for fam in spec.families for sub in fam.sub_attacks
                 for _ in range(fam.rows_per_subattack)]
     assert table.labels == expected
-    assert table.order.tolist() == [i for fam in spec.families for _ in fam.sub_attacks
-                                    for i in range(fam.rows_per_subattack)]
+    # each sub-attack is one contiguous block, its rows in draw (time) order
+    grouped = records_by_class(table)
+    start = 0
+    for fam in spec.families:
+        for sub in fam.sub_attacks:
+            n = fam.rows_per_subattack
+            assert grouped[sub].tolist() == list(range(start, start + n))
+            start += n
 
 
 def test_write_delimited_bytes_are_repr_floats_through_csv(tmp_path):
