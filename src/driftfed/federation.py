@@ -136,10 +136,11 @@ def run_round(global_params: ModelParams, client_train: list[LabeledData],
 class RunningAverage:
     """Parameter average over period checkpoints, folded in one at a time in period order.
 
-    equal keeps the sum of the parameters, sample the sum of ``count *
-    params`` and the counts, both from zero; ema keeps the EMA itself. An
-    average of one checkpoint is that checkpoint, so the first is kept only
-    until the second arrives.
+    equal and sample keep the weighted sum of the parameters, from zero, and
+    the weights: sample weighs a checkpoint by its training sample count,
+    equal by one, so equal is the weighted sum with unit weights. ema keeps
+    the EMA itself. An average of one checkpoint is that checkpoint, so the
+    first is kept only until the second arrives.
     """
 
     def __init__(self, mode: str, ema_alpha: float | None = None):
@@ -147,17 +148,18 @@ class RunningAverage:
             raise ConfigError(f"mode must be one of {AVERAGING_MODES}")
         self.mode, self.ema_alpha = mode, ema_alpha
         self.arch: ModelArch | None = None
-        self.counts: list[int] = []
+        self.weights: list[float] = []
         self.first: ModelParams | None = None
         self.acc: np.ndarray | None = None
 
     def add(self, ckpt: Checkpoint) -> None:
         params = ckpt.params
-        if self.counts and params.arch != self.arch:
+        if self.weights and params.arch != self.arch:
             raise AggregationError("checkpoint architectures differ")
         self.arch = params.arch
+        weight = 1.0 if self.mode == "equal" else float(ckpt.train_sample_count)
         if self.mode == "ema":
-            if self.counts:  # e_k = alpha*params_k + (1-alpha)*e_{k-1}, in a fresh vector
+            if self.weights:  # e_k = alpha*params_k + (1-alpha)*e_{k-1}, in a fresh vector
                 if self.ema_alpha is None:
                     raise ConfigError("ema averaging needs ema_alpha")
                 prev = self.first.vec if self.acc is None else self.acc
@@ -166,27 +168,22 @@ class RunningAverage:
         else:
             if self.acc is None:
                 self.acc = np.zeros(param_count(params.arch))
-            if self.mode == "equal":
-                self.acc += params.vec
-            else:
-                _add_scaled(self.acc, [(params.vec, float(ckpt.train_sample_count))])
-        self.first = None if self.counts else params
-        self.counts.append(ckpt.train_sample_count)
+            _add_scaled(self.acc, [(params.vec, weight)])
+        self.first = None if self.weights else params
+        self.weights.append(weight)
 
     def value(self) -> ModelParams:
         """The average of the checkpoints added so far."""
-        if not self.counts:
+        if not self.weights:
             raise AggregationError("history must contain at least one checkpoint")
         if self.first is not None:  # kept as is: (w * x) / w is not always x
             return self.first
-        if self.mode == "equal":
-            return ModelParams(self.arch, self.acc / len(self.counts))
-        if self.mode == "sample":
-            total = np.array(self.counts, dtype=float).sum()
-            if total <= 0:
-                raise AggregationError("sample counts must be positive for sample weighting")
-            return ModelParams(self.arch, self.acc / total)
-        return ModelParams(self.arch, self.acc)  # each add makes a fresh EMA vector
+        if self.mode == "ema":
+            return ModelParams(self.arch, self.acc)  # each add makes a fresh EMA vector
+        total = np.array(self.weights, dtype=float).sum()
+        if total <= 0:
+            raise AggregationError("sample counts must be positive for sample weighting")
+        return ModelParams(self.arch, self.acc / total)
 
 
 def init_from_history(mode: str, history: list[Checkpoint], ema_alpha: float | None = None,
@@ -257,7 +254,8 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
             params = init_from_history(mode, [ckpt], strategy.ema_alpha, running)
         ckpt = None  # folded into the average, or training resumes from its params
 
-        val = _concat_nonempty(item.client_val)
+        val = (LabeledData.concat(item.client_val)
+               if any(len(s) for s in item.client_val) else None)
         wall = 0.0
         for rnd in range(cfg.rounds):
             try:
@@ -282,13 +280,6 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
         on_checkpoint(ckpt)
 
     return logs
-
-
-def _concat_nonempty(shards: list[LabeledData]) -> LabeledData | None:
-    parts = [s for s in shards if len(s) > 0]
-    if not parts:
-        return None
-    return LabeledData.concat(parts)
 
 
 # --- checkpoint persistence -------------------------------------------------

@@ -45,9 +45,11 @@ round's clients into cohorts of at most :func:`cohort_size`, so a cohort's
 optimizer state stays cache-sized (at the desk 1x16 arch a round's five
 clients are one cohort, at the full 5x128 arch each client is its own), and
 passes every :func:`train_local` call of the round one workspace: fresh
-buffers would be paged in again on every call. Per client stay the shuffle,
-Adam's step count (clients with different batch counts share runs from the
-second epoch on) and the batch size that divides the loss gradient.
+buffers would be paged in again on every call. The optimizer keeps each
+row's Adam step count beside its moments and resets both per cohort, so
+clients with different batch counts can share runs from the second epoch
+on. Per client stay the shuffle, the step count and the batch size that
+divides the loss gradient.
 
 Stacking is exact. A 3-D ``matmul`` runs the same BLAS call per stacked
 matrix as a 2-D ``matmul`` on that matrix, since the matrices have the same
@@ -456,14 +458,15 @@ class Optimizer:
 
     One optimizer holds the training workspace for ``cfg`` and ``arch``,
     sized for cohorts of up to ``rows`` clients: the block the trained
-    parameters go to, the gradient block, Adam's two moments and two scratch
-    vectors. :func:`train_local` makes one per call unless it is given one to
-    reuse. The moments cover only the live segments (see
-    ``ModelArch.layout``), packed side by side, and :meth:`reset` zeroes them
-    for each cohort. The gradient is zeroed once: backward overwrites all of
-    it but the inert ``wh``, whose zeros stay. :meth:`segments` builds the
-    per-segment views of a run's rows once; a step allocates nothing beyond
-    its bias-correction column.
+    parameters go to, the gradient block, Adam's state per row (two moments
+    and a step count) and two scratch vectors. :func:`train_local` makes one
+    per call unless it is given one to reuse. The moments cover only the
+    live segments (see ``ModelArch.layout``), packed side by side, and
+    :meth:`reset` zeroes them and the step counts for each cohort. The
+    gradient is zeroed once: backward overwrites all of it but the inert
+    ``wh``, whose zeros stay. :meth:`segments` builds the per-segment views
+    of a run's rows once; a step allocates nothing beyond its
+    bias-correction columns.
     """
 
     def __init__(self, cfg: TrainConfig, arch: ModelArch, rows: int):
@@ -477,11 +480,13 @@ class Optimizer:
         self.packed = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
         self.grad = np.zeros((rows, param_count(arch)))
         self.moments = np.zeros((2, rows, offsets[-1] if self.adam else 0))  # SGD keeps none
+        self.counts = [0] * rows  # Adam's step count per row
         self.scratch = np.empty((2, rows * max(widths)))
 
     def reset(self, rows: int) -> None:
-        """Fresh moments for a cohort of ``rows`` models."""
+        """Fresh moments and step counts for a cohort of ``rows`` models."""
         self.moments[:, :rows] = 0.0
+        self.counts[:rows] = [0] * rows
 
     def segments(self, vec: np.ndarray, rows: slice) -> list[tuple[np.ndarray, ...]]:
         """``(p, g, m, v, a, b)`` views per live segment of ``rows``; a, b are scratch."""
@@ -494,19 +499,17 @@ class Optimizer:
                        + tuple(s[:g * width].reshape(g, width) for s in self.scratch))
         return out
 
-    def step(self, segments, t):
-        """One update of a run's rows; ``t`` is their Adam step count, an int or a list."""
+    def step(self, segments, rows: slice) -> None:
+        """One update of ``rows``, whose per-segment views are ``segments``."""
         if not self.adam:
             for p, g, _, _, a, _ in segments:
                 np.multiply(g, self.lr, out=a)  # p -= lr * g
                 p -= a
             return
-        if isinstance(t, int):
-            bc1 = 1.0 - ADAM_BETA1 ** t
-            bc2 = 1.0 - ADAM_BETA2 ** t
-        else:  # per row, with Python's float power like the scalar case
-            bc1 = np.array([[1.0 - ADAM_BETA1 ** k] for k in t])
-            bc2 = np.array([[1.0 - ADAM_BETA2 ** k] for k in t])
+        counts = self.counts[rows] = [t + 1 for t in self.counts[rows]]
+        # one (g, 1) column per row, with Python's float power
+        bc1 = np.array([[1.0 - ADAM_BETA1 ** t] for t in counts])
+        bc2 = np.array([[1.0 - ADAM_BETA2 ** t] for t in counts])
         for p, g, m, v, a, b in segments:
             # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), op for op
             m *= ADAM_BETA1
@@ -529,19 +532,12 @@ class Optimizer:
 class _Run:
     """Consecutive clients of a cohort whose batch at one step has the same row count."""
 
-    step: int                    # index of the batch within the epoch
-    batches: int | tuple[int, ...]  # batches per epoch: one int if the rows agree, else per row
+    rows: slice                  # the run's rows of the cohort
     params: ModelParams          # stacked working parameters of the rows
     grad: np.ndarray
     X: np.ndarray                # (g, b, F) view of the shuffled shards
     y: np.ndarray
     segments: list
-
-    def adam_step(self, epoch: int):
-        """Adam's step count after this run's update, an int or one per row."""
-        if isinstance(self.batches, int):
-            return epoch * self.batches + self.step + 1
-        return [epoch * nb + self.step + 1 for nb in self.batches]
 
 
 def train_local(params: ModelParams, shards: Sequence[LabeledData], cfg: TrainConfig,
@@ -597,10 +593,8 @@ def train_local(params: ModelParams, shards: Sequence[LabeledData], cfg: TrainCo
     y = np.empty((len(prepared), max(sizes)), dtype=np.int64)
 
     # The run schedule is the same every epoch; only the buffer contents change.
-    batches = [-(-n // bs) for n in sizes]
     schedule = []
-    for step in range(max(batches)):
-        lo = step * bs
+    for lo in range(0, max(sizes), bs):
         rows = [min(bs, n - lo) for n in sizes]
         i = 0
         while i < len(rows):
@@ -609,9 +603,7 @@ def train_local(params: ModelParams, shards: Sequence[LabeledData], cfg: TrainCo
                 j += 1
             if rows[i] > 0:
                 run, hi = slice(i, j), lo + rows[i]
-                counts = tuple(batches[run])
-                schedule.append(_Run(step, counts[0] if len(set(counts)) == 1 else counts,
-                                     ModelParams(arch, vec[run]), workspace.grad[run],
+                schedule.append(_Run(run, ModelParams(arch, vec[run]), workspace.grad[run],
                                      X[run, lo:hi], y[run, lo:hi],
                                      workspace.segments(vec, run)))
             i = j
@@ -624,7 +616,7 @@ def train_local(params: ModelParams, shards: Sequence[LabeledData], cfg: TrainCo
         for run in schedule:
             _, cache = forward(run.params, run.X)
             backward(run.params, cache, run.y, out=run.grad)
-            workspace.step(run.segments, run.adam_step(epoch))
+            workspace.step(run.segments, run.rows)
 
     results = [None] * len(prepared)
     for row, k in enumerate(order):

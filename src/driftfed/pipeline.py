@@ -161,7 +161,7 @@ class ColumnSpec:
             )
         except OSError as exc:
             raise ConfigError(f"cannot read column spec: {exc}") from None
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise ConfigError(f"{path} is not a column spec "
                               f"({type(exc).__name__}: {exc})") from None
         names = (*spec.feature_columns, spec.label_column)

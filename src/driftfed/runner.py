@@ -209,6 +209,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path} nests its JSON too deeply to read") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must contain a JSON object")
     try:
@@ -502,6 +504,8 @@ def rerender_reports(run_dir) -> list[str]:
     for doc_path in doc_paths:
         try:
             files = render_reports(json.loads(doc_path.read_text(encoding="utf-8")))
+        except OSError as exc:
+            raise ReportError(f"{doc_path}: cannot read: {exc.strerror or exc}") from exc
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
                 DriftFedError) as exc:
             raise ReportError(f"{doc_path}: bad metrics document: {exc!r}") from exc

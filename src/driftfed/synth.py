@@ -66,10 +66,13 @@ class ScenarioSpec:
                 raise ConfigError(f"family {fam.category!r}: scale must be positive")
             if not fam.sub_attacks:
                 raise ConfigError(f"family {fam.category!r} has no sub-attacks")
-            for sub in fam.sub_attacks:
+            for k, sub in enumerate(fam.sub_attacks):
                 if sub not in SUB_ATTACKS or category_of(sub) != fam.category:
                     raise ConfigError(f"family {fam.category!r}: {sub!r} is not a "
                                       f"{fam.category} sub-attack of the roster")
+                if sub in fam.sub_attacks[:k]:
+                    raise ConfigError(f"family {fam.category!r}: sub-attack {sub!r} is "
+                                      f"listed twice")
             if fam.category in seen:
                 raise ConfigError(f"duplicate family {fam.category!r}")
             seen.add(fam.category)

@@ -256,19 +256,15 @@ class StrategyComposer:
 
     def compose(self, period_id: int) -> dict[str, np.ndarray]:
         """The pool of ``period_id``, by the rule in the module docstring."""
-        sched = self.schedule.get(period_id)
-        if sched is None or not sched.has_training:
-            raise ScheduleError(f"period t{period_id} has no training data")
-        if period_id not in self.training_periods():
-            raise ScheduleError(
-                f"strategy {self.strategy.label} does not train at t{period_id}"
-            )
-        expected = [p for p in self.training_periods() if p not in self._composed]
+        periods = self.training_periods()
+        expected = [p for p in periods if p not in self._composed]
         if not expected or expected[0] != period_id:
-            raise ScheduleError(
-                f"periods must be composed in order; next is t{expected[0] if expected else '?'}"
-            )
+            trains = ", ".join(f"t{p}" for p in periods)
+            nxt = f"t{expected[0]}" if expected else "none"
+            raise ScheduleError(f"strategy {self.strategy.label} trains at {trains} in order "
+                                f"(next: {nxt}); cannot compose t{period_id}")
 
+        sched = self.schedule[period_id]
         kind = self.strategy.kind
         fresh = set(sched.full_marks)
         if kind == "cumulative":

@@ -598,6 +598,14 @@ def test_report_rejects_corrupt_metrics_documents_by_name(tiny_run, tmp_path, ca
     assert [p.name for p in tmp_path.iterdir()] == ["metrics_binary.json"]
 
 
+def test_report_rejects_an_unreadable_metrics_document_by_name(tmp_path, capsys):
+    (tmp_path / "metrics_binary.json").mkdir()
+    with pytest.raises(ReportError, match="metrics_binary.json: cannot read"):
+        rerender_reports(tmp_path)
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error [ReportError]: ")
+
+
 @pytest.mark.parametrize("make", [False, True], ids=["missing", "empty"])
 def test_report_without_a_metrics_document_fails_by_name(tmp_path, capsys, make):
     run_dir = tmp_path / "no-run"
@@ -688,6 +696,10 @@ def _json(raw):
 _FILE_DATA = {"path": "flows.csv", "column_spec": "flows.columns.json"}
 
 
+# valid JSON that nests deeper than the decoder's recursion limit
+_DEEP = b"[" * 200_000 + b"]" * 200_000
+
+
 @pytest.mark.parametrize("data,match", [
     (b'{"seed": 1, "output_dir": "\xff"}', "not UTF-8"),
     (b"{not json", "not valid JSON"),
@@ -740,6 +752,7 @@ _FILE_DATA = {"path": "flows.csv", "column_spec": "flows.columns.json"}
     (_json({"data": {"path": None, "column_spec": "flows.columns.json"}}),
      "data.column_spec: only a data file has one; set path"),
     (_json({"caps": {"train": 10, "val": 3}}), "caps: unknown key(s) ['val']"),
+    pytest.param(_DEEP, "nests its JSON too deeply", id="deeply-nested"),
 ])
 def test_load_config_rejects_corrupt_files_by_name(tmp_path, capsys, data, match):
     path = tmp_path / "cfg.json"
@@ -768,6 +781,7 @@ def test_readme_run_config_loads_and_validates_clean():
     b'{"features": 3, "label": "Attack"}',
     b'{"features": ["a", 1], "label": "Attack"}',
     b'{"features": ["a"], "label": "Attack", "delimiter": ";;"}',
+    pytest.param(_DEEP, id="deeply-nested"),
 ])
 def test_column_spec_rejects_corrupt_files_by_name(tmp_path, data):
     path = tmp_path / "flows.columns.json"

@@ -143,6 +143,9 @@ def test_scenario_validation_errors():
     twice = spec.families[1]
     with pytest.raises(ConfigError, match=f"duplicate family '{twice.category}'"):
         ScenarioSpec(num_features=8, families=(twice, twice), seed=0).validate()
+    sub_twice = FamilySpec("Benign", ("Benign", "Benign"), np.zeros(8), 1.0, 2)
+    with pytest.raises(ConfigError, match="family 'Benign': sub-attack 'Benign' is listed twice"):
+        ScenarioSpec(num_features=8, families=(sub_twice,), seed=0).validate()
 
 
 def test_write_and_load_round_trip(tmp_path):

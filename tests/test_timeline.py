@@ -300,13 +300,16 @@ def test_compose_out_of_order_or_invalid_period_rejected():
     schedule = build_schedule("binary")
     train_segments, _ = _segments_for("binary")
     composer = StrategyComposer(strategy, schedule, train_segments, seed=0)
-    with pytest.raises(ScheduleError):
+    trains = r"strategy cumulative trains at t1, t2, t3, t4, t5 in order"
+    with pytest.raises(ScheduleError, match=trains + r" \(next: t1\); cannot compose t2"):
         composer.compose(2)          # must start at t1
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ScheduleError, match=trains + r" \(next: t1\); cannot compose t6"):
         composer.compose(6)          # test-only period
     static = StrategyComposer(StrategyConfig("static"), schedule, train_segments, seed=0)
     static.compose(1)
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ScheduleError,
+                       match=r"strategy static trains at t1 in order \(next: none\); "
+                             r"cannot compose t2"):
         static.compose(2)            # static never retrains
 
 
