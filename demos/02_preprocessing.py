@@ -7,7 +7,7 @@ inside each half, and min-max statistics come from training rows only.
 
 import numpy as np
 
-from driftfed import (FlowTable, LabelCodec, apply_scaler, clean, encode_labels,
+from driftfed import (CODECS, FlowTable, apply_scaler, clean, encode_labels,
                       default_drift_scenario, fit_scaler, generate,
                       records_by_class, stratified_split)
 from driftfed.pipeline import REMOVED_SUB_ATTACK
@@ -36,7 +36,7 @@ matrix = test_scaled.X
 print(f"scale: test features now span [{matrix.min():.3f}, {matrix.max():.3f}] "
       "(clamped to [0, 1], statistics fitted on train only)")
 
-for codec in (LabelCodec.binary(), LabelCodec.six_class()):
+for codec in CODECS.values():
     data = encode_labels(codec, train_scaled)
     counts = np.bincount(data.y, minlength=codec.num_classes)
     pairs = ", ".join(f"{name}={n}" for name, n in zip(codec.class_names, counts))

@@ -20,8 +20,8 @@ from .metrics import (FAR_DEFINITION, GeneralizationMatrix, MetricsReport,
                       protocol_cells)
 from .nn import (ModelArch, ModelParams, TrainConfig, backward, cross_entropy,
                  forward, init_params, param_count, predict, softmax, train_local)
-from .pipeline import (CATEGORIES, ROSTER, SUB_ATTACKS, ColumnSpec, FlowTable, LabelCodec,
-                       ScalerStats, apply_scaler, category_of, clean, encode_labels,
+from .pipeline import (CATEGORIES, CODECS, ROSTER, SUB_ATTACKS, ColumnSpec, FlowTable,
+                       LabelCodec, ScalerStats, apply_scaler, category_of, clean, encode_labels,
                        fit_scaler, load_records, records_by_class, stratified_split)
 from .runner import (ALL_STRATEGIES, DataSource, RunConfig, RunResult, desk_scale,
                      load_config, prepare_experiment, run_experiment, validate_config)

@@ -107,7 +107,7 @@ def main(argv=None) -> int:
             for name in written:
                 print(f"rendered {name}")
             return 0
-    except DriftFedError as exc:
+    except (DriftFedError, OSError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
     return 0

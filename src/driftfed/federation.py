@@ -219,11 +219,12 @@ class RoundLog:
 
 @dataclass
 class PeriodInput:
-    """Encoded shards for one training period."""
+    """Encoded data for one training period: each client's training shard, and
+    all its clients' validation rows as one set, or None when they hold none."""
 
     period_id: int
     client_train: list[LabeledData]
-    client_val: list[LabeledData]
+    val: LabeledData | None
 
 
 def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
@@ -254,8 +255,6 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
             params = init_from_history(mode, [ckpt], strategy.ema_alpha, running)
         ckpt = None  # folded into the average, or training resumes from its params
 
-        val = (LabeledData.concat(item.client_val)
-               if any(len(s) for s in item.client_val) else None)
         wall = 0.0
         for rnd in range(cfg.rounds):
             try:
@@ -268,8 +267,8 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
                         raise DivergenceError(f"period {item.period_id} round {rnd}: "
                                               f"training diverged to non-finite parameters")
                     acc = None
-                    if val is not None:
-                        acc = float(np.mean(predict(params, val.X) == val.y))
+                    if item.val is not None:
+                        acc = float(np.mean(predict(params, item.val.X) == item.val.y))
             except FloatingPointError as exc:
                 raise DivergenceError(f"period {item.period_id} round {rnd}: training "
                                       f"diverged: floating-point {exc}") from exc

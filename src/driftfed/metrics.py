@@ -19,7 +19,7 @@ from .dataset import LabeledData
 from .errors import DivergenceError, EvaluationError, MetricError
 from .federation import Checkpoint, FedConfig, PeriodInput, run_timeline
 from .nn import ModelArch, ModelParams, predict
-from .pipeline import (NO_ROWS, FlowTable, LabelCodec, concat_rows, encode_labels,
+from .pipeline import (CODECS, NO_ROWS, FlowTable, concat_rows, encode_labels,
                        records_by_class)
 from .seeds import derive_seed
 from .timeline import StrategyConfig, partition_iid
@@ -200,7 +200,7 @@ def attack_generalization_matrix(families: list[str], train: FlowTable, test: Fl
     model and training derive from ``seed``. Families without data are
     skipped with a warning.
     """
-    codec = LabelCodec.binary()
+    codec = CODECS["binary"]
     train_by_class = records_by_class(train)
     test_by_class = records_by_class(test)
     benign_train = train_by_class.get("Benign", NO_ROWS)
@@ -235,7 +235,7 @@ def attack_generalization_matrix(families: list[str], train: FlowTable, test: Fl
         shards = [encode_labels(codec, train,
                                 concat_rows([c.train, c.client_test, c.validation]))
                   for c in clients]
-        period = PeriodInput(0, [s for s in shards if len(s) > 0], client_val=[])
+        period = PeriodInput(0, [s for s in shards if len(s) > 0], None)
         checkpoints = []
         run_timeline(StrategyConfig("static"), [period], cfg, arch, fam_seed, checkpoints.append)
         reports = cross_period_eval(checkpoints, test_sets, codec.num_classes)

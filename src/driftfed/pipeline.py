@@ -5,6 +5,9 @@ plus a sub-attack label column), cleans them, splits train/test per class,
 min-max normalizes on training statistics only, and encodes labels for the
 binary or six-class task. The same code path serves synthetic datasets.
 
+:data:`CODECS` holds one :class:`LabelCodec` per task, built once at import;
+``timeline.TASKS``, and through it the run config and the CLI, list its keys.
+
 A row set is one :class:`FlowTable`: an (N, F) feature matrix and a
 sub-attack code per row. A row's time is its position: each class's rows are
 in time order down the table, as the file or the generator lays them out, so
@@ -16,13 +19,13 @@ arrays of row indices into a table instead of copying rows.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import read_json, write_json
 from .dataset import LabeledData
 from .errors import CodecError, ConfigError, DataError, LoadError
 from .seeds import rng_for
@@ -150,8 +153,8 @@ class ColumnSpec:
 
     @staticmethod
     def from_json(path) -> "ColumnSpec":
+        raw = read_json(path, ConfigError)
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(raw["features"], list):
                 raise TypeError("'features' must be a list of column names")
             spec = ColumnSpec(
@@ -159,9 +162,7 @@ class ColumnSpec:
                 label_column=raw["label"],
                 delimiter=raw.get("delimiter", ","),
             )
-        except OSError as exc:
-            raise ConfigError(f"cannot read column spec: {exc}") from None
-        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path} is not a column spec "
                               f"({type(exc).__name__}: {exc})") from None
         names = (*spec.feature_columns, spec.label_column)
@@ -172,12 +173,9 @@ class ColumnSpec:
         return spec
 
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(
-            {"features": list(self.feature_columns),
-             "label": self.label_column,
-             "delimiter": self.delimiter},
-            indent=2,
-        ) + "\n", encoding="utf-8")
+        write_json(path, {"features": list(self.feature_columns),
+                          "label": self.label_column,
+                          "delimiter": self.delimiter})
 
 
 # Bytes of a plain text file: printable ASCII, tab and line breaks. On such
@@ -363,39 +361,33 @@ def apply_scaler(stats: ScalerStats, table: FlowTable) -> FlowTable:
     return FlowTable(scaled, table.sub)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelCodec:
-    """Global sub-attack to class-index mapping, identical for every subset."""
+    """A task's class names and ``lut``, its class index per sub-attack code."""
 
     task: str
     class_names: tuple[str, ...]
+    lut: np.ndarray
 
-    @staticmethod
-    def binary() -> "LabelCodec":
-        return LabelCodec("binary", ("Benign", "Attack"))
-
-    @staticmethod
-    def six_class() -> "LabelCodec":
-        return LabelCodec("sixclass", CATEGORIES)
+    def __post_init__(self):
+        self.lut.setflags(write=False)  # one array per task, shared by every caller
 
     @staticmethod
     def for_task(task: str) -> "LabelCodec":
-        if task == "binary":
-            return LabelCodec.binary()
-        if task == "sixclass":
-            return LabelCodec.six_class()
-        raise ConfigError(f"unknown task {task!r}")
+        try:
+            return CODECS[task]
+        except KeyError:
+            raise ConfigError(f"unknown task {task!r}") from None
 
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
 
-    @property
-    def lut(self) -> np.ndarray:
-        """Class index per sub-attack code."""
-        if self.task == "binary":
-            return (_CATEGORY_INDEX != 0).astype(np.int64)
-        return _CATEGORY_INDEX
+
+CODECS = {
+    "binary": LabelCodec("binary", ("Benign", "Attack"), (_CATEGORY_INDEX != 0).astype(np.int64)),
+    "sixclass": LabelCodec("sixclass", CATEGORIES, _CATEGORY_INDEX),
+}
 
 
 def encode_labels(codec: LabelCodec, table: FlowTable, rows=None) -> LabeledData:

@@ -25,7 +25,6 @@ timing lives only in the latency table, the JSON document and the manifest.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -34,12 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from . import timeline as tl
-from .atomic import write_atomic
+from .atomic import read_json, write_atomic, write_json
 from .errors import ConfigError, DriftFedError, ReportError, check_field
 from .federation import FedConfig, PeriodInput, load_checkpoint, run_timeline, save_checkpoint
 from .metrics import FAR_DEFINITION, cross_period_eval, protocol_cells
 from .nn import ModelArch, TrainConfig
-from .pipeline import (ColumnSpec, LabelCodec, apply_scaler, clean, encode_labels,
+from .pipeline import (ColumnSpec, LabelCodec, apply_scaler, clean, concat_rows, encode_labels,
                        fit_scaler, load_records, records_by_class, stratified_split)
 from .synth import NUM_FEATURES, default_column_spec, default_drift_scenario, generate
 from .timeline import (StrategyConfig, StrategyComposer, build_schedule, build_test_sets,
@@ -106,6 +105,10 @@ class RunConfig:
             raise ConfigError(f"task: must be one of {tl.TASKS}, got {self.task!r}")
         if not self.strategies:
             raise ConfigError("strategies: at least one strategy is required")
+        labels = [s.label for s in self.strategies]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ConfigError(f"strategies: label {label!r} appears more than once")
         check_field("caps.train", self.train_cap, "integer", 1)
         check_field("caps.test", self.test_cap, "integer", 1)
         check_field("train_fraction", self.train_fraction, "number", 0, 1)
@@ -201,16 +204,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ConfigError(f"{path} nests its JSON too deeply to read") from None
+    raw = read_json(path, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must contain a JSON object")
     try:
@@ -226,14 +220,19 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
     when given, is the table a run would use instead of ``cfg.data``, so its
     width is the feature count the arch must match. An output directory
     whose manifest records another task is refused, since the run would
-    overwrite that task's checkpoints and manifest.
+    overwrite that task's checkpoints and manifest, and so is an output path
+    that is, or lies under, an existing path that is not a directory.
     """
     problems: list[str] = []
-    manifest = Path(cfg.output_dir) / "manifest.json"
+    out_dir = Path(cfg.output_dir)
+    nearest = next(p for p in (out_dir, *out_dir.absolute().parents) if p.exists())
+    if not nearest.is_dir():
+        problems.append(f"output_dir: {nearest} is not a directory")
+    manifest = out_dir / "manifest.json"
     if manifest.exists():
         try:
-            task = json.loads(manifest.read_text(encoding="utf-8"))["config"]["task"]
-        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+            task = read_json(manifest, ConfigError)["config"]["task"]
+        except (ConfigError, KeyError, TypeError) as exc:
             problems.append(f"output_dir: cannot read {manifest}: {exc!r}")
         else:
             if task != cfg.task:
@@ -345,10 +344,11 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig) -> dict:
         composition[f"t{period_id}"] = {cls: len(rows) for cls, rows in pool.items()}
         clients = partition_iid(pool, cfg.fed.num_clients,
                                 rng_seed_for_period(cfg.seed, strategy, period_id))
+        val_rows = concat_rows(c.validation for c in clients)
         period_inputs.append(PeriodInput(
             period_id=period_id,
             client_train=[encode_labels(codec, train, c.train) for c in clients],
-            client_val=[encode_labels(codec, train, c.validation) for c in clients],
+            val=encode_labels(codec, train, val_rows) if len(val_rows) else None,
         ))
 
     out_dir = Path(cfg.output_dir)
@@ -484,11 +484,11 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> list[str]:
 
 
 def write_reports(out_dir: Path, doc: dict) -> list[str]:
-    """Write the metrics document and the tables rendered from it."""
-    return _write_files(out_dir, {
-        **render_reports(doc),
-        f"metrics_{doc['task']}.json": json.dumps(doc, indent=2, sort_keys=True) + "\n",
-    })
+    """Write the tables rendered from the metrics document, then the document."""
+    name = f"metrics_{doc['task']}.json"
+    written = _write_files(out_dir, render_reports(doc))
+    write_json(out_dir / name, doc)
+    return [*written, name]
 
 
 def rerender_reports(run_dir) -> list[str]:
@@ -502,12 +502,10 @@ def rerender_reports(run_dir) -> list[str]:
         raise ReportError(f"{run_dir}: no metrics_<task>.json document to render")
     written = []
     for doc_path in doc_paths:
+        doc = read_json(doc_path, ReportError)
         try:
-            files = render_reports(json.loads(doc_path.read_text(encoding="utf-8")))
-        except OSError as exc:
-            raise ReportError(f"{doc_path}: cannot read: {exc.strerror or exc}") from exc
-        except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
-                DriftFedError) as exc:
+            files = render_reports(doc)
+        except (ValueError, KeyError, TypeError, AttributeError, DriftFedError) as exc:
             raise ReportError(f"{doc_path}: bad metrics document: {exc!r}") from exc
         written.extend(_write_files(doc_path.parent, files))
     return written
@@ -548,5 +546,4 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, doc: dict,
             for label, entry in doc["strategies"].items()
         },
     }
-    write_atomic(out_dir / "manifest.json",
-                 [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")])
+    write_json(out_dir / "manifest.json", manifest)

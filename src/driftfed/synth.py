@@ -6,6 +6,8 @@ scaling is exercised. The default drift scenario draws the class roster
 (``pipeline.ROSTER``: 17 sub-attacks plus Benign, six categories) at desk scale
 and places the MQTT and DDoS families farthest apart so cross-family
 generalization is visibly asymmetric.
+
+:class:`FamilySpec` and :class:`ScenarioSpec` check themselves when built.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field
 from .pipeline import (CATEGORIES, ROSTER, SUB_ATTACKS, ColumnSpec, FlowTable, category_of,
                        sub_code)
 from .seeds import rng_for
@@ -35,6 +37,21 @@ class FamilySpec:
     scale: float
     rows_per_subattack: int
 
+    def __post_init__(self):
+        name = f"family {self.category!r}"
+        if self.category not in CATEGORIES:
+            raise ConfigError(f"unknown category {self.category!r}")
+        check_field(f"{name}: rows_per_subattack", self.rows_per_subattack, "integer", 1)
+        check_field(f"{name}: scale", self.scale, "number", 0)
+        if not self.sub_attacks:
+            raise ConfigError(f"{name} has no sub-attacks")
+        for k, sub in enumerate(self.sub_attacks):
+            if sub not in SUB_ATTACKS or category_of(sub) != self.category:
+                raise ConfigError(f"{name}: {sub!r} is not a "
+                                  f"{self.category} sub-attack of the roster")
+            if sub in self.sub_attacks[:k]:
+                raise ConfigError(f"{name}: sub-attack {sub!r} is listed twice")
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -43,39 +60,20 @@ class ScenarioSpec:
     seed: int = 0
     clip: tuple[float, float] = DEFAULT_CLIP
 
-    def validate(self) -> None:
-        if self.num_features < 1:
-            raise ConfigError("num_features must be positive")
+    def __post_init__(self):
+        check_field("num_features", self.num_features, "integer", 1)
         if not self.families:
             raise ConfigError("scenario needs at least one family")
         lo, hi = self.clip
         if not hi > lo:
             raise ConfigError("clip range must be non-empty")
-        seen = set()
-        for fam in self.families:
-            if fam.category not in CATEGORIES:
-                raise ConfigError(f"unknown category {fam.category!r}")
-            if fam.mean.shape != (self.num_features,):
-                raise ConfigError(
-                    f"family {fam.category!r}: mean length {fam.mean.shape} "
-                    f"!= num_features {self.num_features}"
-                )
-            if fam.rows_per_subattack < 1:
-                raise ConfigError(f"family {fam.category!r}: rows_per_subattack must be >= 1")
-            if not fam.scale > 0:
-                raise ConfigError(f"family {fam.category!r}: scale must be positive")
-            if not fam.sub_attacks:
-                raise ConfigError(f"family {fam.category!r} has no sub-attacks")
-            for k, sub in enumerate(fam.sub_attacks):
-                if sub not in SUB_ATTACKS or category_of(sub) != fam.category:
-                    raise ConfigError(f"family {fam.category!r}: {sub!r} is not a "
-                                      f"{fam.category} sub-attack of the roster")
-                if sub in fam.sub_attacks[:k]:
-                    raise ConfigError(f"family {fam.category!r}: sub-attack {sub!r} is "
-                                      f"listed twice")
-            if fam.category in seen:
+        categories = [fam.category for fam in self.families]
+        for k, fam in enumerate(self.families):
+            if np.shape(fam.mean) != (self.num_features,):
+                raise ConfigError(f"family {fam.category!r}: mean length {np.shape(fam.mean)} "
+                                  f"!= num_features {self.num_features}")
+            if fam.category in categories[:k]:
                 raise ConfigError(f"duplicate family {fam.category!r}")
-            seen.add(fam.category)
 
 
 def generate(spec: ScenarioSpec) -> FlowTable:
@@ -84,7 +82,6 @@ def generate(spec: ScenarioSpec) -> FlowTable:
     Rows come family by family and sub-attack by sub-attack, each block in
     draw order, which is the class's time order.
     """
-    spec.validate()
     lo, hi = spec.clip
     blocks, codes = [], []
     for fam in spec.families:

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ScheduleError, check_field
-from .pipeline import NO_ROWS, ROSTER, concat_rows
+from .pipeline import CODECS, NO_ROWS, ROSTER, concat_rows
 from .seeds import derive_seed, rng_for
 
-TASKS = ("binary", "sixclass")
+TASKS = tuple(CODECS)
 
 STRATEGY_KINDS = ("static", "cumulative", "simple", "representative",
                   "retain", "avg_equal", "avg_sample", "avg_ema")

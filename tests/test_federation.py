@@ -265,7 +265,7 @@ def _period_inputs(rng, periods, rows=30):
     for p in periods:
         shards = _shards(rng, n_clients=2, rows=rows)
         vals = _shards(rng, n_clients=2, rows=6)
-        inputs.append(PeriodInput(p, shards, vals))
+        inputs.append(PeriodInput(p, shards, LabeledData.concat(vals)))
     return inputs
 
 
@@ -353,7 +353,7 @@ def test_run_timeline_flags_divergence_by_period_and_round(rng):
     inputs = _period_inputs(rng, [1, 2])
     # features near the float64 limit overflow the first layer's pre-activations
     huge = [LabeledData(s.X * 1e308, s.y) for s in inputs[1].client_train]
-    inputs[1] = PeriodInput(2, huge, inputs[1].client_val)
+    inputs[1] = PeriodInput(2, huge, inputs[1].val)
     with pytest.raises(DivergenceError, match="period 2 round 0"):
         _timeline(StrategyConfig("cumulative"), inputs, cfg, 3)
 

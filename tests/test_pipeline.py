@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftfed.errors import CodecError, ConfigError, DataError, LoadError
-from driftfed.pipeline import (CATEGORIES, NO_ROWS, ROSTER, SUB_ATTACKS, ColumnSpec,
+from driftfed.pipeline import (CATEGORIES, CODECS, NO_ROWS, ROSTER, SUB_ATTACKS, ColumnSpec,
                                FlowTable, LabelCodec, REMOVED_SUB_ATTACK, apply_scaler,
                                category_of, clean, encode_labels, fit_scaler, load_records,
                                records_by_class, stratified_split)
@@ -211,27 +211,41 @@ def test_scaler_requires_training_rows():
 
 
 def test_encode_labels_binary_and_sixclass():
-    binary = LabelCodec.binary()
-    six = LabelCodec.six_class()
+    binary = CODECS["binary"]
+    six = CODECS["sixclass"]
     table = FlowTable.of(np.zeros((3, 2)), ["TCP_IP-DoS-SYN", "Benign", "Recon-Ping_Sweep"])
     assert encode_labels(binary, table, [0, 1]).y.tolist() == [1, 0]
     assert encode_labels(six, table, [2]).y.tolist() == [CATEGORIES.index("Recon")]
     assert CATEGORIES.index("Recon") == 4
 
 
+def test_codec_table_holds_each_task_lookup_once():
+    # the class index per sub-attack code: the roster's 18 labels, then the removed one
+    assert CODECS["binary"].lut.tolist() == [0] + [1] * 18
+    assert CODECS["sixclass"].lut.tolist() == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3,
+                                               4, 4, 4, 4, 5, 1]
+    for task, codec in CODECS.items():
+        assert codec.task == task and codec.lut.dtype == np.int64
+        assert not codec.lut.flags.writeable
+        assert LabelCodec.for_task(task) is codec
+    assert CODECS["sixclass"].class_names == CATEGORIES
+    with pytest.raises(ConfigError, match="unknown task 'ternary'"):
+        LabelCodec.for_task("ternary")
+
+
 def test_encode_labels_lookup_covers_every_sub_attack():
     table = FlowTable.of(np.arange(len(SUB_ATTACKS), dtype=float)[:, None], SUB_ATTACKS)
-    binary = encode_labels(LabelCodec.binary(), table)
-    six = encode_labels(LabelCodec.six_class(), table)
+    binary = encode_labels(CODECS["binary"], table)
+    six = encode_labels(CODECS["sixclass"], table)
     assert binary.y.tolist() == [int(category_of(s) != "Benign") for s in SUB_ATTACKS]
     assert six.y.tolist() == [CATEGORIES.index(category_of(s)) for s in SUB_ATTACKS]
-    picked = encode_labels(LabelCodec.six_class(), table, [5, 0, 5])
+    picked = encode_labels(CODECS["sixclass"], table, [5, 0, 5])
     assert picked.X[:, 0].tolist() == [5.0, 0.0, 5.0]
     assert picked.y.dtype == np.int64
 
 
 def test_encode_labels_global_mapping_across_subsets():
-    six = LabelCodec.six_class()
+    six = CODECS["sixclass"]
     part_a = make_records("TCP_IP-DDoS-SYN", 3)
     part_b = make_records("TCP_IP-DDoS-SYN", 2, seed=9)
     ya = encode_labels(six, part_a).y
@@ -240,7 +254,7 @@ def test_encode_labels_global_mapping_across_subsets():
 
 
 def test_encode_labels_empty():
-    data = encode_labels(LabelCodec.binary(), make_records("Benign", 3, dim=7), NO_ROWS)
+    data = encode_labels(CODECS["binary"], make_records("Benign", 3, dim=7), NO_ROWS)
     assert data.X.shape == (0, 7) and len(data) == 0
 
 

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfed import atomic, cli, federation, runner
+from driftfed.dataset import LabeledData
 from driftfed.errors import ConfigError, DivergenceError, ReportError
 from driftfed.federation import FedConfig
 from driftfed.nn import OPTIMIZERS, ModelArch, TrainConfig, param_count
-from driftfed.pipeline import ColumnSpec
+from driftfed.pipeline import ColumnSpec, encode_labels
 from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, _config_dict,
                              config_from_dict, desk_scale, load_config, prepare_experiment,
                              render_reports, rerender_reports, run_experiment,
@@ -162,7 +163,8 @@ _raw_configs = st.fixed_dictionaries({}, optional={
         {"kind": st.sampled_from(STRATEGY_KINDS)},
         optional={"retain_r": st.integers(1, 2000),
                   "ema_alpha": st.floats(0, 1, exclude_min=True, exclude_max=True)},
-    ).filter(lambda s: s["kind"] != "retain" or "retain_r" in s), max_size=4),
+    ).filter(lambda s: s["kind"] != "retain" or "retain_r" in s), max_size=4,
+        unique_by=lambda s: StrategyConfig(**s).label),
     "data": st.one_of(
         st.fixed_dictionaries({}, optional={"synthetic": st.fixed_dictionaries({}, optional={
             "seed": st.none() | st.integers(0, 2**31), "rows_per_subattack": _positive})}),
@@ -454,6 +456,35 @@ def test_unreadable_manifest_is_reported_by_path(tmp_path, content):
     assert problem.startswith(f"output_dir: cannot read {manifest}: ")
 
 
+@pytest.mark.parametrize("task", TASKS)
+def test_run_strategy_validates_on_the_period_clients_rows_as_one_set(tmp_path, monkeypatch,
+                                                                       task):
+    # one encoding of the concatenated rows has the bits of the concatenated encodings
+    cfg = _tiny_cfg(tmp_path, task=task, strategies=(StrategyConfig("cumulative"),))
+    prep = prepare_experiment(cfg, _tiny_records())
+    partitions, inputs = [], []
+    real_partition, real_timeline = runner.partition_iid, runner.run_timeline
+
+    def partition(*args):
+        partitions.append(real_partition(*args))
+        return partitions[-1]
+
+    def timeline(strategy, period_inputs, *args, **kwargs):
+        inputs.extend(period_inputs)
+        return real_timeline(strategy, period_inputs, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "partition_iid", partition)
+    monkeypatch.setattr(runner, "run_timeline", timeline)
+    runner.run_strategy(cfg, prep, cfg.strategies[0])
+    assert len(inputs) == len(partitions) > 1
+    for item, clients in zip(inputs, partitions):
+        expected = LabeledData.concat([encode_labels(prep["codec"], prep["train"], c.validation)
+                                       for c in clients])
+        assert (item.val.X.shape, item.val.y.dtype) == (expected.X.shape, expected.y.dtype)
+        assert item.val.X.tobytes() == expected.X.tobytes()
+        assert item.val.y.tobytes() == expected.y.tobytes()
+
+
 def test_run_holds_a_bounded_number_of_parameter_vectors(tmp_path):
     # At 2x64 a parameter vector (415 kB) outweighs the data and each client is
     # its own cohort. A round holds the global model, the running average and
@@ -529,12 +560,16 @@ def test_report_and_manifest_writes_failing_partway_keep_the_previous_files(tmp_
     def files():
         return {p: p.read_bytes() for p in result.output_dir.rglob("*") if p.is_file()}
 
+    spec_path = result.output_dir / "flows.columns.json"
+    default_column_spec(4).to_json(spec_path)
     before = files()
     monkeypatch.setattr(atomic, "open", full_disk(room), raising=False)
     with pytest.raises(OSError, match="No space left"):
         rerender_reports(result.output_dir)
     with pytest.raises(OSError, match="No space left"):
         runner._write_manifest(result.output_dir, cfg, result.metrics, {}, result.artifacts)
+    with pytest.raises(OSError, match="No space left"):
+        default_column_spec(6).to_json(spec_path)
     assert files() == before
 
 
@@ -666,6 +701,30 @@ def test_cli_validate_reports_problems(tmp_path, capsys):
     assert "data.path" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+def test_output_dir_that_is_a_file_is_refused_before_anything_is_written(tmp_path, capsys,
+                                                                         under):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a run directory\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"output_dir": str(taken / under),
+                                    "strategies": [{"kind": "static"}]}))
+    problem = f"output_dir: {taken} is not a directory"
+    assert validate_config(load_config(cfg_path)) == [problem]
+    assert cli.main(["validate", "--config", str(cfg_path)]) == 1
+    assert problem in capsys.readouterr().out
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert problem in capsys.readouterr().err
+    assert taken.read_bytes() == b"not a run directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
+
+def test_cli_gen_data_into_a_directory_fails_by_name(tmp_path, capsys):
+    assert cli.main(["gen-data", "--out", str(tmp_path), "--rows", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error [IsADirectoryError]: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_unknown_strategy_filter_fails(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"output_dir": str(tmp_path / "o"), "seed": 1}))
@@ -753,6 +812,9 @@ _DEEP = b"[" * 200_000 + b"]" * 200_000
      "data.column_spec: only a data file has one; set path"),
     (_json({"caps": {"train": 10, "val": 3}}), "caps: unknown key(s) ['val']"),
     pytest.param(_DEEP, "nests its JSON too deeply", id="deeply-nested"),
+    pytest.param(_json({"strategies": [{"kind": "avg_ema", "ema_alpha": 0.3},
+                                       {"kind": "avg_ema", "ema_alpha": 0.9}]}),
+                 "strategies: label 'avg_ema' appears more than once", id="repeated-label"),
 ])
 def test_load_config_rejects_corrupt_files_by_name(tmp_path, capsys, data, match):
     path = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -122,30 +123,31 @@ def test_default_scenario_mqtt_ddos_farthest():
 
 
 def test_scenario_validation_errors():
-    spec = tiny_scenario()
-    with pytest.raises(ConfigError):
-        ScenarioSpec(num_features=0, families=spec.families, seed=0).validate()
-    bad_rows = FamilySpec("Benign", ("Benign",), np.zeros(8), 1.0, 0)
-    with pytest.raises(ConfigError):
-        ScenarioSpec(num_features=8, families=(bad_rows,), seed=0).validate()
-    bad_cat = FamilySpec("Worm", ("Worm-X",), np.zeros(8), 1.0, 5)
-    with pytest.raises(ConfigError):
-        ScenarioSpec(num_features=8, families=(bad_cat,), seed=0).validate()
-    off_roster = FamilySpec("DoS", ("DoS-flood",), np.zeros(8), 1.0, 5)
-    with pytest.raises(ConfigError, match="DoS-flood"):
-        ScenarioSpec(num_features=8, families=(off_roster,), seed=0).validate()
-    wrong_family = FamilySpec("DoS", ("TCP_IP-DDoS-SYN",), np.zeros(8), 1.0, 5)
-    with pytest.raises(ConfigError, match="TCP_IP-DDoS-SYN"):
-        ScenarioSpec(num_features=8, families=(wrong_family,), seed=0).validate()
-    empty = FamilySpec("DoS", (), np.zeros(8), 1.0, 5)
-    with pytest.raises(ConfigError, match="no sub-attacks"):
-        ScenarioSpec(num_features=8, families=(empty,), seed=0).validate()
-    twice = spec.families[1]
-    with pytest.raises(ConfigError, match=f"duplicate family '{twice.category}'"):
-        ScenarioSpec(num_features=8, families=(twice, twice), seed=0).validate()
-    sub_twice = FamilySpec("Benign", ("Benign", "Benign"), np.zeros(8), 1.0, 2)
-    with pytest.raises(ConfigError, match="family 'Benign': sub-attack 'Benign' is listed twice"):
-        ScenarioSpec(num_features=8, families=(sub_twice,), seed=0).validate()
+    # a spec checks itself when built, so generate never sees a bad one
+    fams = tiny_scenario().families
+    for build, match in [
+        (lambda: ScenarioSpec(num_features=0, families=fams, seed=0), "num_features"),
+        (lambda: ScenarioSpec(num_features=8, families=(), seed=0), "at least one family"),
+        (lambda: ScenarioSpec(num_features=8, families=fams, clip=(1.0, 1.0)), "clip"),
+        (lambda: ScenarioSpec(num_features=9, families=fams), "mean length"),
+        (lambda: FamilySpec("Benign", ("Benign",), np.zeros(8), 1.0, 0),
+         "family 'Benign': rows_per_subattack: must be an integer in [1, inf], got 0"),
+        (lambda: FamilySpec("Benign", ("Benign",), np.zeros(3), 1.0, 2.5),
+         "family 'Benign': rows_per_subattack: must be an integer, got 2.5"),
+        (lambda: FamilySpec("Benign", ("Benign",), np.zeros(8), 0.0, 5),
+         "family 'Benign': scale: must be a number in (0, inf), got 0.0"),
+        (lambda: FamilySpec("Worm", ("Worm-X",), np.zeros(8), 1.0, 5), "unknown category"),
+        (lambda: FamilySpec("DoS", ("DoS-flood",), np.zeros(8), 1.0, 5), "DoS-flood"),
+        (lambda: FamilySpec("DoS", ("TCP_IP-DDoS-SYN",), np.zeros(8), 1.0, 5),
+         "TCP_IP-DDoS-SYN"),
+        (lambda: FamilySpec("DoS", (), np.zeros(8), 1.0, 5), "no sub-attacks"),
+        (lambda: ScenarioSpec(num_features=8, families=(fams[1], fams[1]), seed=0),
+         f"duplicate family '{fams[1].category}'"),
+        (lambda: FamilySpec("Benign", ("Benign", "Benign"), np.zeros(8), 1.0, 2),
+         "family 'Benign': sub-attack 'Benign' is listed twice"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            build()
 
 
 def test_write_and_load_round_trip(tmp_path):
