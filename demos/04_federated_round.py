@@ -11,6 +11,7 @@ import numpy as np
 from driftfed import (Checkpoint, FedConfig, LabeledData, ModelArch, ModelParams,
                       TrainConfig, fedavg_aggregate, init_from_history, init_params,
                       predict, run_round)
+from driftfed.federation import RunningAverage
 from driftfed.nn import param_count
 
 arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=6, output_dim=2)
@@ -38,12 +39,15 @@ for rnd in range(cfg.rounds):
     acc = np.mean(predict(model, full.X) == full.y)
     print(f"round {rnd}: global accuracy {acc:.3f}")
 
-# averaging-initialization variants over a fake checkpoint history
+# averaging-initialization variants over a fake checkpoint history, folded in
+# one checkpoint at a time as each period ends
 history = [
     Checkpoint(ModelParams(arch, np.full(width, 0.0)), 1, 100, 0.0),
     Checkpoint(ModelParams(arch, np.full(width, 1.0)), 2, 300, 0.0),
     Checkpoint(ModelParams(arch, np.full(width, 1.0)), 3, 100, 0.0),
 ]
 for mode in ("equal", "sample", "ema"):
-    merged = init_from_history(mode, history, ema_alpha=0.6)
+    running = RunningAverage(mode, ema_alpha=0.6)
+    for ckpt in history:
+        merged = init_from_history(running, ckpt)
     print(f"init_from_history[{mode:<6}] -> element value {merged.vec[0]:.3f}")

@@ -14,14 +14,14 @@ from driftfed import (FedConfig, ModelArch, TrainConfig, attack_generalization_m
 from driftfed.timeline import FAMILY_MEMBERS
 
 records = generate(default_drift_scenario(seed=3, rows_per_subattack=300))
-train, test = stratified_split(records, 0.8, seed=3)
+train_rows, test_rows = stratified_split(records, 0.8, seed=3)
 
 families = ["MQTT", "DoS", "DDoS", "Recon", "Spoofing"]
 cfg = FedConfig(num_clients=5, rounds=3, train=TrainConfig(local_epochs=5))
 arch = ModelArch(input_dim=45, hidden_layers=1, hidden_units=16, output_dim=2)
 
-matrix = attack_generalization_matrix(families, train, test, cfg, arch, FAMILY_MEMBERS,
-                                      seed=3)
+matrix = attack_generalization_matrix(families, records, train_rows, test_rows, cfg, arch,
+                                      FAMILY_MEMBERS, seed=3)
 
 header = " ".join(f"{name:>9}" for name in matrix.families) + "      mean"
 corner = "train \\ test"

@@ -139,13 +139,19 @@ class RunningAverage:
     equal and sample keep the weighted sum of the parameters, from zero, and
     the weights: sample weighs a checkpoint by its training sample count,
     equal by one, so equal is the weighted sum with unit weights. ema keeps
-    the EMA itself. An average of one checkpoint is that checkpoint, so the
-    first is kept only until the second arrives.
+    the EMA itself, e_1 = params_1, e_k = alpha*params_k + (1-alpha)*e_{k-1},
+    and needs ``ema_alpha`` (``StrategyConfig`` holds its default). An
+    average of one checkpoint is that checkpoint, so the first is kept only
+    until the second arrives. The bits are those of ``np.mean`` and
+    ``np.average`` over the stacked checkpoints: their axis-0 sum adds the
+    rows in order, starting from zero.
     """
 
     def __init__(self, mode: str, ema_alpha: float | None = None):
         if mode not in AVERAGING_MODES:
             raise ConfigError(f"mode must be one of {AVERAGING_MODES}")
+        if mode == "ema" and ema_alpha is None:
+            raise ConfigError("ema averaging needs ema_alpha")
         self.mode, self.ema_alpha = mode, ema_alpha
         self.arch: ModelArch | None = None
         self.weights: list[float] = []
@@ -159,9 +165,7 @@ class RunningAverage:
         self.arch = params.arch
         weight = 1.0 if self.mode == "equal" else float(ckpt.train_sample_count)
         if self.mode == "ema":
-            if self.weights:  # e_k = alpha*params_k + (1-alpha)*e_{k-1}, in a fresh vector
-                if self.ema_alpha is None:
-                    raise ConfigError("ema averaging needs ema_alpha")
+            if self.weights:  # e_k in a fresh vector
                 prev = self.first.vec if self.acc is None else self.acc
                 self.acc = np.multiply(prev, 1.0 - self.ema_alpha)
                 _add_scaled(self.acc, [(params.vec, self.ema_alpha)])
@@ -186,27 +190,9 @@ class RunningAverage:
         return ModelParams(self.arch, self.acc / total)
 
 
-def init_from_history(mode: str, history: list[Checkpoint], ema_alpha: float | None = None,
-                      running: RunningAverage | None = None) -> ModelParams:
-    """Parameter average over previous period checkpoints.
-
-    equal: unweighted mean. sample: weighted by training sample count.
-    ema: e_1 = params_1, e_k = alpha*params_k + (1-alpha)*e_{k-1}; it needs
-    ``ema_alpha`` (``StrategyConfig`` holds its default).
-
-    The checkpoints are folded into ``running``, a :class:`RunningAverage`
-    for ``mode`` and ``ema_alpha`` that holds the checkpoints before
-    ``history``, or a fresh one; the result is its average. The bits are
-    those of ``np.mean`` and ``np.average`` over the stacked checkpoints:
-    their axis-0 sum adds the rows in order, starting from zero.
-    """
-    if running is None:
-        running = RunningAverage(mode, ema_alpha)
-    elif (running.mode, running.ema_alpha) != (mode, ema_alpha):
-        raise ConfigError(f"running average is {running.mode} with ema_alpha "
-                          f"{running.ema_alpha}, not {mode} with {ema_alpha}")
-    for ckpt in history:
-        running.add(ckpt)
+def init_from_history(running: RunningAverage, ckpt: Checkpoint) -> ModelParams:
+    """Fold ``ckpt`` into ``running``; the average of every checkpoint so far."""
+    running.add(ckpt)
     return running.value()
 
 
@@ -252,7 +238,7 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
 
     for item in sorted(period_inputs, key=lambda p: p.period_id):
         if ckpt is not None and running is not None:
-            params = init_from_history(mode, [ckpt], strategy.ema_alpha, running)
+            params = init_from_history(running, ckpt)
         ckpt = None  # folded into the average, or training resumes from its params
 
         wall = 0.0

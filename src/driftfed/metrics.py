@@ -187,22 +187,24 @@ class GeneralizationMatrix:
         return self.values[self.families.index(family)]
 
 
-def attack_generalization_matrix(families: list[str], train: FlowTable, test: FlowTable,
+def attack_generalization_matrix(families: list[str], table: FlowTable,
+                                 train_rows: np.ndarray, test_rows: np.ndarray,
                                  cfg: FedConfig, arch: ModelArch,
                                  family_members: dict[str, tuple[str, ...]],
                                  seed: int) -> GeneralizationMatrix:
     """Train Benign-vs-family binary models and score them across families.
 
-    Cell (i, j) is the accuracy of the model trained on (Benign, family i)
-    over the test rows of (Benign, family j). Each family's model is one
-    period of :func:`run_timeline` scored by :func:`cross_period_eval`, so a
-    diverged model raises :class:`DivergenceError`. Each family's partition,
-    model and training derive from ``seed``. Families without data are
-    skipped with a warning.
+    ``train_rows`` and ``test_rows`` index ``table``, as ``stratified_split``
+    returns them. Cell (i, j) is the accuracy of the model trained on
+    (Benign, family i) over the test rows of (Benign, family j). Each
+    family's model is one period of :func:`run_timeline` scored by
+    :func:`cross_period_eval`, so a diverged model raises
+    :class:`DivergenceError`. Each family's partition, model and training
+    derive from ``seed``. Families without data are skipped with a warning.
     """
     codec = CODECS["binary"]
-    train_by_class = records_by_class(train)
-    test_by_class = records_by_class(test)
+    train_by_class = records_by_class(table, train_rows)
+    test_by_class = records_by_class(table, test_rows)
     benign_train = train_by_class.get("Benign", NO_ROWS)
     benign_test = test_by_class.get("Benign", NO_ROWS)
     if not len(benign_train) or not len(benign_test):
@@ -224,7 +226,7 @@ def attack_generalization_matrix(families: list[str], train: FlowTable, test: Fl
         return concat_rows(by_class.get(m, NO_ROWS) for m in family_members[family])
 
     arch = replace(arch, output_dim=codec.num_classes)
-    test_sets = {j: encode_labels(codec, test, concat_rows(
+    test_sets = {j: encode_labels(codec, table, concat_rows(
                      [benign_test, family_rows(test_by_class, fam_test)]))
                  for j, fam_test in enumerate(usable)}
     values = np.zeros((len(usable), len(usable) + 1))
@@ -232,7 +234,7 @@ def attack_generalization_matrix(families: list[str], train: FlowTable, test: Fl
         pool = {"Benign": benign_train, fam_train: family_rows(train_by_class, fam_train)}
         fam_seed = derive_seed(seed, "generalization", fam_train)
         clients = partition_iid(pool, cfg.num_clients, fam_seed)
-        shards = [encode_labels(codec, train,
+        shards = [encode_labels(codec, table,
                                 concat_rows([c.train, c.client_test, c.validation]))
                   for c in clients]
         period = PeriodInput(0, [s for s in shards if len(s) > 0], None)

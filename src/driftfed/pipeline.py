@@ -12,8 +12,10 @@ A row set is one :class:`FlowTable`: an (N, F) feature matrix and a
 sub-attack code per row. A row's time is its position: each class's rows are
 in time order down the table, as the file or the generator lays them out, so
 a row's ``order_index`` is its rank among the earlier rows of its class.
-Later stages (segmenting, capping, pools, client shards, test sets) pass
-arrays of row indices into a table instead of copying rows.
+The train/test split is two arrays of row indices into one table, which is
+min-max scaled once, on statistics of its training rows. Later stages
+(segmenting, capping, pools, client shards, test sets) pass arrays of row
+indices into that scaled table instead of copying rows.
 """
 
 from __future__ import annotations
@@ -134,11 +136,13 @@ class FlowTable:
         return [SUB_ATTACKS[code] for code in self.sub.tolist()]
 
 
-def records_by_class(table: FlowTable) -> dict[str, np.ndarray]:
-    """Row indices per sub-attack, classes in name order, rows in table (time) order."""
-    rows = np.argsort(table.sub, kind="stable")
-    counts = np.bincount(table.sub, minlength=len(SUB_ATTACKS))
-    parts = np.split(rows, np.cumsum(counts)[:-1])
+def records_by_class(table: FlowTable, rows=None) -> dict[str, np.ndarray]:
+    """Each class's subset of ``rows`` (all rows when None), classes in name
+    order, rows in table (time) order."""
+    rows = np.arange(len(table)) if rows is None else np.sort(rows)
+    codes = table.sub[rows]
+    counts = np.bincount(codes, minlength=len(SUB_ATTACKS))
+    parts = np.split(rows[np.argsort(codes, kind="stable")], np.cumsum(counts)[:-1])
     return {SUB_ATTACKS[code]: parts[code]
             for code in sorted(np.flatnonzero(counts), key=SUB_ATTACKS.__getitem__)}
 
@@ -313,12 +317,12 @@ def clean(table: FlowTable) -> FlowTable:
 
 
 def stratified_split(table: FlowTable, train_fraction: float, seed: int):
-    """Per-class split into (train, test) tables.
+    """Per-class split into (train_rows, test_rows), row indices into ``table``.
 
     Train size per class is round-half-up of fraction*n; membership is a
     seeded uniform draw but both halves keep within-class chronological
     order. Classes with fewer than 2 rows go entirely to train (with a
-    warning). Both tables hold their classes in name order.
+    warning). Both halves list their classes in name order.
     """
     if not 0 < train_fraction < 1:
         raise ConfigError("train_fraction must be strictly between 0 and 1")
@@ -335,7 +339,7 @@ def stratified_split(table: FlowTable, train_fraction: float, seed: int):
         mask[chosen] = True
         train.append(rows[mask])
         test.append(rows[~mask])
-    return table[concat_rows(train)], table[concat_rows(test)]
+    return concat_rows(train), concat_rows(test)
 
 
 @dataclass(frozen=True)
@@ -353,10 +357,14 @@ def fit_scaler(train: FlowTable) -> ScalerStats:
 
 
 def apply_scaler(stats: ScalerStats, table: FlowTable) -> FlowTable:
-    """Min-max transform; constant features map to 0, outputs clamp to [0, 1]."""
+    """Min-max transform; constant features map to 0, outputs clamp to [0, 1].
+
+    Computed in one output array, with no full-size temporaries.
+    """
     span = stats.maxs - stats.mins
-    safe = np.where(span > 0, span, 1.0)
-    scaled = np.clip((table.X - stats.mins) / safe, 0.0, 1.0)
+    scaled = np.subtract(table.X, stats.mins)
+    scaled /= np.where(span > 0, span, 1.0)
+    np.clip(scaled, 0.0, 1.0, out=scaled)
     scaled[:, span == 0] = 0.0
     return FlowTable(scaled, table.sub)
 

@@ -290,30 +290,27 @@ def _load_dataset(cfg: RunConfig):
 def prepare_experiment(cfg: RunConfig, records=None):
     """Shared data preparation: clean, split, scale, segment, cap, test sets.
 
-    Returns what ``run_strategy`` reads: the schedule, the scaled training
-    table, the capped training segments per class (row indices into it), the
+    Returns what ``run_strategy`` reads: the schedule, the one scaled table,
+    the capped training segments per class (row indices into it), the
     encoded test set per period and the label codec.
     """
-    if records is None:
-        records = _load_dataset(cfg)
-    train, test = stratified_split(clean(records), cfg.train_fraction, cfg.seed)
-    stats = fit_scaler(train)
-    train = apply_scaler(stats, train)
-    test = apply_scaler(stats, test)
+    table = clean(_load_dataset(cfg) if records is None else records)
+    train_rows, test_rows = stratified_split(table, cfg.train_fraction, cfg.seed)
+    table = apply_scaler(fit_scaler(table[train_rows]), table)
 
     schedule = build_schedule(cfg.task)
     n_train_periods = sum(p.has_training for p in schedule)
 
-    train_segments = segment_and_cap(records_by_class(train), n_train_periods,
+    train_segments = segment_and_cap(records_by_class(table, train_rows), n_train_periods,
                                      cfg.train_cap, cfg.seed, "cap-train")
-    test_segments = segment_and_cap(records_by_class(test), len(schedule),
+    test_segments = segment_and_cap(records_by_class(table, test_rows), len(schedule),
                                     cfg.test_cap, cfg.seed, "cap-test")
     codec = LabelCodec.for_task(cfg.task)
-    encoded_tests = {period: encode_labels(codec, test, rows)
+    encoded_tests = {period: encode_labels(codec, table, rows)
                      for period, rows in build_test_sets(schedule, test_segments).items()}
     return {
         "schedule": schedule,
-        "train": train,
+        "table": table,
         "train_segments": train_segments,
         "encoded_tests": encoded_tests,
         "codec": codec,
@@ -331,7 +328,7 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig) -> dict:
     nothing of the strategy is left.
     """
     schedule = prep["schedule"]
-    train = prep["train"]
+    table = prep["table"]
     codec: LabelCodec = prep["codec"]
     strategy_seed = rng_seed_for_period(cfg.seed, strategy, -1)
 
@@ -347,8 +344,8 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig) -> dict:
         val_rows = concat_rows(c.validation for c in clients)
         period_inputs.append(PeriodInput(
             period_id=period_id,
-            client_train=[encode_labels(codec, train, c.train) for c in clients],
-            val=encode_labels(codec, train, val_rows) if len(val_rows) else None,
+            client_train=[encode_labels(codec, table, c.train) for c in clients],
+            val=encode_labels(codec, table, val_rows) if len(val_rows) else None,
         ))
 
     out_dir = Path(cfg.output_dir)

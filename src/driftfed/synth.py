@@ -43,6 +43,8 @@ class FamilySpec:
             raise ConfigError(f"unknown category {self.category!r}")
         check_field(f"{name}: rows_per_subattack", self.rows_per_subattack, "integer", 1)
         check_field(f"{name}: scale", self.scale, "number", 0)
+        if not np.isfinite(self.mean).all():
+            raise ConfigError(f"{name}: mean must be finite")
         if not self.sub_attacks:
             raise ConfigError(f"{name} has no sub-attacks")
         for k, sub in enumerate(self.sub_attacks):

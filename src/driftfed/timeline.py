@@ -10,8 +10,8 @@ Each class's training rows are cut into one chronological segment per
 training period and each test side into one segment per test period, so no
 strategy ever re-reads the same rows across periods. A row's time is its
 position in its table, so chronological means in increasing row index.
-Segments, pools and client shards are arrays of row indices into the scaled
-train or test :class:`~driftfed.pipeline.FlowTable`.
+Segments, pools, client shards and test sets are arrays of row indices into
+the run's one scaled :class:`~driftfed.pipeline.FlowTable`.
 
 A period's pool is its *full marks* (the t0 baseline, then the new family,
 with Benign at t1) on fresh segments, plus per strategy: ``cumulative`` the
@@ -170,7 +170,7 @@ def segment_and_cap(rows_by_cls: dict[str, np.ndarray], num_periods: int,
     """Per class: segment chronologically, then cap each period independently.
 
     ``rows_by_cls`` is :func:`~driftfed.pipeline.records_by_class` of a
-    table: row indices in increasing order, which is time order.
+    table or of one side of its split: row indices in increasing (time) order.
     """
     if cap < 1:
         raise ConfigError("cap must be at least 1")

@@ -244,8 +244,8 @@ def test_criterion_09_data_contracts():
         )
         rows = generate(big)
         train, test = stratified_split(rows, 0.8, seed=1)
-        capped_train = segment_and_cap(records_by_class(train), 5, 10_000, 1, "t")
-        capped_test = segment_and_cap(records_by_class(test), 6, 2_000, 1, "s")
+        capped_train = segment_and_cap(records_by_class(rows, train), 5, 10_000, 1, "t")
+        capped_test = segment_and_cap(records_by_class(rows, test), 6, 2_000, 1, "s")
         train_sizes = [len(s) for s in capped_train["TCP_IP-DoS-TCP"]]
         test_sizes = [len(s) for s in capped_test["TCP_IP-DoS-TCP"]]
         assert all(size == 10_000 for size in train_sizes)
@@ -253,7 +253,8 @@ def test_criterion_09_data_contracts():
 
         # IID balance and retention contracts on the acceptance scenario
         records = generate(default_drift_scenario(ACCEPTANCE_SEED))
-        train, test = stratified_split(records, 0.8, ACCEPTANCE_SEED)
+        train_rows, test_rows = stratified_split(records, 0.8, ACCEPTANCE_SEED)
+        train, test = records[train_rows], records[test_rows]
         segments = segment_and_cap(records_by_class(train),
                                    len(training_periods("binary")),
                                    10_000, ACCEPTANCE_SEED, "cap-train")

@@ -15,9 +15,9 @@ from driftfed.atomic import write_atomic
 from driftfed.dataset import LabeledData
 from driftfed.errors import (AggregationError, CheckpointError, ConfigError, DivergenceError,
                              DriftFedError, FederationError)
-from driftfed.federation import (Checkpoint, FedConfig, PeriodInput, fedavg_aggregate,
-                                 init_from_history, load_checkpoint, run_round,
-                                 run_timeline, save_checkpoint)
+from driftfed.federation import (Checkpoint, FedConfig, PeriodInput, RunningAverage,
+                                 fedavg_aggregate, init_from_history, load_checkpoint,
+                                 run_round, run_timeline, save_checkpoint)
 from driftfed.nn import (ModelArch, ModelParams, TrainConfig, cohort_size, init_params,
                          param_count, train_local)
 from driftfed.seeds import derive_seed, rng_for
@@ -179,20 +179,27 @@ def _checkpoint(vec, period, count):
     return Checkpoint(_params_from(vec), period, count, 0.0)
 
 
+def _fold(mode, history, ema_alpha=None):
+    """The average ``run_timeline`` starts from after ``history``, folded one at a time."""
+    running = RunningAverage(mode, ema_alpha)
+    for ckpt in history:
+        merged = init_from_history(running, ckpt)
+    return merged
+
+
 def test_init_from_history_single_checkpoint_identity(rng):
     ckpt = _checkpoint(rng.normal(size=N), 1, 10)
     for mode in ("equal", "sample", "ema"):
-        merged = init_from_history(mode, [ckpt])
+        merged = _fold(mode, [ckpt], ema_alpha=0.6)
         assert np.array_equal(merged.vec, ckpt.params.vec)
 
 
 def test_init_from_history_ema_hand_recursion():
     zeros = _checkpoint(np.zeros(N), 1, 10)
     ones = _checkpoint(np.ones(N), 2, 10)
-    two = init_from_history("ema", [zeros, ones], ema_alpha=0.6)
+    two = _fold("ema", [zeros, ones], ema_alpha=0.6)
     assert np.allclose(two.vec, 0.6, atol=1e-15)
-    three = init_from_history("ema", [zeros, ones, _checkpoint(np.ones(N), 3, 10)],
-                              ema_alpha=0.6)
+    three = _fold("ema", [zeros, ones, _checkpoint(np.ones(N), 3, 10)], ema_alpha=0.6)
     # 0.6*1 + 0.4*0.6 = 0.84
     assert np.allclose(three.vec, 0.84, atol=1e-15)
 
@@ -200,22 +207,24 @@ def test_init_from_history_ema_hand_recursion():
 def test_init_from_history_sample_weighted_hand_value():
     a = _checkpoint(np.zeros(N), 1, 100)
     b = _checkpoint(np.ones(N), 2, 300)
-    merged = init_from_history("sample", [a, b])
+    merged = _fold("sample", [a, b])
     assert np.allclose(merged.vec, 0.75, atol=1e-15)
 
 
 def test_init_from_history_equal_mean(rng):
     vecs = [rng.normal(size=N) for _ in range(3)]
     ckpts = [_checkpoint(v, i, 5) for i, v in enumerate(vecs)]
-    merged = init_from_history("equal", ckpts)
+    merged = _fold("equal", ckpts)
     assert np.allclose(merged.vec, np.mean(vecs, axis=0), atol=1e-14)
 
 
 def test_init_from_history_errors(rng):
     with pytest.raises(AggregationError):
-        init_from_history("equal", [])
+        RunningAverage("equal").value()
     with pytest.raises(ConfigError):
-        init_from_history("median", [_checkpoint(np.zeros(N), 1, 1)])
+        RunningAverage("median")
+    with pytest.raises(ConfigError, match="ema_alpha"):  # when built, not at the second add
+        RunningAverage("ema")
 
 
 def _stacked_average(mode, history, alpha):
@@ -250,7 +259,7 @@ def test_in_place_averaging_is_byte_equal_to_stacked_expressions(vecs, counts, t
         vec[neg_zero] = -0.0
     history = [_checkpoint(v, i, n) for i, (v, n) in enumerate(zip(vecs, counts))]
     for mode in ("equal", "sample", "ema"):
-        merged = init_from_history(mode, history, ema_alpha=alpha).vec
+        merged = _fold(mode, history, ema_alpha=alpha).vec
         assert merged.tobytes() == _stacked_average(mode, history, alpha).tobytes(), mode
     total = float(sum(counts))
     expected = np.zeros(N)
@@ -314,11 +323,11 @@ def test_run_timeline_averaging_initializes_from_history(rng, monkeypatch):
     (ema, _), starts = _run_recording_starts(
         monkeypatch, StrategyConfig("avg_ema", ema_alpha=0.6), _period_inputs(rng, [1, 2, 3]),
         cfg)
-    expected = init_from_history("ema", ema[:2], ema_alpha=0.6)
+    expected = _fold("ema", ema[:2], ema_alpha=0.6)
     assert np.array_equal(starts[3].vec, expected.vec)
     (sample, _), starts = _run_recording_starts(monkeypatch, StrategyConfig("avg_sample"),
                                                 _period_inputs(rng, [1, 2, 3]), cfg)
-    expected = init_from_history("sample", sample[:2])
+    expected = _fold("sample", sample[:2])
     assert np.array_equal(starts[3].vec, expected.vec)
 
 

@@ -202,13 +202,14 @@ def _family_scenario(seed=0, rows=260):
 
 
 def test_attack_generalization_matrix_diagonal_dominates():
-    train, test = stratified_split(generate(_family_scenario()), 0.8, seed=0)
+    table = generate(_family_scenario())
+    train, test = stratified_split(table, 0.8, seed=0)
     members = {"MQTT": ("MQTT-Malformed_Data",), "DoS": ("TCP_IP-DoS-SYN",),
                "Recon": ("Recon-Ping_Sweep",)}
     cfg = FedConfig(num_clients=2, rounds=2,
                     train=TrainConfig(local_epochs=6, learning_rate=0.01))
     arch = ModelArch(input_dim=10, hidden_layers=1, hidden_units=8, output_dim=2)
-    matrix = attack_generalization_matrix(["MQTT", "DoS", "Recon"], train, test,
+    matrix = attack_generalization_matrix(["MQTT", "DoS", "Recon"], table, train, test,
                                           cfg, arch, members, seed=1)
     f = len(matrix.families)
     assert matrix.values.shape == (f, f + 1)
@@ -219,23 +220,26 @@ def test_attack_generalization_matrix_diagonal_dominates():
 
 
 def test_attack_generalization_matrix_flags_a_diverged_model():
-    train, test = stratified_split(generate(_family_scenario()), 0.8, seed=0)
+    table = generate(_family_scenario())
+    train, test = stratified_split(table, 0.8, seed=0)
     members = {"MQTT": ("MQTT-Malformed_Data",), "DoS": ("TCP_IP-DoS-SYN",)}
     # a step near the float64 limit overflows the weights, as in run_timeline's tests
     cfg = FedConfig(num_clients=2, rounds=1,
                     train=TrainConfig(local_epochs=1, learning_rate=1e308))
     arch = ModelArch(input_dim=10, hidden_layers=1, hidden_units=4, output_dim=2)
     with pytest.raises(DivergenceError, match="period 0 round 0"):
-        attack_generalization_matrix(["MQTT", "DoS"], train, test, cfg, arch, members, seed=1)
+        attack_generalization_matrix(["MQTT", "DoS"], table, train, test, cfg, arch, members,
+                                     seed=1)
 
 
 def test_attack_generalization_matrix_skips_missing_family(rng):
-    train, test = stratified_split(generate(_family_scenario()), 0.8, seed=0)
+    table = generate(_family_scenario())
+    train, test = stratified_split(table, 0.8, seed=0)
     members = {"MQTT": ("MQTT-Malformed_Data",), "DoS": ("TCP_IP-DoS-SYN",),
                "DDoS": ("TCP_IP-DDoS-SYN",)}
     cfg = FedConfig(num_clients=2, rounds=1, train=TrainConfig(local_epochs=2))
     arch = ModelArch(input_dim=10, hidden_layers=1, hidden_units=4, output_dim=2)
     with pytest.warns(UserWarning, match="DDoS"):
-        matrix = attack_generalization_matrix(["MQTT", "DoS", "DDoS"], train, test,
+        matrix = attack_generalization_matrix(["MQTT", "DoS", "DDoS"], table, train, test,
                                               cfg, arch, members, seed=1)
     assert matrix.families == ["MQTT", "DoS"]

@@ -133,8 +133,9 @@ def test_stratified_split_counts_and_rounding():
 def test_stratified_split_per_class_proportions():
     records = (make_records("Benign", 100), make_records("TCP_IP-DoS-SYN", 57),
                make_records("ARP_Spoofing", 23))
-    train, _ = stratified_split(join(*records), 0.8, seed=3)
-    counts = {cls: len(rows) for cls, rows in records_by_class(train).items()}
+    table = join(*records)
+    train, _ = stratified_split(table, 0.8, seed=3)
+    counts = {cls: len(rows) for cls, rows in records_by_class(table, train).items()}
     assert counts == {"Benign": 80, "TCP_IP-DoS-SYN": 46, "ARP_Spoofing": 18}
 
 
@@ -142,7 +143,8 @@ def test_stratified_split_preserves_chronology_and_reconciles():
     # the one feature is the row's index, so each half shows which rows it took
     records = _column_records(np.arange(40.0))
     train, test = stratified_split(records, 0.75, seed=9)
-    taken = train.X[:, 0].tolist(), test.X[:, 0].tolist()
+    assert train.dtype == test.dtype == np.intp
+    taken = records.X[train, 0].tolist(), records.X[test, 0].tolist()
     assert all(rows == sorted(rows) for rows in taken)
     assert sorted(taken[0] + taken[1]) == list(range(40))
 
@@ -157,9 +159,9 @@ def test_stratified_split_deterministic():
     records = make_records("Benign", 30)
     a_train, _ = stratified_split(records, 0.8, seed=4)
     b_train, _ = stratified_split(records, 0.8, seed=4)
-    assert a_train == b_train
+    assert np.array_equal(a_train, b_train)
     c_train, _ = stratified_split(records, 0.8, seed=5)
-    assert a_train != c_train
+    assert not np.array_equal(a_train, c_train)
 
 
 def test_stratified_split_classes_in_name_order_rows_in_time_order():
@@ -169,7 +171,7 @@ def test_stratified_split_classes_in_name_order_rows_in_time_order():
                          ["TCP_IP-DoS-SYN", "Benign", "TCP_IP-DoS-SYN", "Benign",
                           "Benign", "TCP_IP-DoS-SYN", "Benign", "TCP_IP-DoS-SYN"])
     train, test = stratified_split(table, 0.5, seed=0)
-    for half in (train, test):
+    for half in (table[train], table[test]):
         names = half.labels
         assert names == sorted(names)
         for code in set(half.sub.tolist()):
@@ -203,6 +205,19 @@ def test_scaler_clamps_out_of_range_test_rows():
     stats = fit_scaler(_column_records([2.0, 6.0]))
     out = apply_scaler(stats, _column_records([8.0, 1.0]))
     assert out.X[:, 0].tolist() == [1.0, 0.0]
+
+
+def test_apply_scaler_is_byte_equal_to_the_expression(rng):
+    # a constant column, and rows outside the fitted range on both sides
+    train = FlowTable.of(np.column_stack([rng.normal(size=50), np.full(50, 3.0),
+                                          rng.uniform(-1e3, 1e3, size=50)]), ["Benign"] * 50)
+    table = FlowTable.of(np.vstack([train.X, rng.normal(scale=1e4, size=(40, 3))]),
+                         ["Benign"] * 90)
+    stats = fit_scaler(train)
+    span = stats.maxs - stats.mins
+    expected = np.clip((table.X - stats.mins) / np.where(span > 0, span, 1.0), 0.0, 1.0)
+    expected[:, span == 0] = 0.0
+    assert apply_scaler(stats, table).X.tobytes() == expected.tobytes()
 
 
 def test_scaler_requires_training_rows():
@@ -295,6 +310,12 @@ def test_records_by_class_sorts_names_and_order():
     assert list(grouped) == ["ARP_Spoofing", "Benign", "TCP_IP-DoS-SYN"]
     assert grouped["Benign"].tolist() == [1, 3, 4]
     assert records_by_class(make_records("Benign", 0)) == {}
+    # a subset of the rows, in any order, comes back by class in table order
+    subset = records_by_class(table, np.array([4, 2, 0, 1]))
+    assert {cls: rows.tolist() for cls, rows in subset.items()} == {
+        "ARP_Spoofing": [2], "Benign": [1, 4], "TCP_IP-DoS-SYN": [0]}
+    assert list(subset) == ["ARP_Spoofing", "Benign", "TCP_IP-DoS-SYN"]
+    assert records_by_class(table, NO_ROWS) == {}
 
 
 @pytest.mark.parametrize("codes", [[0.5, 1.7], [1.0, 0.0], [True, False]])

@@ -14,13 +14,15 @@ from driftfed.dataset import LabeledData
 from driftfed.errors import ConfigError, DivergenceError, ReportError
 from driftfed.federation import FedConfig
 from driftfed.nn import OPTIMIZERS, ModelArch, TrainConfig, param_count
-from driftfed.pipeline import ColumnSpec, encode_labels
+from driftfed.pipeline import (ColumnSpec, apply_scaler, clean, encode_labels, fit_scaler,
+                               records_by_class, stratified_split)
 from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, _config_dict,
                              config_from_dict, desk_scale, load_config, prepare_experiment,
                              render_reports, rerender_reports, run_experiment,
                              validate_config)
 from driftfed.synth import default_column_spec, generate, write_delimited
-from driftfed.timeline import STRATEGY_KINDS, TASKS, StrategyConfig
+from driftfed.timeline import (STRATEGY_KINDS, TASKS, StrategyConfig, build_schedule,
+                               build_test_sets, segment_and_cap)
 
 from conftest import full_disk, tiny_scenario
 
@@ -235,8 +237,47 @@ def test_delimiter_comes_from_the_column_spec(tmp_path):
     cfg = replace(_tiny_cfg(tmp_path), data=DataSource(
         path=str(path), column_spec_path=str(tmp_path / "flows.columns.json")))
     assert validate_config(cfg) == []
-    assert np.array_equal(prepare_experiment(cfg)["train"].X,
-                          prepare_experiment(cfg, records)["train"].X)
+    assert np.array_equal(prepare_experiment(cfg)["table"].X,
+                          prepare_experiment(cfg, records)["table"].X)
+
+
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("caps,bind", [((10_000, 2_000), False), ((2, 1), True)])
+def test_one_scaled_table_prepares_what_two_tables_did(tmp_path, task, caps, bind):
+    cfg = replace(_tiny_cfg(tmp_path, task), train_cap=caps[0], test_cap=caps[1])
+    records = _tiny_records()
+    prep = prepare_experiment(cfg, records)
+
+    # the preparation that copied the split into a train and a test table and
+    # scaled each, so that segments indexed the train table
+    table = clean(records)
+    train_rows, test_rows = stratified_split(table, cfg.train_fraction, cfg.seed)
+    assert np.array_equal(np.sort(np.concatenate([train_rows, test_rows])),
+                          np.arange(len(table)))  # disjoint, and together the table
+    stats = fit_scaler(table[train_rows])
+    train = apply_scaler(stats, table[train_rows])
+    test = apply_scaler(stats, table[test_rows])
+    assert prep["table"][train_rows] == train and prep["table"][test_rows] == test
+    schedule = build_schedule(task)
+    train_segments = segment_and_cap(records_by_class(train),
+                                     sum(p.has_training for p in schedule),
+                                     cfg.train_cap, cfg.seed, "cap-train")
+    test_segments = segment_and_cap(records_by_class(test), len(schedule),
+                                    cfg.test_cap, cfg.seed, "cap-test")
+
+    assert list(prep["train_segments"]) == list(train_segments)
+    for cls, segments in train_segments.items():
+        assert [s.tolist() for s in prep["train_segments"][cls]] == \
+               [train_rows[s].tolist() for s in segments]
+        assert all(len(s) == cfg.train_cap for s in segments) == bind
+    assert all(len(s) == cfg.test_cap for segments in test_segments.values()
+               for s in segments) == bind
+    old_tests = build_test_sets(schedule, test_segments)
+    assert list(prep["encoded_tests"]) == list(old_tests)
+    for period, rows in old_tests.items():
+        old, new = encode_labels(prep["codec"], test, rows), prep["encoded_tests"][period]
+        assert (new.X.shape, new.y.dtype) == (old.X.shape, old.y.dtype)
+        assert new.X.tobytes() == old.X.tobytes() and new.y.tobytes() == old.y.tobytes()
 
 
 # --- experiment --------------------------------------------------------------
@@ -478,7 +519,7 @@ def test_run_strategy_validates_on_the_period_clients_rows_as_one_set(tmp_path, 
     runner.run_strategy(cfg, prep, cfg.strategies[0])
     assert len(inputs) == len(partitions) > 1
     for item, clients in zip(inputs, partitions):
-        expected = LabeledData.concat([encode_labels(prep["codec"], prep["train"], c.validation)
+        expected = LabeledData.concat([encode_labels(prep["codec"], prep["table"], c.validation)
                                        for c in clients])
         assert (item.val.X.shape, item.val.y.dtype) == (expected.X.shape, expected.y.dtype)
         assert item.val.X.tobytes() == expected.X.tobytes()

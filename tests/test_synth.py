@@ -136,6 +136,11 @@ def test_scenario_validation_errors():
          "family 'Benign': rows_per_subattack: must be an integer, got 2.5"),
         (lambda: FamilySpec("Benign", ("Benign",), np.zeros(8), 0.0, 5),
          "family 'Benign': scale: must be a number in (0, inf), got 0.0"),
+        # generate would draw rows of it that clean drops, leaving no family to name
+        (lambda: FamilySpec("Recon", ("Recon-VulScan",), np.array([0.0, np.nan]), 1.0, 4),
+         "family 'Recon': mean must be finite"),
+        (lambda: FamilySpec("Recon", ("Recon-VulScan",), np.array([-np.inf, 0.0]), 1.0, 4),
+         "family 'Recon': mean must be finite"),
         (lambda: FamilySpec("Worm", ("Worm-X",), np.zeros(8), 1.0, 5), "unknown category"),
         (lambda: FamilySpec("DoS", ("DoS-flood",), np.zeros(8), 1.0, 5), "DoS-flood"),
         (lambda: FamilySpec("DoS", ("TCP_IP-DDoS-SYN",), np.zeros(8), 1.0, 5),

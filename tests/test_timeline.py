@@ -161,7 +161,10 @@ def test_partition_iid_local_split_fractions():
 # --- composition -------------------------------------------------------------
 
 def _split_for(seed=0):
-    return stratified_split(generate(tiny_scenario(seed=seed)), 0.8, seed)
+    """The train and test sides of the tiny scenario, each as its own table."""
+    table = generate(tiny_scenario(seed=seed))
+    train_rows, test_rows = stratified_split(table, 0.8, seed)
+    return table[train_rows], table[test_rows]
 
 
 def _segments_for(task, seed=0):
