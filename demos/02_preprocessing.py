@@ -33,7 +33,7 @@ for cls in ("Benign", "ARP_Spoofing"):
           f"{len(test_by_class[cls]):>3} test")
 
 # one table is scaled once, on statistics of its training rows
-table = apply_scaler(fit_scaler(cleaned[train_rows]), cleaned)
+table = apply_scaler(fit_scaler(cleaned, train_rows), cleaned)
 matrix = table.X[test_rows]
 print(f"scale: test features now span [{matrix.min():.3f}, {matrix.max():.3f}] "
       "(clamped to [0, 1], statistics fitted on train only)")

@@ -1,4 +1,9 @@
-"""Encoded dataset container shared by the pipeline and the model engine."""
+"""Encoded dataset containers shared by the pipeline and the model engine.
+
+:class:`LabeledData` holds its rows' features; :class:`RowShard` names rows
+of a feature matrix that other shards share, and is what a run's client
+training shards are until ``nn.train_local`` gathers each batch.
+"""
 
 from __future__ import annotations
 
@@ -41,3 +46,41 @@ class LabeledData:
             np.concatenate([p.X for p in parts], axis=0),
             np.concatenate([p.y for p in parts], axis=0),
         )
+
+
+@dataclass(frozen=True)
+class RowShard:
+    """Some rows of a feature matrix, with their class indices.
+
+    ``X`` is the whole (N, F) matrix, ``rows`` the shard's (n,) row indices
+    into it and ``y`` their class indices, aligned with ``rows``. Shards of
+    one table share its ``X``, so a shard holds no features of its own.
+    Row indices outside ``X`` raise :class:`DataError`, and a ``y`` that is
+    not integer raises :class:`LabelError`, as in :class:`LabeledData`.
+    """
+
+    X: np.ndarray
+    rows: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        if self.X.ndim != 2:
+            raise DataError("X must be 2-D")
+        rows = np.asarray(self.rows)
+        if rows.ndim != 1 or (rows.size and not np.issubdtype(rows.dtype, np.integer)):
+            raise DataError("rows must be a 1-D array of row indices")
+        if rows.size and not 0 <= rows.min() <= rows.max() < len(self.X):
+            raise DataError(f"row indices must lie in [0, {len(self.X)})")
+        if self.y.shape != rows.shape:
+            raise DataError("y must have one entry per row index")
+        if not np.issubdtype(self.y.dtype, np.integer):
+            raise LabelError(f"y must hold integer class indices, got dtype {self.y.dtype}")
+        object.__setattr__(self, "rows", rows.astype(np.intp, copy=False))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @staticmethod
+    def of(data: LabeledData) -> "RowShard":
+        """All rows of ``data``'s own matrix."""
+        return RowShard(data.X, np.arange(len(data)), data.y)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .atomic import write_atomic
-from .dataset import LabeledData
+from .dataset import LabeledData, RowShard
 from .errors import (AggregationError, CheckpointError, ConfigError, DivergenceError,
                      DriftFedError, FederationError, check_field)
 from .nn import (ModelArch, ModelParams, Optimizer, TrainConfig, cohort_size, init_params,
@@ -98,7 +98,7 @@ def fedavg_aggregate(client_params: list[ModelParams], client_sizes: list[int],
     return merged
 
 
-def run_round(global_params: ModelParams, client_train: list[LabeledData],
+def run_round(global_params: ModelParams, client_train: list[RowShard | LabeledData],
               cfg: FedConfig, seed: int, round_index: int = 0) -> ModelParams:
     """One communication round: broadcast, local training, FedAvg; returns the new global.
 
@@ -206,10 +206,13 @@ class RoundLog:
 @dataclass
 class PeriodInput:
     """Encoded data for one training period: each client's training shard, and
-    all its clients' validation rows as one set, or None when they hold none."""
+    all its clients' validation rows as one set, or None when they hold none.
+
+    A run's shards are :class:`RowShard` row indices into its scaled table;
+    ``train_local`` gathers their features one batch at a time."""
 
     period_id: int
-    client_train: list[LabeledData]
+    client_train: list[RowShard | LabeledData]
     val: LabeledData | None
 
 

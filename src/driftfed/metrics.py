@@ -20,7 +20,7 @@ from .errors import DivergenceError, EvaluationError, MetricError
 from .federation import Checkpoint, FedConfig, PeriodInput, run_timeline
 from .nn import ModelArch, ModelParams, predict
 from .pipeline import (CODECS, NO_ROWS, FlowTable, concat_rows, encode_labels,
-                       records_by_class)
+                       encode_shard, records_by_class)
 from .seeds import derive_seed
 from .timeline import StrategyConfig, partition_iid
 
@@ -234,8 +234,7 @@ def attack_generalization_matrix(families: list[str], table: FlowTable,
         pool = {"Benign": benign_train, fam_train: family_rows(train_by_class, fam_train)}
         fam_seed = derive_seed(seed, "generalization", fam_train)
         clients = partition_iid(pool, cfg.num_clients, fam_seed)
-        shards = [encode_labels(codec, table,
-                                concat_rows([c.train, c.client_test, c.validation]))
+        shards = [encode_shard(codec, table, concat_rows([c.train, c.client_test, c.validation]))
                   for c in clients]
         period = PeriodInput(0, [s for s in shards if len(s) > 0], None)
         checkpoints = []

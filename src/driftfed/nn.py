@@ -75,7 +75,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import LabeledData
+from .dataset import LabeledData, RowShard
 from .errors import ConfigError, DataError, LabelError, ShapeError, check_field
 from .seeds import rng_for
 
@@ -535,13 +535,15 @@ class _Run:
     rows: slice                  # the run's rows of the cohort
     params: ModelParams          # stacked working parameters of the rows
     grad: np.ndarray
-    X: np.ndarray                # (g, b, F) view of the shuffled shards
+    X: np.ndarray                # (g, b, F) batch, a view of the cohort's one batch buffer
     y: np.ndarray
+    gathers: list                # (matrix, (g', b) row indices, out) per client group
     segments: list
 
 
-def train_local(params: ModelParams, shards: Sequence[LabeledData], cfg: TrainConfig,
-                seeds: Sequence[int], workspace: Optimizer | None = None) -> list[ModelParams]:
+def train_local(params: ModelParams, shards: Sequence[RowShard | LabeledData],
+                cfg: TrainConfig, seeds: Sequence[int],
+                workspace: Optimizer | None = None) -> list[ModelParams]:
     """Mini-batch training of client shards in lockstep, as one cohort.
 
     Every shard starts from ``params``, with its own seed from the parallel
@@ -553,6 +555,15 @@ def train_local(params: ModelParams, shards: Sequence[LabeledData], cfg: TrainCo
     a fresh one. The results, in shard order, are views of its output
     block, so a caller that passes one workspace to several calls must be
     done with one call's results before the next.
+
+    A shard is a :class:`RowShard`, rows of a matrix it may share with
+    other shards, or a :class:`LabeledData`, which trains as all rows of its
+    own matrix. The features are not copied per shard: an epoch's order is
+    each client's row indices, permuted, and each step gathers its stacked
+    batch straight from the matrices into one batch buffer, with one
+    ``np.take`` per run of consecutive clients that share a matrix (a run's
+    shards from ``pipeline.encode_shard`` all share the scaled table). So a
+    cohort holds one batch of features, its rows' indices and labels.
     """
     shards, seeds = list(shards), list(seeds)
     if not shards or len(seeds) != len(shards):
@@ -561,6 +572,8 @@ def train_local(params: ModelParams, shards: Sequence[LabeledData], cfg: TrainCo
     arch = params.arch
     prepared = []
     for shard in shards:
+        if isinstance(shard, LabeledData):
+            shard = RowShard.of(shard)
         if len(shard) == 0:
             raise DataError("cannot train on an empty dataset")
         y = np.asarray(shard.y)
@@ -572,7 +585,7 @@ def train_local(params: ModelParams, shards: Sequence[LabeledData], cfg: TrainCo
         if X.shape[1] != arch.feature_width:
             raise ShapeError(f"shard has {X.shape[1]} columns, expected "
                              f"input_dim*seq_len = {arch.feature_width}")
-        prepared.append(LabeledData(X, y))
+        prepared.append(RowShard(X, shard.rows, y))
     if workspace is None:
         workspace = Optimizer(cfg, arch, len(shards))
     elif workspace.cfg != cfg or workspace.arch != arch or workspace.rows < len(shards):
@@ -589,8 +602,10 @@ def train_local(params: ModelParams, shards: Sequence[LabeledData], cfg: TrainCo
     vec = workspace.out[:len(prepared)]
     vec[...] = params.vec
     workspace.reset(len(prepared))
-    X = np.empty((len(prepared), max(sizes), arch.feature_width))
+    # each client's epoch order as row indices of its matrix, and the labels in that order
+    picked = np.empty((len(prepared), max(sizes)), dtype=np.intp)
     y = np.empty((len(prepared), max(sizes)), dtype=np.int64)
+    batch = np.empty(len(prepared) * min(bs, max(sizes)) * arch.feature_width)
 
     # The run schedule is the same every epoch; only the buffer contents change.
     schedule = []
@@ -603,17 +618,26 @@ def train_local(params: ModelParams, shards: Sequence[LabeledData], cfg: TrainCo
                 j += 1
             if rows[i] > 0:
                 run, hi = slice(i, j), lo + rows[i]
+                X = batch[:(j - i) * rows[i] * arch.feature_width].reshape(
+                    j - i, rows[i], arch.feature_width)
+                # the first client of each group of consecutive ones that share a matrix
+                firsts = [a for a in range(i, j)
+                          if a == i or prepared[a].X is not prepared[a - 1].X]
+                gathers = [(prepared[a].X, picked[a:b, lo:hi], X[a - i:b - i])
+                           for a, b in zip(firsts, firsts[1:] + [j])]
                 schedule.append(_Run(run, ModelParams(arch, vec[run]), workspace.grad[run],
-                                     X[run, lo:hi], y[run, lo:hi],
+                                     X, y[run, lo:hi], gathers,
                                      workspace.segments(vec, run)))
             i = j
 
     for epoch in range(cfg.local_epochs):
         for k, (shard, seed) in enumerate(zip(prepared, seeds)):
             perm = rng_for(seed, "shuffle", epoch).permutation(sizes[k])
-            X[k, :sizes[k]] = shard.X[perm]
+            picked[k, :sizes[k]] = shard.rows[perm]
             y[k, :sizes[k]] = shard.y[perm]
         for run in schedule:
+            for source, rows, out in run.gathers:
+                np.take(source, rows, axis=0, out=out, mode="clip")  # rows are in range
             _, cache = forward(run.params, run.X)
             backward(run.params, cache, run.y, out=run.grad)
             workspace.step(run.segments, run.rows)

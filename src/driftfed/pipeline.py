@@ -13,9 +13,16 @@ sub-attack code per row. A row's time is its position: each class's rows are
 in time order down the table, as the file or the generator lays them out, so
 a row's ``order_index`` is its rank among the earlier rows of its class.
 The train/test split is two arrays of row indices into one table, which is
-min-max scaled once, on statistics of its training rows. Later stages
-(segmenting, capping, pools, client shards, test sets) pass arrays of row
-indices into that scaled table instead of copying rows.
+min-max scaled once, on statistics of its training rows, read where they
+lie. Later stages (segmenting, capping, pools, client shards, test sets)
+pass arrays of row indices into that scaled table instead of copying rows.
+
+Where features are copied: the scaled table is the run's loaded or
+generated matrix, scaled in place, or one copy of a caller's table
+(``apply_scaler``'s ``out``); :func:`encode_labels` copies the rows of each
+test and validation set; a client's training shard, from
+:func:`encode_shard`, stays row indices until ``nn.train_local`` gathers
+one stacked batch per step.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import read_json, write_json
-from .dataset import LabeledData
+from .dataset import LabeledData, RowShard
 from .errors import CodecError, ConfigError, DataError, LoadError
 from .seeds import rng_for
 
@@ -60,6 +67,9 @@ _CATEGORY_INDEX = np.array([CATEGORIES.index(_CATEGORY_OF[s]) for s in SUB_ATTAC
                            dtype=np.int64)
 
 NO_ROWS = np.empty(0, dtype=np.intp)
+
+# Rows ``fit_scaler`` gathers at a time.
+SCALER_ROWS = 2**10
 
 
 def category_of(sub_attack: str) -> str:
@@ -257,8 +267,10 @@ def _load_columns(path: Path, spec: ColumnSpec) -> FlowTable | None:
     sub = np.array(codes, dtype=np.intp)
     if not len(sub):
         return FlowTable(np.empty((0, len(feat_idx))), sub)
+    # max_rows: the line pass counted the rows, so numpy allocates the matrix
+    # once instead of growing it
     X = np.loadtxt(path, delimiter=delim, skiprows=1, usecols=feat_idx, quotechar=_QUOTE,
-                   ndmin=2, comments=None, encoding="utf-8")
+                   ndmin=2, comments=None, encoding="utf-8", max_rows=len(sub))
     if X.shape != (len(sub), len(feat_idx)):
         return None
     return FlowTable(X, sub)
@@ -350,19 +362,37 @@ class ScalerStats:
     maxs: np.ndarray
 
 
-def fit_scaler(train: FlowTable) -> ScalerStats:
-    if not len(train):
+def fit_scaler(table: FlowTable, rows=None) -> ScalerStats:
+    """Per-feature min and max over ``rows`` of ``table`` (all rows when None).
+
+    The rows are read :data:`SCALER_ROWS` at a time, so the fit holds one
+    chunk of them, not a copy of the training rows. Each chunk's min and max
+    are folded in with ``np.minimum(acc, chunk)`` and ``np.maximum``, which
+    take the later operand on a tie, as the reduction over ``table.X[rows]``
+    does row by row: a tied zero keeps the sign that reduction gives it.
+    """
+    rows = np.arange(len(table)) if rows is None else np.asarray(rows)
+    if not len(rows):
         raise DataError("cannot fit a scaler on an empty training set")
-    return ScalerStats(train.X.min(axis=0), train.X.max(axis=0))
+    mins = maxs = None
+    for lo in range(0, len(rows), SCALER_ROWS):
+        chunk = table.X[rows[lo:lo + SCALER_ROWS]]
+        if mins is None:
+            mins, maxs = chunk.min(axis=0), chunk.max(axis=0)
+        else:
+            np.minimum(mins, chunk.min(axis=0), out=mins)
+            np.maximum(maxs, chunk.max(axis=0), out=maxs)
+    return ScalerStats(mins, maxs)
 
 
-def apply_scaler(stats: ScalerStats, table: FlowTable) -> FlowTable:
+def apply_scaler(stats: ScalerStats, table: FlowTable, out=None) -> FlowTable:
     """Min-max transform; constant features map to 0, outputs clamp to [0, 1].
 
-    Computed in one output array, with no full-size temporaries.
+    Computed in one output array, with no full-size temporaries: a new one,
+    or ``out``, which may be ``table.X`` itself to scale the table in place.
     """
     span = stats.maxs - stats.mins
-    scaled = np.subtract(table.X, stats.mins)
+    scaled = np.subtract(table.X, stats.mins, out=out)
     scaled /= np.where(span > 0, span, 1.0)
     np.clip(scaled, 0.0, 1.0, out=scaled)
     scaled[:, span == 0] = 0.0
@@ -406,3 +436,9 @@ def encode_labels(codec: LabelCodec, table: FlowTable, rows=None) -> LabeledData
     if rows is None:
         return LabeledData(table.X, codec.lut[table.sub])
     return LabeledData(table.X[rows], codec.lut[table.sub[rows]])
+
+
+def encode_shard(codec: LabelCodec, table: FlowTable, rows) -> RowShard:
+    """``rows`` of ``table`` as a training shard: row indices into its
+    matrix, which the shard shares, and their class indices."""
+    return RowShard(table.X, rows, codec.lut[table.sub[rows]])

@@ -39,7 +39,7 @@ from .federation import FedConfig, PeriodInput, load_checkpoint, run_timeline, s
 from .metrics import FAR_DEFINITION, cross_period_eval, protocol_cells
 from .nn import ModelArch, TrainConfig
 from .pipeline import (ColumnSpec, LabelCodec, apply_scaler, clean, concat_rows, encode_labels,
-                       fit_scaler, load_records, records_by_class, stratified_split)
+                       encode_shard, fit_scaler, load_records, records_by_class, stratified_split)
 from .synth import NUM_FEATURES, default_column_spec, default_drift_scenario, generate
 from .timeline import (StrategyConfig, StrategyComposer, build_schedule, build_test_sets,
                        partition_iid, rng_seed_for_period, segment_and_cap)
@@ -293,10 +293,18 @@ def prepare_experiment(cfg: RunConfig, records=None):
     Returns what ``run_strategy`` reads: the schedule, the one scaled table,
     the capped training segments per class (row indices into it), the
     encoded test set per period and the label codec.
+
+    The features are copied once, into the scaled table, and only when the
+    run does not own them: a table the run loads or generates, or that
+    ``clean`` copies to drop rows, is scaled in place, and a caller's
+    ``records`` is left as it was. The scaler is fitted on the training rows
+    where they lie. Past that point only the test sets and the validation
+    sets are copies; training shards are row indices into the table.
     """
     table = clean(_load_dataset(cfg) if records is None else records)
     train_rows, test_rows = stratified_split(table, cfg.train_fraction, cfg.seed)
-    table = apply_scaler(fit_scaler(table[train_rows]), table)
+    owned = table is not records
+    table = apply_scaler(fit_scaler(table, train_rows), table, out=table.X if owned else None)
 
     schedule = build_schedule(cfg.task)
     n_train_periods = sum(p.has_training for p in schedule)
@@ -344,7 +352,7 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig) -> dict:
         val_rows = concat_rows(c.validation for c in clients)
         period_inputs.append(PeriodInput(
             period_id=period_id,
-            client_train=[encode_labels(codec, table, c.train) for c in clients],
+            client_train=[encode_shard(codec, table, c.train) for c in clients],
             val=encode_labels(codec, table, val_rows) if len(val_rows) else None,
         ))
 

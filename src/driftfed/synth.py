@@ -83,18 +83,24 @@ def generate(spec: ScenarioSpec) -> FlowTable:
 
     Rows come family by family and sub-attack by sub-attack, each block in
     draw order, which is the class's time order.
+
+    Each block is drawn into its rows of one preallocated feature matrix.
     """
     lo, hi = spec.clip
-    blocks, codes = [], []
+    total = sum(fam.rows_per_subattack * len(fam.sub_attacks) for fam in spec.families)
+    X = np.empty((total, spec.num_features))
+    sub = np.empty(total, dtype=np.intp)
+    start = 0
     for fam in spec.families:
-        n = fam.rows_per_subattack
-        for sub in fam.sub_attacks:
-            rng = rng_for(spec.seed, "family", fam.category, "sub", sub)
-            rows = rng.normal(fam.mean, fam.scale, size=(n, spec.num_features))
-            np.clip(rows, lo, hi, out=rows)
-            blocks.append(rows)
-            codes.append(np.full(n, sub_code(sub)))
-    return FlowTable(np.concatenate(blocks), np.concatenate(codes))
+        for name in fam.sub_attacks:
+            rng = rng_for(spec.seed, "family", fam.category, "sub", name)
+            stop = start + fam.rows_per_subattack
+            X[start:stop] = rng.normal(fam.mean, fam.scale,
+                                       size=(stop - start, spec.num_features))
+            np.clip(X[start:stop], lo, hi, out=X[start:stop])
+            sub[start:stop] = sub_code(name)
+            start = stop
+    return FlowTable(X, sub)
 
 
 def default_drift_scenario(seed: int, rows_per_subattack: int = 1200) -> ScenarioSpec:

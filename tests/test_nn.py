@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference_lstm
-from driftfed.dataset import LabeledData
+from driftfed.dataset import LabeledData, RowShard
 from driftfed.errors import ConfigError, DataError, LabelError, ShapeError
 from driftfed.federation import FedConfig, fedavg_aggregate, run_round
 from driftfed.nn import (COHORT_PARAMS, ModelArch, ModelParams, Optimizer, TrainConfig, _lstm,
@@ -240,6 +240,22 @@ def test_labeled_data_rejects_bad_shapes():
         LabeledData(np.zeros((4, 2)), np.zeros(3, dtype=int))
 
 
+def test_row_shard_rejects_rows_outside_its_matrix_and_bad_labels():
+    X = np.zeros((4, 2))
+    for rows in ([0, 4], [-1, 2]):
+        with pytest.raises(DataError, match=r"in \[0, 4\)"):
+            RowShard(X, np.array(rows), np.zeros(2, dtype=int))
+    for rows in (np.array([0.0, 1.0]), np.zeros((1, 2), dtype=int)):
+        with pytest.raises(DataError, match="1-D array of row indices"):
+            RowShard(X, rows, np.zeros(2, dtype=int))
+    with pytest.raises(DataError, match="one entry per row index"):
+        RowShard(X, np.array([1, 2]), np.zeros(3, dtype=int))
+    with pytest.raises(LabelError, match="integer"):
+        RowShard(X, np.array([1, 2]), np.array([0.5, 1.0]))
+    shard = RowShard.of(LabeledData(X, np.array([1, 0, 1, 1])))
+    assert len(shard) == 4 and shard.X is X and shard.rows.tolist() == [0, 1, 2, 3]
+
+
 def test_labeled_data_concat_of_nothing_rejected():
     empty = LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int))
     for parts in ([], [empty]):
@@ -256,6 +272,10 @@ def test_train_local_rejects_empty_and_bad_labels():
     with pytest.raises(LabelError):
         train_local(params, [LabeledData(np.zeros((2, 2)), np.array([0, 3]))],
                     TrainConfig(local_epochs=1), [0])
+    for shard in (RowShard(np.zeros((3, 2)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)),
+                  RowShard(np.zeros((3, 2)), np.array([2]), np.array([2]))):
+        with pytest.raises(DataError):  # LabelError is a DataError
+            train_local(params, [shard], TrainConfig(local_epochs=1), [0])
 
 
 def test_train_local_deterministic_bitwise(rng):
@@ -416,11 +436,29 @@ def _lockstep_case(gen, arch, sizes):
     return params, shards
 
 
-def _assert_lockstep_matches_reference(params, shards, cfg, seeds):
+def _as_rows_of_one_table(gen, shards):
+    """The shards as row indices into one matrix that holds their rows in a shuffled
+    order, between rows no shard reads."""
+    spare = gen.normal(size=(7, shards[0].X.shape[1]))
+    X = np.concatenate([spare] + [s.X for s in shards])
+    place = gen.permutation(len(X))  # X's row k goes to row place[k]
+    table = np.empty_like(X)
+    table[place] = X
+    starts = np.cumsum([len(spare)] + [len(s) for s in shards])
+    return [RowShard(table, place[lo:lo + len(s)], s.y) for lo, s in zip(starts, shards)]
+
+
+def _assert_lockstep_matches_reference(params, shards, cfg, seeds, rows_of):
+    """Each client as trained alone by the reference, from its own matrix, from
+    ``rows_of`` (the same shards as rows of one shared matrix) and from a mix."""
     outs = train_local(params, shards, cfg, seeds)
     for out, shard, seed in zip(outs, shards, seeds):
         expected = reference_lstm.train(params.arch, params.vec, shard.X, shard.y, cfg, seed)
         assert out.vec.tobytes() == expected.tobytes()
+    mixed = [rows if k % 2 else shard for k, (rows, shard) in enumerate(zip(rows_of, shards))]
+    for other in (rows_of, mixed):
+        again = train_local(params, other, cfg, seeds)
+        assert [p.vec.tobytes() for p in again] == [p.vec.tobytes() for p in outs]
 
 
 # batch size 8: a shard below the batch, equal shards, sizes one apart, batch multiples
@@ -431,17 +469,19 @@ LOCKSTEP_SIZES = {"below-batch": (21, 5, 13), "equal": (20, 20, 20),
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("sizes", LOCKSTEP_SIZES.values(), ids=LOCKSTEP_SIZES.keys())
 def test_lockstep_clients_match_per_client_reference_bitwise(sizes, optimizer):
-    # clients stacked into equal-batch runs must train exactly as they would alone
+    # clients stacked into equal-batch runs must train exactly as they would
+    # alone, and shards given as row indices into one matrix exactly as copies
     gen = np.random.default_rng(sum(sizes))
     for seq_len in (1, 2, 3):
         arch = ModelArch(input_dim=3, hidden_layers=2, hidden_units=5, output_dim=3,
                          seq_len=seq_len)
         params, shards = _lockstep_case(gen, arch, sizes)
+        rows_of = _as_rows_of_one_table(gen, shards)
         for epochs in (1, 3):
             cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=epochs,
                               optimizer=optimizer)
             seeds = [100 * seq_len + k for k in range(len(sizes))]
-            _assert_lockstep_matches_reference(params, shards, cfg, seeds)
+            _assert_lockstep_matches_reference(params, shards, cfg, seeds, rows_of)
 
 
 def test_lockstep_single_client_matches_reference_bitwise():
@@ -449,7 +489,8 @@ def test_lockstep_single_client_matches_reference_bitwise():
     arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=6, output_dim=2, seq_len=2)
     params, shards = _lockstep_case(gen, arch, (27,))
     cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3)
-    _assert_lockstep_matches_reference(params, shards, cfg, [11])
+    _assert_lockstep_matches_reference(params, shards, cfg, [11],
+                                       _as_rows_of_one_table(gen, shards))
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])

@@ -3,11 +3,12 @@ import re
 import numpy as np
 import pytest
 
+from driftfed import pipeline
 from driftfed.errors import CodecError, ConfigError, DataError, LoadError
 from driftfed.pipeline import (CATEGORIES, CODECS, NO_ROWS, ROSTER, SUB_ATTACKS, ColumnSpec,
                                FlowTable, LabelCodec, REMOVED_SUB_ATTACK, apply_scaler,
-                               category_of, clean, encode_labels, fit_scaler, load_records,
-                               records_by_class, stratified_split)
+                               category_of, clean, encode_labels, encode_shard, fit_scaler,
+                               load_records, records_by_class, stratified_split)
 
 from conftest import join, make_records
 
@@ -218,11 +219,39 @@ def test_apply_scaler_is_byte_equal_to_the_expression(rng):
     expected = np.clip((table.X - stats.mins) / np.where(span > 0, span, 1.0), 0.0, 1.0)
     expected[:, span == 0] = 0.0
     assert apply_scaler(stats, table).X.tobytes() == expected.tobytes()
+    # in place: the table's own matrix is the output
+    own = FlowTable(table.X.copy(), table.sub)
+    scaled = apply_scaler(stats, own, out=own.X)
+    assert scaled.X is own.X and own.X.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, None], ids=lambda c: f"chunk-{c or 'default'}")
+def test_fit_scaler_over_rows_is_the_reduction_over_the_gathered_rows(rng, monkeypatch, chunk):
+    # The fit reads the rows a chunk at a time. Min and max are exact, but a
+    # tied zero takes its sign from the order of the reduction: column 1 holds
+    # only 0.0 and -0.0, so its minimum and maximum are both tied zeros, and
+    # column 3's maximum is a tied zero among -1.0 rows. Column 2 is constant.
+    if chunk is not None:
+        monkeypatch.setattr(pipeline, "SCALER_ROWS", chunk)
+    n = 40
+    zeros = rng.choice([0.0, -0.0], size=n)
+    table = FlowTable.of(np.column_stack([rng.normal(size=n), zeros, np.full(n, 2.5),
+                                          np.where(rng.random(n) < 0.5, zeros, -1.0)]),
+                         ["Benign"] * n)
+    for trial in range(20):
+        rows = rng.permutation(n)[:rng.integers(1, n + 1)]
+        stats = fit_scaler(table, rows)
+        assert stats.mins.tobytes() == table.X[rows].min(axis=0).tobytes(), trial
+        assert stats.maxs.tobytes() == table.X[rows].max(axis=0).tobytes(), trial
+    assert fit_scaler(table).mins.tobytes() == table.X.min(axis=0).tobytes()
+    assert fit_scaler(table).maxs.tobytes() == table.X.max(axis=0).tobytes()
 
 
 def test_scaler_requires_training_rows():
     with pytest.raises(DataError):
         fit_scaler(make_records("Benign", 0))
+    with pytest.raises(DataError):
+        fit_scaler(make_records("Benign", 3), NO_ROWS)
 
 
 def test_encode_labels_binary_and_sixclass():
@@ -232,6 +261,11 @@ def test_encode_labels_binary_and_sixclass():
     assert encode_labels(binary, table, [0, 1]).y.tolist() == [1, 0]
     assert encode_labels(six, table, [2]).y.tolist() == [CATEGORIES.index("Recon")]
     assert CATEGORIES.index("Recon") == 4
+    # a training shard names the same rows and labels without copying features
+    rows = np.array([2, 0])
+    shard = encode_shard(six, table, rows)
+    assert shard.X is table.X and shard.rows.tolist() == [2, 0]
+    assert shard.y.tolist() == encode_labels(six, table, rows).y.tolist()
 
 
 def test_codec_table_holds_each_task_lookup_once():

@@ -14,13 +14,14 @@ from driftfed.dataset import LabeledData
 from driftfed.errors import ConfigError, DivergenceError, ReportError
 from driftfed.federation import FedConfig
 from driftfed.nn import OPTIMIZERS, ModelArch, TrainConfig, param_count
-from driftfed.pipeline import (ColumnSpec, apply_scaler, clean, encode_labels, fit_scaler,
-                               records_by_class, stratified_split)
+from driftfed.pipeline import (ColumnSpec, FlowTable, apply_scaler, clean, encode_labels,
+                               fit_scaler, records_by_class, stratified_split)
 from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, _config_dict,
                              config_from_dict, desk_scale, load_config, prepare_experiment,
                              render_reports, rerender_reports, run_experiment,
                              validate_config)
-from driftfed.synth import default_column_spec, generate, write_delimited
+from driftfed.synth import (default_column_spec, default_drift_scenario, generate,
+                            write_delimited)
 from driftfed.timeline import (STRATEGY_KINDS, TASKS, StrategyConfig, build_schedule,
                                build_test_sets, segment_and_cap)
 
@@ -278,6 +279,44 @@ def test_one_scaled_table_prepares_what_two_tables_did(tmp_path, task, caps, bin
         old, new = encode_labels(prep["codec"], test, rows), prep["encoded_tests"][period]
         assert (new.X.shape, new.y.dtype) == (old.X.shape, old.y.dtype)
         assert new.X.tobytes() == old.X.tobytes() and new.y.tobytes() == old.y.tobytes()
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["clean-keeps", "clean-drops"])
+def test_run_experiment_leaves_the_callers_records_unchanged(tmp_path, drop):
+    # a run scales in place only a table it owns; the caller's records are not
+    records = _tiny_records()
+    if drop:  # a row with a non-finite feature, which clean drops
+        X = records.X.copy()
+        X[7, 2] = np.nan
+        records = FlowTable(X, records.sub)
+    assert (clean(records) is records) != drop
+    before = records.X.tobytes()
+    cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"),))
+    assert run_experiment(cfg, records).ok
+    assert records.X.tobytes() == before
+
+
+def test_preparing_a_file_holds_its_features_about_once(tmp_path):
+    # A loaded table is the run's own, so it is scaled in place, the scaler is
+    # fitted a chunk of rows at a time, and training shards are row indices:
+    # the peak is the matrix, the test sets' copies and a few chunks, 1.31
+    # times the matrix at this size (numpy 2.4). The preparation that gathered
+    # the training rows to fit the scaler and then scaled into a second matrix
+    # peaked at 2.07 times the matrix.
+    records = generate(default_drift_scenario(seed=1, rows_per_subattack=600))
+    path = tmp_path / "flows.csv"
+    write_delimited(records, path)
+    matrix = records.X.nbytes
+    del records
+    cfg = RunConfig(data=DataSource(path=str(path)), output_dir=str(tmp_path / "run"), seed=1)
+    tracemalloc.start()
+    try:
+        prep = prepare_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prep["table"].X.nbytes == matrix
+    assert peak < 1.5 * matrix
 
 
 # --- experiment --------------------------------------------------------------

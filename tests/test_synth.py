@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from driftfed.errors import ConfigError
-from driftfed.pipeline import (REMOVED_SUB_ATTACK, ROSTER, clean, load_records,
+from driftfed.pipeline import (REMOVED_SUB_ATTACK, ROSTER, FlowTable, clean, load_records,
                                records_by_class)
+from driftfed.seeds import rng_for
 from driftfed.synth import (FamilySpec, ScenarioSpec, default_drift_scenario, generate,
                             write_delimited)
 from driftfed.timeline import temporal_segment
@@ -79,6 +80,24 @@ def test_generated_family_means_close_to_spec():
         rows = table.X[grouped[family.sub_attacks[0]]]
         err = np.abs(rows.mean(axis=0) - family.mean).max()
         assert err < 5 * family.scale / np.sqrt(len(rows))
+
+
+def test_generate_is_the_concatenated_block_draws():
+    # each sub-attack block is drawn into its rows of one matrix; the table is
+    # what concatenating the clipped blocks gives
+    spec = tiny_scenario(seed=4, rows=30)
+    lo, hi = spec.clip
+    blocks, codes = [], []
+    for fam in spec.families:
+        for sub in fam.sub_attacks:
+            rng = rng_for(spec.seed, "family", fam.category, "sub", sub)
+            blocks.append(np.clip(rng.normal(fam.mean, fam.scale,
+                                             size=(fam.rows_per_subattack, spec.num_features)),
+                                  lo, hi))
+            codes += [sub] * fam.rows_per_subattack
+    records = generate(spec)
+    assert records == FlowTable.of(np.concatenate(blocks), codes)
+    assert records.X.flags.c_contiguous
 
 
 def test_generated_data_survives_clean_unchanged():
