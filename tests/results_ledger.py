@@ -1,0 +1,98 @@
+"""The results ledger: one small desk run per task, recorded in ``tests/golden``.
+
+The run is the desk preset at learning rate 0.01 with all ten strategies,
+60 rows per sub-attack of the synthetic scenario and seed 5. At the preset's
+rate of 0.001 many models predict one class only, so a change in the
+arithmetic could leave the tables as they were; at 0.01 every strategy
+learns. ``tests/golden/results_<task>/`` holds the run's accuracy, cells and
+composition tables, the sha256 of every checkpoint (``checkpoints.sha256``)
+and the host they were recorded on (``host.json``).
+
+Checkpoint bytes depend on the BLAS and the CPU: kernels picked by CPU
+feature round differently in the last bit. So the host record is
+``perfbench/worker.py``'s ``environment()``, whose fingerprint the benchmark
+also records, and ``tests/test_results_ledger.py`` compares checkpoint
+hashes only on a host with that fingerprint. The tables are compared on any
+host.
+
+A change that moves results re-records the ledger, and its git diff shows
+which cells moved::
+
+    PYTHONPATH=src python tests/results_ledger.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import shutil
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from driftfed.runner import DataSource, RunConfig, desk_scale, run_experiment
+from driftfed.timeline import TASKS
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TABLES = ("accuracy", "cells", "composition")
+CHECKPOINTS = "checkpoints.sha256"
+HOST = "host.json"
+
+
+def ledger_dir(task: str) -> Path:
+    return GOLDEN / f"results_{task}"
+
+
+def config(task: str, output_dir) -> RunConfig:
+    cfg = desk_scale(RunConfig(task=task, data=DataSource(rows_per_subattack=60), seed=5,
+                               output_dir=str(output_dir)))
+    train = replace(cfg.fed.train, learning_rate=0.01)
+    return replace(cfg, fed=replace(cfg.fed, train=train))
+
+
+def host() -> dict:
+    """This host as the benchmark records it, with the fingerprint of what decides
+    float results."""
+    sys.path.insert(0, str(PERFBENCH))  # the worker imports its siblings by name
+    try:
+        import worker
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return worker.environment()
+
+
+def checkpoint_hashes(run_dir: Path) -> str:
+    """``sha256sum``-style lines for every checkpoint of a run, by path."""
+    paths = sorted(run_dir.glob("checkpoints/*/*.ckpt"))
+    return "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  "
+                   f"{p.relative_to(run_dir / 'checkpoints').as_posix()}\n" for p in paths)
+
+
+def run(task: str, output_dir) -> Path:
+    """Run the ledger's config for ``task`` into ``output_dir``; every strategy must succeed."""
+    result = run_experiment(config(task, output_dir))
+    if not result.ok:
+        raise RuntimeError(f"ledger run of {task} failed: {result.failures}")
+    return result.output_dir
+
+
+def record(task: str) -> None:
+    """Rerun ``task`` and overwrite its ledger with the run's tables, hashes and host."""
+    target = ledger_dir(task)
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = run(task, Path(tmp) / "run")
+        if target.exists():
+            shutil.rmtree(target)
+        target.mkdir(parents=True)
+        for table in TABLES:
+            shutil.copyfile(run_dir / f"{table}_{task}.csv", target / f"{table}_{task}.csv")
+        (target / CHECKPOINTS).write_text(checkpoint_hashes(run_dir))
+    (target / HOST).write_text(json.dumps(host(), indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:] or TASKS:
+        record(name)
+        print(f"recorded {ledger_dir(name)}")
