@@ -7,7 +7,7 @@ the analytic gradients checkable against central finite differences.
 
 import numpy as np
 
-from driftfed import (LabeledData, ModelArch, ModelParams, TrainConfig, backward,
+from driftfed import (ModelArch, ModelParams, RowShard, TrainConfig, backward,
                       cross_entropy, forward, init_params, param_count, predict,
                       train_local)
 
@@ -42,7 +42,8 @@ print(f"gradient check on 25 random coordinates: max relative error {worst:.2e}"
 # train on two separable blobs and watch accuracy converge
 blob_a = rng.normal(-1.5, 0.5, size=(80, 4))
 blob_b = rng.normal(+1.5, 0.5, size=(80, 4))
-data = LabeledData(np.vstack([blob_a, blob_b]), np.array([0] * 80 + [1] * 80))
+# a shard is row indices into a matrix, here all 160 rows of the blobs'
+data = RowShard(np.vstack([blob_a, blob_b]), np.arange(160), np.array([0] * 80 + [1] * 80))
 small = ModelArch(input_dim=4, hidden_layers=1, hidden_units=8, output_dim=2)
 model = init_params(small, seed=1)
 for epochs in (1, 5, 20):

@@ -8,7 +8,7 @@ from a parameter average over everything trained so far.
 
 import numpy as np
 
-from driftfed import (Checkpoint, FedConfig, LabeledData, ModelArch, ModelParams,
+from driftfed import (Checkpoint, FedConfig, ModelArch, ModelParams, RowShard,
                       TrainConfig, fedavg_aggregate, init_from_history, init_params,
                       predict, run_round)
 from driftfed.federation import RunningAverage
@@ -23,20 +23,19 @@ b = ModelParams(arch, np.ones(width))
 merged = fedavg_aggregate([a, b], [100, 300])
 print(f"fedavg of 0s (n=100) and 1s (n=300): every element = {merged.vec[0]}")
 
-# communication rounds over five IID shards; the clients of a round train in
-# lockstep, and the round returns the size-weighted average of their models
+# communication rounds over five IID shards, each 60 rows of one matrix; the
+# clients of a round train in lockstep, and the round returns the
+# size-weighted average of their models
 rng = np.random.default_rng(0)
-shards = []
-for _ in range(5):
-    X = rng.normal(size=(60, 4))
-    shards.append(LabeledData(X, (X[:, 0] + X[:, 1] > 0).astype(int)))
+X = rng.normal(size=(300, 4))
+y = (X[:, 0] + X[:, 1] > 0).astype(int)
+shards = [RowShard(X, rows, y[rows]) for rows in np.split(np.arange(300), 5)]
 cfg = FedConfig(num_clients=5, rounds=3,
                 train=TrainConfig(local_epochs=5, learning_rate=0.01))
 model = init_params(arch, seed=2)
-full = LabeledData.concat(shards)
 for rnd in range(cfg.rounds):
     model = run_round(model, shards, cfg, seed=9, round_index=rnd)
-    acc = np.mean(predict(model, full.X) == full.y)
+    acc = np.mean(predict(model, X) == y)
     print(f"round {rnd}: global accuracy {acc:.3f}")
 
 # averaging-initialization variants over a fake checkpoint history, folded in

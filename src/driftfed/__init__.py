@@ -7,7 +7,7 @@ cumulative, simple, representative, retention buffers, parameter-averaging
 variants) for accuracy under drift and wall-clock cost.
 """
 
-from .dataset import LabeledData, RowShard
+from .dataset import RowShard
 from .errors import (AggregationError, CheckpointError, CodecError, ConfigError, DataError,
                      DivergenceError, DriftFedError, EvaluationError, FederationError,
                      LabelError, LoadError, MetricError, ReportError, ScheduleError,
@@ -22,7 +22,7 @@ from .nn import (ModelArch, ModelParams, TrainConfig, backward, cross_entropy,
                  forward, init_params, param_count, predict, softmax, train_local)
 from .pipeline import (CATEGORIES, CODECS, ROSTER, SUB_ATTACKS, ColumnSpec, FlowTable,
                        LabelCodec, ScalerStats, apply_scaler, category_of, clean, encode_labels,
-                       encode_shard, fit_scaler, load_records, records_by_class, stratified_split)
+                       fit_scaler, load_records, records_by_class, stratified_split)
 from .runner import (ALL_STRATEGIES, DataSource, RunConfig, RunResult, desk_scale,
                      load_config, prepare_experiment, run_experiment, validate_config)
 from .synth import (FamilySpec, ScenarioSpec, default_column_spec, default_drift_scenario,

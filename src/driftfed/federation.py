@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .atomic import write_atomic
-from .dataset import LabeledData, RowShard
+from .dataset import RowShard
 from .errors import (AggregationError, CheckpointError, ConfigError, DivergenceError,
                      DriftFedError, FederationError, check_field)
 from .nn import (ModelArch, ModelParams, Optimizer, TrainConfig, cohort_size, init_params,
@@ -98,7 +98,7 @@ def fedavg_aggregate(client_params: list[ModelParams], client_sizes: list[int],
     return merged
 
 
-def run_round(global_params: ModelParams, client_train: list[RowShard | LabeledData],
+def run_round(global_params: ModelParams, client_train: list[RowShard],
               cfg: FedConfig, seed: int, round_index: int = 0) -> ModelParams:
     """One communication round: broadcast, local training, FedAvg; returns the new global.
 
@@ -208,12 +208,13 @@ class PeriodInput:
     """Encoded data for one training period: each client's training shard, and
     all its clients' validation rows as one set, or None when they hold none.
 
-    A run's shards are :class:`RowShard` row indices into its scaled table;
-    ``train_local`` gathers their features one batch at a time."""
+    Both are :class:`RowShard` row indices into one matrix, the run's scaled
+    table: ``train_local`` gathers the shards' features one batch at a time,
+    and ``run_timeline`` gathers the validation rows once for the period."""
 
     period_id: int
-    client_train: list[RowShard | LabeledData]
-    val: LabeledData | None
+    client_train: list[RowShard]
+    val: RowShard | None
 
 
 def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
@@ -226,7 +227,8 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
     from the previous checkpoint, except the averaging variants, which start
     from a parameter average over all previous checkpoints, kept as one
     :class:`RunningAverage`. Validation accuracy is recorded after every round
-    but never gates training. A round whose training or validation overflows,
+    but never gates training; a period's validation rows are gathered once,
+    before its rounds. A round whose training or validation overflows,
     or that leaves a non-finite parameter, raises :class:`DivergenceError`
     naming the period and round.
 
@@ -244,6 +246,7 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
             params = init_from_history(running, ckpt)
         ckpt = None  # folded into the average, or training resumes from its params
 
+        val_X = None if item.val is None else item.val.X[item.val.rows]
         wall = 0.0
         for rnd in range(cfg.rounds):
             try:
@@ -256,8 +259,8 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
                         raise DivergenceError(f"period {item.period_id} round {rnd}: "
                                               f"training diverged to non-finite parameters")
                     acc = None
-                    if item.val is not None:
-                        acc = float(np.mean(predict(params, item.val.X) == item.val.y))
+                    if val_X is not None:
+                        acc = float(np.mean(predict(params, val_X) == item.val.y))
             except FloatingPointError as exc:
                 raise DivergenceError(f"period {item.period_id} round {rnd}: training "
                                       f"diverged: floating-point {exc}") from exc

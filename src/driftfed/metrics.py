@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import LabeledData
+from .dataset import RowShard
 from .errors import DivergenceError, EvaluationError, MetricError
 from .federation import Checkpoint, FedConfig, PeriodInput, run_timeline
 from .nn import ModelArch, ModelParams, predict
-from .pipeline import (CODECS, NO_ROWS, FlowTable, concat_rows, encode_labels,
-                       encode_shard, records_by_class)
+from .pipeline import CODECS, NO_ROWS, FlowTable, concat_rows, encode_labels, records_by_class
 from .seeds import derive_seed
 from .timeline import StrategyConfig, partition_iid
 
@@ -111,12 +110,14 @@ def measure_inference(params: ModelParams, X: np.ndarray):
 
 
 def cross_period_eval(checkpoints: Iterable[Checkpoint],
-                      test_sets: dict[int, LabeledData],
+                      test_sets: dict[int, RowShard],
                       num_classes: int) -> list[MetricsReport]:
     """Evaluate every checkpoint on every period's global test set.
 
     The checkpoints are taken one at a time, so an iterator that loads each
-    from disk holds one at once.
+    from disk holds one at once. A test set's rows are gathered from its
+    matrix for each checkpoint, so the evaluation holds one test set's
+    features at a time, and the gather is not timed as inference.
 
     The FAR of each cell takes Benign as class 0, as both label codecs do.
 
@@ -133,7 +134,7 @@ def cross_period_eval(checkpoints: Iterable[Checkpoint],
                 raise EvaluationError(f"test period t{period} is empty")
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    preds, secs = measure_inference(ckpt.params, data.X)
+                    preds, secs = measure_inference(ckpt.params, data.X[data.rows])
             except FloatingPointError as exc:
                 raise DivergenceError(f"checkpoint t{ckpt.period_id}: predicting test "
                                       f"period t{period} overflowed: {exc}") from exc
@@ -234,7 +235,7 @@ def attack_generalization_matrix(families: list[str], table: FlowTable,
         pool = {"Benign": benign_train, fam_train: family_rows(train_by_class, fam_train)}
         fam_seed = derive_seed(seed, "generalization", fam_train)
         clients = partition_iid(pool, cfg.num_clients, fam_seed)
-        shards = [encode_shard(codec, table, concat_rows([c.train, c.client_test, c.validation]))
+        shards = [encode_labels(codec, table, concat_rows([c.train, c.client_test, c.validation]))
                   for c in clients]
         period = PeriodInput(0, [s for s in shards if len(s) > 0], None)
         checkpoints = []

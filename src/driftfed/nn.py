@@ -75,7 +75,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import LabeledData, RowShard
+from .dataset import RowShard
 from .errors import ConfigError, DataError, LabelError, ShapeError, check_field
 from .seeds import rng_for
 
@@ -537,11 +537,11 @@ class _Run:
     grad: np.ndarray
     X: np.ndarray                # (g, b, F) batch, a view of the cohort's one batch buffer
     y: np.ndarray
-    gathers: list                # (matrix, (g', b) row indices, out) per client group
+    picked: np.ndarray           # (g, b) rows of the matrix that the batch gathers
     segments: list
 
 
-def train_local(params: ModelParams, shards: Sequence[RowShard | LabeledData],
+def train_local(params: ModelParams, shards: Sequence[RowShard],
                 cfg: TrainConfig, seeds: Sequence[int],
                 workspace: Optimizer | None = None) -> list[ModelParams]:
     """Mini-batch training of client shards in lockstep, as one cohort.
@@ -556,36 +556,33 @@ def train_local(params: ModelParams, shards: Sequence[RowShard | LabeledData],
     block, so a caller that passes one workspace to several calls must be
     done with one call's results before the next.
 
-    A shard is a :class:`RowShard`, rows of a matrix it may share with
-    other shards, or a :class:`LabeledData`, which trains as all rows of its
-    own matrix. The features are not copied per shard: an epoch's order is
-    each client's row indices, permuted, and each step gathers its stacked
-    batch straight from the matrices into one batch buffer, with one
-    ``np.take`` per run of consecutive clients that share a matrix (a run's
-    shards from ``pipeline.encode_shard`` all share the scaled table). So a
-    cohort holds one batch of features, its rows' indices and labels.
+    The shards are :class:`RowShard` rows of one matrix, which every shard
+    of a call must share (a run's shards from ``pipeline.encode_labels``
+    share its scaled table); shards of two matrices raise
+    :class:`DataError`. The features are not copied per shard: an epoch's
+    order is each client's row indices, permuted, and each step gathers a
+    run's stacked batch straight from the matrix into one batch buffer with
+    one ``np.take``. So a cohort holds one batch of features, its rows'
+    indices and labels.
     """
     shards, seeds = list(shards), list(seeds)
     if not shards or len(seeds) != len(shards):
         raise ConfigError(f"need one seed per shard and at least one shard, got "
                           f"{len(seeds)} seed(s) for {len(shards)} shard(s)")
     arch = params.arch
-    prepared = []
+    if any(shard.X is not shards[0].X for shard in shards):
+        raise DataError("train_local trains shards of one matrix: every shard of a call "
+                        "must share its X")
+    matrix = np.asarray(shards[0].X, dtype=np.float64)
+    if matrix.shape[1] != arch.feature_width:
+        raise ShapeError(f"shards have {matrix.shape[1]} columns, expected "
+                         f"input_dim*seq_len = {arch.feature_width}")
     for shard in shards:
-        if isinstance(shard, LabeledData):
-            shard = RowShard.of(shard)
         if len(shard) == 0:
             raise DataError("cannot train on an empty dataset")
-        y = np.asarray(shard.y)
-        if y.min() < 0 or y.max() >= arch.output_dim:
-            raise LabelError(
-                f"label out of range: max {int(y.max())} for output_dim {arch.output_dim}"
-            )
-        X = np.asarray(shard.X, dtype=np.float64)
-        if X.shape[1] != arch.feature_width:
-            raise ShapeError(f"shard has {X.shape[1]} columns, expected "
-                             f"input_dim*seq_len = {arch.feature_width}")
-        prepared.append(RowShard(X, shard.rows, y))
+        if shard.y.min() < 0 or shard.y.max() >= arch.output_dim:
+            raise LabelError(f"label out of range: max {int(shard.y.max())} "
+                             f"for output_dim {arch.output_dim}")
     if workspace is None:
         workspace = Optimizer(cfg, arch, len(shards))
     elif workspace.cfg != cfg or workspace.arch != arch or workspace.rows < len(shards):
@@ -594,18 +591,18 @@ def train_local(params: ModelParams, shards: Sequence[RowShard | LabeledData],
 
     # clients sorted by shard size (stable: ties keep shard order) make each
     # step's runs of equal batch row counts consecutive
-    order = sorted(range(len(prepared)), key=lambda k: len(prepared[k]))
-    prepared = [prepared[k] for k in order]
+    order = sorted(range(len(shards)), key=lambda k: len(shards[k]))
+    shards = [shards[k] for k in order]
     seeds = [seeds[k] for k in order]
     bs = cfg.batch_size
-    sizes = [len(s) for s in prepared]
-    vec = workspace.out[:len(prepared)]
+    sizes = [len(s) for s in shards]
+    vec = workspace.out[:len(shards)]
     vec[...] = params.vec
-    workspace.reset(len(prepared))
-    # each client's epoch order as row indices of its matrix, and the labels in that order
-    picked = np.empty((len(prepared), max(sizes)), dtype=np.intp)
-    y = np.empty((len(prepared), max(sizes)), dtype=np.int64)
-    batch = np.empty(len(prepared) * min(bs, max(sizes)) * arch.feature_width)
+    workspace.reset(len(shards))
+    # each client's epoch order as row indices of the matrix, and the labels in that order
+    picked = np.empty((len(shards), max(sizes)), dtype=np.intp)
+    y = np.empty((len(shards), max(sizes)), dtype=np.int64)
+    batch = np.empty(len(shards) * min(bs, max(sizes)) * arch.feature_width)
 
     # The run schedule is the same every epoch; only the buffer contents change.
     schedule = []
@@ -620,29 +617,23 @@ def train_local(params: ModelParams, shards: Sequence[RowShard | LabeledData],
                 run, hi = slice(i, j), lo + rows[i]
                 X = batch[:(j - i) * rows[i] * arch.feature_width].reshape(
                     j - i, rows[i], arch.feature_width)
-                # the first client of each group of consecutive ones that share a matrix
-                firsts = [a for a in range(i, j)
-                          if a == i or prepared[a].X is not prepared[a - 1].X]
-                gathers = [(prepared[a].X, picked[a:b, lo:hi], X[a - i:b - i])
-                           for a, b in zip(firsts, firsts[1:] + [j])]
                 schedule.append(_Run(run, ModelParams(arch, vec[run]), workspace.grad[run],
-                                     X, y[run, lo:hi], gathers,
+                                     X, y[run, lo:hi], picked[run, lo:hi],
                                      workspace.segments(vec, run)))
             i = j
 
     for epoch in range(cfg.local_epochs):
-        for k, (shard, seed) in enumerate(zip(prepared, seeds)):
+        for k, (shard, seed) in enumerate(zip(shards, seeds)):
             perm = rng_for(seed, "shuffle", epoch).permutation(sizes[k])
             picked[k, :sizes[k]] = shard.rows[perm]
             y[k, :sizes[k]] = shard.y[perm]
         for run in schedule:
-            for source, rows, out in run.gathers:
-                np.take(source, rows, axis=0, out=out, mode="clip")  # rows are in range
+            np.take(matrix, run.picked, axis=0, out=run.X, mode="clip")  # rows are in range
             _, cache = forward(run.params, run.X)
             backward(run.params, cache, run.y, out=run.grad)
             workspace.step(run.segments, run.rows)
 
-    results = [None] * len(prepared)
+    results = [None] * len(shards)
     for row, k in enumerate(order):
         results[k] = ModelParams(arch, vec[row])
     return results

@@ -19,10 +19,11 @@ pass arrays of row indices into that scaled table instead of copying rows.
 
 Where features are copied: the scaled table is the run's loaded or
 generated matrix, scaled in place, or one copy of a caller's table
-(``apply_scaler``'s ``out``); :func:`encode_labels` copies the rows of each
-test and validation set; a client's training shard, from
-:func:`encode_shard`, stays row indices until ``nn.train_local`` gathers
-one stacked batch per step.
+(``apply_scaler``'s ``out``). Past it, :func:`encode_labels` makes every
+labeled set a :class:`~driftfed.dataset.RowShard` of that table: client
+training shards, which ``nn.train_local`` gathers one stacked batch per
+step, and each period's validation and test sets, which ``run_timeline``
+and ``cross_period_eval`` gather when they predict.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import read_json, write_json
-from .dataset import LabeledData, RowShard
+from .dataset import RowShard
 from .errors import CodecError, ConfigError, DataError, LoadError
 from .seeds import rng_for
 
@@ -428,17 +429,7 @@ CODECS = {
 }
 
 
-def encode_labels(codec: LabelCodec, table: FlowTable, rows=None) -> LabeledData:
-    """Features and class indices of ``rows`` (all rows when None).
-
-    The mapping never depends on the subset.
-    """
-    if rows is None:
-        return LabeledData(table.X, codec.lut[table.sub])
-    return LabeledData(table.X[rows], codec.lut[table.sub[rows]])
-
-
-def encode_shard(codec: LabelCodec, table: FlowTable, rows) -> RowShard:
-    """``rows`` of ``table`` as a training shard: row indices into its
-    matrix, which the shard shares, and their class indices."""
+def encode_labels(codec: LabelCodec, table: FlowTable, rows) -> RowShard:
+    """``rows`` of ``table`` as row indices into its matrix, which the shard
+    shares, and their class indices. The mapping never depends on the subset."""
     return RowShard(table.X, rows, codec.lut[table.sub[rows]])

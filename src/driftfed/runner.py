@@ -39,7 +39,7 @@ from .federation import FedConfig, PeriodInput, load_checkpoint, run_timeline, s
 from .metrics import FAR_DEFINITION, cross_period_eval, protocol_cells
 from .nn import ModelArch, TrainConfig
 from .pipeline import (ColumnSpec, LabelCodec, apply_scaler, clean, concat_rows, encode_labels,
-                       encode_shard, fit_scaler, load_records, records_by_class, stratified_split)
+                       fit_scaler, load_records, records_by_class, stratified_split)
 from .synth import NUM_FEATURES, default_column_spec, default_drift_scenario, generate
 from .timeline import (StrategyConfig, StrategyComposer, build_schedule, build_test_sets,
                        partition_iid, rng_seed_for_period, segment_and_cap)
@@ -221,7 +221,10 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
     width is the feature count the arch must match. An output directory
     whose manifest records another task is refused, since the run would
     overwrite that task's checkpoints and manifest, and so is an output path
-    that is, or lies under, an existing path that is not a directory.
+    that is, or lies under, an existing path that is not a directory. A
+    train cap below the client count is refused: ``partition_iid`` deals
+    each class from client 0, so a pool whose classes all hold at most
+    ``caps.train`` rows leaves the clients from that index on with none.
     """
     problems: list[str] = []
     out_dir = Path(cfg.output_dir)
@@ -238,6 +241,10 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
             if task != cfg.task:
                 problems.append(f"output_dir: {manifest} records task {task!r}, not "
                                 f"{cfg.task!r}; use another output directory")
+    if cfg.train_cap < cfg.fed.num_clients:
+        problems.append(f"caps.train: {cfg.train_cap} is below federation.num_clients "
+                        f"{cfg.fed.num_clients}; clients from index {cfg.train_cap} on "
+                        f"would get no rows of a first-period pool")
     if not cfg.data.is_synthetic() and not Path(cfg.data.path).is_file():
         problems.append(f"data.path: not a file: {cfg.data.path!r}")
     try:
@@ -292,14 +299,15 @@ def prepare_experiment(cfg: RunConfig, records=None):
 
     Returns what ``run_strategy`` reads: the schedule, the one scaled table,
     the capped training segments per class (row indices into it), the
-    encoded test set per period and the label codec.
+    encoded test set per period (a ``RowShard`` of the table) and the label
+    codec.
 
     The features are copied once, into the scaled table, and only when the
     run does not own them: a table the run loads or generates, or that
     ``clean`` copies to drop rows, is scaled in place, and a caller's
     ``records`` is left as it was. The scaler is fitted on the training rows
-    where they lie. Past that point only the test sets and the validation
-    sets are copies; training shards are row indices into the table.
+    where they lie. Past that point no labeled set holds features: training
+    shards, validation sets and test sets are row indices into the table.
     """
     table = clean(_load_dataset(cfg) if records is None else records)
     train_rows, test_rows = stratified_split(table, cfg.train_fraction, cfg.seed)
@@ -352,7 +360,7 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig) -> dict:
         val_rows = concat_rows(c.validation for c in clients)
         period_inputs.append(PeriodInput(
             period_id=period_id,
-            client_train=[encode_shard(codec, table, c.train) for c in clients],
+            client_train=[encode_labels(codec, table, c.train) for c in clients],
             val=encode_labels(codec, table, val_rows) if len(val_rows) else None,
         ))
 

@@ -3,6 +3,7 @@ import errno
 import numpy as np
 import pytest
 
+from driftfed.dataset import RowShard
 from driftfed.pipeline import ROSTER, FlowTable
 from driftfed.synth import FamilySpec, ScenarioSpec
 
@@ -17,6 +18,24 @@ def join(*tables: FlowTable) -> FlowTable:
     """The rows of several tables, one after the other."""
     return FlowTable(np.concatenate([t.X for t in tables]),
                      np.concatenate([t.sub for t in tables]))
+
+
+def whole(X, y) -> RowShard:
+    """All rows of ``X``, in order, as one shard."""
+    return RowShard(X, np.arange(len(X)), y)
+
+
+def rows_of_one_table(gen, parts) -> list[RowShard]:
+    """Each ``(X, y)`` of ``parts`` as a shard of one matrix that holds their rows
+    in a shuffled order, between rows no shard reads, as a run's shards share its
+    scaled table."""
+    spare = gen.normal(size=(7, parts[0][0].shape[1]))
+    X = np.concatenate([spare] + [x for x, _ in parts])
+    place = gen.permutation(len(X))  # X's row k goes to row place[k]
+    table = np.empty_like(X)
+    table[place] = X
+    starts = np.cumsum([len(spare)] + [len(x) for x, _ in parts])
+    return [RowShard(table, place[lo:lo + len(x)], y) for lo, (x, y) in zip(starts, parts)]
 
 
 def tiny_scenario(seed: int = 0, rows: int = 240, num_features: int = 8) -> ScenarioSpec:

@@ -12,7 +12,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from driftfed.dataset import LabeledData
 from driftfed.metrics import confusion, measure_inference, micro_accuracy
 from driftfed.nn import (ModelArch, ModelParams, backward, cross_entropy, forward,
                          init_params, param_count)

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from driftfed import atomic, federation
 from driftfed.atomic import write_atomic
-from driftfed.dataset import LabeledData
+from driftfed.dataset import RowShard
 from driftfed.errors import (AggregationError, CheckpointError, ConfigError, DivergenceError,
                              DriftFedError, FederationError)
 from driftfed.federation import (Checkpoint, FedConfig, PeriodInput, RunningAverage,
@@ -23,7 +23,7 @@ from driftfed.nn import (ModelArch, ModelParams, TrainConfig, cohort_size, init_
 from driftfed.seeds import derive_seed, rng_for
 from driftfed.timeline import StrategyConfig
 
-from conftest import full_disk
+from conftest import full_disk, rows_of_one_table
 
 ARCH = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
 N = param_count(ARCH)  # 58, even
@@ -86,17 +86,17 @@ def test_fedavg_error_cases(rng):
 
 
 def _shards(rng, n_clients=3, rows=24):
-    shards = []
+    """``n_clients`` shards of ``rows`` rows each, all of one matrix."""
+    parts = []
     for _ in range(n_clients):
         X = rng.normal(size=(rows, 2))
-        y = (X[:, 0] > 0).astype(int)
-        shards.append(LabeledData(X, y))
-    return shards
+        parts.append((X, (X[:, 0] > 0).astype(int)))
+    return rows_of_one_table(rng, parts)
 
 
 def test_run_round_empty_shard_names_client(rng):
     shards = _shards(rng)
-    shards[1] = LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int))
+    shards[1] = RowShard(shards[0].X, np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     cfg = FedConfig(num_clients=3, rounds=1, train=TrainConfig(local_epochs=1))
     with pytest.raises(FederationError, match="client 1"):
         run_round(init_params(ARCH, seed=0), shards, cfg, seed=0)
@@ -127,10 +127,11 @@ def test_run_round_folds_cohorts_bit_exact_to_clients_trained_alone(hidden, per_
     arch = ModelArch(input_dim=2, hidden_layers=2, hidden_units=hidden, output_dim=2)
     assert cohort_size(arch) == per_cohort
     gen = np.random.default_rng(hidden)
-    shards = []
+    parts = []
     for rows in (30, 17, 25, 40, 9):
         X = gen.normal(size=(rows, 2))
-        shards.append(LabeledData(X, (X[:, 0] > 0).astype(int)))
+        parts.append((X, (X[:, 0] > 0).astype(int)))
+    shards = rows_of_one_table(gen, parts)
     cfg = FedConfig(num_clients=5, rounds=1, train=TrainConfig(local_epochs=2))
     start = init_params(arch, seed=4)
     merged = run_round(start, shards, cfg, 6, round_index=2)
@@ -147,8 +148,9 @@ def test_run_round_splits_clients_into_cohorts(monkeypatch):
     arch = ModelArch(input_dim=4, hidden_layers=2, hidden_units=45, output_dim=2)
     assert cohort_size(arch) == 2
     start = ModelParams(arch, gen.normal(0, 0.5, param_count(arch)))
-    shards = [LabeledData(gen.normal(scale=2.0, size=(n, 4)), gen.integers(0, 2, n))
-              for n in (11, 9, 17, 9, 12)]
+    parts = [(gen.normal(scale=2.0, size=(n, 4)), gen.integers(0, 2, n))
+             for n in (11, 9, 17, 9, 12)]
+    shards = rows_of_one_table(gen, parts)
     cfg = FedConfig(num_clients=5, rounds=1,
                     train=TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2))
     widths = []
@@ -161,9 +163,9 @@ def test_run_round_splits_clients_into_cohorts(monkeypatch):
     monkeypatch.setattr(federation, "train_local", recording_train)
     merged = run_round(start, shards, cfg, 6, round_index=1)
     assert widths == [2, 2, 1]
-    alone = [ModelParams(arch, reference_lstm.train(arch, start.vec, s.X, s.y, cfg.train,
+    alone = [ModelParams(arch, reference_lstm.train(arch, start.vec, X, y, cfg.train,
                                                     derive_seed(6, "round", 1, "client", k)))
-             for k, s in enumerate(shards)]
+             for k, (X, y) in enumerate(parts)]
     expected = fedavg_aggregate(alone, [len(s) for s in shards])
     assert merged.vec.tobytes() == expected.vec.tobytes()
 
@@ -273,8 +275,8 @@ def _period_inputs(rng, periods, rows=30):
     inputs = []
     for p in periods:
         shards = _shards(rng, n_clients=2, rows=rows)
-        vals = _shards(rng, n_clients=2, rows=6)
-        inputs.append(PeriodInput(p, shards, LabeledData.concat(vals)))
+        [val] = _shards(rng, n_clients=1, rows=12)
+        inputs.append(PeriodInput(p, shards, val))
     return inputs
 
 
@@ -361,7 +363,8 @@ def test_run_timeline_flags_divergence_by_period_and_round(rng):
     cfg = FedConfig(num_clients=2, rounds=2, train=TrainConfig(local_epochs=1))
     inputs = _period_inputs(rng, [1, 2])
     # features near the float64 limit overflow the first layer's pre-activations
-    huge = [LabeledData(s.X * 1e308, s.y) for s in inputs[1].client_train]
+    huge_X = inputs[1].client_train[0].X * 1e308
+    huge = [RowShard(huge_X, s.rows, s.y) for s in inputs[1].client_train]
     inputs[1] = PeriodInput(2, huge, inputs[1].val)
     with pytest.raises(DivergenceError, match="period 2 round 0"):
         _timeline(StrategyConfig("cumulative"), inputs, cfg, 3)

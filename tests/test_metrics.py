@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftfed.dataset import LabeledData
+from driftfed import metrics
 from driftfed.errors import DivergenceError, EvaluationError, MetricError
 from driftfed.federation import Checkpoint, FedConfig
 from driftfed.metrics import (GeneralizationMatrix, attack_generalization_matrix,
@@ -13,6 +13,8 @@ from driftfed.metrics import (GeneralizationMatrix, attack_generalization_matrix
 from driftfed.nn import ModelArch, TrainConfig, init_params, param_count, predict
 from driftfed.pipeline import stratified_split
 from driftfed.synth import FamilySpec, ScenarioSpec, generate
+
+from conftest import rows_of_one_table, whole
 
 
 def test_confusion_hand_tally():
@@ -127,7 +129,7 @@ ARCH = ModelArch(input_dim=3, hidden_layers=1, hidden_units=4, output_dim=2)
 
 def _dataset(rng, n=40):
     X = rng.normal(size=(n, 3))
-    return LabeledData(X, (X[:, 0] > 0).astype(int))
+    return whole(X, (X[:, 0] > 0).astype(int))
 
 
 def test_measure_inference_positive_and_consistent(rng):
@@ -153,6 +155,27 @@ def test_cross_period_eval_full_matrix(rng):
     # deterministic apart from timing
     again = cross_period_eval(_checkpoints([1, 2, 3, 4, 5]), tests, 2)
     assert [r.accuracy for r in reports] == [r.accuracy for r in again]
+
+
+def test_cross_period_eval_reads_test_sets_as_rows_of_one_table(rng, monkeypatch):
+    # test sets of one shared matrix score as their rows alone do, and the timed
+    # call gets the gathered rows, so inference time excludes the gather
+    parts = [(rng.normal(size=(n, 3)), rng.integers(0, 2, n)) for n in (40, 25, 33)]
+    alone = {p: whole(X, y) for p, (X, y) in enumerate(parts, start=1)}
+    shared = dict(enumerate(rows_of_one_table(rng, parts), start=1))
+    timed = []
+    real_measure = metrics.measure_inference
+
+    def measure(params, X):
+        timed.append(X)
+        return real_measure(params, X)
+
+    monkeypatch.setattr(metrics, "measure_inference", measure)
+    cells = [[(r.accuracy, r.f1_macro, r.far, r.n_samples) for r in
+              cross_period_eval(_checkpoints([1, 2]), sets, 2)] for sets in (alone, shared)]
+    assert cells[0] == cells[1]
+    gathered = timed[len(timed) // 2:]
+    assert [X.tobytes() for X in gathered] == [X.tobytes() for X, _ in parts] * 2
 
 
 def test_protocol_cells_shift_by_one(rng):

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 import reference_lstm
-from driftfed.dataset import LabeledData, RowShard
+from driftfed.dataset import RowShard
 from driftfed.errors import ConfigError, DataError, LabelError, ShapeError
 from driftfed.federation import FedConfig, fedavg_aggregate, run_round
 from driftfed.nn import (COHORT_PARAMS, ModelArch, ModelParams, Optimizer, TrainConfig, _lstm,
                          _sigmoid, backward, cohort_size, cross_entropy, forward, init_params,
                          param_count, predict, softmax, train_local)
 from driftfed.seeds import derive_seed
+
+from conftest import rows_of_one_table, whole
 
 
 def test_param_count_hand_example():
@@ -228,20 +230,10 @@ def test_train_config_validation():
         TrainConfig(optimizer="momentum")
 
 
-def test_labeled_data_rejects_non_integer_labels():
-    with pytest.raises(LabelError, match="integer"):
-        LabeledData(np.zeros((4, 2)), np.array([0.5, 1.0, 0.2, 0.9]))
-
-
-def test_labeled_data_rejects_bad_shapes():
-    with pytest.raises(DataError, match="2-D"):
-        LabeledData(np.zeros(4), np.zeros(4, dtype=int))
-    with pytest.raises(DataError, match="one entry per row"):
-        LabeledData(np.zeros((4, 2)), np.zeros(3, dtype=int))
-
-
 def test_row_shard_rejects_rows_outside_its_matrix_and_bad_labels():
     X = np.zeros((4, 2))
+    with pytest.raises(DataError, match="2-D"):
+        RowShard(np.zeros(4), np.array([1, 2]), np.zeros(2, dtype=int))
     for rows in ([0, 4], [-1, 2]):
         with pytest.raises(DataError, match=r"in \[0, 4\)"):
             RowShard(X, np.array(rows), np.zeros(2, dtype=int))
@@ -252,25 +244,18 @@ def test_row_shard_rejects_rows_outside_its_matrix_and_bad_labels():
         RowShard(X, np.array([1, 2]), np.zeros(3, dtype=int))
     with pytest.raises(LabelError, match="integer"):
         RowShard(X, np.array([1, 2]), np.array([0.5, 1.0]))
-    shard = RowShard.of(LabeledData(X, np.array([1, 0, 1, 1])))
-    assert len(shard) == 4 and shard.X is X and shard.rows.tolist() == [0, 1, 2, 3]
-
-
-def test_labeled_data_concat_of_nothing_rejected():
-    empty = LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int))
-    for parts in ([], [empty]):
-        with pytest.raises(DataError, match="nothing to concatenate"):
-            LabeledData.concat(parts)
+    shard = RowShard(X, [3, 0], np.array([1, 0]))
+    assert len(shard) == 2 and shard.X is X and shard.rows.dtype == np.intp
 
 
 def test_train_local_rejects_empty_and_bad_labels():
     arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
     params = init_params(arch, seed=0)
     with pytest.raises(DataError):
-        train_local(params, [LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int))],
+        train_local(params, [whole(np.zeros((0, 2)), np.zeros(0, dtype=int))],
                     TrainConfig(local_epochs=1), [0])
     with pytest.raises(LabelError):
-        train_local(params, [LabeledData(np.zeros((2, 2)), np.array([0, 3]))],
+        train_local(params, [whole(np.zeros((2, 2)), np.array([0, 3]))],
                     TrainConfig(local_epochs=1), [0])
     for shard in (RowShard(np.zeros((3, 2)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)),
                   RowShard(np.zeros((3, 2)), np.array([2]), np.array([2]))):
@@ -281,7 +266,7 @@ def test_train_local_rejects_empty_and_bad_labels():
 def test_train_local_deterministic_bitwise(rng):
     arch = ModelArch(input_dim=3, hidden_layers=1, hidden_units=4, output_dim=2)
     params = init_params(arch, seed=2)
-    data = LabeledData(rng.normal(size=(40, 3)), rng.integers(0, 2, 40))
+    data = whole(rng.normal(size=(40, 3)), rng.integers(0, 2, 40))
     cfg = TrainConfig(local_epochs=3)
     [out1] = train_local(params, [data], cfg, [77])
     [out2] = train_local(params, [data], cfg, [77])
@@ -292,8 +277,7 @@ def test_train_local_learns_separable_blobs():
     gen = np.random.default_rng(3)
     a = gen.normal(loc=-2.0, scale=0.5, size=(60, 4))
     b = gen.normal(loc=+2.0, scale=0.5, size=(60, 4))
-    data = LabeledData(np.vstack([a, b]),
-                       np.array([0] * 60 + [1] * 60))
+    data = whole(np.vstack([a, b]), np.array([0] * 60 + [1] * 60))
     arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=8, output_dim=2)
     params = init_params(arch, seed=1)
     [out] = train_local(params, [data], TrainConfig(local_epochs=20), [5])
@@ -307,7 +291,7 @@ def test_full_batch_descent_loss_non_increasing(rng):
     params = init_params(arch, seed=9)
     X = rng.uniform(0, 1, size=(32, 4))
     y = rng.integers(0, 2, 32)
-    data = LabeledData(X, y)
+    data = whole(X, y)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=32, local_epochs=1, optimizer="sgd")
     losses = []
     current = params
@@ -349,7 +333,7 @@ def test_engine_matches_per_tensor_reference_bitwise(seed):
     for optimizer in ("adam", "sgd"):
         cfg = TrainConfig(learning_rate=0.05, batch_size=int(gen.integers(1, 20)),
                           local_epochs=2, optimizer=optimizer)
-        [out] = train_local(params, [LabeledData(X, y)], cfg, [seed])
+        [out] = train_local(params, [whole(X, y)], cfg, [seed])
         assert (out.vec.tobytes()
                 == reference_lstm.train(arch, params.vec, X, y, cfg, seed).tobytes())
 
@@ -405,7 +389,7 @@ def test_recurrent_weights_inert_only_at_seq_len_one(rng, optimizer):
         arch = ModelArch(input_dim=3, hidden_layers=2, hidden_units=4, output_dim=2,
                          seq_len=seq_len)
         params = init_params(arch, seed=6)
-        data = LabeledData(rng.normal(size=(40, arch.feature_width)), rng.integers(0, 2, 40))
+        data = whole(rng.normal(size=(40, arch.feature_width)), rng.integers(0, 2, 40))
         [out] = train_local(params, [data], cfg, [4])
         for before, after in zip(params.wh, out.wh):
             assert np.array_equal(before, after) != changes
@@ -430,35 +414,22 @@ def test_predict_is_cache_free_and_unchanged():
 
 
 def _lockstep_case(gen, arch, sizes):
+    """Parameters and each client's ``(X, y)``, and the clients as shards of one matrix."""
     params = ModelParams(arch, gen.normal(0, 0.5, param_count(arch)))
-    shards = [LabeledData(gen.normal(scale=2.0, size=(n, arch.feature_width)),
-                          gen.integers(0, arch.output_dim, n)) for n in sizes]
-    return params, shards
+    parts = [(gen.normal(scale=2.0, size=(n, arch.feature_width)),
+              gen.integers(0, arch.output_dim, n)) for n in sizes]
+    return params, parts, rows_of_one_table(gen, parts)
 
 
-def _as_rows_of_one_table(gen, shards):
-    """The shards as row indices into one matrix that holds their rows in a shuffled
-    order, between rows no shard reads."""
-    spare = gen.normal(size=(7, shards[0].X.shape[1]))
-    X = np.concatenate([spare] + [s.X for s in shards])
-    place = gen.permutation(len(X))  # X's row k goes to row place[k]
-    table = np.empty_like(X)
-    table[place] = X
-    starts = np.cumsum([len(spare)] + [len(s) for s in shards])
-    return [RowShard(table, place[lo:lo + len(s)], s.y) for lo, s in zip(starts, shards)]
-
-
-def _assert_lockstep_matches_reference(params, shards, cfg, seeds, rows_of):
-    """Each client as trained alone by the reference, from its own matrix, from
-    ``rows_of`` (the same shards as rows of one shared matrix) and from a mix."""
-    outs = train_local(params, shards, cfg, seeds)
-    for out, shard, seed in zip(outs, shards, seeds):
-        expected = reference_lstm.train(params.arch, params.vec, shard.X, shard.y, cfg, seed)
-        assert out.vec.tobytes() == expected.tobytes()
-    mixed = [rows if k % 2 else shard for k, (rows, shard) in enumerate(zip(rows_of, shards))]
-    for other in (rows_of, mixed):
-        again = train_local(params, other, cfg, seeds)
-        assert [p.vec.tobytes() for p in again] == [p.vec.tobytes() for p in outs]
+def _assert_lockstep_matches_reference(params, parts, shards, cfg, seeds):
+    """Each client as the reference trains it from its own rows ``parts``: alone,
+    from a matrix of its own, and in lockstep, from ``shards`` of one matrix."""
+    expected = [reference_lstm.train(params.arch, params.vec, X, y, cfg, seed).tobytes()
+                for (X, y), seed in zip(parts, seeds)]
+    alone = [train_local(params, [whole(X, y)], cfg, [seed])[0].vec.tobytes()
+             for (X, y), seed in zip(parts, seeds)]
+    assert alone == expected
+    assert [p.vec.tobytes() for p in train_local(params, shards, cfg, seeds)] == expected
 
 
 # batch size 8: a shard below the batch, equal shards, sizes one apart, batch multiples
@@ -469,28 +440,26 @@ LOCKSTEP_SIZES = {"below-batch": (21, 5, 13), "equal": (20, 20, 20),
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("sizes", LOCKSTEP_SIZES.values(), ids=LOCKSTEP_SIZES.keys())
 def test_lockstep_clients_match_per_client_reference_bitwise(sizes, optimizer):
-    # clients stacked into equal-batch runs must train exactly as they would
-    # alone, and shards given as row indices into one matrix exactly as copies
+    # clients stacked into equal-batch runs, as row indices into one matrix,
+    # must train exactly as they would alone from their own rows
     gen = np.random.default_rng(sum(sizes))
     for seq_len in (1, 2, 3):
         arch = ModelArch(input_dim=3, hidden_layers=2, hidden_units=5, output_dim=3,
                          seq_len=seq_len)
-        params, shards = _lockstep_case(gen, arch, sizes)
-        rows_of = _as_rows_of_one_table(gen, shards)
+        params, parts, shards = _lockstep_case(gen, arch, sizes)
         for epochs in (1, 3):
             cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=epochs,
                               optimizer=optimizer)
             seeds = [100 * seq_len + k for k in range(len(sizes))]
-            _assert_lockstep_matches_reference(params, shards, cfg, seeds, rows_of)
+            _assert_lockstep_matches_reference(params, parts, shards, cfg, seeds)
 
 
 def test_lockstep_single_client_matches_reference_bitwise():
     gen = np.random.default_rng(7)
     arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=6, output_dim=2, seq_len=2)
-    params, shards = _lockstep_case(gen, arch, (27,))
+    params, parts, shards = _lockstep_case(gen, arch, (27,))
     cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3)
-    _assert_lockstep_matches_reference(params, shards, cfg, [11],
-                                       _as_rows_of_one_table(gen, shards))
+    _assert_lockstep_matches_reference(params, parts, shards, cfg, [11])
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -504,7 +473,7 @@ def test_one_client_cohorts_share_a_workspace_exactly(seq_len, optimizer):
     arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=128, output_dim=3,
                      seq_len=seq_len)
     assert param_count(arch) > COHORT_PARAMS and cohort_size(arch) == 1
-    params, shards = _lockstep_case(gen, arch, (13, 6, 21, 6))
+    params, _, shards = _lockstep_case(gen, arch, (13, 6, 21, 6))
     cfg = TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2, optimizer=optimizer)
     seeds = [derive_seed(5, "round", 0, "client", k) for k in range(len(shards))]
     alone = [train_local(params, [shard], cfg, [seed])[0] for shard, seed in zip(shards, seeds)]
@@ -522,19 +491,33 @@ def test_lockstep_rejects_mismatched_configs(rng):
     arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
     params = init_params(arch, seed=0)
     cfg = TrainConfig(local_epochs=1)
-    shards = [LabeledData(rng.normal(size=(6, 2)), rng.integers(0, 2, 6)) for _ in range(2)]
+    shards = rows_of_one_table(rng, [(rng.normal(size=(6, 2)), rng.integers(0, 2, 6))
+                                     for _ in range(2)])
     for data, seeds in ((shards, [0]), (shards, [7, 8, 9]), ([], [])):
         with pytest.raises(ConfigError, match=f"got {len(seeds)} seed"):
             train_local(params, data, cfg, seeds)
     with pytest.raises(ShapeError):
-        train_local(params, [LabeledData(np.zeros((3, 5)), np.zeros(3, dtype=int))], cfg, [0])
+        train_local(params, [whole(np.zeros((3, 5)), np.zeros(3, dtype=int))], cfg, [0])
+
+
+def test_train_local_refuses_shards_of_two_matrices(rng):
+    # a call gathers every batch from one matrix: shards of another matrix, even
+    # one with the same values, are refused by that rule
+    arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
+    params = init_params(arch, seed=0)
+    shard = whole(rng.normal(size=(6, 2)), rng.integers(0, 2, 6))
+    for other in (whole(rng.normal(size=(4, 2)), rng.integers(0, 2, 4)),
+                  RowShard(shard.X.copy(), shard.rows, shard.y)):
+        with pytest.raises(DataError, match="shards of one matrix"):
+            train_local(params, [shard, other], TrainConfig(local_epochs=1), [1, 2])
 
 
 def test_train_local_refuses_a_workspace_it_does_not_fit(rng):
     arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)
     params = init_params(arch, seed=0)
     cfg = TrainConfig(local_epochs=1)
-    shards = [LabeledData(rng.normal(size=(6, 2)), rng.integers(0, 2, 6)) for _ in range(2)]
+    shards = rows_of_one_table(rng, [(rng.normal(size=(6, 2)), rng.integers(0, 2, 6))
+                                     for _ in range(2)])
     for workspace in (Optimizer(replace(cfg, learning_rate=0.5), arch, 2),
                       Optimizer(cfg, replace(arch, hidden_units=3), 2),
                       Optimizer(cfg, arch, 1)):  # too small for the two-client cohort

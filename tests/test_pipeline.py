@@ -7,7 +7,7 @@ from driftfed import pipeline
 from driftfed.errors import CodecError, ConfigError, DataError, LoadError
 from driftfed.pipeline import (CATEGORIES, CODECS, NO_ROWS, ROSTER, SUB_ATTACKS, ColumnSpec,
                                FlowTable, LabelCodec, REMOVED_SUB_ATTACK, apply_scaler,
-                               category_of, clean, encode_labels, encode_shard, fit_scaler,
+                               category_of, clean, encode_labels, fit_scaler,
                                load_records, records_by_class, stratified_split)
 
 from conftest import join, make_records
@@ -261,11 +261,10 @@ def test_encode_labels_binary_and_sixclass():
     assert encode_labels(binary, table, [0, 1]).y.tolist() == [1, 0]
     assert encode_labels(six, table, [2]).y.tolist() == [CATEGORIES.index("Recon")]
     assert CATEGORIES.index("Recon") == 4
-    # a training shard names the same rows and labels without copying features
-    rows = np.array([2, 0])
-    shard = encode_shard(six, table, rows)
+    # an encoded set names its rows of the table without copying features
+    shard = encode_labels(six, table, np.array([2, 0]))
     assert shard.X is table.X and shard.rows.tolist() == [2, 0]
-    assert shard.y.tolist() == encode_labels(six, table, rows).y.tolist()
+    assert shard.y.tolist() == [CATEGORIES.index("Recon"), CATEGORIES.index("DoS")]
 
 
 def test_codec_table_holds_each_task_lookup_once():
@@ -284,12 +283,13 @@ def test_codec_table_holds_each_task_lookup_once():
 
 def test_encode_labels_lookup_covers_every_sub_attack():
     table = FlowTable.of(np.arange(len(SUB_ATTACKS), dtype=float)[:, None], SUB_ATTACKS)
-    binary = encode_labels(CODECS["binary"], table)
-    six = encode_labels(CODECS["sixclass"], table)
+    every = np.arange(len(table))
+    binary = encode_labels(CODECS["binary"], table, every)
+    six = encode_labels(CODECS["sixclass"], table, every)
     assert binary.y.tolist() == [int(category_of(s) != "Benign") for s in SUB_ATTACKS]
     assert six.y.tolist() == [CATEGORIES.index(category_of(s)) for s in SUB_ATTACKS]
     picked = encode_labels(CODECS["sixclass"], table, [5, 0, 5])
-    assert picked.X[:, 0].tolist() == [5.0, 0.0, 5.0]
+    assert picked.X[picked.rows, 0].tolist() == [5.0, 0.0, 5.0]
     assert picked.y.dtype == np.int64
 
 
@@ -297,14 +297,14 @@ def test_encode_labels_global_mapping_across_subsets():
     six = CODECS["sixclass"]
     part_a = make_records("TCP_IP-DDoS-SYN", 3)
     part_b = make_records("TCP_IP-DDoS-SYN", 2, seed=9)
-    ya = encode_labels(six, part_a).y
-    yb = encode_labels(six, part_b).y
+    ya = encode_labels(six, part_a, np.arange(3)).y
+    yb = encode_labels(six, part_b, np.arange(2)).y
     assert set(ya.tolist()) == set(yb.tolist()) == {3}
 
 
 def test_encode_labels_empty():
     data = encode_labels(CODECS["binary"], make_records("Benign", 3, dim=7), NO_ROWS)
-    assert data.X.shape == (0, 7) and len(data) == 0
+    assert data.X.shape == (3, 7) and len(data) == 0 and data.rows.shape == (0,)
 
 
 # --- the table ------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfed import atomic, cli, federation, runner
-from driftfed.dataset import LabeledData
 from driftfed.errors import ConfigError, DivergenceError, ReportError
 from driftfed.federation import FedConfig
 from driftfed.nn import OPTIMIZERS, ModelArch, TrainConfig, param_count
@@ -277,8 +276,10 @@ def test_one_scaled_table_prepares_what_two_tables_did(tmp_path, task, caps, bin
     assert list(prep["encoded_tests"]) == list(old_tests)
     for period, rows in old_tests.items():
         old, new = encode_labels(prep["codec"], test, rows), prep["encoded_tests"][period]
-        assert (new.X.shape, new.y.dtype) == (old.X.shape, old.y.dtype)
-        assert new.X.tobytes() == old.X.tobytes() and new.y.tobytes() == old.y.tobytes()
+        assert new.X is prep["table"].X  # a test set holds no features of its own
+        old_X, new_X = old.X[old.rows], new.X[new.rows]
+        assert (new_X.shape, new.y.dtype) == (old_X.shape, old.y.dtype)
+        assert new_X.tobytes() == old_X.tobytes() and new.y.tobytes() == old.y.tobytes()
 
 
 @pytest.mark.parametrize("drop", [False, True], ids=["clean-keeps", "clean-drops"])
@@ -539,7 +540,8 @@ def test_unreadable_manifest_is_reported_by_path(tmp_path, content):
 @pytest.mark.parametrize("task", TASKS)
 def test_run_strategy_validates_on_the_period_clients_rows_as_one_set(tmp_path, monkeypatch,
                                                                        task):
-    # one encoding of the concatenated rows has the bits of the concatenated encodings
+    # one encoding of the concatenated rows has the rows and labels of the concatenated
+    # encodings
     cfg = _tiny_cfg(tmp_path, task=task, strategies=(StrategyConfig("cumulative"),))
     prep = prepare_experiment(cfg, _tiny_records())
     partitions, inputs = [], []
@@ -558,11 +560,13 @@ def test_run_strategy_validates_on_the_period_clients_rows_as_one_set(tmp_path, 
     runner.run_strategy(cfg, prep, cfg.strategies[0])
     assert len(inputs) == len(partitions) > 1
     for item, clients in zip(inputs, partitions):
-        expected = LabeledData.concat([encode_labels(prep["codec"], prep["table"], c.validation)
-                                       for c in clients])
-        assert (item.val.X.shape, item.val.y.dtype) == (expected.X.shape, expected.y.dtype)
-        assert item.val.X.tobytes() == expected.X.tobytes()
-        assert item.val.y.tobytes() == expected.y.tobytes()
+        # the validation set and the training shards hold no features of their own
+        assert item.val.X is prep["table"].X
+        assert all(shard.X is prep["table"].X for shard in item.client_train)
+        parts = [encode_labels(prep["codec"], prep["table"], c.validation) for c in clients]
+        assert item.val.rows.tolist() == np.concatenate([part.rows for part in parts]).tolist()
+        expected_y = np.concatenate([part.y for part in parts])
+        assert (item.val.y.dtype, item.val.y.tobytes()) == (expected_y.dtype, expected_y.tobytes())
 
 
 def test_run_holds_a_bounded_number_of_parameter_vectors(tmp_path):
@@ -797,6 +801,24 @@ def test_output_dir_that_is_a_file_is_refused_before_anything_is_written(tmp_pat
     assert problem in capsys.readouterr().err
     assert taken.read_bytes() == b"not a run directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
+
+def test_train_cap_below_the_client_count_is_refused_before_anything_is_written(tmp_path,
+                                                                                capsys):
+    # every class of a first-period pool then holds at most 2 rows, dealt from
+    # client 0, so clients 2-4 would train on nothing in every strategy
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"output_dir": str(tmp_path / "run"),
+                                    "caps": {"train": 2}, "strategies": [{"kind": "static"}]}))
+    cfg = load_config(cfg_path)
+    [problem] = validate_config(cfg)
+    assert problem.startswith("caps.train: 2 is below federation.num_clients 5")
+    assert cli.main(["validate", "--config", str(cfg_path)]) == 1
+    assert problem in capsys.readouterr().out
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert problem in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    assert validate_config(replace(cfg, fed=replace(cfg.fed, num_clients=2))) == []
 
 
 def test_cli_gen_data_into_a_directory_fails_by_name(tmp_path, capsys):
