@@ -230,10 +230,20 @@ def test_train_config_validation():
         TrainConfig(optimizer="momentum")
 
 
-def test_row_shard_rejects_rows_outside_its_matrix_and_bad_labels():
-    X = np.zeros((4, 2))
+def test_labeled_data_rejects_non_integer_labels():
+    with pytest.raises(LabelError, match="integer"):
+        whole(np.zeros((4, 2)), np.array([0.5, 1.0, 0.2, 0.9]))
+
+
+def test_labeled_data_rejects_bad_shapes():
     with pytest.raises(DataError, match="2-D"):
         RowShard(np.zeros(4), np.array([1, 2]), np.zeros(2, dtype=int))
+    with pytest.raises(DataError, match="one entry per row"):
+        whole(np.zeros((4, 2)), np.zeros(3, dtype=int))
+
+
+def test_row_shard_rejects_rows_outside_its_matrix_and_bad_labels():
+    X = np.zeros((4, 2))
     for rows in ([0, 4], [-1, 2]):
         with pytest.raises(DataError, match=r"in \[0, 4\)"):
             RowShard(X, np.array(rows), np.zeros(2, dtype=int))
