@@ -44,12 +44,22 @@ parameters, the gradient, the moments and the optimizer scratch live in one
 round's clients into cohorts of at most :func:`cohort_size`, so a cohort's
 optimizer state stays cache-sized (at the desk 1x16 arch a round's five
 clients are one cohort, at the full 5x128 arch each client is its own), and
-passes every :func:`train_local` call of the round one workspace: fresh
-buffers would be paged in again on every call. The optimizer keeps each
-row's Adam step count beside its moments and resets both per cohort, so
-clients with different batch counts can share runs from the second epoch
-on. Per client stay the shuffle, the step count and the batch size that
-divides the loss gradient.
+passes every :func:`train_local` call of the round one workspace, which
+``run_timeline`` makes once per strategy timeline and passes to every
+round: fresh buffers would be paged in again on every call. The optimizer
+keeps each row's Adam step count beside its moments and resets both per
+cohort, so clients with different batch counts can share runs from the
+second epoch on. Per client stay the shuffle, the step count and the batch
+size that divides the loss gradient.
+
+Nothing a step needs is rebuilt per step. A :func:`train_local` call splits
+each run's gradient rows into writable views once (:func:`gradient_buffer`),
+beside the optimizer's per-segment views, and passes them to
+:func:`backward` as ``out``. Adam updates a segment's two moments together,
+one call per operation over their ``(2, g, w)`` block, with ``(2, 1, 1)``
+beta constants and one ``(2, g, 1)`` bias-correction block per step; each
+element gets the operations of the per-moment form in the same order.
+Reductions call ``np.add.reduce`` and ``np.maximum.reduce`` directly.
 
 Stacking is exact. A 3-D ``matmul`` runs the same BLAS call per stacked
 matrix as a 2-D ``matmul`` on that matrix, since the matrices have the same
@@ -84,6 +94,9 @@ OPTIMIZERS = ("adam", "sgd")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Adam's constants for the (2, g, w) block of both moments, m first
+_BETAS = np.array([ADAM_BETA1, ADAM_BETA2]).reshape(2, 1, 1)
+_ONE_MINUS_BETAS = np.array([1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2]).reshape(2, 1, 1)
 
 # Parameters trained together: a cohort of lockstep clients holds at most
 # cohort_size(arch) = max(1, COHORT_PARAMS // param_count(arch)) of them.
@@ -261,9 +274,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    ex = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    ex /= np.add.reduce(ex, axis=-1, keepdims=True)
+    return ex
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -353,38 +366,51 @@ def forward(params: ModelParams, batch: np.ndarray):
     return (logits if stacked else logits[0]), cache
 
 
-def backward(params: ModelParams, cache, labels: np.ndarray,
-             out: np.ndarray | None = None) -> ModelParams:
+def gradient_buffer(arch: ModelArch, vec: np.ndarray):
+    """``vec`` as :func:`backward` fills it: ``(grads, views)``.
+
+    ``grads`` is the ModelParams that backward returns, whose read-only views
+    follow ``vec``; ``views`` are :func:`_split`'s writable views of it with
+    a leading stack axis, one model being a stack of one. A caller that
+    steps many times builds this once per buffer and passes it as ``out``.
+    """
+    grads = ModelParams(arch, vec)  # checks the buffer
+    return grads, _split(arch, vec.reshape(-1, vec.shape[-1]))
+
+
+def backward(params: ModelParams, cache, labels: np.ndarray, out=None) -> ModelParams:
     """Gradients of the mean cross-entropy loss w.r.t. every parameter.
 
     ``cache`` must come from :func:`forward` on the same params, and
     ``labels`` has the shape of the batch without its feature axis. Returns a
     ModelParams-shaped container of gradients (a stack for stacked params).
-    Its vector is fresh zeros, or ``out`` if given (float64, shaped like
-    ``params.vec``): backward overwrites every element except each ``wh``
-    when ``seq_len == 1``, whose gradient is zero, so ``out`` must hold zeros
-    there.
+    Its vector is fresh zeros, or the buffer of ``out``, a
+    :func:`gradient_buffer` shaped like ``params.vec``: backward overwrites
+    every element except each ``wh`` when ``seq_len == 1``, whose gradient
+    is zero, so the buffer must hold zeros there.
     """
     arch = params.arch
     n = cache["n"]
     labels = np.asarray(labels)
     if labels.shape != params.vec.shape[:-1] + (n,):
         raise LabelError(f"labels must have shape {params.vec.shape[:-1] + (n,)}")
-    if labels.size and (labels.min() < 0 or labels.max() >= arch.output_dim):
-        raise LabelError(
-            f"label out of range: max {int(labels.max())} for output_dim {arch.output_dim}"
-        )
+    if labels.size:
+        high = np.maximum.reduce(labels, axis=None)
+        if np.minimum.reduce(labels, axis=None) < 0 or high >= arch.output_dim:
+            raise LabelError(
+                f"label out of range: max {int(high)} for output_dim {arch.output_dim}")
 
-    grad = np.zeros(params.vec.shape) if out is None else out
-    grads = ModelParams(arch, grad)  # checks ``out``; read-only views that follow grad
-    if grad.shape != params.vec.shape:
-        raise ShapeError(f"gradient buffer has shape {grad.shape}, expected {params.vec.shape}")
-    g_wx, g_wh, g_b, g_w_out, g_b_out = _split(arch, grad.reshape(-1, grad.shape[-1]))
+    if out is None:
+        out = gradient_buffer(arch, np.zeros(params.vec.shape))
+    grads, (g_wx, g_wh, g_b, g_w_out, g_b_out) = out
+    if grads.vec.shape != params.vec.shape or grads.arch != arch:
+        raise ShapeError(f"gradient buffer has shape {grads.vec.shape} of {grads.arch}, "
+                         f"expected {params.vec.shape} of {arch}")
     dlogits = softmax(cache["logits"])
     dlogits.reshape(-1, arch.output_dim)[np.arange(labels.size), labels.ravel()] -= 1.0
     dlogits /= n
     np.matmul(_t(cache["h_last"]), dlogits, out=g_w_out)
-    np.sum(dlogits, axis=-2, keepdims=True, out=g_b_out)
+    np.add.reduce(dlogits, axis=-2, keepdims=True, out=g_b_out)
 
     hu = arch.hidden_units
     last = arch.seq_len - 1
@@ -417,10 +443,10 @@ def backward(params: ModelParams, cache, labels: np.ndarray,
             np.multiply(dh * tc * go, 1.0 - go, out=dz_gates[..., 3, :])
             if t == last:
                 np.matmul(_t(x), dz, out=gwx)
-                np.sum(dz, axis=-2, keepdims=True, out=gb)
+                np.add.reduce(dz, axis=-2, keepdims=True, out=gb)
             else:
                 gwx += _t(x) @ dz
-                gb += dz.sum(axis=-2, keepdims=True)
+                gb += np.add.reduce(dz, axis=-2, keepdims=True)
             if h_prev is not None:
                 if t == last:
                     np.matmul(_t(h_prev), dz, out=gwh)
@@ -459,14 +485,18 @@ class Optimizer:
     One optimizer holds the training workspace for ``cfg`` and ``arch``,
     sized for cohorts of up to ``rows`` clients: the block the trained
     parameters go to, the gradient block, Adam's state per row (two moments
-    and a step count) and two scratch vectors. :func:`train_local` makes one
-    per call unless it is given one to reuse. The moments cover only the
-    live segments (see ``ModelArch.layout``), packed side by side, and
-    :meth:`reset` zeroes them and the step counts for each cohort. The
-    gradient is zeroed once: backward overwrites all of it but the inert
-    ``wh``, whose zeros stay. :meth:`segments` builds the per-segment views
-    of a run's rows once; a step allocates nothing beyond its
-    bias-correction columns.
+    and a step count) and a scratch block. ``run_timeline`` makes one per
+    strategy timeline and passes it to every round, and :func:`train_local`
+    makes one per call unless it is given one to reuse: fresh buffers would
+    be paged in again. The moments cover only the live segments (see
+    ``ModelArch.layout``), packed side by side in one ``(2, K, width)``
+    block, and :meth:`reset` zeroes them and the step counts for each
+    cohort. The gradient is zeroed once: backward overwrites all of it but
+    the inert ``wh``, whose zeros stay. :meth:`segments` builds the
+    per-segment views of a run's rows once per :func:`train_local` call. A
+    step updates both moments of a segment with one call per operation over
+    their ``(2, g, w)`` view, and allocates nothing beyond its ``(2, g, 1)``
+    bias-correction block.
     """
 
     def __init__(self, cfg: TrainConfig, arch: ModelArch, rows: int):
@@ -481,7 +511,7 @@ class Optimizer:
         self.grad = np.zeros((rows, param_count(arch)))
         self.moments = np.zeros((2, rows, offsets[-1] if self.adam else 0))  # SGD keeps none
         self.counts = [0] * rows  # Adam's step count per row
-        self.scratch = np.empty((2, rows * max(widths)))
+        self.scratch = np.empty(2 * rows * max(widths))
 
     def reset(self, rows: int) -> None:
         """Fresh moments and step counts for a cohort of ``rows`` models."""
@@ -489,14 +519,17 @@ class Optimizer:
         self.counts[:rows] = [0] * rows
 
     def segments(self, vec: np.ndarray, rows: slice) -> list[tuple[np.ndarray, ...]]:
-        """``(p, g, m, v, a, b)`` views per live segment of ``rows``; a, b are scratch."""
+        """``(p, g, mv, ab, a, b)`` views per live segment of ``rows``.
+
+        ``mv`` is the ``(2, g, w)`` block of both moments, ``ab`` a scratch
+        block of that shape and ``a``, ``b`` its halves.
+        """
         g = rows.stop - rows.start
-        m, v = self.moments
         out = []
         for sl, packed in zip(self.live, self.packed):
-            width = sl.stop - sl.start
-            out.append((vec[rows, sl], self.grad[rows, sl], m[rows, packed], v[rows, packed])
-                       + tuple(s[:g * width].reshape(g, width) for s in self.scratch))
+            ab = self.scratch[:2 * g * (sl.stop - sl.start)].reshape(2, g, -1)
+            out.append((vec[rows, sl], self.grad[rows, sl], self.moments[:, rows, packed],
+                        ab, ab[0], ab[1]))
         return out
 
     def step(self, segments, rows: slice) -> None:
@@ -507,21 +540,18 @@ class Optimizer:
                 p -= a
             return
         counts = self.counts[rows] = [t + 1 for t in self.counts[rows]]
-        # one (g, 1) column per row, with Python's float power
-        bc1 = np.array([[1.0 - ADAM_BETA1 ** t] for t in counts])
-        bc2 = np.array([[1.0 - ADAM_BETA2 ** t] for t in counts])
-        for p, g, m, v, a, b in segments:
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), op for op
-            m *= ADAM_BETA1
-            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-            m += a
-            v *= ADAM_BETA2
-            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
-            a *= g
-            v += a
-            np.divide(m, bc1, out=a)
+        # a (g, 1) column per moment and row, with Python's float power
+        bc = np.array([1.0 - ADAM_BETA1 ** t for t in counts]
+                      + [1.0 - ADAM_BETA2 ** t for t in counts]).reshape(2, -1, 1)
+        for p, g, mv, ab, a, b in segments:
+            # m = b1 * m + (1 - b1) * g and v = b2 * v + ((1 - b2) * g) * g, both
+            # in one block, then p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), op for op
+            mv *= _BETAS
+            np.multiply(g, _ONE_MINUS_BETAS, out=ab)
+            b *= g
+            mv += ab
+            np.divide(mv, bc, out=ab)
             a *= self.lr
-            np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
             b += ADAM_EPS
             a /= b
@@ -534,7 +564,7 @@ class _Run:
 
     rows: slice                  # the run's rows of the cohort
     params: ModelParams          # stacked working parameters of the rows
-    grad: np.ndarray
+    grad: tuple                  # the rows' gradient_buffer
     X: np.ndarray                # (g, b, F) batch, a view of the cohort's one batch buffer
     y: np.ndarray
     picked: np.ndarray           # (g, b) rows of the matrix that the batch gathers
@@ -617,7 +647,8 @@ def train_local(params: ModelParams, shards: Sequence[RowShard],
                 run, hi = slice(i, j), lo + rows[i]
                 X = batch[:(j - i) * rows[i] * arch.feature_width].reshape(
                     j - i, rows[i], arch.feature_width)
-                schedule.append(_Run(run, ModelParams(arch, vec[run]), workspace.grad[run],
+                schedule.append(_Run(run, ModelParams(arch, vec[run]),
+                                     gradient_buffer(arch, workspace.grad[run]),
                                      X, y[run, lo:hi], picked[run, lo:hi],
                                      workspace.segments(vec, run)))
             i = j

@@ -69,7 +69,7 @@ _CATEGORY_INDEX = np.array([CATEGORIES.index(_CATEGORY_OF[s]) for s in SUB_ATTAC
 
 NO_ROWS = np.empty(0, dtype=np.intp)
 
-# Rows ``fit_scaler`` gathers at a time.
+# Rows ``fit_scaler`` gathers, and ``clean`` checks, at a time.
 SCALER_ROWS = 2**10
 
 
@@ -323,9 +323,12 @@ def clean(table: FlowTable) -> FlowTable:
     """Drop rows with non-finite features and the removed sub-attack class.
 
     Relative order is preserved, so each class stays in time order and
-    clean is idempotent.
+    clean is idempotent. The features are checked :data:`SCALER_ROWS` rows
+    at a time, so the check holds one chunk's mask, not one of the matrix.
     """
-    keep = (table.sub != _CODE_OF[REMOVED_SUB_ATTACK]) & np.isfinite(table.X).all(axis=1)
+    keep = table.sub != _CODE_OF[REMOVED_SUB_ATTACK]
+    for lo in range(0, len(table), SCALER_ROWS):
+        keep[lo:lo + SCALER_ROWS] &= np.isfinite(table.X[lo:lo + SCALER_ROWS]).all(axis=1)
     return table if keep.all() else table[keep]
 
 

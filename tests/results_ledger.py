@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -54,13 +55,26 @@ def config(task: str, output_dir) -> RunConfig:
 
 def host() -> dict:
     """This host as the benchmark records it, with the fingerprint of what decides
-    float results."""
+    float results.
+
+    ``OPENBLAS_CORETYPE`` forces OpenBLAS's kernels, whose results differ in
+    the last bit from the ones it picks by CPU feature. When it is set, it is
+    recorded and folded into the fingerprint, so a run under it compares no
+    checkpoint hashes recorded without it; unset, the fingerprint is the
+    benchmark's.
+    """
     sys.path.insert(0, str(PERFBENCH))  # the worker imports its siblings by name
     try:
         import worker
     finally:
         sys.path.remove(str(PERFBENCH))
-    return worker.environment()
+    env = worker.environment()
+    coretype = os.environ.get("OPENBLAS_CORETYPE")
+    if coretype:
+        env["openblas_coretype"] = coretype
+        folded = f"{env['fingerprint']} OPENBLAS_CORETYPE={coretype}"
+        env["fingerprint"] = hashlib.sha256(folded.encode()).hexdigest()[:16]
+    return env
 
 
 def checkpoint_hashes(run_dir: Path) -> str:

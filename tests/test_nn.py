@@ -496,6 +496,60 @@ def test_one_client_cohorts_share_a_workspace_exactly(seq_len, optimizer):
     assert merged.vec.tobytes() == expected.vec.tobytes()
 
 
+def test_optimizer_step_updates_both_moments_as_the_per_moment_sequence(rng):
+    # three stacked rows at different Adam step counts, two hidden layers so that
+    # the live segments are split at each inert wh; the step must give the bits
+    # of the per-moment sequence, row by row, with Python's float power
+    arch = ModelArch(input_dim=3, hidden_layers=2, hidden_units=4, output_dim=2)
+    cfg = TrainConfig(learning_rate=0.01)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
+    opt = Optimizer(cfg, arch, 3)
+    live = arch.layout[1]
+    assert len(live) == 3
+    vec = rng.normal(size=(3, param_count(arch)))
+    opt.grad[...] = rng.normal(size=opt.grad.shape)
+    opt.moments[0] = rng.normal(size=opt.moments[0].shape)
+    opt.moments[1] = rng.uniform(0, 2, size=opt.moments[1].shape)
+    opt.counts = [0, 3, 8]
+    p, m, v = vec.copy(), opt.moments[0].copy(), opt.moments[1].copy()
+    for k, t in enumerate([1, 4, 9]):
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        lo = 0
+        for sl in live:
+            packed = slice(lo, lo + sl.stop - sl.start)
+            lo = packed.stop
+            g = opt.grad[k, sl]
+            m[k, packed] *= b1
+            a = g * (1.0 - b1)
+            m[k, packed] += a
+            v[k, packed] *= b2
+            a = g * (1.0 - b2)
+            a *= g
+            v[k, packed] += a
+            a = m[k, packed] / bc1
+            a *= lr
+            b = v[k, packed] / bc2
+            b = np.sqrt(b)
+            b += eps
+            a /= b
+            p[k, sl] -= a
+    opt.step(opt.segments(vec, slice(0, 3)), slice(0, 3))
+    assert opt.counts == [1, 4, 9]
+    assert vec.tobytes() == p.tobytes()
+    assert opt.moments[0].tobytes() == m.tobytes()
+    assert opt.moments[1].tobytes() == v.tobytes()
+
+    sgd = Optimizer(replace(cfg, optimizer="sgd"), arch, 3)
+    assert sgd.moments.size == 0
+    vec = rng.normal(size=(3, param_count(arch)))
+    sgd.grad[...] = rng.normal(size=sgd.grad.shape)
+    p = vec.copy()
+    for sl in live:
+        p[:, sl] -= sgd.grad[:, sl] * lr
+    sgd.step(sgd.segments(vec, slice(0, 3)), slice(0, 3))
+    assert vec.tobytes() == p.tobytes()
+
+
 def test_lockstep_rejects_mismatched_configs(rng):
     # one seed per shard: a count that differs from the shard count is refused
     arch = ModelArch(input_dim=2, hidden_layers=1, hidden_units=2, output_dim=2)

@@ -121,6 +121,20 @@ def test_clean_idempotent_and_densifies():
     assert clean(once) is once
 
 
+def test_clean_checks_rows_on_both_sides_of_a_chunk_boundary():
+    # non-finite rows at the first and last row of the table and of its first chunk
+    n = pipeline.SCALER_ROWS
+    records = make_records("Benign", n + 3)
+    X = records.X.copy()
+    bad = [0, n - 2, n - 1, n, n + 2]
+    for row, value in zip(bad, [np.nan, np.inf, -np.inf, np.nan, np.inf]):
+        X[row, row % X.shape[1]] = value
+    table = FlowTable(X, records.sub)
+    out = clean(table)
+    assert out == table[np.isfinite(X).all(axis=1)]
+    assert out == records[[k for k in range(n + 3) if k not in bad]]
+
+
 def test_stratified_split_counts_and_rounding():
     ten = make_records("Benign", 10)
     train, test = stratified_split(ten, 0.8, seed=0)

@@ -46,3 +46,20 @@ def test_results_ledger_checkpoints_match(rerun):
         pytest.skip(f"checkpoint bytes depend on BLAS and CPU: this host's fingerprint {here} "
                     f"is not {recorded_on}, the host the ledger was recorded on")
     assert now == recorded, "checkpoints moved:\n" + "\n".join(_changed_lines(recorded, now)[:10])
+
+
+def test_a_forced_openblas_kernel_gets_its_own_fingerprint(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    unset = ledger.host()
+    assert "openblas_coretype" not in unset
+    fingerprints = {unset["fingerprint"]}
+    for coretype in ("Haswell", "SkylakeX"):
+        monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+        forced = ledger.host()
+        assert forced["openblas_coretype"] == coretype
+        rest = {k: v for k, v in forced.items() if k not in ("fingerprint", "openblas_coretype")}
+        assert rest == {k: v for k, v in unset.items() if k != "fingerprint"}
+        fingerprints.add(forced["fingerprint"])
+    assert len(fingerprints) == 3
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "")  # empty is unset
+    assert ledger.host() == unset
