@@ -99,19 +99,15 @@ def fedavg_aggregate(client_params: list[ModelParams], client_sizes: list[int],
 
 
 def run_round(global_params: ModelParams, client_train: list[RowShard],
-              cfg: FedConfig, seed: int, round_index: int = 0,
-              workspace: Optimizer | None = None) -> ModelParams:
+              cfg: FedConfig, seed: int, round_index: int = 0) -> ModelParams:
     """One communication round: broadcast, local training, FedAvg; returns the new global.
 
     The clients train in cohorts of :func:`~driftfed.nn.cohort_size`
     consecutive clients, one :func:`train_local` call per cohort with one
-    optimizer workspace, which also holds the cohort's trained vectors:
-    ``workspace``, an :class:`~driftfed.nn.Optimizer` for ``cfg.train`` and
-    the arch with a row per client of the largest cohort, or ``None`` for a
-    fresh one. Each cohort is folded into FedAvg's running sum before the
-    next one trains, so the round holds one cohort's client vectors at a
-    time. Deterministic: client k's shuffles derive from (seed,
-    round_index, k); the workspace's earlier contents do not matter.
+    optimizer workspace for the round, which also holds the cohort's trained
+    vectors. Each cohort is folded into FedAvg's running sum before the next
+    one trains, so the round holds one cohort's client vectors at a time.
+    Deterministic: client k's shuffles derive from (seed, round_index, k).
     """
     if not client_train:
         raise FederationError("a round needs at least one client")
@@ -123,8 +119,7 @@ def run_round(global_params: ModelParams, client_train: list[RowShard],
              for k in range(len(client_train))]
     total = float(sum(len(shard) for shard in client_train))
     per_cohort = cohort_size(arch)
-    if workspace is None:
-        workspace = Optimizer(cfg.train, arch, min(per_cohort, len(client_train)))
+    workspace = Optimizer(cfg.train, arch, min(per_cohort, len(client_train)))
     running = None
     for lo in range(0, len(client_train), per_cohort):
         cohort = client_train[lo:lo + per_cohort]
@@ -237,9 +232,6 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
     or that leaves a non-finite parameter, raises :class:`DivergenceError`
     naming the period and round.
 
-    Every round trains in one optimizer workspace, made once for the
-    timeline with a row per client of the largest cohort of any period.
-
     Each period's checkpoint goes to ``on_checkpoint`` as the period ends;
     the timeline keeps none. Returns the round logs.
     """
@@ -247,8 +239,6 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
     mode = _INIT_MODE_BY_KIND.get(strategy.kind)
     running = None if mode is None else RunningAverage(mode, strategy.ema_alpha)
     params = init_params(arch, seed=derive_seed(seed, "model-init"))
-    clients = max((len(item.client_train) for item in period_inputs), default=0)
-    workspace = Optimizer(cfg.train, arch, min(cohort_size(arch), clients))
     ckpt = None
 
     for item in sorted(period_inputs, key=lambda p: p.period_id):
@@ -263,8 +253,7 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
                 with np.errstate(over="raise", invalid="raise"):
                     tick = time.perf_counter()
                     params = run_round(params, item.client_train, cfg, seed,
-                                       round_index=item.period_id * 1000 + rnd,
-                                       workspace=workspace)
+                                       round_index=item.period_id * 1000 + rnd)
                     wall += time.perf_counter() - tick
                     if not np.isfinite(params.vec).all():
                         raise DivergenceError(f"period {item.period_id} round {rnd}: "

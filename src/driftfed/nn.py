@@ -44,22 +44,23 @@ parameters, the gradient, the moments and the optimizer scratch live in one
 round's clients into cohorts of at most :func:`cohort_size`, so a cohort's
 optimizer state stays cache-sized (at the desk 1x16 arch a round's five
 clients are one cohort, at the full 5x128 arch each client is its own), and
-passes every :func:`train_local` call of the round one workspace, which
-``run_timeline`` makes once per strategy timeline and passes to every
-round: fresh buffers would be paged in again on every call. The optimizer
-keeps each row's Adam step count beside its moments and resets both per
-cohort, so clients with different batch counts can share runs from the
-second epoch on. Per client stay the shuffle, the step count and the batch
-size that divides the loss gradient.
+passes every :func:`train_local` call of the round one workspace: fresh
+buffers would be paged in again on every call. The optimizer keeps each
+row's Adam step count beside its moments and resets both per cohort, so
+clients with different batch counts can share runs from the second epoch
+on. Per client stay the shuffle, the step count and the batch size that
+divides the loss gradient.
 
 Nothing a step needs is rebuilt per step. A :func:`train_local` call splits
-each run's gradient rows into writable views once (:func:`gradient_buffer`),
-beside the optimizer's per-segment views, and passes them to
+each run's gradient rows into writable views once (a :class:`GradientBuffer`),
+beside the optimizer's per-segment views, and passes it to
 :func:`backward` as ``out``. Adam updates a segment's two moments together,
 one call per operation over their ``(2, g, w)`` block, with ``(2, 1, 1)``
 beta constants and one ``(2, g, 1)`` bias-correction block per step; each
-element gets the operations of the per-moment form in the same order.
-Reductions call ``np.add.reduce`` and ``np.maximum.reduce`` directly.
+element gets the operations of the per-moment form in the same order. The
+segments are at most :data:`SEGMENT_PARAMS` wide, so the blocks of one such
+call stay in L2 at the full 5x128 arch too. Reductions call
+``np.add.reduce`` and ``np.maximum.reduce`` directly.
 
 Stacking is exact. A 3-D ``matmul`` runs the same BLAS call per stacked
 matrix as a 2-D ``matmul`` on that matrix, since the matrices have the same
@@ -102,6 +103,12 @@ _ONE_MINUS_BETAS = np.array([1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2]).reshape(2, 1, 
 # cohort_size(arch) = max(1, COHORT_PARAMS // param_count(arch)) of them.
 COHORT_PARAMS = 2**16
 
+# Widest live segment (see ModelArch.layout): a wider run of parameters is cut
+# into near-equal pieces, so the blocks that one Adam operation over both
+# moments touches stay in L2 (uncut, the 66k-wide segments of 5x128 made its
+# step about 9% slower on an x86-64 core with 2 MiB of L2).
+SEGMENT_PARAMS = 2**15
+
 # Rows per forward pass in predict.
 PREDICT_CHUNK = 8192
 
@@ -134,8 +141,9 @@ class ModelArch:
         """``(slots, live)`` of the flat parameter vector, computed once.
 
         ``slots`` is ``(slice, shape)`` per tensor in canonical order. ``live``
-        is what the optimizer updates, split at every ``wh`` so each segment
-        stays cache-sized; at ``seq_len == 1`` the inert ``wh`` are left out.
+        is what the optimizer updates, split at every ``wh`` and into pieces
+        of at most :data:`SEGMENT_PARAMS`, so each segment stays cache-sized;
+        at ``seq_len == 1`` the inert ``wh`` are left out.
         """
         slots, live = [], []
         offset = start = 0
@@ -148,7 +156,12 @@ class ModelArch:
                     live.append(slice(offset, end))
                 start = end
             offset = end
-        return tuple(slots), tuple(live + [slice(start, offset)])
+        pieces = []
+        for sl in live + [slice(start, offset)]:
+            width, n = sl.stop - sl.start, -(-(sl.stop - sl.start) // SEGMENT_PARAMS)
+            edges = [sl.start + width * k // n for k in range(n + 1)]
+            pieces += [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        return tuple(slots), tuple(pieces)
 
 
 def param_count(arch: ModelArch) -> int:
@@ -366,28 +379,35 @@ def forward(params: ModelParams, batch: np.ndarray):
     return (logits if stacked else logits[0]), cache
 
 
-def gradient_buffer(arch: ModelArch, vec: np.ndarray):
-    """``vec`` as :func:`backward` fills it: ``(grads, views)``.
+class GradientBuffer:
+    """A gradient vector as :func:`backward` fills it, split once.
 
     ``grads`` is the ModelParams that backward returns, whose read-only views
-    follow ``vec``; ``views`` are :func:`_split`'s writable views of it with
-    a leading stack axis, one model being a stack of one. A caller that
-    steps many times builds this once per buffer and passes it as ``out``.
+    follow ``vec``; ``views`` are :func:`_split`'s writable views of the same
+    buffer with a leading stack axis, one model being a stack of one. Both
+    are built here from ``vec``, so they always cover the same memory. A
+    caller that steps many times builds one per buffer and passes it as
+    ``out``.
     """
-    grads = ModelParams(arch, vec)  # checks the buffer
-    return grads, _split(arch, vec.reshape(-1, vec.shape[-1]))
+
+    __slots__ = ("grads", "views")
+
+    def __init__(self, arch: ModelArch, vec: np.ndarray):
+        self.grads = ModelParams(arch, vec)  # checks the buffer
+        self.views = _split(arch, vec.reshape(-1, vec.shape[-1]))
 
 
-def backward(params: ModelParams, cache, labels: np.ndarray, out=None) -> ModelParams:
+def backward(params: ModelParams, cache, labels: np.ndarray,
+             out: np.ndarray | GradientBuffer | None = None) -> ModelParams:
     """Gradients of the mean cross-entropy loss w.r.t. every parameter.
 
     ``cache`` must come from :func:`forward` on the same params, and
     ``labels`` has the shape of the batch without its feature axis. Returns a
     ModelParams-shaped container of gradients (a stack for stacked params).
-    Its vector is fresh zeros, or the buffer of ``out``, a
-    :func:`gradient_buffer` shaped like ``params.vec``: backward overwrites
-    every element except each ``wh`` when ``seq_len == 1``, whose gradient
-    is zero, so the buffer must hold zeros there.
+    Its vector is fresh zeros, or ``out`` if given: a float64 array shaped
+    like ``params.vec``, or a :class:`GradientBuffer` of one. Backward
+    overwrites every element except each ``wh`` when ``seq_len == 1``, whose
+    gradient is zero, so the buffer must hold zeros there.
     """
     arch = params.arch
     n = cache["n"]
@@ -400,9 +420,9 @@ def backward(params: ModelParams, cache, labels: np.ndarray, out=None) -> ModelP
             raise LabelError(
                 f"label out of range: max {int(high)} for output_dim {arch.output_dim}")
 
-    if out is None:
-        out = gradient_buffer(arch, np.zeros(params.vec.shape))
-    grads, (g_wx, g_wh, g_b, g_w_out, g_b_out) = out
+    if not isinstance(out, GradientBuffer):
+        out = GradientBuffer(arch, np.zeros(params.vec.shape) if out is None else out)
+    grads, (g_wx, g_wh, g_b, g_w_out, g_b_out) = out.grads, out.views
     if grads.vec.shape != params.vec.shape or grads.arch != arch:
         raise ShapeError(f"gradient buffer has shape {grads.vec.shape} of {grads.arch}, "
                          f"expected {params.vec.shape} of {arch}")
@@ -485,13 +505,12 @@ class Optimizer:
     One optimizer holds the training workspace for ``cfg`` and ``arch``,
     sized for cohorts of up to ``rows`` clients: the block the trained
     parameters go to, the gradient block, Adam's state per row (two moments
-    and a step count) and a scratch block. ``run_timeline`` makes one per
-    strategy timeline and passes it to every round, and :func:`train_local`
-    makes one per call unless it is given one to reuse: fresh buffers would
-    be paged in again. The moments cover only the live segments (see
-    ``ModelArch.layout``), packed side by side in one ``(2, K, width)``
-    block, and :meth:`reset` zeroes them and the step counts for each
-    cohort. The gradient is zeroed once: backward overwrites all of it but
+    and a step count) and a scratch block. ``run_round`` makes one per round
+    and passes it to every :func:`train_local` call, which makes one unless
+    it is given one to reuse: fresh buffers would be paged in again. The
+    moments cover only the live segments (see ``ModelArch.layout``), packed
+    side by side in one ``(2, K, width)`` block, and :meth:`reset` zeroes
+    them and the step counts for each cohort. The gradient is zeroed once: backward overwrites all of it but
     the inert ``wh``, whose zeros stay. :meth:`segments` builds the
     per-segment views of a run's rows once per :func:`train_local` call. A
     step updates both moments of a segment with one call per operation over
@@ -564,7 +583,7 @@ class _Run:
 
     rows: slice                  # the run's rows of the cohort
     params: ModelParams          # stacked working parameters of the rows
-    grad: tuple                  # the rows' gradient_buffer
+    grad: GradientBuffer         # the rows' gradient, split once
     X: np.ndarray                # (g, b, F) batch, a view of the cohort's one batch buffer
     y: np.ndarray
     picked: np.ndarray           # (g, b) rows of the matrix that the batch gathers
@@ -648,7 +667,7 @@ def train_local(params: ModelParams, shards: Sequence[RowShard],
                 X = batch[:(j - i) * rows[i] * arch.feature_width].reshape(
                     j - i, rows[i], arch.feature_width)
                 schedule.append(_Run(run, ModelParams(arch, vec[run]),
-                                     gradient_buffer(arch, workspace.grad[run]),
+                                     GradientBuffer(arch, workspace.grad[run]),
                                      X, y[run, lo:hi], picked[run, lo:hi],
                                      workspace.segments(vec, run)))
             i = j

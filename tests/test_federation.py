@@ -292,12 +292,11 @@ def _run_recording_starts(monkeypatch, strategy, inputs, cfg):
     starts = {}
     real_round = federation.run_round
 
-    def recording_round(params, shards, cfg, seed, round_index=0, workspace=None):
+    def recording_round(params, shards, cfg, seed, round_index=0):
         period, rnd = divmod(round_index, 1000)
         if rnd == 0:
             starts[period] = params
-        return real_round(params, shards, cfg, seed, round_index=round_index,
-                          workspace=workspace)
+        return real_round(params, shards, cfg, seed, round_index=round_index)
 
     monkeypatch.setattr(federation, "run_round", recording_round)
     return _timeline(strategy, inputs, cfg, seed=3), starts
@@ -357,54 +356,6 @@ def test_run_timeline_streams_the_checkpoints_it_would_collect(kind):
     assert ([(c.period_id, c.train_sample_count, c.params.vec.tobytes()) for c in streamed]
             == [(c.period_id, c.train_sample_count, c.params.vec.tobytes())
                 for c in collected])
-
-
-@pytest.mark.parametrize("arch,per_cohort", [
-    (ModelArch(input_dim=45, hidden_layers=1, hidden_units=16, output_dim=2), 16),  # desk
-    (ModelArch(input_dim=4, hidden_layers=1, hidden_units=128, output_dim=2), 1),
-])
-def test_run_timeline_shares_one_workspace_byte_exact_to_fresh_ones(arch, per_cohort,
-                                                                     tmp_path, monkeypatch):
-    # three clients in period 1 and two in period 2, fewer than a desk workspace
-    # has rows; at cohort size 1 each round trains three or two cohorts
-    assert cohort_size(arch) == per_cohort
-    gen = np.random.default_rng(per_cohort)
-    inputs = []
-    for period, clients in ((1, 3), (2, 2)):
-        parts = [(gen.normal(size=(n, arch.input_dim)), gen.integers(0, 2, n))
-                 for n in (11, 7, 9)[:clients]]
-        [val] = rows_of_one_table(gen, [(gen.normal(size=(5, arch.input_dim)),
-                                         gen.integers(0, 2, 5))])
-        inputs.append(PeriodInput(period, rows_of_one_table(gen, parts), val))
-    cfg = FedConfig(num_clients=3, rounds=2,
-                    train=TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2))
-    workspaces = []
-    real_round = federation.run_round
-
-    def recording_round(*args, workspace=None, **kwargs):
-        workspaces.append(workspace)
-        return real_round(*args, workspace=workspace, **kwargs)
-
-    monkeypatch.setattr(federation, "run_round", recording_round)
-    shared = tmp_path / "shared"
-    shared.mkdir()
-    run_timeline(StrategyConfig("cumulative"), inputs, cfg, arch, 3,
-                 lambda ckpt: save_checkpoint(shared / f"t{ckpt.period_id}.ckpt", ckpt))
-    assert len(workspaces) == 4 and all(w is workspaces[0] for w in workspaces)
-    assert workspaces[0].rows == min(per_cohort, 3)
-    fresh = tmp_path / "fresh"
-    fresh.mkdir()
-    params = init_params(arch, seed=derive_seed(3, "model-init"))
-    for item in inputs:
-        for rnd in range(cfg.rounds):
-            params = real_round(params, item.client_train, cfg, 3,
-                                round_index=1000 * item.period_id + rnd, workspace=None)
-        save_checkpoint(fresh / f"t{item.period_id}.ckpt",
-                        Checkpoint(params, item.period_id,
-                                   sum(len(shard) for shard in item.client_train), 0.0))
-    for period in (1, 2):
-        name = f"t{period}.ckpt"
-        assert (shared / name).read_bytes() == (fresh / name).read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # building the huge inputs overflows

@@ -9,8 +9,8 @@ import reference_lstm
 from driftfed.dataset import RowShard
 from driftfed.errors import ConfigError, DataError, LabelError, ShapeError
 from driftfed.federation import FedConfig, fedavg_aggregate, run_round
-from driftfed.nn import (COHORT_PARAMS, ModelArch, ModelParams, Optimizer, TrainConfig, _lstm,
-                         _sigmoid, backward, cohort_size, cross_entropy, forward, init_params,
+from driftfed.nn import (COHORT_PARAMS, SEGMENT_PARAMS, GradientBuffer, ModelArch, ModelParams,
+                         Optimizer, TrainConfig, _lstm, _sigmoid, backward, cohort_size, cross_entropy, forward, init_params,
                          param_count, predict, softmax, train_local)
 from driftfed.seeds import derive_seed
 
@@ -109,6 +109,33 @@ def test_forward_shape_contract():
     assert logits.shape == (6, 2)
     with pytest.raises(ShapeError):
         forward(params, np.zeros((6, 7)))
+
+
+def test_backward_out_takes_an_array_or_a_gradient_buffer_and_checks_both(rng):
+    arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=3, output_dim=2, seq_len=2)
+    params = init_params(arch, seed=0)
+    _, cache = forward(params, rng.normal(size=(6, 8)))
+    y = rng.integers(0, 2, 6)
+    fresh = backward(params, cache, y)
+    size = param_count(arch)
+
+    buf = np.zeros(size)
+    grads = backward(params, cache, y, out=buf)
+    assert np.shares_memory(grads.vec, buf) and buf.tobytes() == fresh.vec.tobytes()
+    buf = np.zeros(size)
+    split = GradientBuffer(arch, buf)
+    assert backward(params, cache, y, out=split) is split.grads
+    assert buf.tobytes() == fresh.vec.tobytes()
+
+    # same length, other arch; a stack for one model; wrong length, dtype or type,
+    # including a bare (grads, views) pair
+    other = replace(arch, seq_len=1)
+    assert param_count(other) == size
+    for out in (GradientBuffer(other, np.zeros(size)), GradientBuffer(arch, np.zeros((2, size))),
+                np.zeros((2, size)), np.zeros(size + 1), np.zeros(size, dtype=np.float32),
+                (split.grads, split.views), [0.0] * size):
+        with pytest.raises(ShapeError):
+            backward(params, cache, y, out=out)
 
 
 def test_forward_matches_hand_evaluated_lstm_step():
@@ -494,6 +521,28 @@ def test_one_client_cohorts_share_a_workspace_exactly(seq_len, optimizer):
     merged = run_round(params, shards, FedConfig(num_clients=4, rounds=1, train=cfg), 5)
     expected = fedavg_aggregate(alone, [len(s) for s in shards])
     assert merged.vec.tobytes() == expected.vec.tobytes()
+
+
+@pytest.mark.parametrize("seq_len", [1, 2])
+def test_live_segments_tile_the_trained_parameters_in_bounded_pieces(seq_len):
+    # at 5x128 the runs between two wh are about twice SEGMENT_PARAMS wide
+    arch = ModelArch(input_dim=45, hidden_layers=5, hidden_units=128, output_dim=6,
+                     seq_len=seq_len)
+    slots, live = arch.layout
+    trained = np.ones(param_count(arch), dtype=int)
+    if seq_len == 1:
+        for sl, _ in slots[1:3 * arch.hidden_layers:3]:  # the inert wh
+            trained[sl] = 0
+    covered = np.zeros_like(trained)
+    for sl in live:
+        covered[sl] += 1
+    assert np.array_equal(covered, trained)
+    assert [sl.start for sl in live] == sorted(sl.start for sl in live)
+    assert max(sl.stop - sl.start for sl in live) <= SEGMENT_PARAMS
+    assert max(sl.stop - sl.start for sl, _ in slots) > SEGMENT_PARAMS
+    assert len(live) > 2 * arch.hidden_layers + 1  # more than the wh alone cut
+    desk = ModelArch(input_dim=45, hidden_layers=1, hidden_units=16, output_dim=2)
+    assert len(desk.layout[1]) == 2  # split at its wh only
 
 
 def test_optimizer_step_updates_both_moments_as_the_per_moment_sequence(rng):

@@ -482,10 +482,10 @@ def test_strategy_failing_after_saving_a_checkpoint_leaves_none(tmp_path, monkey
         real_save(path, ckpt)
         saved.append(path)
 
-    def diverging(*args, round_index=0, workspace=None):
+    def diverging(*args, round_index=0):
         if round_index == 3000:  # period 3, after t1 and t2 were saved
             raise DivergenceError("period 3 round 0: induced")
-        return real_round(*args, round_index=round_index, workspace=workspace)
+        return real_round(*args, round_index=round_index)
 
     monkeypatch.setattr(runner, "save_checkpoint", recording_save)
     monkeypatch.setattr(federation, "run_round", diverging)
