@@ -5,6 +5,12 @@ plus a sub-attack label column), cleans them, splits train/test per class,
 min-max normalizes on training statistics only, and encodes labels for the
 binary or six-class task. The same code path serves synthetic datasets.
 
+A plain-text file is read in one pass over one open handle: each block of
+:data:`LOAD_ROWS` rows is one ``np.loadtxt`` call that parses its features
+and its labels together, into a matrix allocated once for the row count
+that the byte check counted. Whatever that pass cannot vouch for goes to
+the row-by-row ``csv.reader`` scan, which is the reference.
+
 :data:`CODECS` holds one :class:`LabelCodec` per task, built once at import;
 ``timeline.TASKS``, and through it the run config and the CLI, list its keys.
 
@@ -200,6 +206,16 @@ class ColumnSpec:
 _PLAIN_TEXT = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 _QUOTE = '"'
 
+# Rows ``_load_columns`` parses in one ``np.loadtxt`` call.
+LOAD_ROWS = 256
+
+# The roster sorted, for ``np.searchsorted``, and each name's code. A label
+# field holds one character more than the longest name, so a longer label
+# reads as off the roster instead of being cut to fit one.
+_SORTED_LABELS = np.array(sorted(SUB_ATTACKS))
+_SORTED_CODES = np.array([_CODE_OF[name] for name in _SORTED_LABELS.tolist()], dtype=np.intp)
+_LABEL_DTYPE = np.dtype(f"U{max(map(len, SUB_ATTACKS)) + 1}")
+
 
 def load_records(path, spec: ColumnSpec) -> FlowTable:
     """Read one delimited file into a FlowTable.
@@ -236,44 +252,55 @@ def _header_positions(reader, path, spec: ColumnSpec) -> tuple[list[int], int]:
 
 
 def _load_columns(path: Path, spec: ColumnSpec) -> FlowTable | None:
-    """The fast path: features by ``np.loadtxt``, labels by a line pass.
+    """The fast path: features and labels by ``np.loadtxt``, a block at a time.
 
-    Returns None when the file is not plain text, when a row is ragged,
-    blank or badly quoted, or when a label is off the roster, so the row
-    scan decides (and names the problem).
+    The byte check counts the line feeds, so the matrix is allocated once.
+    On the open handle past the header, each block of :data:`LOAD_ROWS`
+    rows is one ``np.loadtxt`` call that parses the feature columns and the
+    label column together. Returns None when the file is not plain text,
+    when the parser warns or fails (a ragged, blank or badly quoted row),
+    when the rows do not match the count, or when a label is off the
+    roster, so the row scan decides (and names the problem).
     """
+    lines = 0
+    last = b"\n"
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             if chunk.translate(None, _PLAIN_TEXT):
                 return None
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+    lines += last != b"\n"  # a last line without a line feed
     delim = spec.delimiter
-    codes = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delim)
         feat_idx, label_idx = _header_positions(reader, path, spec)
         if reader.line_num != 1 or not feat_idx:
             return None
-        need = max([*feat_idx, label_idx])
-        for line in fh:
-            if _QUOTE in line:
-                fields = next(csv.reader([line], delimiter=delim, strict=True))
-            else:
-                fields = line.rstrip("\r\n").split(delim)
-            if len(fields) <= need:
+        n = lines - 1
+        X = np.empty((n, len(feat_idx)))
+        sub = np.empty(n, dtype=np.intp)
+        dtype = np.dtype([("x", np.float64, (len(feat_idx),)), ("label", _LABEL_DTYPE)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a blank line, for one, makes loadtxt warn
+            try:
+                for lo in range(0, n, LOAD_ROWS):
+                    hi = min(lo + LOAD_ROWS, n)
+                    block = np.loadtxt(fh, dtype=dtype, delimiter=delim,
+                                       usecols=[*feat_idx, label_idx], quotechar=_QUOTE,
+                                       comments=None, ndmin=1, max_rows=hi - lo)
+                    if len(block) != hi - lo:
+                        return None
+                    X[lo:hi] = block["x"]
+                    at = np.searchsorted(_SORTED_LABELS, block["label"])
+                    np.minimum(at, len(_SORTED_LABELS) - 1, out=at)
+                    if not np.array_equal(_SORTED_LABELS[at], block["label"]):
+                        return None
+                    sub[lo:hi] = _SORTED_CODES[at]
+            except (ValueError, Warning):
                 return None
-            code = _CODE_OF.get(fields[label_idx])
-            if code is None:
-                return None
-            codes.append(code)
-    sub = np.array(codes, dtype=np.intp)
-    if not len(sub):
-        return FlowTable(np.empty((0, len(feat_idx))), sub)
-    # max_rows: the line pass counted the rows, so numpy allocates the matrix
-    # once instead of growing it
-    X = np.loadtxt(path, delimiter=delim, skiprows=1, usecols=feat_idx, quotechar=_QUOTE,
-                   ndmin=2, comments=None, encoding="utf-8", max_rows=len(sub))
-    if X.shape != (len(sub), len(feat_idx)):
-        return None
+        if fh.read(1):  # rows the line feeds did not count
+            return None
     return FlowTable(X, sub)
 
 

@@ -8,16 +8,20 @@ and places the MQTT and DDoS families farthest apart so cross-family
 generalization is visibly asymmetric.
 
 :class:`FamilySpec` and :class:`ScenarioSpec` check themselves when built.
+:func:`write_delimited` writes a table as the CSV the loader reads, a block
+of :data:`WRITE_ROWS` rows at a time, atomically.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ConfigError, check_field
 from .pipeline import (CATEGORIES, ROSTER, SUB_ATTACKS, ColumnSpec, FlowTable, category_of,
                        sub_code)
@@ -112,7 +116,11 @@ def default_drift_scenario(seed: int, rows_per_subattack: int = 1200) -> Scenari
     the other. Benign gets four times the per-sub-attack row count (benign
     traffic dominates real captures), which also keeps each period's pool
     roughly label-balanced against a four-member attack family.
+
+    ``rows_per_subattack`` is checked as given, before Benign's multiple of
+    it is taken.
     """
+    check_field("rows_per_subattack", rows_per_subattack, "integer", 1)
     num_features = NUM_FEATURES
     base = np.full(num_features, 5.0)
     offset = 2.5
@@ -139,19 +147,52 @@ def default_column_spec(num_features: int = NUM_FEATURES) -> ColumnSpec:
     return ColumnSpec(feature_columns(num_features), "Attack")
 
 
+# Rows ``write_delimited`` formats into one string and writes at a time.
+WRITE_ROWS = 64
+
+# Characters a float's repr can hold: a delimiter among them quotes the fields
+# that contain it, as csv.writer's minimal quoting does.
+_REPR_CHARS = frozenset("0123456789.e+-infa")
+
+
+def _csv_line(fields, delimiter: str) -> str:
+    """One row as ``csv.writer`` formats it, line terminator included."""
+    out = io.StringIO()
+    csv.writer(out, delimiter=delimiter).writerow(fields)
+    return out.getvalue()
+
+
 def write_delimited(table: FlowTable, path,
                     spec: ColumnSpec | None = None) -> ColumnSpec:
     """Emit a table in the same delimited format the pipeline loader reads.
 
-    Floats are written as Python floats, which ``csv`` formats with repr, so
-    a load round-trips bit-exactly.
+    The bytes are ``csv.writer``'s for rows of repr floats and the label, so
+    a load round-trips bit-exactly. The header and each label are formatted
+    by ``csv.writer`` itself, once; the rows are joined :data:`WRITE_ROWS`
+    at a time into one string, quoting a float only when the delimiter
+    occurs in its repr. The file is written atomically: a failed write
+    leaves the previous file, or none.
     """
     if spec is None:
         spec = default_column_spec(table.width)
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=spec.delimiter)
-        writer.writerow([*spec.feature_columns, spec.label_column])
-        for values, label in zip(table.X, table.labels):
-            writer.writerow([*values.tolist(), label])
+    delim = spec.delimiter
+    header = _csv_line([*spec.feature_columns, spec.label_column], delim)
+    lead = delim if table.width else ""
+    tails = [lead + _csv_line([name], delim) for name in SUB_ATTACKS]
+    if delim in _REPR_CHARS:
+        def fmt(value):
+            text = repr(value)
+            return f'"{text}"' if delim in text else text
+    else:
+        fmt = repr
+
+    def blocks():
+        yield header.encode("utf-8")
+        for lo in range(0, len(table), WRITE_ROWS):
+            rows = table.X[lo:lo + WRITE_ROWS].tolist()
+            codes = table.sub[lo:lo + WRITE_ROWS].tolist()
+            yield "".join([delim.join(map(fmt, row)) + tails[code]
+                           for row, code in zip(rows, codes)]).encode("utf-8")
+
+    write_atomic(Path(path), blocks())
     return spec

@@ -1,13 +1,15 @@
 """CSV loading: the streaming C-parser path against the row scan.
 
-``load_records`` reads plain text with ``np.loadtxt`` plus one line pass for
-the labels and falls back to a row-by-row ``csv.reader`` scan whenever that
-path cannot vouch for giving the same table. These tests pin both halves to
-the same answer: bit-exact tables for everything ``write_delimited`` can
-produce, and the same ``LoadError`` (or the same table) for damaged files.
+``load_records`` reads plain text with ``np.loadtxt``, features and labels
+together, ``LOAD_ROWS`` rows a call on one open handle, and falls back to a
+row-by-row ``csv.reader`` scan whenever that path cannot vouch for giving
+the same table. These tests pin both halves to the same answer: bit-exact
+tables for everything ``write_delimited`` can produce, and the same
+``LoadError`` (or the same table) for damaged files.
 """
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfed.errors import LoadError
-from driftfed.pipeline import (SUB_ATTACKS, ColumnSpec, FlowTable, _load_columns, _scan_rows,
-                               load_records)
+from driftfed.pipeline import (LOAD_ROWS, SUB_ATTACKS, ColumnSpec, FlowTable, _load_columns,
+                               _scan_rows, load_records)
 from driftfed.synth import write_delimited
 
 from conftest import make_records
@@ -164,3 +166,50 @@ def test_underscored_number_loads_as_python_reads_it(tmp_path):
 def test_header_only_file_gives_an_empty_table(tmp_path):
     table = load_records(_write(tmp_path, b"a,b,Attack\r\n"), SPEC2)
     assert len(table) == 0 and table.X.shape == (0, 2)
+
+
+@pytest.mark.parametrize("delimiter", DELIMITERS)
+def test_tables_over_several_blocks_load_bit_exact_on_the_fast_path(tmp_path, delimiter):
+    gen = np.random.default_rng(len(delimiter) + ord(delimiter))
+    n = 2 * LOAD_ROWS + 1
+    X = gen.normal(scale=1e3, size=(n, 4))
+    X.flat[gen.choice(X.size, len(SPECIALS), replace=False)] = SPECIALS
+    table = FlowTable.of(X, gen.choice(SUB_ATTACKS, n).tolist())
+    spec = write_delimited(table, tmp_path / "flows.csv",
+                           ColumnSpec(("a", "b", "c", "d"), "Attack", delimiter))
+    fast = _load_columns(tmp_path / "flows.csv", spec)
+    assert fast is not None
+    assert fast == table
+
+
+# After a first block of good rows; a header over two lines cannot move there.
+GOOD_BLOCK = b"5,6,Benign\n" * LOAD_ROWS
+
+
+@pytest.mark.parametrize("tail", [
+    b"1,2,Benign\n\n3,4,Benign\n",                  # a blank line
+    b"1,2,Benign\n3,Benign\n",                       # a short row
+    b"1,2, Benign\n",                                # a label with a space
+    b"1,2\x1c,Benign\n",                             # a separator byte numpy strips
+    b"1,2_0,Benign\n",                               # an underscore numpy rejects
+    b'1,"2,Benign\n3",4,Benign\n',                    # a quoted field over two lines
+    b'1,"2\n",Benign\n',                              # fewer rows than line feeds
+    b"1,2,Benign-X\n",                               # a label off the roster
+    b"1,2," + b"B" * 40 + b"\n",                      # a label longer than any
+    b"1,2,Benign\r3,4,Benign\n",                     # rows past the line-feed count
+])
+def test_fast_path_defers_to_the_row_scan_past_the_first_block(tmp_path, tail):
+    path = _write(tmp_path, b"a,b,Attack\n" + GOOD_BLOCK + tail)
+    assert _declines(path, SPEC_B)
+    assert _outcome(load_records, path, SPEC_B) == _outcome(_scan_rows, path, SPEC_B)
+
+
+def test_a_declined_file_emits_no_warning(tmp_path):
+    # numpy warns that a blank line does not count towards max_rows
+    path = _write(tmp_path, b"a,b,Attack\n" + GOOD_BLOCK + b"\n3,4,Benign\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _load_columns(path, SPEC_B) is None
+        with pytest.raises(LoadError, match="row 258 has too few fields"):
+            load_records(path, SPEC_B)
+    assert [str(w.message) for w in caught] == []

@@ -1,4 +1,5 @@
-"""The results ledger reruns: the same tables on any host, the same checkpoints on its own.
+"""The results ledger reruns: the same tables and checkpoint sums on any host,
+the same checkpoints on its own.
 
 See ``tests/results_ledger.py`` for the run and how to re-record it.
 """
@@ -8,6 +9,7 @@ import json
 import pytest
 
 import results_ledger as ledger
+from driftfed import nn
 from driftfed.timeline import TASKS
 
 
@@ -46,6 +48,37 @@ def test_results_ledger_checkpoints_match(rerun):
         pytest.skip(f"checkpoint bytes depend on BLAS and CPU: this host's fingerprint {here} "
                     f"is not {recorded_on}, the host the ledger was recorded on")
     assert now == recorded, "checkpoints moved:\n" + "\n".join(_changed_lines(recorded, now)[:10])
+
+
+def test_results_ledger_checkpoint_sums_match_on_any_host(rerun):
+    task, run_dir = rerun
+    recorded = (ledger.ledger_dir(task) / ledger.SUMS).read_text()
+    changes = ledger.sum_changes(recorded, ledger.checkpoint_sums(run_dir))
+    assert not changes, "checkpoint sums moved:\n" + "\n".join(changes[:10])
+
+
+def test_checkpoint_sums_tolerate_rounding_and_nothing_more():
+    recorded = (ledger.ledger_dir("binary") / ledger.SUMS).read_text()
+    key, total, squares = recorded.splitlines()[0].rsplit(" ", 2)
+
+    def moved(by):
+        line = f"{key} {float(total) * (1 + by)!r} {squares}"
+        return ledger.sum_changes(recorded, "\n".join([line, *recorded.splitlines()[1:]]))
+
+    assert moved(0.0) == [] and moved(1e-13) == []
+    assert moved(1e-7) == [f"{key}: {float(total)!r} -> {float(total) * (1 + 1e-7)!r}"]
+    assert ledger.sum_changes(recorded, "".join(recorded.splitlines(True)[1:])) != []
+
+
+def test_an_adam_eps_change_moves_every_checkpoints_sums(monkeypatch, tmp_path):
+    # a change that moves no table byte, so a host whose fingerprint differs
+    # from the ledger's would miss it in the tables
+    monkeypatch.setattr(nn, "ADAM_EPS", 1.1e-8)
+    run_dir = ledger.run("binary", tmp_path / "run")
+    recorded = (ledger.ledger_dir("binary") / ledger.SUMS).read_text()
+    changes = ledger.sum_changes(recorded, ledger.checkpoint_sums(run_dir))
+    checkpoints = {line.split()[0] for line in recorded.splitlines()}
+    assert {change.split()[0] for change in changes} == checkpoints
 
 
 def test_a_forced_openblas_kernel_gets_its_own_fingerprint(monkeypatch):

@@ -827,6 +827,14 @@ def test_cli_gen_data_into_a_directory_fails_by_name(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_gen_data_names_the_rows_it_was_given(tmp_path, capsys):
+    out = tmp_path / "flows.csv"
+    assert cli.main(["gen-data", "--out", str(out), "--rows", "-3"]) == 2
+    assert capsys.readouterr().err == ("error [ConfigError]: rows_per_subattack: must be an "
+                                       "integer in [1, inf], got -3\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_unknown_strategy_filter_fails(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"output_dir": str(tmp_path / "o"), "seed": 1}))

@@ -1,18 +1,22 @@
 import csv
+import io
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftfed import atomic
 from driftfed.errors import ConfigError
-from driftfed.pipeline import (REMOVED_SUB_ATTACK, ROSTER, FlowTable, clean, load_records,
-                               records_by_class)
+from driftfed.pipeline import (REMOVED_SUB_ATTACK, ROSTER, SUB_ATTACKS, ColumnSpec, FlowTable,
+                               _load_columns, clean, load_records, records_by_class)
 from driftfed.seeds import rng_for
-from driftfed.synth import (FamilySpec, ScenarioSpec, default_drift_scenario, generate,
-                            write_delimited)
+from driftfed.synth import (WRITE_ROWS, FamilySpec, ScenarioSpec, default_drift_scenario,
+                            generate, write_delimited)
 from driftfed.timeline import temporal_segment
 
-from conftest import tiny_scenario
+from conftest import full_disk, tiny_scenario
 
 
 def _two_family_spec(distance: float, sigma: float = 1.0, rows: int = 400, seed: int = 7):
@@ -214,3 +218,62 @@ def test_write_delimited_bytes_are_repr_floats_through_csv(tmp_path):
         for i in range(len(table)):
             writer.writerow([*(repr(float(v)) for v in table.X[i]), table.labels[i]])
     assert path.read_bytes() == expected.read_bytes()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                  np.nan, np.inf, -np.inf, 0.1, -1.5e-5, 1e16, 123456789.125]
+
+# Delimiters that occur in no field, and ones that occur in a float's repr
+# ("-", ".", "e", "1", "n", "+", "i", "f", "a") or in labels ("-", "_", "D"):
+# csv.writer quotes the fields that hold them
+WRITE_DELIMITERS = [",", ";", "\t", "|", " ", "-", "_", ".", "e", "1", "n", "D", "+", "i",
+                    "f", "a"]
+
+
+@st.composite
+def written_tables(draw):
+    n = draw(st.integers(0, 2 * WRITE_ROWS + 1))
+    width = draw(st.integers(0, 4))
+    # a drawn NaN may carry a sign or payload, which repr does not keep
+    floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
+    values = draw(st.lists(floats, min_size=n * width, max_size=n * width))
+    labels = draw(st.lists(st.sampled_from(SUB_ATTACKS), min_size=n, max_size=n))
+    table = FlowTable.of(np.array(values, dtype=np.float64).reshape(n, width), labels)
+    delimiter = draw(st.sampled_from(WRITE_DELIMITERS))
+    return table, ColumnSpec(tuple(f"c{i}" for i in range(width)), "Attack", delimiter)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=written_tables())
+def test_write_delimited_bytes_are_csv_writer_rows_for_any_delimiter(case, tmp_path_factory):
+    table, spec = case
+    path = tmp_path_factory.mktemp("written") / "flows.csv"
+    write_delimited(table, path, spec)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, delimiter=spec.delimiter)
+    writer.writerow([*spec.feature_columns, spec.label_column])
+    for values, label in zip(table.X.tolist(), table.labels):
+        writer.writerow([*map(repr, values), label])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert load_records(path, spec) == table
+    fast = _load_columns(path, spec)
+    assert fast is None or fast == table
+
+
+@pytest.mark.parametrize("room", [0, 100, 5000])
+def test_write_delimited_failing_partway_keeps_the_previous_file(tmp_path, monkeypatch, room):
+    path = tmp_path / "flows.csv"
+    write_delimited(generate(tiny_scenario(seed=1, rows=2)), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(atomic, "open", full_disk(room), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_delimited(generate(tiny_scenario(seed=2, rows=20)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["flows.csv"]
+
+
+@pytest.mark.parametrize("rows", [0, -3, 2.5, True])
+def test_default_scenario_names_the_rows_it_was_given(rows):
+    message = f"^rows_per_subattack: must be an integer.*got {rows!r}$"
+    with pytest.raises(ConfigError, match=message):
+        default_drift_scenario(1, rows_per_subattack=rows)
