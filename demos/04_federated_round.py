@@ -8,9 +8,9 @@ from a parameter average over everything trained so far.
 
 import numpy as np
 
-from driftfed import (Checkpoint, FedConfig, ModelArch, ModelParams, RowShard,
-                      TrainConfig, fedavg_aggregate, init_from_history, init_params,
-                      predict, run_round)
+from driftfed import (ALL_STRATEGIES, Checkpoint, FedConfig, ModelArch, ModelParams,
+                      RowShard, TrainConfig, fedavg_aggregate, init_from_history,
+                      init_params, predict, run_round)
 from driftfed.federation import RunningAverage
 from driftfed.nn import param_count
 
@@ -45,8 +45,8 @@ history = [
     Checkpoint(ModelParams(arch, np.full(width, 1.0)), 2, 300, 0.0),
     Checkpoint(ModelParams(arch, np.full(width, 1.0)), 3, 100, 0.0),
 ]
-for mode in ("equal", "sample", "ema"):
-    running = RunningAverage(mode, ema_alpha=0.6)
+for strategy in [s for s in ALL_STRATEGIES if s.averages]:
+    running = RunningAverage(strategy)
     for ckpt in history:
         merged = init_from_history(running, ckpt)
-    print(f"init_from_history[{mode:<6}] -> element value {merged.vec[0]:.3f}")
+    print(f"init_from_history[{strategy.label:<10}] -> element value {merged.vec[0]:.3f}")

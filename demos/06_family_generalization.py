@@ -7,21 +7,21 @@ bundled scenario MQTT and DDoS are engineered to be the farthest-apart
 pair, so their cross cells collapse while DoS-style neighbours transfer.
 At full scale on real flood traffic the DoS/DDoS cross cell is typically
 near-perfect; treat published figures as reference points, not targets.
+
+The matrix reads a run config and prepares, deals and trains as a run
+does: here the desk-scale preset at learning rate 0.01.
 """
 
-from driftfed import (FedConfig, ModelArch, TrainConfig, attack_generalization_matrix,
-                      default_drift_scenario, generate, stratified_split)
-from driftfed.timeline import FAMILY_MEMBERS
+from driftfed import attack_generalization_matrix
+from driftfed.runner import config_from_dict
 
-records = generate(default_drift_scenario(seed=3, rows_per_subattack=300))
-train_rows, test_rows = stratified_split(records, 0.8, seed=3)
-
-families = ["MQTT", "DoS", "DDoS", "Recon", "Spoofing"]
-cfg = FedConfig(num_clients=5, rounds=3, train=TrainConfig(local_epochs=5))
-arch = ModelArch(input_dim=45, hidden_layers=1, hidden_units=16, output_dim=2)
-
-matrix = attack_generalization_matrix(families, records, train_rows, test_rows, cfg, arch,
-                                      FAMILY_MEMBERS, seed=3)
+cfg = config_from_dict({
+    "desk_scale": True,
+    "seed": 3,
+    "data": {"synthetic": {"rows_per_subattack": 300}},
+    "federation": {"train": {"learning_rate": 0.01}},
+})
+matrix = attack_generalization_matrix(cfg)
 
 header = " ".join(f"{name:>9}" for name in matrix.families) + "      mean"
 corner = "train \\ test"

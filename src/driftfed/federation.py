@@ -18,16 +18,12 @@ import numpy as np
 
 from .atomic import write_atomic
 from .dataset import RowShard
-from .errors import (AggregationError, CheckpointError, ConfigError, DivergenceError,
-                     DriftFedError, FederationError, check_field)
+from .errors import (AggregationError, CheckpointError, DivergenceError, DriftFedError,
+                     FederationError, check_field)
 from .nn import (ModelArch, ModelParams, Optimizer, TrainConfig, cohort_size, init_params,
                  param_count, predict, train_local)
 from .seeds import derive_seed
 from .timeline import StrategyConfig
-
-AVERAGING_MODES = ("equal", "sample", "ema")
-
-_INIT_MODE_BY_KIND = {"avg_equal": "equal", "avg_sample": "sample", "avg_ema": "ema"}
 
 
 @dataclass(frozen=True)
@@ -136,23 +132,19 @@ def run_round(global_params: ModelParams, client_train: list[RowShard],
 class RunningAverage:
     """Parameter average over period checkpoints, folded in one at a time in period order.
 
-    equal and sample keep the weighted sum of the parameters, from zero, and
-    the weights: sample weighs a checkpoint by its training sample count,
-    equal by one, so equal is the weighted sum with unit weights. ema keeps
-    the EMA itself, e_1 = params_1, e_k = alpha*params_k + (1-alpha)*e_{k-1},
-    and needs ``ema_alpha`` (``StrategyConfig`` holds its default). An
-    average of one checkpoint is that checkpoint, so the first is kept only
-    until the second arrives. The bits are those of ``np.mean`` and
-    ``np.average`` over the stacked checkpoints: their axis-0 sum adds the
-    rows in order, starting from zero.
+    The average is the averaging strategy's: its ``kind`` and ``ema_alpha``.
+    avg_equal and avg_sample keep the weighted sum of the parameters, from
+    zero, and the weights: avg_sample weighs a checkpoint by its training
+    sample count, avg_equal by one, so avg_equal is the weighted sum with
+    unit weights. avg_ema keeps the EMA itself, e_1 = params_1,
+    e_k = alpha*params_k + (1-alpha)*e_{k-1}. An average of one checkpoint
+    is that checkpoint, so the first is kept only until the second arrives.
+    The bits are those of ``np.mean`` and ``np.average`` over the stacked
+    checkpoints: their axis-0 sum adds the rows in order, starting from zero.
     """
 
-    def __init__(self, mode: str, ema_alpha: float | None = None):
-        if mode not in AVERAGING_MODES:
-            raise ConfigError(f"mode must be one of {AVERAGING_MODES}")
-        if mode == "ema" and ema_alpha is None:
-            raise ConfigError("ema averaging needs ema_alpha")
-        self.mode, self.ema_alpha = mode, ema_alpha
+    def __init__(self, strategy: StrategyConfig):
+        self.kind, self.ema_alpha = strategy.kind, strategy.ema_alpha
         self.arch: ModelArch | None = None
         self.weights: list[float] = []
         self.first: ModelParams | None = None
@@ -163,8 +155,8 @@ class RunningAverage:
         if self.weights and params.arch != self.arch:
             raise AggregationError("checkpoint architectures differ")
         self.arch = params.arch
-        weight = 1.0 if self.mode == "equal" else float(ckpt.train_sample_count)
-        if self.mode == "ema":
+        weight = 1.0 if self.kind == "avg_equal" else float(ckpt.train_sample_count)
+        if self.kind == "avg_ema":
             if self.weights:  # e_k in a fresh vector
                 prev = self.first.vec if self.acc is None else self.acc
                 self.acc = np.multiply(prev, 1.0 - self.ema_alpha)
@@ -182,7 +174,7 @@ class RunningAverage:
             raise AggregationError("history must contain at least one checkpoint")
         if self.first is not None:  # kept as is: (w * x) / w is not always x
             return self.first
-        if self.mode == "ema":
+        if self.kind == "avg_ema":
             return ModelParams(self.arch, self.acc)  # each add makes a fresh EMA vector
         total = np.array(self.weights, dtype=float).sum()
         if total <= 0:
@@ -236,8 +228,7 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
     the timeline keeps none. Returns the round logs.
     """
     logs: list[RoundLog] = []
-    mode = _INIT_MODE_BY_KIND.get(strategy.kind)
-    running = None if mode is None else RunningAverage(mode, strategy.ema_alpha)
+    running = RunningAverage(strategy) if strategy.averages else None
     params = init_params(arch, seed=derive_seed(seed, "model-init"))
     ckpt = None
 

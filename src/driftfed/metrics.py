@@ -1,4 +1,4 @@
-"""Classification metrics, cross-period evaluation, latency accounting.
+"""Scoring only: classification metrics, cross-period evaluation, latency accounting.
 
 FAR definition used throughout this package: the fraction of benign samples
 predicted as any attack class (benign row of the confusion matrix, off-
@@ -9,19 +9,15 @@ choices; the report headers repeat them.
 from __future__ import annotations
 
 import time
-import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import RowShard
 from .errors import DivergenceError, EvaluationError, MetricError
-from .federation import Checkpoint, FedConfig, PeriodInput, run_timeline
-from .nn import ModelArch, ModelParams, predict
-from .pipeline import CODECS, NO_ROWS, FlowTable, concat_rows, encode_labels, records_by_class
-from .seeds import derive_seed
-from .timeline import StrategyConfig, partition_iid
+from .federation import Checkpoint
+from .nn import ModelParams, predict
 
 FAR_DEFINITION = "FAR = benign samples predicted as attack / total benign samples"
 
@@ -175,72 +171,3 @@ def protocol_cells(reports: list[MetricsReport],
             raise EvaluationError(f"missing evaluation cell for test period t{period}")
         cells[period] = cell
     return cells
-
-
-@dataclass
-class GeneralizationMatrix:
-    """Cross-family accuracy: rows = training family, columns = test family."""
-
-    families: list[str]
-    values: np.ndarray  # (F, F + 1); last column is the row mean
-
-    def row(self, family: str) -> np.ndarray:
-        return self.values[self.families.index(family)]
-
-
-def attack_generalization_matrix(families: list[str], table: FlowTable,
-                                 train_rows: np.ndarray, test_rows: np.ndarray,
-                                 cfg: FedConfig, arch: ModelArch,
-                                 family_members: dict[str, tuple[str, ...]],
-                                 seed: int) -> GeneralizationMatrix:
-    """Train Benign-vs-family binary models and score them across families.
-
-    ``train_rows`` and ``test_rows`` index ``table``, as ``stratified_split``
-    returns them. Cell (i, j) is the accuracy of the model trained on
-    (Benign, family i) over the test rows of (Benign, family j). Each
-    family's model is one period of :func:`run_timeline` scored by
-    :func:`cross_period_eval`, so a diverged model raises
-    :class:`DivergenceError`. Each family's partition, model and training
-    derive from ``seed``. Families without data are skipped with a warning.
-    """
-    codec = CODECS["binary"]
-    train_by_class = records_by_class(table, train_rows)
-    test_by_class = records_by_class(table, test_rows)
-    benign_train = train_by_class.get("Benign", NO_ROWS)
-    benign_test = test_by_class.get("Benign", NO_ROWS)
-    if not len(benign_train) or not len(benign_test):
-        raise EvaluationError("benign train and test rows are required")
-
-    usable = []
-    for family in families:
-        members = family_members.get(family, ())
-        has_train = any(m in train_by_class for m in members)
-        has_test = any(m in test_by_class for m in members)
-        if has_train and has_test:
-            usable.append(family)
-        else:
-            warnings.warn(f"family {family!r} has no data; skipping")
-    if len(usable) < 2:
-        raise EvaluationError("need at least two families with benign data")
-
-    def family_rows(by_class, family):
-        return concat_rows(by_class.get(m, NO_ROWS) for m in family_members[family])
-
-    arch = replace(arch, output_dim=codec.num_classes)
-    test_sets = {j: encode_labels(codec, table, concat_rows(
-                     [benign_test, family_rows(test_by_class, fam_test)]))
-                 for j, fam_test in enumerate(usable)}
-    values = np.zeros((len(usable), len(usable) + 1))
-    for i, fam_train in enumerate(usable):
-        pool = {"Benign": benign_train, fam_train: family_rows(train_by_class, fam_train)}
-        fam_seed = derive_seed(seed, "generalization", fam_train)
-        clients = partition_iid(pool, cfg.num_clients, fam_seed)
-        shards = [encode_labels(codec, table, concat_rows([c.train, c.client_test, c.validation]))
-                  for c in clients]
-        period = PeriodInput(0, [s for s in shards if len(s) > 0], None)
-        checkpoints = []
-        run_timeline(StrategyConfig("static"), [period], cfg, arch, fam_seed, checkpoints.append)
-        reports = cross_period_eval(checkpoints, test_sets, codec.num_classes)
-        values[i, :len(usable)] = [r.accuracy for r in reports]
-        values[i, -1] = values[i, :len(usable)].mean()
-    return GeneralizationMatrix(usable, values)

@@ -12,6 +12,8 @@ configured strategy and writes, per task:
   checkpoints/<strategy>/t<i>.ckpt
   manifest.json           resolved config, seeds, artifact list, statuses
 
+``attack_generalization_matrix`` prepares, deals and trains as a run does.
+
 Checkpoints and the manifest are not keyed by task, so an output directory
 holds one task's run: ``validate_config`` refuses a directory whose manifest
 records another task.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -34,12 +37,14 @@ import numpy as np
 
 from . import timeline as tl
 from .atomic import read_json, write_atomic, write_json
-from .errors import ConfigError, DriftFedError, ReportError, check_field
+from .errors import ConfigError, DriftFedError, EvaluationError, ReportError, check_field
 from .federation import FedConfig, PeriodInput, load_checkpoint, run_timeline, save_checkpoint
 from .metrics import FAR_DEFINITION, cross_period_eval, protocol_cells
 from .nn import ModelArch, TrainConfig
-from .pipeline import (ColumnSpec, LabelCodec, apply_scaler, clean, concat_rows, encode_labels,
-                       fit_scaler, load_records, records_by_class, stratified_split)
+from .pipeline import (NO_ROWS, ROSTER, ColumnSpec, LabelCodec, apply_scaler, clean,
+                       concat_rows, encode_labels, fit_scaler, load_records, records_by_class,
+                       stratified_split)
+from .seeds import derive_seed
 from .synth import NUM_FEATURES, default_column_spec, default_drift_scenario, generate
 from .timeline import (StrategyConfig, StrategyComposer, build_schedule, build_test_sets,
                        partition_iid, rng_seed_for_period, segment_and_cap)
@@ -247,15 +252,19 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
                         f"would get no rows of a first-period pool")
     if not cfg.data.is_synthetic() and not Path(cfg.data.path).is_file():
         problems.append(f"data.path: not a file: {cfg.data.path!r}")
+    return problems + _width_problems(cfg, records)
+
+
+def _width_problems(cfg: RunConfig, records=None) -> list[str]:
+    """Why the arch cannot read the data's rows; empty when it can."""
     try:
         features = _feature_count(cfg, records)
     except ConfigError as exc:
-        problems.append(f"data.column_spec: {exc}")
-    else:
-        if cfg.arch.feature_width != features:
-            problems.append(f"arch: input_dim * seq_len = {cfg.arch.feature_width} must equal "
-                            f"the {features} features per row of the data")
-    return problems
+        return [f"data.column_spec: {exc}"]
+    if cfg.arch.feature_width != features:
+        return [f"arch: input_dim * seq_len = {cfg.arch.feature_width} must equal "
+                f"the {features} features per row of the data"]
+    return []
 
 
 def _feature_count(cfg: RunConfig, records=None) -> int:
@@ -294,6 +303,15 @@ def _load_dataset(cfg: RunConfig):
     return load_records(cfg.data.path, _column_spec(cfg))
 
 
+def _scaled_split(cfg: RunConfig, records=None):
+    """``(table, train_rows, test_rows)``: the table cleaned, split and scaled."""
+    table = clean(_load_dataset(cfg) if records is None else records)
+    train_rows, test_rows = stratified_split(table, cfg.train_fraction, cfg.seed)
+    owned = table is not records
+    table = apply_scaler(fit_scaler(table, train_rows), table, out=table.X if owned else None)
+    return table, train_rows, test_rows
+
+
 def prepare_experiment(cfg: RunConfig, records=None):
     """Shared data preparation: clean, split, scale, segment, cap, test sets.
 
@@ -309,11 +327,7 @@ def prepare_experiment(cfg: RunConfig, records=None):
     where they lie. Past that point no labeled set holds features: training
     shards, validation sets and test sets are row indices into the table.
     """
-    table = clean(_load_dataset(cfg) if records is None else records)
-    train_rows, test_rows = stratified_split(table, cfg.train_fraction, cfg.seed)
-    owned = table is not records
-    table = apply_scaler(fit_scaler(table, train_rows), table, out=table.X if owned else None)
-
+    table, train_rows, test_rows = _scaled_split(cfg, records)
     schedule = build_schedule(cfg.task)
     n_train_periods = sum(p.has_training for p in schedule)
 
@@ -331,6 +345,15 @@ def prepare_experiment(cfg: RunConfig, records=None):
         "encoded_tests": encoded_tests,
         "codec": codec,
     }
+
+
+def _period_input(cfg: RunConfig, codec: LabelCodec, table, pool: dict[str, np.ndarray],
+                  period_id: int, seed: int) -> PeriodInput:
+    """``pool`` dealt to the clients: their training shards and one validation set."""
+    clients = partition_iid(pool, cfg.fed.num_clients, seed)
+    val_rows = concat_rows(c.validation for c in clients)
+    return PeriodInput(period_id, [encode_labels(codec, table, c.train) for c in clients],
+                       encode_labels(codec, table, val_rows) if len(val_rows) else None)
 
 
 def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig) -> dict:
@@ -355,14 +378,8 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig) -> dict:
     for period_id in composer.training_periods():
         pool = composer.compose(period_id)
         composition[f"t{period_id}"] = {cls: len(rows) for cls, rows in pool.items()}
-        clients = partition_iid(pool, cfg.fed.num_clients,
-                                rng_seed_for_period(cfg.seed, strategy, period_id))
-        val_rows = concat_rows(c.validation for c in clients)
-        period_inputs.append(PeriodInput(
-            period_id=period_id,
-            client_train=[encode_labels(codec, table, c.train) for c in clients],
-            val=encode_labels(codec, table, val_rows) if len(val_rows) else None,
-        ))
+        period_inputs.append(_period_input(cfg, codec, table, pool, period_id,
+                                           rng_seed_for_period(cfg.seed, strategy, period_id)))
 
     out_dir = Path(cfg.output_dir)
     ckpt_dir = out_dir / "checkpoints" / strategy.label
@@ -434,6 +451,64 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
     artifacts.extend(write_reports(out_dir, doc))
     _write_manifest(out_dir, cfg, doc, failures, artifacts)
     return RunResult(out_dir, doc, failures, artifacts)
+
+
+@dataclass
+class GeneralizationMatrix:
+    """Cross-family accuracy: rows = training family, columns = test family."""
+
+    families: list[str]
+    values: np.ndarray  # (F, F + 1); last column is the row mean
+
+    def row(self, family: str) -> np.ndarray:
+        return self.values[self.families.index(family)]
+
+
+def attack_generalization_matrix(cfg: RunConfig, records=None) -> GeneralizationMatrix:
+    """Train Benign-vs-family binary detectors and score them across families.
+
+    Reads ``cfg.data`` (or ``records``), ``cfg.arch`` (at two outputs),
+    ``cfg.fed``, ``cfg.train_fraction`` and ``cfg.seed``. Cell (i, j) is the
+    accuracy of the detector of (Benign, family i) on the test rows of
+    (Benign, family j). Each detector is one period of a ``static`` run,
+    seeded by its family, so a diverged one raises :class:`DivergenceError`.
+    The families are the roster's; one without rows is skipped with a warning.
+    """
+    problems = _width_problems(cfg, records)
+    if problems:
+        raise ConfigError("invalid matrix config: " + "; ".join(problems))
+    table, train_rows, test_rows = _scaled_split(cfg, records)
+
+    def by_category(rows):
+        by_class = records_by_class(table, rows)
+        return {cat: concat_rows(by_class.get(m, NO_ROWS) for m in members)
+                for cat, members in ROSTER.items()}
+
+    train, test = by_category(train_rows), by_category(test_rows)
+    if not len(train["Benign"]) or not len(test["Benign"]):
+        raise EvaluationError("benign train and test rows are required")
+    families = [f for f in tl.FAMILY_MEMBERS if len(train[f]) and len(test[f])]
+    for family in tl.FAMILY_MEMBERS:
+        if family not in families:
+            warnings.warn(f"family {family!r} has no data; skipping")
+    if len(families) < 2:
+        raise EvaluationError("need at least two families with benign data")
+
+    codec = LabelCodec.for_task("binary")
+    arch = replace(cfg.arch, output_dim=codec.num_classes)
+    test_sets = {j: encode_labels(codec, table, concat_rows([test["Benign"], test[family]]))
+                 for j, family in enumerate(families)}
+    values = np.zeros((len(families), len(families) + 1))
+    for i, family in enumerate(families):
+        seed = derive_seed(cfg.seed, "generalization", family)
+        pool = {"Benign": train["Benign"], family: train[family]}
+        checkpoints = []
+        run_timeline(StrategyConfig("static"), [_period_input(cfg, codec, table, pool, 0, seed)],
+                     cfg.fed, arch, seed, checkpoints.append)
+        reports = cross_period_eval(checkpoints, test_sets, codec.num_classes)
+        values[i, :-1] = [r.accuracy for r in reports]
+        values[i, -1] = values[i, :-1].mean()
+    return GeneralizationMatrix(families, values)
 
 
 # --- report rendering --------------------------------------------------------

@@ -82,6 +82,11 @@ class StrategyConfig:
         check_field("ema_alpha", self.ema_alpha, "number", 0, 1, optional=True)
 
     @property
+    def averages(self) -> bool:
+        """Whether a period starts from an average of the earlier checkpoints."""
+        return self.kind.startswith("avg_")
+
+    @property
     def label(self) -> str:
         if self.kind == "retain":
             return f"retain_{self.retain_r}"

@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftfed import metrics
-from driftfed.errors import DivergenceError, EvaluationError, MetricError
+from driftfed import metrics, runner
+from driftfed.errors import (ConfigError, DivergenceError, EvaluationError, FederationError,
+                             MetricError)
 from driftfed.federation import Checkpoint, FedConfig
-from driftfed.metrics import (GeneralizationMatrix, attack_generalization_matrix,
-                              confusion, cross_period_eval, false_alarm_rate,
-                              macro_prf, measure_inference, micro_accuracy,
-                              protocol_cells)
+from driftfed.metrics import (confusion, cross_period_eval, false_alarm_rate, macro_prf,
+                              measure_inference, micro_accuracy, protocol_cells)
 from driftfed.nn import ModelArch, TrainConfig, init_params, param_count, predict
-from driftfed.pipeline import stratified_split
-from driftfed.synth import FamilySpec, ScenarioSpec, generate
+from driftfed.runner import DataSource, RunConfig, attack_generalization_matrix
+from driftfed.synth import FamilySpec, ScenarioSpec, generate, write_delimited
 
 from conftest import rows_of_one_table, whole
 
@@ -224,45 +223,75 @@ def _family_scenario(seed=0, rows=260):
     return ScenarioSpec(num_features=10, families=tuple(families), seed=seed)
 
 
+def _matrix_config(seed=1, hidden=8, rounds=2, epochs=6, lr=0.01, input_dim=10, clients=2,
+                   **data):
+    return RunConfig(data=DataSource(**data),
+                     arch=ModelArch(input_dim=input_dim, hidden_layers=1, hidden_units=hidden),
+                     fed=FedConfig(num_clients=clients, rounds=rounds,
+                                   train=TrainConfig(local_epochs=epochs, learning_rate=lr)),
+                     seed=seed)
+
+
+def _matrix(cfg, records):
+    """The matrix of ``records``, whose scenario has no DDoS or Spoofing rows."""
+    with pytest.warns(UserWarning) as caught:
+        matrix = attack_generalization_matrix(cfg, records)
+    assert [str(w.message) for w in caught] == [
+        "family 'DDoS' has no data; skipping", "family 'Spoofing' has no data; skipping"]
+    return matrix
+
+
 def test_attack_generalization_matrix_diagonal_dominates():
-    table = generate(_family_scenario())
-    train, test = stratified_split(table, 0.8, seed=0)
-    members = {"MQTT": ("MQTT-Malformed_Data",), "DoS": ("TCP_IP-DoS-SYN",),
-               "Recon": ("Recon-Ping_Sweep",)}
-    cfg = FedConfig(num_clients=2, rounds=2,
-                    train=TrainConfig(local_epochs=6, learning_rate=0.01))
-    arch = ModelArch(input_dim=10, hidden_layers=1, hidden_units=8, output_dim=2)
-    matrix = attack_generalization_matrix(["MQTT", "DoS", "Recon"], table, train, test,
-                                          cfg, arch, members, seed=1)
-    f = len(matrix.families)
-    assert matrix.values.shape == (f, f + 1)
-    for i in range(f):
-        row = matrix.values[i, :f]
-        assert row[i] == row.max()
-        assert matrix.values[i, -1] == pytest.approx(row.mean())
+    for seed in range(4):
+        matrix = _matrix(_matrix_config(seed=seed), generate(_family_scenario(seed=seed)))
+        f = len(matrix.families)
+        assert matrix.values.shape == (f, f + 1)
+        for i in range(f):
+            row = matrix.values[i, :f]
+            assert row[i] == row.max(), (seed, matrix.families[i])
+            assert matrix.values[i, -1] == pytest.approx(row.mean())
 
 
 def test_attack_generalization_matrix_flags_a_diverged_model():
-    table = generate(_family_scenario())
-    train, test = stratified_split(table, 0.8, seed=0)
-    members = {"MQTT": ("MQTT-Malformed_Data",), "DoS": ("TCP_IP-DoS-SYN",)}
     # a step near the float64 limit overflows the weights, as in run_timeline's tests
-    cfg = FedConfig(num_clients=2, rounds=1,
-                    train=TrainConfig(local_epochs=1, learning_rate=1e308))
-    arch = ModelArch(input_dim=10, hidden_layers=1, hidden_units=4, output_dim=2)
-    with pytest.raises(DivergenceError, match="period 0 round 0"):
-        attack_generalization_matrix(["MQTT", "DoS"], table, train, test, cfg, arch, members,
-                                     seed=1)
+    cfg = _matrix_config(hidden=4, rounds=1, epochs=1, lr=1e308)
+    with pytest.warns(UserWarning), pytest.raises(DivergenceError, match="period 0 round 0"):
+        attack_generalization_matrix(cfg, generate(_family_scenario()))
 
 
-def test_attack_generalization_matrix_skips_missing_family(rng):
-    table = generate(_family_scenario())
-    train, test = stratified_split(table, 0.8, seed=0)
-    members = {"MQTT": ("MQTT-Malformed_Data",), "DoS": ("TCP_IP-DoS-SYN",),
-               "DDoS": ("TCP_IP-DDoS-SYN",)}
-    cfg = FedConfig(num_clients=2, rounds=1, train=TrainConfig(local_epochs=2))
-    arch = ModelArch(input_dim=10, hidden_layers=1, hidden_units=4, output_dim=2)
-    with pytest.warns(UserWarning, match="DDoS"):
-        matrix = attack_generalization_matrix(["MQTT", "DoS", "DDoS"], table, train, test,
-                                              cfg, arch, members, seed=1)
-    assert matrix.families == ["MQTT", "DoS"]
+def test_attack_generalization_matrix_skips_missing_family():
+    matrix = _matrix(_matrix_config(hidden=4, rounds=1, epochs=2),
+                     generate(_family_scenario()))
+    assert matrix.families == ["MQTT", "DoS", "Recon"]
+
+
+def test_attack_generalization_matrix_names_a_client_without_rows():
+    # 208 training rows per class: clients from index 208 on are dealt none
+    cfg = _matrix_config(rounds=1, epochs=1, clients=210)
+    with pytest.warns(UserWarning), pytest.raises(FederationError, match="client 208 "):
+        attack_generalization_matrix(cfg, generate(_family_scenario()))
+
+
+def test_attack_generalization_matrix_is_deterministic():
+    cfg, records = _matrix_config(rounds=1), generate(_family_scenario())
+    first, second = _matrix(cfg, records), _matrix(cfg, records)
+    assert first.values.tobytes() == second.values.tobytes()
+
+
+def test_attack_generalization_matrix_reads_a_file_as_its_records(tmp_path):
+    records = generate(_family_scenario())
+    path = tmp_path / "flows.csv"
+    write_delimited(records, path)
+    from_file = _matrix(_matrix_config(rounds=1, path=str(path)), None)
+    from_records = _matrix(_matrix_config(rounds=1), records)
+    assert from_file.families == from_records.families
+    assert from_file.values.tobytes() == from_records.values.tobytes()
+
+
+def test_attack_generalization_matrix_refuses_an_arch_of_another_width(monkeypatch):
+    def no_preparation(*args):
+        raise AssertionError("the matrix prepared data for an arch that cannot read it")
+
+    monkeypatch.setattr(runner, "clean", no_preparation)
+    with pytest.raises(ConfigError, match=r"input_dim \* seq_len = 9 must equal the 10 "):
+        attack_generalization_matrix(_matrix_config(input_dim=9), generate(_family_scenario()))

@@ -54,5 +54,8 @@ def test_tracer_fills_the_per_layer_table(tmp_path):
     table = tracing.layer_table(tracer.spans)
     for name in ("nn.steps", "nn.train_local_s", "nn.forward_us_per_step",
                  "nn.backward_us_per_step", "federation.round_s", "federation.fedavg_calls",
-                 "metrics.predict_rows", "runner.phase.train_s"):
+                 "metrics.predict_rows", "runner.phase.train_s",
+                 # preparation and dealing, which run through runner's helpers
+                 "pipeline.prepare_s", "pipeline.encode_rows", "timeline.compose_calls",
+                 "timeline.partition_s"):
         assert table[name] > 0, name
