@@ -67,11 +67,9 @@ REMOVED_SUB_ATTACK = "MQTT-DoS-Publish_Flood"
 # Every label a table can hold, in roster order; a row's ``sub`` code indexes it.
 SUB_ATTACKS = (*(sub for subs in ROSTER.values() for sub in subs), REMOVED_SUB_ATTACK)
 _CODE_OF = {sub: code for code, sub in enumerate(SUB_ATTACKS)}
-_CATEGORY_OF = {sub: cat for cat, subs in ROSTER.items() for sub in subs}
-_CATEGORY_OF[REMOVED_SUB_ATTACK] = "MQTT"
-# six-class index per sub-attack code
-_CATEGORY_INDEX = np.array([CATEGORIES.index(_CATEGORY_OF[s]) for s in SUB_ATTACKS],
-                           dtype=np.int64)
+# six-class index per sub-attack code; the removed sub-attack is MQTT's
+_CATEGORY_INDEX = np.array([i for i, subs in enumerate(ROSTER.values()) for _ in subs]
+                           + [CATEGORIES.index("MQTT")], dtype=np.int64)
 
 NO_ROWS = np.empty(0, dtype=np.intp)
 
@@ -80,10 +78,7 @@ SCALER_ROWS = 2**10
 
 
 def category_of(sub_attack: str) -> str:
-    try:
-        return _CATEGORY_OF[sub_attack]
-    except KeyError:
-        raise CodecError(f"sub-attack label not in the roster: {sub_attack!r}") from None
+    return CATEGORIES[_CATEGORY_INDEX[sub_code(sub_attack)]]
 
 
 def sub_code(sub_attack: str) -> int:
@@ -209,11 +204,8 @@ _QUOTE = '"'
 # Rows ``_load_columns`` parses in one ``np.loadtxt`` call.
 LOAD_ROWS = 256
 
-# The roster sorted, for ``np.searchsorted``, and each name's code. A label
-# field holds one character more than the longest name, so a longer label
-# reads as off the roster instead of being cut to fit one.
-_SORTED_LABELS = np.array(sorted(SUB_ATTACKS))
-_SORTED_CODES = np.array([_CODE_OF[name] for name in _SORTED_LABELS.tolist()], dtype=np.intp)
+# A label field holds one character more than the longest roster name, so a
+# longer label reads as off the roster instead of being cut to fit one.
 _LABEL_DTYPE = np.dtype(f"U{max(map(len, SUB_ATTACKS)) + 1}")
 
 
@@ -257,10 +249,12 @@ def _load_columns(path: Path, spec: ColumnSpec) -> FlowTable | None:
     The byte check counts the line feeds, so the matrix is allocated once.
     On the open handle past the header, each block of :data:`LOAD_ROWS`
     rows is one ``np.loadtxt`` call that parses the feature columns and the
-    label column together. Returns None when the file is not plain text,
-    when the parser warns or fails (a ragged, blank or badly quoted row),
-    when the rows do not match the count, or when a label is off the
-    roster, so the row scan decides (and names the problem).
+    label column together; each label becomes its code through
+    :data:`_CODE_OF`, the table the row scan reads too. Returns None when
+    the file is not plain text, when the parser warns or fails (a ragged,
+    blank or badly quoted row), when the rows do not match the count, or
+    when a label is off the roster, so the row scan decides (and names the
+    problem).
     """
     lines = 0
     last = b"\n"
@@ -292,11 +286,10 @@ def _load_columns(path: Path, spec: ColumnSpec) -> FlowTable | None:
                     if len(block) != hi - lo:
                         return None
                     X[lo:hi] = block["x"]
-                    at = np.searchsorted(_SORTED_LABELS, block["label"])
-                    np.minimum(at, len(_SORTED_LABELS) - 1, out=at)
-                    if not np.array_equal(_SORTED_LABELS[at], block["label"]):
+                    codes = [_CODE_OF.get(name) for name in block["label"].tolist()]
+                    if None in codes:
                         return None
-                    sub[lo:hi] = _SORTED_CODES[at]
+                    sub[lo:hi] = codes
             except (ValueError, Warning):
                 return None
         if fh.read(1):  # rows the line feeds did not count

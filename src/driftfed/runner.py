@@ -10,6 +10,7 @@ configured strategy and writes, per task:
   cells_<task>.csv        full checkpoint x test-period matrix, metric fields
   composition_<task>.csv  per-strategy period/class/row-count audit
   checkpoints/<strategy>/t<i>.ckpt
+                          one per training period, for each strategy that succeeded
   manifest.json           resolved config, seeds, artifact list, statuses
 
 ``attack_generalization_matrix`` prepares, deals and trains as a run does.
@@ -22,7 +23,7 @@ Every file is written to a temp file beside it and renamed into place, so a
 failed write leaves the previous version.
 
 Accuracy, cells and composition tables are deterministic for a fixed config;
-timing lives only in the latency table, the JSON document and the manifest.
+timing lives only in the latency table and the JSON document.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .pipeline import (NO_ROWS, ROSTER, ColumnSpec, LabelCodec, apply_scaler, cl
                        concat_rows, encode_labels, fit_scaler, load_records, records_by_class,
                        stratified_split)
 from .seeds import derive_seed
-from .synth import NUM_FEATURES, default_column_spec, default_drift_scenario, generate
+from .synth import default_column_spec, default_drift_scenario, generate
 from .timeline import (StrategyConfig, StrategyComposer, build_schedule, build_test_sets,
                        partition_iid, rng_seed_for_period, segment_and_cap)
 
@@ -69,8 +70,9 @@ ALL_STRATEGIES = (
 class DataSource:
     """Either a synthetic scenario or a delimited file plus column spec.
 
-    The column spec names the file's delimiter; a file without one is read
-    as ``driftfed gen-data`` writes it, comma-separated.
+    The column spec names the file's columns and delimiter; a file without
+    one has the layout ``driftfed gen-data`` writes, ``f00``..``f44`` and
+    ``Attack``, comma-separated.
     """
 
     synthetic_seed: int | None = None
@@ -221,15 +223,17 @@ def load_config(path) -> RunConfig:
 def validate_config(cfg: RunConfig, records=None) -> list[str]:
     """Diagnostics that need the filesystem or the data; empty means runnable.
 
-    A malformed field never gets here: its dataclass rejects it. ``records``,
-    when given, is the table a run would use instead of ``cfg.data``, so its
-    width is the feature count the arch must match. An output directory
-    whose manifest records another task is refused, since the run would
-    overwrite that task's checkpoints and manifest, and so is an output path
-    that is, or lies under, an existing path that is not a directory. A
-    train cap below the client count is refused: ``partition_iid`` deals
-    each class from client 0, so a pool whose classes all hold at most
-    ``caps.train`` rows leaves the clients from that index on with none.
+    A malformed field never gets here: its dataclass rejects it. The arch
+    must match the data's feature count: 45 for the synthetic scenario and
+    for a file without a column spec, the spec's feature columns otherwise,
+    and the width of ``records`` when given (the table a run would use
+    instead of ``cfg.data``). An output directory whose manifest records
+    another task is refused, since the run would overwrite that task's
+    checkpoints and manifest, and so is an output path that is, or lies
+    under, an existing path that is not a directory. A train cap below the
+    client count is refused: ``partition_iid`` deals each class from client
+    0, so a pool whose classes all hold at most ``caps.train`` rows leaves
+    the clients from that index on with none.
     """
     problems: list[str] = []
     out_dir = Path(cfg.output_dir)
@@ -271,16 +275,14 @@ def _feature_count(cfg: RunConfig, records=None) -> int:
     """Features per row of the data a run reads."""
     if records is not None:
         return records.width
-    if cfg.data.is_synthetic():
-        return NUM_FEATURES
     return len(_column_spec(cfg).feature_columns)
 
 
 def _column_spec(cfg: RunConfig) -> ColumnSpec:
-    """Columns of the data file: its JSON spec, or the default with input_dim columns."""
+    """Columns of the data: the file's JSON spec, or gen-data's layout."""
     if cfg.data.column_spec_path:
         return ColumnSpec.from_json(cfg.data.column_spec_path)
-    return default_column_spec(cfg.arch.input_dim)
+    return default_column_spec()
 
 
 @dataclass
@@ -362,9 +364,11 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig) -> dict:
     Each period's checkpoint is saved as the period ends, under a staging
     directory ``checkpoints/.<label>.tmp`` of the output directory, so the
     run holds one checkpoint at a time. Evaluation then reads them back one
-    at a time. The files move to ``checkpoints/<label>/`` when the strategy
-    has succeeded; if it fails, the staging directory is removed and
-    nothing of the strategy is left.
+    at a time. When the strategy has succeeded, the staging directory
+    replaces ``checkpoints/<label>/`` whole. If it fails, the staging
+    directory is removed, and on a :class:`DriftFedError` (a failure the
+    manifest records) so is ``checkpoints/<label>/``: nothing of the
+    strategy is left, from this run or an earlier one.
     """
     schedule = prep["schedule"]
     table = prep["table"]
@@ -403,9 +407,11 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig) -> dict:
         reports = cross_period_eval((load_checkpoint(staging / name) for name in names),
                                     prep["encoded_tests"], codec.num_classes)
         protocol = protocol_cells(reports, list(tl.test_periods(cfg.task)))
-        ckpt_dir.mkdir(exist_ok=True)
-        for name in names:
-            os.replace(staging / name, ckpt_dir / name)
+        shutil.rmtree(ckpt_dir, ignore_errors=True)
+        staging.rename(ckpt_dir)
+    except DriftFedError:
+        shutil.rmtree(ckpt_dir, ignore_errors=True)
+        raise
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return {
@@ -629,9 +635,5 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, doc: dict,
                      **{label: f"failed: {msg}" for label, msg in failures.items()}},
         "partial": bool(failures),
         "artifacts": sorted(artifacts),
-        "timing": {
-            label: {"train_total_seconds": sum(entry["train_latency_seconds"].values())}
-            for label, entry in doc["strategies"].items()
-        },
     }
     write_json(out_dir / "manifest.json", manifest)

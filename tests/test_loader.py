@@ -182,6 +182,17 @@ def test_tables_over_several_blocks_load_bit_exact_on_the_fast_path(tmp_path, de
     assert fast == table
 
 
+def test_every_roster_label_reads_as_its_code_on_the_fast_path(tmp_path):
+    # the removed sub-attack included: cleaning drops its rows, loading keeps them
+    rows = "".join(f"{code},{name}\n" for code, name in enumerate(SUB_ATTACKS))
+    path = _write(tmp_path, ("a,Attack\n" + rows).encode())
+    spec = ColumnSpec(("a",), "Attack")
+    fast = _load_columns(path, spec)
+    assert fast is not None
+    assert fast.sub.tolist() == list(range(len(SUB_ATTACKS)))
+    assert fast == _scan_rows(path, spec)
+
+
 # After a first block of good rows; a header over two lines cannot move there.
 GOOD_BLOCK = b"5,6,Benign\n" * LOAD_ROWS
 

@@ -281,8 +281,10 @@ def test_attack_generalization_matrix_is_deterministic():
 def test_attack_generalization_matrix_reads_a_file_as_its_records(tmp_path):
     records = generate(_family_scenario())
     path = tmp_path / "flows.csv"
-    write_delimited(records, path)
-    from_file = _matrix(_matrix_config(rounds=1, path=str(path)), None)
+    spec_path = tmp_path / "flows.columns.json"
+    write_delimited(records, path).to_json(spec_path)
+    from_file = _matrix(_matrix_config(rounds=1, path=str(path),
+                                       column_spec_path=str(spec_path)), None)
     from_records = _matrix(_matrix_config(rounds=1), records)
     assert from_file.families == from_records.families
     assert from_file.values.tobytes() == from_records.values.tobytes()

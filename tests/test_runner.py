@@ -98,7 +98,7 @@ def test_validate_config_checks_arch_against_feature_count(tmp_path, monkeypatch
     assert any("input_dim * seq_len = 90" in p for p in validate_config(doubled))
 
     # supplied records set the count; a CSV reads it from its column spec,
-    # or has input_dim columns under the default spec
+    # and one without a spec has gen-data's 45 columns, whatever the arch
     assert validate_config(_tiny_cfg(tmp_path), records=_tiny_records()) == []
     assert validate_config(_tiny_cfg(tmp_path)) != []
     csv_path = tmp_path / "flows.csv"
@@ -109,9 +109,14 @@ def test_validate_config_checks_arch_against_feature_count(tmp_path, monkeypatch
     assert validate_config(replace(with_spec, arch=replace(cfg.arch, input_dim=3,
                                                            seq_len=2))) == []
     assert validate_config(with_spec) != []
-    default_spec = replace(cfg, data=DataSource(path=str(csv_path)))
-    assert validate_config(default_spec) == []
-    assert validate_config(replace(default_spec, arch=replace(cfg.arch, seq_len=2))) != []
+    gen_data = tmp_path / "gen.csv"
+    write_delimited(generate(default_drift_scenario(seed=1, rows_per_subattack=2)), gen_data)
+    spec_less = replace(cfg, data=DataSource(path=str(gen_data)))
+    assert validate_config(spec_less) == []
+    assert validate_config(replace(spec_less, arch=replace(cfg.arch, input_dim=15,
+                                                           seq_len=3))) == []
+    assert validate_config(replace(spec_less, arch=replace(cfg.arch, input_dim=8))) == [
+        "arch: input_dim * seq_len = 8 must equal the 45 features per row of the data"]
     spec.write_text("{not json")
     assert any("column_spec" in p for p in validate_config(with_spec))
 
@@ -499,6 +504,22 @@ def test_strategy_failing_after_saving_a_checkpoint_leaves_none(tmp_path, monkey
     for artifacts in (result.artifacts, manifest["artifacts"]):
         assert "checkpoints/static/t1.ckpt" in artifacts
         assert not [a for a in artifacts if "cumulative" in a]
+
+
+def test_a_failed_rerun_leaves_no_checkpoints_of_the_run_before(tmp_path):
+    # the manifest of the rerun lists no checkpoints of a failed strategy, so
+    # its directory must not hold the first run's
+    records = _tiny_records()
+    cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"), StrategyConfig("simple")))
+    simple = run_experiment(cfg, records).output_dir / "checkpoints" / "simple"
+    first = {p.name: p.read_bytes() for p in simple.iterdir()}
+    assert sorted(first) == [f"t{i}.ckpt" for i in range(1, 6)]
+    train = replace(cfg.fed.train, learning_rate=1e308)
+    result = run_experiment(replace(cfg, fed=replace(cfg.fed, train=train)), records)
+    assert "simple" in result.failures
+    assert not simple.exists()
+    assert run_experiment(cfg, records).ok
+    assert {p.name: p.read_bytes() for p in simple.iterdir()} == first
 
 
 def test_output_dir_holds_one_task(tmp_path, capsys):
