@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import DriftFedError
+from .errors import ConfigError, DriftFedError
 from .runner import (desk_scale, load_config, rerender_reports, run_experiment,
                      validate_config)
 from .synth import default_drift_scenario, generate, write_delimited
@@ -64,7 +64,7 @@ def _apply_overrides(cfg, args):
         kept = tuple(s for s in cfg.strategies if s.label in wanted)
         unknown = wanted - {s.label for s in cfg.strategies}
         if unknown:
-            raise DriftFedError(f"unknown strategy label(s): {sorted(unknown)}")
+            raise ConfigError(f"unknown strategy label(s): {sorted(unknown)}")
         cfg = replace(cfg, strategies=kept)
     if args.desk_scale:
         cfg = desk_scale(cfg)

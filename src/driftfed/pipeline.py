@@ -16,8 +16,7 @@ the row-by-row ``csv.reader`` scan, which is the reference.
 
 A row set is one :class:`FlowTable`: an (N, F) feature matrix and a
 sub-attack code per row. A row's time is its position: each class's rows are
-in time order down the table, as the file or the generator lays them out, so
-a row's ``order_index`` is its rank among the earlier rows of its class.
+in time order down the table, as the file or the generator lays them out.
 The train/test split is two arrays of row indices into one table, which is
 min-max scaled once, on statistics of its training rows, read where they
 lie. Later stages (segmenting, capping, pools, client shards, test sets)

@@ -358,17 +358,12 @@ def _period_input(cfg: RunConfig, codec: LabelCodec, table, pool: dict[str, np.n
                        encode_labels(codec, table, val_rows) if len(val_rows) else None)
 
 
-def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig) -> dict:
+def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig, ckpt_dir: Path) -> dict:
     """Train and evaluate one strategy; return its metrics-document entry.
 
-    Each period's checkpoint is saved as the period ends, under a staging
-    directory ``checkpoints/.<label>.tmp`` of the output directory, so the
-    run holds one checkpoint at a time. Evaluation then reads them back one
-    at a time. When the strategy has succeeded, the staging directory
-    replaces ``checkpoints/<label>/`` whole. If it fails, the staging
-    directory is removed, and on a :class:`DriftFedError` (a failure the
-    manifest records) so is ``checkpoints/<label>/``: nothing of the
-    strategy is left, from this run or an earlier one.
+    Each period's checkpoint is saved into ``ckpt_dir`` as the period ends,
+    so the run holds one at a time, and evaluation reads them back one at a
+    time. The entry lists them where ``run_experiment`` puts them.
     """
     schedule = prep["schedule"]
     table = prep["table"]
@@ -385,47 +380,42 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig) -> dict:
         period_inputs.append(_period_input(cfg, codec, table, pool, period_id,
                                            rng_seed_for_period(cfg.seed, strategy, period_id)))
 
-    out_dir = Path(cfg.output_dir)
-    ckpt_dir = out_dir / "checkpoints" / strategy.label
-    staging = ckpt_dir.with_name(f".{ckpt_dir.name}.tmp")
-    shutil.rmtree(staging, ignore_errors=True)  # left by a run that was killed
-    staging.mkdir(parents=True)
+    ckpt_dir.mkdir(parents=True)
     names: list[str] = []
     latency: dict[str, float] = {}
     samples: dict[str, int] = {}
 
     def save(ckpt) -> None:
         key = f"t{ckpt.period_id}"
-        save_checkpoint(staging / f"{key}.ckpt", ckpt)
+        save_checkpoint(ckpt_dir / f"{key}.ckpt", ckpt)
         names.append(f"{key}.ckpt")
         latency[key] = ckpt.train_wall_clock
         samples[key] = ckpt.train_sample_count
 
-    try:
-        run_timeline(strategy, period_inputs, cfg.fed, cfg.arch, strategy_seed,
-                     on_checkpoint=save)
-        reports = cross_period_eval((load_checkpoint(staging / name) for name in names),
-                                    prep["encoded_tests"], codec.num_classes)
-        protocol = protocol_cells(reports, list(tl.test_periods(cfg.task)))
-        shutil.rmtree(ckpt_dir, ignore_errors=True)
-        staging.rename(ckpt_dir)
-    except DriftFedError:
-        shutil.rmtree(ckpt_dir, ignore_errors=True)
-        raise
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    run_timeline(strategy, period_inputs, cfg.fed, cfg.arch, strategy_seed, on_checkpoint=save)
+    reports = cross_period_eval((load_checkpoint(ckpt_dir / name) for name in names),
+                                prep["encoded_tests"], codec.num_classes)
+    protocol = protocol_cells(reports, list(tl.test_periods(cfg.task)))
     return {
         "cells": [asdict(r) for r in reports],
         "protocol": {f"t{p}": asdict(r) for p, r in protocol.items()},
         "train_latency_seconds": latency,
         "train_samples": samples,
         "composition": composition,
-        "checkpoints": [str((ckpt_dir / name).relative_to(out_dir)) for name in names],
+        "checkpoints": [str(Path("checkpoints", strategy.label, name)) for name in names],
     }
 
 
 def run_experiment(cfg: RunConfig, records=None) -> RunResult:
-    """Execute every configured strategy and write all artifacts."""
+    """Execute every configured strategy and write all artifacts.
+
+    Strategies save their checkpoints under one staging tree,
+    ``.checkpoints.tmp/<label>/``; a strategy that fails with a
+    :class:`DriftFedError` (a failure the manifest records) has its subtree
+    removed. After the last strategy the tree replaces ``checkpoints/``
+    whole. If anything else escapes, the tree is removed and the previous
+    ``checkpoints/`` is left as it was.
+    """
     problems = validate_config(cfg, records)
     if problems:
         raise ConfigError("invalid run config: " + "; ".join(problems))
@@ -443,16 +433,25 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
     }
     failures: dict[str, str] = {}
     artifacts: list[str] = []
-    for strategy in cfg.strategies:
-        label = strategy.label
-        try:
-            entry = run_strategy(cfg, prep, strategy)
-        except DriftFedError as exc:
-            failures[label] = f"{type(exc).__name__}: {exc}"
-            continue
-        artifacts.extend(entry["checkpoints"])
-        doc["strategy_order"].append(label)
-        doc["strategies"][label] = entry
+    staging = out_dir / ".checkpoints.tmp"
+    shutil.rmtree(staging, ignore_errors=True)  # left by a run that was killed
+    staging.mkdir()
+    try:
+        for strategy in cfg.strategies:
+            label = strategy.label
+            try:
+                entry = run_strategy(cfg, prep, strategy, staging / label)
+            except DriftFedError as exc:
+                shutil.rmtree(staging / label, ignore_errors=True)
+                failures[label] = f"{type(exc).__name__}: {exc}"
+                continue
+            artifacts.extend(entry["checkpoints"])
+            doc["strategy_order"].append(label)
+            doc["strategies"][label] = entry
+        shutil.rmtree(out_dir / "checkpoints", ignore_errors=True)
+        staging.rename(out_dir / "checkpoints")
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     artifacts.extend(write_reports(out_dir, doc))
     _write_manifest(out_dir, cfg, doc, failures, artifacts)

@@ -16,11 +16,11 @@ the run's one scaled :class:`~driftfed.pipeline.FlowTable`.
 A period's pool is its *full marks* (the t0 baseline, then the new family,
 with Benign at t1) on fresh segments, plus per strategy: ``cumulative`` the
 fresh segments of its *retained marks* (classes trained since t1, less the
-new family), ``retain`` draws from rows already used for them, and the rest
-Benign, with ``representative`` adding every other category's
-representative. So in six-class the t0 representatives of DoS, DDoS, Recon
-and Spoofing return only with their family, and in binary
-``representative`` trains at t1 on families introduced later.
+new family), ``retain`` draws from their fresh segments at the strategy's
+earlier periods, and the rest Benign, with ``representative`` adding every
+other category's representative. So in six-class the t0 representatives
+of DoS, DDoS, Recon and Spoofing return only with their family, and in
+binary ``representative`` trains at t1 on families introduced later.
 """
 
 from __future__ import annotations
@@ -228,10 +228,10 @@ def partition_iid(pool_by_class: dict[str, np.ndarray], num_clients: int,
 class StrategyComposer:
     """Builds each training period's class pool for one strategy run.
 
-    Call :meth:`compose` for the strategy's training periods in ascending
-    order; the composer tracks which rows each class has already used so
-    retention buffers draw only from genuinely seen data. Pools are row
-    indices into the table the segments index.
+    :meth:`compose` keeps no state: a pool depends on the strategy,
+    schedule, segments, seed and period only, so periods may be composed in
+    any order and as often as needed. Pools are row indices into the table
+    the segments index.
     """
 
     def __init__(self, strategy: StrategyConfig, schedule: list[PeriodSchedule],
@@ -241,10 +241,6 @@ class StrategyComposer:
         self.segments = train_segments
         self.seed = seed
         self.start_period = min(p.period_id for p in schedule if p.has_training)
-        # per class, the rows taken so far in first-use order; segments are
-        # disjoint across periods and classes, so a taken segment is all new
-        self._used: dict[str, np.ndarray] = {}
-        self._composed: list[int] = []
 
     def training_periods(self) -> list[int]:
         if self.strategy.kind == "static":
@@ -260,14 +256,17 @@ class StrategyComposer:
         return segments[k]
 
     def compose(self, period_id: int) -> dict[str, np.ndarray]:
-        """The pool of ``period_id``, by the rule in the module docstring."""
+        """The pool of ``period_id``, by the rule in the module docstring.
+
+        ``retain`` draws a class from the rows the strategy used for it
+        before: its segments at the earlier training periods whose full
+        marks hold it, in period order.
+        """
         periods = self.training_periods()
-        expected = [p for p in periods if p not in self._composed]
-        if not expected or expected[0] != period_id:
+        if period_id not in periods:
             trains = ", ".join(f"t{p}" for p in periods)
-            nxt = f"t{expected[0]}" if expected else "none"
-            raise ScheduleError(f"strategy {self.strategy.label} trains at {trains} in order "
-                                f"(next: {nxt}); cannot compose t{period_id}")
+            raise ScheduleError(f"strategy {self.strategy.label} trains at {trains}; "
+                                f"cannot compose t{period_id}")
 
         sched = self.schedule[period_id]
         kind = self.strategy.kind
@@ -281,14 +280,13 @@ class StrategyComposer:
 
         pool = {cls: self._segment(cls, period_id) for cls in sorted(fresh)}
         if kind == "retain":
+            earlier = [self.schedule[p] for p in periods if p < period_id]
             for cls in sorted(sched.retained_marks):
+                used = concat_rows(self._segment(cls, p.period_id)
+                                   for p in earlier if cls in p.full_marks)
                 rng = rng_for(self.seed, "retain", period_id, cls)
-                pool[cls] = cap_records(self._used.get(cls, NO_ROWS), self.strategy.retain_r, rng)
-        pool = {cls: rows for cls, rows in pool.items() if len(rows)}
-        for cls in sorted(fresh.intersection(pool)):
-            self._used[cls] = concat_rows([self._used.get(cls, NO_ROWS), pool[cls]])
-        self._composed.append(period_id)
-        return pool
+                pool[cls] = cap_records(used, self.strategy.retain_r, rng)
+        return {cls: rows for cls, rows in pool.items() if len(rows)}
 
 
 def rng_seed_for_period(seed: int, strategy: StrategyConfig, period_id: int) -> int:

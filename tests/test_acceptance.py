@@ -260,7 +260,7 @@ def test_criterion_09_data_contracts():
         schedule = build_schedule("binary")
         composer = StrategyComposer(StrategyConfig("retain", retain_r=100),
                                     schedule, segments, seed=3)
-        used: dict[str, set] = {}
+        used: dict[str, set] = {}  # every class of an earlier pool not retained there
         for period in composer.training_periods():
             sched = next(s for s in schedule if s.period_id == period)
             pool = composer.compose(period)
@@ -274,7 +274,8 @@ def test_criterion_09_data_contracts():
                                       pool[cls]).sum())
                           for c in clients]
                 assert max(counts) - min(counts) <= 1
-            used = {cls: set(rows.tolist()) for cls, rows in composer._used.items()}
+            for cls in set(pool) - sched.retained_marks:
+                used.setdefault(cls, set()).update(pool[cls].tolist())
 
         # min-max outputs live in [0, 1] for train and out-of-range test rows
         stats = fit_scaler(train)

@@ -426,10 +426,10 @@ def test_partial_failure_flagged_in_manifest(tmp_path, monkeypatch):
     import driftfed.runner as runner_mod
     real = runner_mod.run_strategy
 
-    def boom(cfg, prep, strategy):
+    def boom(cfg, prep, strategy, ckpt_dir):
         if strategy.label == "simple":
             raise ConfigError("induced failure")
-        return real(cfg, prep, strategy)
+        return real(cfg, prep, strategy, ckpt_dir)
 
     monkeypatch.setattr(runner_mod, "run_strategy", boom)
     cfg = _tiny_cfg(tmp_path)
@@ -522,6 +522,44 @@ def test_a_failed_rerun_leaves_no_checkpoints_of_the_run_before(tmp_path):
     assert {p.name: p.read_bytes() for p in simple.iterdir()} == first
 
 
+def _checkpoint_files(out_dir):
+    return sorted(str(p.relative_to(out_dir)) for p in out_dir.glob("checkpoints/*/*.ckpt"))
+
+
+def test_a_rerun_with_fewer_strategies_keeps_only_their_checkpoints(tmp_path):
+    records = _tiny_records()
+    cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"), StrategyConfig("simple")))
+    out = run_experiment(cfg, records).output_dir
+    assert (out / "checkpoints" / "simple").is_dir()
+    result = run_experiment(replace(cfg, strategies=(StrategyConfig("static"),)), records)
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert _checkpoint_files(out) == [a for a in artifacts if a.endswith(".ckpt")] == \
+           ["checkpoints/static/t1.ckpt"]
+    assert [p.name for p in (out / "checkpoints").iterdir()] == ["static"]
+    assert result.ok
+
+
+def test_a_stopped_rerun_leaves_the_previous_checkpoints_and_manifest(tmp_path, monkeypatch):
+    records = _tiny_records()
+    cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"), StrategyConfig("simple")))
+    out = run_experiment(cfg, records).output_dir
+    kept = [out / "manifest.json", *(out / name for name in _checkpoint_files(out))]
+    before = {p: p.read_bytes() for p in kept}
+    real = runner.run_timeline
+
+    def stopped(strategy, *args, **kwargs):
+        if strategy.label == "simple":
+            raise KeyboardInterrupt
+        return real(strategy, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_timeline", stopped)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(replace(cfg, seed=cfg.seed + 1), records)
+    assert [out / name for name in _checkpoint_files(out)] == kept[1:]
+    assert {p: p.read_bytes() for p in kept} == before
+    assert not (out / ".checkpoints.tmp").exists()
+
+
 def test_output_dir_holds_one_task(tmp_path, capsys):
     # checkpoints/<strategy>/ and manifest.json are not keyed by task, so a
     # six-class run into a binary run's directory is refused before it writes
@@ -578,7 +616,7 @@ def test_run_strategy_validates_on_the_period_clients_rows_as_one_set(tmp_path, 
 
     monkeypatch.setattr(runner, "partition_iid", partition)
     monkeypatch.setattr(runner, "run_timeline", timeline)
-    runner.run_strategy(cfg, prep, cfg.strategies[0])
+    runner.run_strategy(cfg, prep, cfg.strategies[0], tmp_path / "checkpoints")
     assert len(inputs) == len(partitions) > 1
     for item, clients in zip(inputs, partitions):
         # the validation set and the training shards hold no features of their own
@@ -681,10 +719,10 @@ def test_report_and_manifest_writes_failing_partway_keep_the_previous_files(tmp_
 def test_report_rerender_matches_original(tmp_path, monkeypatch):
     real = runner.run_strategy
 
-    def failing(cfg, prep, strategy):
+    def failing(cfg, prep, strategy, ckpt_dir):
         if strategy.label == "simple":
             raise DivergenceError("induced failure")
-        return real(cfg, prep, strategy)
+        return real(cfg, prep, strategy, ckpt_dir)
 
     monkeypatch.setattr(runner, "run_strategy", failing)
     cfg = _tiny_cfg(tmp_path)  # static trains in one period, so its latency row is sparse
@@ -861,7 +899,9 @@ def test_cli_unknown_strategy_filter_fails(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"output_dir": str(tmp_path / "o"), "seed": 1}))
     assert cli.main(["run", "--config", str(cfg_path),
                      "--strategies", "bogus"]) == 2
-    assert "bogus" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bogus" in err
+    assert "error [ConfigError]" in err
 
 
 def test_fed_seed_never_reached_the_run(tmp_path, monkeypatch):

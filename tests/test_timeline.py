@@ -10,7 +10,7 @@ from driftfed.runner import ALL_STRATEGIES
 from driftfed.seeds import rng_for
 from driftfed.synth import generate
 from driftfed import timeline as tl
-from driftfed.timeline import (FAMILY_MEMBERS, StrategyComposer, StrategyConfig,
+from driftfed.timeline import (FAMILY_MEMBERS, TASKS, StrategyComposer, StrategyConfig,
                                build_schedule, build_test_sets, cap_records,
                                partition_iid, segment_and_cap, temporal_segment)
 
@@ -237,6 +237,7 @@ def test_retention_buffers_bounded_and_from_used_rows():
     schedule = build_schedule("binary")
     train_segments, _ = _segments_for("binary")
     composer = StrategyComposer(strategy, schedule, train_segments, seed=1)
+    # rows used before: every class of an earlier pool that was not retained there
     used_before: dict[str, set] = {}
     for period in composer.training_periods():
         sched = next(s for s in schedule if s.period_id == period)
@@ -245,25 +246,24 @@ def test_retention_buffers_bounded_and_from_used_rows():
             keys = set(pool[cls].tolist())
             assert len(pool[cls]) <= 25
             assert keys <= used_before[cls]
-        used_before = {cls: set(rows.tolist()) for cls, rows in composer._used.items()}
+        for cls in set(pool) - sched.retained_marks:
+            used_before.setdefault(cls, set()).update(pool[cls].tolist())
 
 
-def test_composer_remembers_rows_in_first_use_order():
+def test_retain_draws_lie_in_the_earlier_fresh_segments():
     schedule = build_schedule("binary")
     train_segments, _ = _segments_for("binary")
-    composer = StrategyComposer(StrategyConfig("cumulative"), schedule, train_segments, seed=0)
-    for period in (1, 2, 3):
-        composer.compose(period)
-    benign = train_segments["Benign"]
-    assert composer._used["Benign"].tolist() == concat_rows(benign[:3]).tolist()
-    dos = train_segments["TCP_IP-DoS-SYN"]
-    assert composer._used["TCP_IP-DoS-SYN"].tolist() == concat_rows(dos[1:3]).tolist()
-    # retention draws re-use remembered rows and add none
-    retain = StrategyComposer(StrategyConfig("retain", retain_r=5), schedule,
-                              train_segments, seed=0)
-    for period in retain.training_periods():
-        retain.compose(period)
-    assert retain._used["Benign"].tolist() == benign[0].tolist()
+    for r in (5, 100):
+        pools, _ = _compose_all("binary", StrategyConfig("retain", retain_r=r))
+        for sched in schedule:
+            for cls in sched.retained_marks & set(pools.get(sched.period_id, {})):
+                earlier = concat_rows(train_segments[cls][p.period_id - 1] for p in schedule
+                                      if p.period_id < sched.period_id and cls in p.full_marks)
+                assert set(pools[sched.period_id][cls].tolist()) <= set(earlier.tolist())
+    # Benign is fresh at t1 only, so every later Benign draw comes from its first segment
+    pools, _ = _compose_all("binary", StrategyConfig("retain", retain_r=5))
+    for period in (2, 3, 4, 5):
+        assert set(pools[period]["Benign"].tolist()) <= set(train_segments["Benign"][0].tolist())
 
 
 def test_retention_label_sets_match_cumulative():
@@ -298,22 +298,32 @@ def test_segments_disjoint_across_periods():
             seen |= keys
 
 
-def test_compose_out_of_order_or_invalid_period_rejected():
-    strategy = StrategyConfig("cumulative")
+def test_compose_of_a_period_without_training_rejected():
     schedule = build_schedule("binary")
     train_segments, _ = _segments_for("binary")
-    composer = StrategyComposer(strategy, schedule, train_segments, seed=0)
-    trains = r"strategy cumulative trains at t1, t2, t3, t4, t5 in order"
-    with pytest.raises(ScheduleError, match=trains + r" \(next: t1\); cannot compose t2"):
-        composer.compose(2)          # must start at t1
-    with pytest.raises(ScheduleError, match=trains + r" \(next: t1\); cannot compose t6"):
+    composer = StrategyComposer(StrategyConfig("cumulative"), schedule, train_segments, seed=0)
+    with pytest.raises(ScheduleError, match=r"strategy cumulative trains at t1, t2, t3, t4, "
+                                            r"t5; cannot compose t6"):
         composer.compose(6)          # test-only period
     static = StrategyComposer(StrategyConfig("static"), schedule, train_segments, seed=0)
-    static.compose(1)
-    with pytest.raises(ScheduleError,
-                       match=r"strategy static trains at t1 in order \(next: none\); "
-                             r"cannot compose t2"):
+    with pytest.raises(ScheduleError, match=r"strategy static trains at t1; cannot compose t2"):
         static.compose(2)            # static never retrains
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_pools_do_not_depend_on_the_call_order(task):
+    schedule = build_schedule(task)
+    train_segments, _ = _segments_for(task)
+    for strategy in ALL_STRATEGIES:
+        ascending, _ = _compose_all(task, strategy)
+        composer = StrategyComposer(strategy, schedule, train_segments, seed=0)
+        for period in reversed(composer.training_periods()):
+            for _ in range(2):
+                pool = composer.compose(period)
+                assert list(pool) == list(ascending[period])
+                for cls, rows in pool.items():
+                    expected = ascending[period][cls]
+                    assert (rows.dtype, rows.tobytes()) == (expected.dtype, expected.tobytes())
 
 
 def test_invalid_retain_r_rejected_at_use():
