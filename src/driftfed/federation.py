@@ -276,7 +276,7 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
 #
 # Timing is intentionally not stored: checkpoint files are byte-reproducible
 # for identical runs. Wall-clock figures live in the latency report and the
-# run manifest.
+# metrics document.
 
 CHECKPOINT_MAGIC = b"DRIFTCKP"
 CHECKPOINT_VERSION = 1

@@ -165,10 +165,8 @@ class ModelArch:
 
 
 def param_count(arch: ModelArch) -> int:
-    """Total number of scalar parameters, a pure function of the arch."""
-    h = arch.hidden_units
-    fan_in = arch.input_dim + (arch.hidden_layers - 1) * h
-    return 4 * h * (fan_in + arch.hidden_layers * (h + 1)) + arch.output_dim * (h + 1)
+    """Total number of scalar parameters: where the arch's last tensor ends."""
+    return arch.layout[0][-1][0].stop
 
 
 def cohort_size(arch: ModelArch) -> int:

@@ -3,24 +3,26 @@
 A run executes pipeline -> timeline -> federation -> metrics for each
 configured strategy and writes, per task:
 
-  metrics_<task>.json     the run's result record (all fields incl. timing);
-                          ``render_reports`` renders the four tables from it
+  metrics_<task>.json     the run's one record: config, strategy seeds, failures
+                          and every metric field incl. timing; ``render_reports``
+                          renders the four tables from it
   accuracy_<task>.csv     protocol accuracy row per strategy (+ Avg column)
   latency_<task>.csv      per-period training seconds, totals, total inference
   cells_<task>.csv        full checkpoint x test-period matrix, metric fields
   composition_<task>.csv  per-strategy period/class/row-count audit
   checkpoints/<strategy>/t<i>.ckpt
                           one per training period, for each strategy that succeeded
-  manifest.json           resolved config, seeds, artifact list, statuses
 
 ``attack_generalization_matrix`` prepares, deals and trains as a run does.
 
-Checkpoints and the manifest are not keyed by task, so an output directory
-holds one task's run: ``validate_config`` refuses a directory whose manifest
-records another task.
+Checkpoints are not keyed by task, so an output directory holds one task's
+run: ``validate_config`` refuses a directory that holds another task's
+metrics document.
 
 Every file is written to a temp file beside it and renamed into place, so a
-failed write leaves the previous version.
+failed write leaves the previous version. The metrics document is written
+last and removed before the checkpoints are swapped in, so whenever it
+exists, every file beside it comes from the run it records.
 
 Accuracy, cells and composition tables are deterministic for a fixed config;
 timing lives only in the latency table and the JSON document.
@@ -227,29 +229,24 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
     must match the data's feature count: 45 for the synthetic scenario and
     for a file without a column spec, the spec's feature columns otherwise,
     and the width of ``records`` when given (the table a run would use
-    instead of ``cfg.data``). An output directory whose manifest records
-    another task is refused, since the run would overwrite that task's
-    checkpoints and manifest, and so is an output path that is, or lies
-    under, an existing path that is not a directory. A train cap below the
-    client count is refused: ``partition_iid`` deals each class from client
-    0, so a pool whose classes all hold at most ``caps.train`` rows leaves
-    the clients from that index on with none.
+    instead of ``cfg.data``). An output directory that holds another task's
+    ``metrics_<task>.json`` is refused by the file's name, unread, since the
+    run would overwrite the checkpoints that document lists, and so is an
+    output path that is, or lies under, an existing path that is not a
+    directory. A train cap below the client count is refused:
+    ``partition_iid`` deals each class from client 0, so a pool whose
+    classes all hold at most ``caps.train`` rows leaves the clients from
+    that index on with none.
     """
     problems: list[str] = []
     out_dir = Path(cfg.output_dir)
     nearest = next(p for p in (out_dir, *out_dir.absolute().parents) if p.exists())
     if not nearest.is_dir():
         problems.append(f"output_dir: {nearest} is not a directory")
-    manifest = out_dir / "manifest.json"
-    if manifest.exists():
-        try:
-            task = read_json(manifest, ConfigError)["config"]["task"]
-        except (ConfigError, KeyError, TypeError) as exc:
-            problems.append(f"output_dir: cannot read {manifest}: {exc!r}")
-        else:
-            if task != cfg.task:
-                problems.append(f"output_dir: {manifest} records task {task!r}, not "
-                                f"{cfg.task!r}; use another output directory")
+    for doc_path in sorted(out_dir.glob("metrics_*.json")):
+        if doc_path.name != f"metrics_{cfg.task}.json":
+            problems.append(f"output_dir: {doc_path} records another task's run, not "
+                            f"{cfg.task!r}; use another output directory")
     if cfg.train_cap < cfg.fed.num_clients:
         problems.append(f"caps.train: {cfg.train_cap} is below federation.num_clients "
                         f"{cfg.fed.num_clients}; clients from index {cfg.train_cap} on "
@@ -411,10 +408,13 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
 
     Strategies save their checkpoints under one staging tree,
     ``.checkpoints.tmp/<label>/``; a strategy that fails with a
-    :class:`DriftFedError` (a failure the manifest records) has its subtree
-    removed. After the last strategy the tree replaces ``checkpoints/``
-    whole. If anything else escapes, the tree is removed and the previous
-    ``checkpoints/`` is left as it was.
+    :class:`DriftFedError` (a failure the metrics document records) has its
+    subtree removed. After the last strategy ``metrics_<task>.json`` is
+    removed and the tree replaces ``checkpoints/`` whole; the tables and
+    then the document are written last, so the document is the run's commit
+    point. If anything escapes before the swap, the tree is removed and the
+    previous document and ``checkpoints/`` are left as they were; after it,
+    the directory holds no document until the run ends.
     """
     problems = validate_config(cfg, records)
     if problems:
@@ -424,14 +424,18 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     prep = prepare_experiment(cfg, records)
 
+    failures: dict[str, str] = {}
     doc = {
         "task": cfg.task,
+        "config": _config_dict(cfg),
+        "strategy_seeds": {s.label: rng_seed_for_period(cfg.seed, s, -1)
+                           for s in cfg.strategies},
         "far_definition": FAR_DEFINITION,
         "test_periods": list(tl.test_periods(cfg.task)),
         "strategy_order": [],
         "strategies": {},
+        "failures": failures,
     }
-    failures: dict[str, str] = {}
     artifacts: list[str] = []
     staging = out_dir / ".checkpoints.tmp"
     shutil.rmtree(staging, ignore_errors=True)  # left by a run that was killed
@@ -448,13 +452,13 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
             artifacts.extend(entry["checkpoints"])
             doc["strategy_order"].append(label)
             doc["strategies"][label] = entry
+        (out_dir / f"metrics_{cfg.task}.json").unlink(missing_ok=True)
         shutil.rmtree(out_dir / "checkpoints", ignore_errors=True)
         staging.rename(out_dir / "checkpoints")
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
     artifacts.extend(write_reports(out_dir, doc))
-    _write_manifest(out_dir, cfg, doc, failures, artifacts)
     return RunResult(out_dir, doc, failures, artifacts)
 
 
@@ -605,7 +609,7 @@ def rerender_reports(run_dir) -> list[str]:
 
 
 def _config_dict(cfg: RunConfig) -> dict:
-    """``cfg`` through the loader's key maps, so a manifest loads back."""
+    """``cfg`` through the loader's key maps, so ``config_from_dict`` gives it back."""
     def keyed(obj, schema) -> dict:
         return {key: getattr(obj, name) for key, name in schema.items()}
 
@@ -621,18 +625,3 @@ def _config_dict(cfg: RunConfig) -> dict:
         "federation": asdict(cfg.fed),
         "caps": keyed(cfg, _CAPS),
     }
-
-
-def _write_manifest(out_dir: Path, cfg: RunConfig, doc: dict,
-                    failures: dict[str, str], artifacts: list[str]) -> None:
-    manifest = {
-        "config": _config_dict(cfg),
-        "master_seed": cfg.seed,
-        "strategy_seeds": {s.label: rng_seed_for_period(cfg.seed, s, -1)
-                           for s in cfg.strategies},
-        "statuses": {**{label: "ok" for label in doc["strategy_order"]},
-                     **{label: f"failed: {msg}" for label, msg in failures.items()}},
-        "partial": bool(failures),
-        "artifacts": sorted(artifacts),
-    }
-    write_json(out_dir / "manifest.json", manifest)

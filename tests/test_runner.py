@@ -339,9 +339,9 @@ def test_run_experiment_artifacts_exist(tiny_run):
     cfg, result = tiny_run
     assert result.ok
     expected = {"accuracy_binary.csv", "latency_binary.csv", "cells_binary.csv",
-                "composition_binary.csv", "metrics_binary.json", "manifest.json"}
+                "composition_binary.csv", "metrics_binary.json"}
     present = {p.name for p in result.output_dir.iterdir()}
-    assert expected <= present
+    assert present == expected | {"checkpoints"}
     assert (result.output_dir / "checkpoints" / "static" / "t1.ckpt").exists()
     # static: one checkpoint; the others train at t1..t5
     assert len(list((result.output_dir / "checkpoints" / "static").iterdir())) == 1
@@ -369,13 +369,15 @@ def test_latency_table_positive_training_cells(tiny_run):
 
 
 def test_manifest_records_config_and_status(tiny_run):
+    # the metrics document is the run's one record: its config, seeds and statuses
     cfg, result = tiny_run
-    manifest = json.loads((result.output_dir / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == cfg.seed
-    assert manifest["partial"] is False
-    assert set(manifest["statuses"]) == {"static", "simple", "retain_20", "avg_ema"}
-    assert all(v == "ok" for v in manifest["statuses"].values())
-    assert config_from_dict(manifest["config"]) == cfg
+    doc = json.loads((result.output_dir / "metrics_binary.json").read_text())
+    assert doc == result.metrics
+    assert config_from_dict(doc["config"]) == cfg
+    assert doc["failures"] == result.failures == {}
+    assert doc["strategy_order"] == ["static", "simple", "retain_20", "avg_ema"]
+    assert doc["strategy_seeds"] == {s.label: runner.rng_seed_for_period(cfg.seed, s, -1)
+                                     for s in cfg.strategies}
 
 
 def test_cells_table_is_full_matrix(tiny_run):
@@ -436,10 +438,9 @@ def test_partial_failure_flagged_in_manifest(tmp_path, monkeypatch):
     result = run_experiment(cfg, records=_tiny_records())
     assert not result.ok
     assert "simple" in result.failures
-    manifest = json.loads((result.output_dir / "manifest.json").read_text())
-    assert manifest["partial"] is True
-    assert manifest["statuses"]["simple"].startswith("failed:")
-    assert manifest["statuses"]["static"] == "ok"
+    doc = json.loads((result.output_dir / "metrics_binary.json").read_text())
+    assert doc["failures"] == result.failures == {"simple": "ConfigError: induced failure"}
+    assert doc["strategy_order"] == ["static", "retain_20", "avg_ema"]
 
 
 def test_diverged_strategy_is_failed_by_name_not_scored(tmp_path, monkeypatch):
@@ -455,9 +456,9 @@ def test_diverged_strategy_is_failed_by_name_not_scored(tmp_path, monkeypatch):
     result = run_experiment(cfg, records=_tiny_records())
     assert list(result.failures) == ["simple"]
     assert result.failures["simple"].startswith("DivergenceError: period 1 round 0")
-    manifest = json.loads((result.output_dir / "manifest.json").read_text())
-    assert manifest["statuses"]["simple"].startswith("failed: DivergenceError: ")
-    assert manifest["statuses"]["static"] == "ok"
+    doc = json.loads((result.output_dir / "metrics_binary.json").read_text())
+    assert doc["failures"] == result.failures
+    assert doc["strategy_order"] == list(doc["strategies"]) == ["static"]
     rows = (result.output_dir / "accuracy_binary.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[2:]] == ["static"]
     assert not (result.output_dir / "checkpoints" / "simple").exists()
@@ -500,14 +501,15 @@ def test_strategy_failing_after_saving_a_checkpoint_leaves_none(tmp_path, monkey
     assert [p.name for p in saved] == ["t1.ckpt", "t1.ckpt", "t2.ckpt"]
     assert not any(p.exists() for p in saved[1:])
     assert [p.name for p in (result.output_dir / "checkpoints").iterdir()] == ["static"]
-    manifest = json.loads((result.output_dir / "manifest.json").read_text())
-    for artifacts in (result.artifacts, manifest["artifacts"]):
-        assert "checkpoints/static/t1.ckpt" in artifacts
-        assert not [a for a in artifacts if "cumulative" in a]
+    doc = json.loads((result.output_dir / "metrics_binary.json").read_text())
+    assert list(doc["strategies"]) == ["static"]
+    assert doc["strategies"]["static"]["checkpoints"] == ["checkpoints/static/t1.ckpt"]
+    assert "checkpoints/static/t1.ckpt" in result.artifacts
+    assert not [a for a in result.artifacts if "cumulative" in a]
 
 
 def test_a_failed_rerun_leaves_no_checkpoints_of_the_run_before(tmp_path):
-    # the manifest of the rerun lists no checkpoints of a failed strategy, so
+    # the metrics document of the rerun lists no checkpoints of a failed strategy, so
     # its directory must not hold the first run's
     records = _tiny_records()
     cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"), StrategyConfig("simple")))
@@ -532,9 +534,9 @@ def test_a_rerun_with_fewer_strategies_keeps_only_their_checkpoints(tmp_path):
     out = run_experiment(cfg, records).output_dir
     assert (out / "checkpoints" / "simple").is_dir()
     result = run_experiment(replace(cfg, strategies=(StrategyConfig("static"),)), records)
-    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
-    assert _checkpoint_files(out) == [a for a in artifacts if a.endswith(".ckpt")] == \
-           ["checkpoints/static/t1.ckpt"]
+    entries = json.loads((out / "metrics_binary.json").read_text())["strategies"].values()
+    listed = sorted(name for entry in entries for name in entry["checkpoints"])
+    assert _checkpoint_files(out) == listed == ["checkpoints/static/t1.ckpt"]
     assert [p.name for p in (out / "checkpoints").iterdir()] == ["static"]
     assert result.ok
 
@@ -543,7 +545,7 @@ def test_a_stopped_rerun_leaves_the_previous_checkpoints_and_manifest(tmp_path, 
     records = _tiny_records()
     cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"), StrategyConfig("simple")))
     out = run_experiment(cfg, records).output_dir
-    kept = [out / "manifest.json", *(out / name for name in _checkpoint_files(out))]
+    kept = [out / "metrics_binary.json", *(out / name for name in _checkpoint_files(out))]
     before = {p: p.read_bytes() for p in kept}
     real = runner.run_timeline
 
@@ -560,19 +562,42 @@ def test_a_stopped_rerun_leaves_the_previous_checkpoints_and_manifest(tmp_path, 
     assert not (out / ".checkpoints.tmp").exists()
 
 
+def test_a_rerun_stopped_after_the_checkpoint_swap_leaves_no_metrics_document(
+        tmp_path, monkeypatch, capsys):
+    # the checkpoints are the new run's and the tables the old run's, so no
+    # document may claim either; report then refuses the directory by name
+    records = _tiny_records()
+    cfg = _tiny_cfg(tmp_path, strategies=(StrategyConfig("static"),))
+    out = run_experiment(cfg, records).output_dir
+    assert (out / "metrics_binary.json").is_file()
+
+    def stopped(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "write_reports", stopped)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(replace(cfg, seed=cfg.seed + 1), records)
+    assert not (out / "metrics_binary.json").exists()
+    assert not (out / ".checkpoints.tmp").exists()
+    assert _checkpoint_files(out) == ["checkpoints/static/t1.ckpt"]
+    assert cli.main(["report", "--run-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error [ReportError]: ")
+
+
 def test_output_dir_holds_one_task(tmp_path, capsys):
-    # checkpoints/<strategy>/ and manifest.json are not keyed by task, so a
-    # six-class run into a binary run's directory is refused before it writes
+    # checkpoints/<strategy>/ are not keyed by task, so a six-class run into a
+    # binary run's directory is refused, by the name of its metrics document and
+    # before it writes
     records = _tiny_records()
     binary = _tiny_cfg(tmp_path, strategies=(StrategyConfig("simple"),))
     out = run_experiment(binary, records).output_dir
     before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
     assert out / "checkpoints" / "simple" / "t1.ckpt" in before
     six = _tiny_cfg(tmp_path, task="sixclass", strategies=(StrategyConfig("simple"),))
-    problem = (f"output_dir: {out / 'manifest.json'} records task 'binary', not 'sixclass'; "
-               f"use another output directory")
+    problem = (f"output_dir: {out / 'metrics_binary.json'} records another task's run, "
+               f"not 'sixclass'; use another output directory")
     assert validate_config(six, records) == [problem]
-    with pytest.raises(ConfigError, match="records task 'binary'"):
+    with pytest.raises(ConfigError, match="metrics_binary.json records another task's run"):
         run_experiment(six, records)
     cfg_path = tmp_path / "six.json"
     cfg_path.write_text(json.dumps({"output_dir": str(out), "strategies": [{"kind": "simple"}]}))
@@ -584,16 +609,12 @@ def test_output_dir_holds_one_task(tmp_path, capsys):
     assert problem in capsys.readouterr().err
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
     assert validate_config(binary, records) == []  # the same task may run there again
-
-
-@pytest.mark.parametrize("content", [b"{not json", b"\xff", b"[1, 2]", b'{"config": {}}'])
-def test_unreadable_manifest_is_reported_by_path(tmp_path, content):
-    cfg = RunConfig(output_dir=str(tmp_path / "run"))
-    manifest = tmp_path / "run" / "manifest.json"
-    manifest.parent.mkdir()
-    manifest.write_bytes(content)
-    [problem] = validate_config(cfg)
-    assert problem.startswith(f"output_dir: cannot read {manifest}: ")
+    # the document is refused by its name, unread: here it is not even a file
+    other = tmp_path / "other"
+    (other / "metrics_binary.json").mkdir(parents=True)
+    assert validate_config(replace(six, output_dir=str(other)), records) == [
+        f"output_dir: {other / 'metrics_binary.json'} records another task's run, "
+        f"not 'sixclass'; use another output directory"]
 
 
 @pytest.mark.parametrize("task", TASKS)
@@ -710,7 +731,7 @@ def test_report_and_manifest_writes_failing_partway_keep_the_previous_files(tmp_
     with pytest.raises(OSError, match="No space left"):
         rerender_reports(result.output_dir)
     with pytest.raises(OSError, match="No space left"):
-        runner._write_manifest(result.output_dir, cfg, result.metrics, {}, result.artifacts)
+        runner.write_reports(result.output_dir, result.metrics)
     with pytest.raises(OSError, match="No space left"):
         default_column_spec(6).to_json(spec_path)
     assert files() == before
