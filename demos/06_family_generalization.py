@@ -12,15 +12,14 @@ The matrix reads a run config and prepares, deals and trains as a run
 does: here the desk-scale preset at learning rate 0.01.
 """
 
-from driftfed import attack_generalization_matrix
+from driftfed import attack_generalization_matrix, desk_scale
 from driftfed.runner import config_from_dict
 
-cfg = config_from_dict({
-    "desk_scale": True,
+cfg = desk_scale(config_from_dict({
     "seed": 3,
     "data": {"synthetic": {"rows_per_subattack": 300}},
     "federation": {"train": {"learning_rate": 0.01}},
-})
+}))
 matrix = attack_generalization_matrix(cfg)
 
 header = " ".join(f"{name:>9}" for name in matrix.families) + "      mean"

@@ -59,7 +59,7 @@ def _apply_overrides(cfg, args):
         cfg = replace(cfg, seed=args.seed)
     if args.task:
         cfg = replace(cfg, task=args.task)
-    if args.strategies:
+    if args.strategies is not None:
         wanted = {s.strip() for s in args.strategies.split(",") if s.strip()}
         kept = tuple(s for s in cfg.strategies if s.label in wanted)
         unknown = wanted - {s.label for s in cfg.strategies}

@@ -30,7 +30,7 @@ timing lives only in the latency table and the JSON document.
 
 from __future__ import annotations
 
-import os
+import hashlib
 import shutil
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -51,8 +51,6 @@ from .seeds import derive_seed
 from .synth import default_column_spec, default_drift_scenario, generate
 from .timeline import (StrategyConfig, StrategyComposer, build_schedule, build_test_sets,
                        partition_iid, rng_seed_for_period, segment_and_cap)
-
-OUTPUT_DIR_ENV = "DRIFTFED_OUTPUT"
 
 ALL_STRATEGIES = (
     StrategyConfig("static"),
@@ -140,6 +138,8 @@ _TOP_LEVEL = ("task", "train_fraction", "output_dir", "seed")
 _CAPS = {"train": "train_cap", "test": "test_cap"}
 _DATA_FILE = {"path": "path", "column_spec": "column_spec_path"}
 _SYNTHETIC = {"seed": "synthetic_seed", "rows_per_subattack": "rows_per_subattack"}
+# output_dim is not a key: RunConfig derives it from the task
+_ARCH = [f.name for f in fields(ModelArch) if f.name != "output_dim"]
 
 
 def _fields(raw, name: str, schema) -> dict:
@@ -168,24 +168,20 @@ def _build(cls, raw, name: str, schema=None):
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from parsed JSON.
+    """Build a RunConfig from parsed JSON, each key into the field that owns it.
 
-    A key that is absent takes its dataclass default; a key the schema does
-    not have raises :class:`ConfigError` naming its path.
+    An absent key takes its dataclass default and a value is checked by its
+    dataclass; a key the schema does not have raises :class:`ConfigError`
+    naming its path. Nothing else is read: no environment, no preset.
     """
-    _fields(raw, "config", [*_TOP_LEVEL, "strategies", "data", "arch", "federation",
-                            "caps", "desk_scale"])
-    if not isinstance(raw.get("desk_scale", False), bool):
-        raise ConfigError(f"desk_scale: must be true or false, got {raw['desk_scale']!r}")
+    _fields(raw, "config", [*_TOP_LEVEL, "strategies", "data", "arch", "federation", "caps"])
     settings = {k: raw[k] for k in _TOP_LEVEL if k in raw}
     settings.update(_fields(raw.get("caps", {}), "caps", _CAPS))
-    if "output_dir" not in settings and OUTPUT_DIR_ENV in os.environ:
-        settings["output_dir"] = os.environ[OUTPUT_DIR_ENV]
 
-    strategies = raw.get("strategies", [])
-    if not isinstance(strategies, list):
-        raise ConfigError(f"strategies: must be a JSON list, got {type(strategies).__name__}")
-    if strategies:  # an empty list runs every strategy, as an absent one does
+    if "strategies" in raw:
+        strategies = raw["strategies"]
+        if not isinstance(strategies, list):
+            raise ConfigError(f"strategies: must be a JSON list, got {type(strategies).__name__}")
         settings["strategies"] = tuple(_build(StrategyConfig, entry, f"strategies[{i}]")
                                        for i, entry in enumerate(strategies))
 
@@ -196,28 +192,19 @@ def config_from_dict(raw: dict) -> RunConfig:
         synthetic = _fields(data_raw, "data", ["synthetic"]).get("synthetic", {})
         data = _build(DataSource, _fields(synthetic, "data.synthetic", _SYNTHETIC), "data")
 
-    # output_dim is accepted but not read: RunConfig derives it from the task
-    arch_raw = _fields(raw.get("arch", {}), "arch", [f.name for f in fields(ModelArch)])
-    arch = _build(ModelArch, {k: v for k, v in arch_raw.items() if k != "output_dim"}, "arch")
-
+    arch = _build(ModelArch, raw.get("arch", {}), "arch", _ARCH)
     fed_raw = _fields(raw.get("federation", {}), "federation",
                       [f.name for f in fields(FedConfig)])
     if "train" in fed_raw:
         fed_raw["train"] = _build(TrainConfig, fed_raw["train"], "federation.train")
     fed = _build(FedConfig, fed_raw, "federation")
-
-    cfg = RunConfig(**settings, data=data, arch=arch, fed=fed)
-    if raw.get("desk_scale"):
-        cfg = desk_scale(cfg)
-    return cfg
+    return RunConfig(**settings, data=data, arch=arch, fed=fed)
 
 
 def load_config(path) -> RunConfig:
     raw = read_json(path, ConfigError)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path} must contain a JSON object")
     try:
-        return config_from_dict(raw)
+        return config_from_dict(raw)  # a document that is not an object is refused as "config"
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -427,7 +414,7 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
     failures: dict[str, str] = {}
     doc = {
         "task": cfg.task,
-        "config": _config_dict(cfg),
+        "config": _config_dict(cfg, records),
         "strategy_seeds": {s.label: rng_seed_for_period(cfg.seed, s, -1)
                            for s in cfg.strategies},
         "far_definition": FAR_DEFINITION,
@@ -608,20 +595,29 @@ def rerender_reports(run_dir) -> list[str]:
     return written
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    """``cfg`` through the loader's key maps, so ``config_from_dict`` gives it back."""
+def _config_dict(cfg: RunConfig, records=None) -> dict:
+    """``cfg`` through the loader's key maps, so ``config_from_dict`` gives it back.
+
+    Given the ``records`` a run read, ``data`` names them by rows, features and
+    the SHA-256 of ``X`` then ``sub``: a key the loader refuses by name.
+    """
     def keyed(obj, schema) -> dict:
         return {key: getattr(obj, name) for key, name in schema.items()}
 
-    data = cfg.data
+    if records is not None:
+        digest = hashlib.sha256(records.X)  # a FlowTable's X is C-contiguous
+        digest.update(np.ascontiguousarray(records.sub))
+        data = {"records": {"rows": len(records), "features": records.width,
+                            "sha256": digest.hexdigest()}}
+    else:
+        data = ({"synthetic": keyed(cfg.data, _SYNTHETIC)} if cfg.data.is_synthetic()
+                else keyed(cfg.data, _DATA_FILE))
     return {
         **{key: getattr(cfg, key) for key in _TOP_LEVEL},
         "strategies": [{k: v for k, v in asdict(s).items() if v is not None}
                        for s in cfg.strategies],
-        "data": ({"synthetic": keyed(data, _SYNTHETIC)} if data.is_synthetic()
-                 else keyed(data, _DATA_FILE)),
-        # output_dim is left out: it follows the task
-        "arch": {k: v for k, v in asdict(cfg.arch).items() if k != "output_dim"},
+        "data": data,
+        "arch": {key: getattr(cfg.arch, key) for key in _ARCH},
         "federation": asdict(cfg.fed),
         "caps": keyed(cfg, _CAPS),
     }

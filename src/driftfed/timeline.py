@@ -62,9 +62,8 @@ CLIENT_TEST_FRACTION = 0.125
 class StrategyConfig:
     """One training strategy row of the benchmark.
 
-    ``retain`` needs ``retain_r``; ``avg_ema`` defaults ``ema_alpha`` to 0.6.
-    A value that is given must be valid whatever the kind: retain_r a
-    positive integer, ema_alpha a number in (0, 1).
+    Only ``retain`` takes ``retain_r``, a positive integer it needs; only
+    ``avg_ema`` takes ``ema_alpha``, a number in (0, 1) that defaults to 0.6.
     """
 
     kind: str
@@ -74,6 +73,9 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"kind: must be one of {STRATEGY_KINDS}, got {self.kind!r}")
+        for key, owner in (("retain_r", "retain"), ("ema_alpha", "avg_ema")):
+            if getattr(self, key) is not None and self.kind != owner:
+                raise ConfigError(f"{key}: only {owner} takes one, not {self.kind!r}")
         if self.kind == "avg_ema" and self.ema_alpha is None:
             object.__setattr__(self, "ema_alpha", 0.6)
         if self.kind == "retain" and self.retain_r is None:

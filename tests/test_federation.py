@@ -183,7 +183,8 @@ def _checkpoint(vec, period, count):
 
 def _fold(mode, history, ema_alpha=None):
     """The average ``run_timeline`` starts from after ``history``, folded one at a time."""
-    running = RunningAverage(StrategyConfig(f"avg_{mode}", ema_alpha=ema_alpha))
+    alpha = {"ema_alpha": ema_alpha} if mode == "ema" else {}  # only avg_ema takes one
+    running = RunningAverage(StrategyConfig(f"avg_{mode}", **alpha))
     for ckpt in history:
         merged = init_from_history(running, ckpt)
     return merged

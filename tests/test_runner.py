@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 import weakref
@@ -164,14 +165,18 @@ def test_strategy_problems_come_from_the_strategy_config():
 
 _positive = st.integers(1, 64)
 
+# retain_r only on retain, ema_alpha only on avg_ema
+_strategy_entries = st.one_of(
+    st.fixed_dictionaries({"kind": st.sampled_from(
+        [k for k in STRATEGY_KINDS if k not in ("retain", "avg_ema")])}),
+    st.fixed_dictionaries({"kind": st.just("retain"), "retain_r": st.integers(1, 2000)}),
+    st.fixed_dictionaries({"kind": st.just("avg_ema")}, optional={
+        "ema_alpha": st.floats(0, 1, exclude_min=True, exclude_max=True)}))
+
 _raw_configs = st.fixed_dictionaries({}, optional={
     "task": st.sampled_from(TASKS),
-    "strategies": st.lists(st.fixed_dictionaries(
-        {"kind": st.sampled_from(STRATEGY_KINDS)},
-        optional={"retain_r": st.integers(1, 2000),
-                  "ema_alpha": st.floats(0, 1, exclude_min=True, exclude_max=True)},
-    ).filter(lambda s: s["kind"] != "retain" or "retain_r" in s), max_size=4,
-        unique_by=lambda s: StrategyConfig(**s).label),
+    "strategies": st.lists(_strategy_entries, min_size=1, max_size=4,
+                           unique_by=lambda s: StrategyConfig(**s).label),
     "data": st.one_of(
         st.fixed_dictionaries({}, optional={"synthetic": st.fixed_dictionaries({}, optional={
             "seed": st.none() | st.integers(0, 2**31), "rows_per_subattack": _positive})}),
@@ -179,7 +184,7 @@ _raw_configs = st.fixed_dictionaries({}, optional={
             "column_spec": st.none() | st.text(min_size=1)})),
     "arch": st.fixed_dictionaries({}, optional={
         "input_dim": _positive, "hidden_layers": _positive, "hidden_units": _positive,
-        "seq_len": _positive, "output_dim": _positive}),
+        "seq_len": _positive}),
     "federation": st.fixed_dictionaries({}, optional={
         "num_clients": _positive, "rounds": _positive,
         "train": st.fixed_dictionaries({}, optional={
@@ -189,7 +194,6 @@ _raw_configs = st.fixed_dictionaries({}, optional={
     "train_fraction": st.floats(0.01, 0.99),
     "output_dir": st.text(min_size=1),
     "seed": st.integers(0, 2**31),
-    "desk_scale": st.booleans(),
 })
 
 
@@ -201,15 +205,27 @@ def test_manifest_config_loads_back_as_the_same_config(raw):
     assert config_from_dict(written) == cfg
 
 
-def test_output_dir_env_applies_only_when_config_leaves_it_unset(tmp_path, monkeypatch):
+def test_load_config_reads_no_environment(tmp_path, monkeypatch):
+    # one file is one run whatever the shell sets; --output-dir is the override
     monkeypatch.setenv("DRIFTFED_OUTPUT", str(tmp_path / "from_env"))
-    args = cli._build_parser().parse_args(["run", "--config", "unused.json"])
-    unset = tmp_path / "unset.json"
-    unset.write_text("{}")
-    assert cli._apply_overrides(load_config(unset), args).output_dir == str(tmp_path / "from_env")
-    explicit = tmp_path / "explicit.json"
-    explicit.write_text(json.dumps({"output_dir": "runs"}))
-    assert cli._apply_overrides(load_config(explicit), args).output_dir == "runs"
+    path = tmp_path / "cfg.json"
+    path.write_text("{}")
+    assert load_config(path).output_dir == "runs"
+    args = cli._build_parser().parse_args(["run", "--config", str(path),
+                                           "--output-dir", "elsewhere"])
+    assert cli._apply_overrides(load_config(path), args).output_dir == "elsewhere"
+
+
+def test_cli_empty_strategy_filter_is_refused(tmp_path, capsys, monkeypatch):
+    # leaving out the flag, or the config key, is the one way to run every strategy
+    def no_run(cfg):
+        raise AssertionError(f"ran {[s.label for s in cfg.strategies]}")
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", "--config", str(path), "--strategies", ""]) == 2
+    assert "error [ConfigError]: strategies: at least one strategy is required" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("start,task,out", [("binary", "sixclass", 6),
@@ -373,7 +389,14 @@ def test_manifest_records_config_and_status(tiny_run):
     cfg, result = tiny_run
     doc = json.loads((result.output_dir / "metrics_binary.json").read_text())
     assert doc == result.metrics
-    assert config_from_dict(doc["config"]) == cfg
+    # the run read in-memory records, so its data names those, not cfg.data, and the
+    # loader refuses that record by name rather than build a run of other data
+    records = _tiny_records()
+    assert doc["config"] == {**_config_dict(cfg), "data": {"records": {
+        "rows": len(records), "features": records.width,
+        "sha256": hashlib.sha256(records.X.tobytes() + records.sub.tobytes()).hexdigest()}}}
+    with pytest.raises(ConfigError, match=r"^data: unknown key\(s\) \['records'\]$"):
+        config_from_dict(doc["config"])
     assert doc["failures"] == result.failures == {}
     assert doc["strategy_order"] == ["static", "simple", "retain_20", "avg_ema"]
     assert doc["strategy_seeds"] == {s.label: runner.rng_seed_for_period(cfg.seed, s, -1)
@@ -831,11 +854,10 @@ def test_cli_gen_data_validate_run_report(tmp_path, capsys):
         "task": "binary",
         "strategies": [{"kind": "static"}, {"kind": "cumulative"}],
         "data": {"path": str(data_path), "column_spec": str(colspec)},
-        "arch": {"input_dim": 45},
+        "arch": {"input_dim": 45, "hidden_layers": 1, "hidden_units": 16},
         "federation": {"num_clients": 2, "rounds": 1, "train": {"local_epochs": 1}},
         "seed": 5,
         "output_dir": str(tmp_path / "out"),
-        "desk_scale": True,
     }))
     assert cli.main(["validate", "--config", str(cfg_path)]) == 0
     assert "config ok" in capsys.readouterr().out
@@ -979,7 +1001,11 @@ _DEEP = b"[" * 200_000 + b"]" * 200_000
     (_json({"data": {"synthetic": {"seed": "1"}}}),
      "data.synthetic.seed: must be an integer, got '1'"),
     (_json({"output_dir": 5}), "output_dir: must be a string, got 5"),
-    (_json({"desk_scale": "no"}), "desk_scale: must be true or false, got 'no'"),
+    (_json({"strategies": [{"kind": "static", "retain_r": 7}]}),
+     "strategies[0].retain_r: only retain takes one, not 'static'"),
+    (_json({"strategies": [{"kind": "avg_equal", "ema_alpha": 0.5}]}),
+     "strategies[0].ema_alpha: only avg_ema takes one, not 'avg_equal'"),
+    (_json({"strategies": []}), "strategies: at least one strategy is required"),
     (_json({"strategies": [{"kind": "retain", "retain_r": 0}]}),
      "strategies[0].retain_r: must be an integer in [1, inf], got 0"),
     (_json({"strategies": [{"kind": "avg_ema", "ema_alpha": 1.5}]}),
@@ -991,6 +1017,10 @@ _DEEP = b"[" * 200_000 + b"]" * 200_000
     # an unknown key at each level
     (_json({"taks": "sixclass"}), "config: unknown key(s) ['taks']"),
     (_json({"arch": {"hidden_unit": 16}}), "arch: unknown key(s) ['hidden_unit']"),
+    # keys that named no field of their own: a derived one and a preset
+    (_json({"arch": {"output_dim": 3}}), "arch: unknown key(s) ['output_dim']"),
+    (_json({"desk_scale": "no"}), "config: unknown key(s) ['desk_scale']"),
+    (_json({"desk_scale": True}), "config: unknown key(s) ['desk_scale']"),
     (_json({"federation": {"seed": 11}}), "federation: unknown key(s) ['seed']"),
     (_json({"federation": {"train": {"seed": 5}}}),
      "federation.train: unknown key(s) ['seed']"),
