@@ -15,15 +15,14 @@ from .errors import (AggregationError, CheckpointError, CodecError, ConfigError,
 from .federation import (Checkpoint, FedConfig, fedavg_aggregate, init_from_history,
                          load_checkpoint, run_round, run_timeline, save_checkpoint)
 from .metrics import (FAR_DEFINITION, MetricsReport, confusion, cross_period_eval,
-                      false_alarm_rate, macro_prf, measure_inference, micro_accuracy,
-                      protocol_cells)
+                      false_alarm_rate, fold_categories, macro_prf, measure_inference,
+                      micro_accuracy, protocol_cells)
 from .nn import (ModelArch, ModelParams, TrainConfig, backward, cross_entropy,
                  forward, init_params, param_count, predict, softmax, train_local)
 from .pipeline import (CATEGORIES, CODECS, ROSTER, SUB_ATTACKS, ColumnSpec, FlowTable,
                        LabelCodec, ScalerStats, apply_scaler, category_of, clean, encode_labels,
                        fit_scaler, load_records, records_by_class, stratified_split)
-from .runner import (ALL_STRATEGIES, DataSource, GeneralizationMatrix, RunConfig, RunResult,
-                     attack_generalization_matrix, desk_scale, load_config,
+from .runner import (ALL_STRATEGIES, DataSource, RunConfig, RunResult, desk_scale, load_config,
                      prepare_experiment, run_experiment, validate_config)
 from .synth import (FamilySpec, ScenarioSpec, default_column_spec, default_drift_scenario,
                     generate, write_delimited)

@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args):
-    if args.output_dir:
+    if args.output_dir is not None:
         cfg = replace(cfg, output_dir=args.output_dir)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -103,9 +103,12 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "report":
-            written = rerender_reports(args.run_dir)
+            written, skipped = rerender_reports(args.run_dir)
             for name in written:
                 print(f"rendered {name}")
+            for name in skipped:
+                print(f"skipped {name}: its metrics document's cells carry no counts",
+                      file=sys.stderr)
             return 0
     except (DriftFedError, OSError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)

@@ -1,5 +1,9 @@
 """Scoring only: classification metrics, cross-period evaluation, latency accounting.
 
+Each evaluation cell is counted once, as test rows by true roster category
+by predicted class (6x2 in binary, 6x6 in six-class); its five metric floats
+read those counts folded to the task's classes (:func:`fold_categories`).
+
 FAR definition used throughout this package: the fraction of benign samples
 predicted as any attack class (benign row of the confusion matrix, off-
 diagonal mass over row total). Both this and macro averaging are declared
@@ -18,24 +22,35 @@ from .dataset import RowShard
 from .errors import DivergenceError, EvaluationError, MetricError
 from .federation import Checkpoint
 from .nn import ModelParams, predict
+from .pipeline import CATEGORIES, LabelCodec
 
 FAR_DEFINITION = "FAR = benign samples predicted as attack / total benign samples"
 
 
-def confusion(y_true, y_pred, num_classes: int) -> np.ndarray:
-    """Count matrix M[i, j] = samples with true class i predicted j."""
+def confusion(y_true, y_pred, num_classes: int, num_true: int | None = None) -> np.ndarray:
+    """Count matrix M[i, j] = samples with true label i predicted class j.
+
+    M has ``num_true`` rows (``num_classes`` when None): one per class for
+    class labels, one per roster category for category labels.
+    """
+    num_true = num_classes if num_true is None else num_true
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape or y_true.ndim != 1:
         raise MetricError("label vectors must be 1-D and the same length")
     if y_true.size:
-        top = max(int(y_true.max()), int(y_pred.max()))
         lo = min(int(y_true.min()), int(y_pred.min()))
-        if lo < 0 or top >= num_classes:
-            raise MetricError(f"labels must lie in [0, {num_classes})")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (y_true, y_pred), 1)
-    return matrix
+        if lo < 0 or int(y_true.max()) >= num_true or int(y_pred.max()) >= num_classes:
+            raise MetricError(f"true labels must lie in [0, {num_true}) and "
+                              f"predictions in [0, {num_classes})")
+    flat = np.bincount(y_true * num_classes + y_pred, minlength=num_true * num_classes)
+    return flat.reshape(num_true, num_classes)
+
+
+def fold_categories(counts: np.ndarray, codec: LabelCodec) -> np.ndarray:
+    """The class confusion matrix of category ``counts``: each category's row
+    added into the row of its class under ``codec``."""
+    return np.eye(codec.num_classes, dtype=np.int64)[codec.category_classes].T @ counts
 
 
 def micro_accuracy(matrix: np.ndarray) -> float:
@@ -94,6 +109,7 @@ class MetricsReport:
     far: float
     inference_seconds: float
     n_samples: int
+    counts: list[list[int]]  # rows by true category by predicted class
 
 
 def measure_inference(params: ModelParams, X: np.ndarray):
@@ -107,8 +123,11 @@ def measure_inference(params: ModelParams, X: np.ndarray):
 
 def cross_period_eval(checkpoints: Iterable[Checkpoint],
                       test_sets: dict[int, RowShard],
-                      num_classes: int) -> list[MetricsReport]:
+                      codec: LabelCodec) -> list[MetricsReport]:
     """Evaluate every checkpoint on every period's global test set.
+
+    A test set's ``y`` holds its rows' roster categories, the six-class
+    codec's labels; each cell keeps their counts by ``codec``'s predicted class.
 
     The checkpoints are taken one at a time, so an iterator that loads each
     from disk holds one at once. A test set's rows are gathered from its
@@ -134,14 +153,15 @@ def cross_period_eval(checkpoints: Iterable[Checkpoint],
             except FloatingPointError as exc:
                 raise DivergenceError(f"checkpoint t{ckpt.period_id}: predicting test "
                                       f"period t{period} overflowed: {exc}") from exc
-            matrix = confusion(data.y, preds, num_classes)
+            counts = confusion(data.y, preds, codec.num_classes, len(CATEGORIES))
+            matrix = fold_categories(counts, codec)
             p, r, f1 = macro_prf(matrix)
             reports.append(MetricsReport(
                 checkpoint_period=ckpt.period_id, test_period=period,
                 accuracy=micro_accuracy(matrix), precision_macro=p,
                 recall_macro=r, f1_macro=f1,
                 far=false_alarm_rate(matrix),
-                inference_seconds=secs, n_samples=len(data),
+                inference_seconds=secs, n_samples=len(data), counts=counts.tolist(),
             ))
     return reports
 

@@ -444,6 +444,13 @@ class LabelCodec:
     def num_classes(self) -> int:
         return len(self.class_names)
 
+    @property
+    def category_classes(self) -> np.ndarray:
+        """The class index of each roster category, in :data:`CATEGORIES` order."""
+        classes = np.empty(len(CATEGORIES), dtype=np.int64)
+        classes[_CATEGORY_INDEX] = self.lut
+        return classes
+
 
 CODECS = {
     "binary": LabelCodec("binary", ("Benign", "Attack"), (_CATEGORY_INDEX != 0).astype(np.int64)),

@@ -4,16 +4,17 @@ A run executes pipeline -> timeline -> federation -> metrics for each
 configured strategy and writes, per task:
 
   metrics_<task>.json     the run's one record: config, strategy seeds, failures
-                          and every metric field incl. timing; ``render_reports``
-                          renders the four tables from it
+                          and every metric field incl. timing, each cell with its
+                          counts by true category and predicted class;
+                          ``render_reports`` renders the five tables from it
   accuracy_<task>.csv     protocol accuracy row per strategy (+ Avg column)
   latency_<task>.csv      per-period training seconds, totals, total inference
   cells_<task>.csv        full checkpoint x test-period matrix, metric fields
   composition_<task>.csv  per-strategy period/class/row-count audit
+  transfer_<task>.csv     per strategy and family: its recall before, at and
+                          after the period it arrives in, from the cells' counts
   checkpoints/<strategy>/t<i>.ckpt
                           one per training period, for each strategy that succeeded
-
-``attack_generalization_matrix`` prepares, deals and trains as a run does.
 
 Checkpoints are not keyed by task, so an output directory holds one task's
 run: ``validate_config`` refuses a directory that holds another task's
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import shutil
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -40,14 +40,13 @@ import numpy as np
 
 from . import timeline as tl
 from .atomic import read_json, write_atomic, write_json
-from .errors import ConfigError, DriftFedError, EvaluationError, ReportError, check_field
+from .errors import ConfigError, DriftFedError, ReportError, check_field
 from .federation import FedConfig, PeriodInput, load_checkpoint, run_timeline, save_checkpoint
 from .metrics import FAR_DEFINITION, cross_period_eval, protocol_cells
 from .nn import ModelArch, TrainConfig
-from .pipeline import (NO_ROWS, ROSTER, ColumnSpec, LabelCodec, apply_scaler, clean,
+from .pipeline import (CATEGORIES, CODECS, ColumnSpec, LabelCodec, apply_scaler, clean,
                        concat_rows, encode_labels, fit_scaler, load_records, records_by_class,
                        stratified_split)
-from .seeds import derive_seed
 from .synth import default_column_spec, default_drift_scenario, generate
 from .timeline import (StrategyConfig, StrategyComposer, build_schedule, build_test_sets,
                        partition_iid, rng_seed_for_period, segment_and_cap)
@@ -120,6 +119,8 @@ class RunConfig:
         check_field("caps.test", self.test_cap, "integer", 1)
         check_field("train_fraction", self.train_fraction, "number", 0, 1)
         check_field("output_dir", self.output_dir, "string")
+        if not self.output_dir:
+            raise ConfigError("output_dir: must name a directory, got ''")
         check_field("seed", self.seed, "integer")
         out = LabelCodec.for_task(self.task).num_classes
         object.__setattr__(self, "arch", replace(self.arch, output_dim=out))
@@ -240,26 +241,14 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
                         f"would get no rows of a first-period pool")
     if not cfg.data.is_synthetic() and not Path(cfg.data.path).is_file():
         problems.append(f"data.path: not a file: {cfg.data.path!r}")
-    return problems + _width_problems(cfg, records)
-
-
-def _width_problems(cfg: RunConfig, records=None) -> list[str]:
-    """Why the arch cannot read the data's rows; empty when it can."""
     try:
-        features = _feature_count(cfg, records)
+        features = len(_column_spec(cfg).feature_columns) if records is None else records.width
     except ConfigError as exc:
-        return [f"data.column_spec: {exc}"]
+        return problems + [f"data.column_spec: {exc}"]
     if cfg.arch.feature_width != features:
-        return [f"arch: input_dim * seq_len = {cfg.arch.feature_width} must equal "
-                f"the {features} features per row of the data"]
-    return []
-
-
-def _feature_count(cfg: RunConfig, records=None) -> int:
-    """Features per row of the data a run reads."""
-    if records is not None:
-        return records.width
-    return len(_column_spec(cfg).feature_columns)
+        problems.append(f"arch: input_dim * seq_len = {cfg.arch.feature_width} must equal "
+                        f"the {features} features per row of the data")
+    return problems
 
 
 def _column_spec(cfg: RunConfig) -> ColumnSpec:
@@ -289,22 +278,13 @@ def _load_dataset(cfg: RunConfig):
     return load_records(cfg.data.path, _column_spec(cfg))
 
 
-def _scaled_split(cfg: RunConfig, records=None):
-    """``(table, train_rows, test_rows)``: the table cleaned, split and scaled."""
-    table = clean(_load_dataset(cfg) if records is None else records)
-    train_rows, test_rows = stratified_split(table, cfg.train_fraction, cfg.seed)
-    owned = table is not records
-    table = apply_scaler(fit_scaler(table, train_rows), table, out=table.X if owned else None)
-    return table, train_rows, test_rows
-
-
 def prepare_experiment(cfg: RunConfig, records=None):
     """Shared data preparation: clean, split, scale, segment, cap, test sets.
 
     Returns what ``run_strategy`` reads: the schedule, the one scaled table,
     the capped training segments per class (row indices into it), the
-    encoded test set per period (a ``RowShard`` of the table) and the label
-    codec.
+    encoded test set per period (a ``RowShard`` of the table labeled by
+    category, the six-class codec's labels, in either task) and the codec.
 
     The features are copied once, into the scaled table, and only when the
     run does not own them: a table the run loads or generates, or that
@@ -313,7 +293,10 @@ def prepare_experiment(cfg: RunConfig, records=None):
     where they lie. Past that point no labeled set holds features: training
     shards, validation sets and test sets are row indices into the table.
     """
-    table, train_rows, test_rows = _scaled_split(cfg, records)
+    table = clean(_load_dataset(cfg) if records is None else records)
+    train_rows, test_rows = stratified_split(table, cfg.train_fraction, cfg.seed)
+    owned = table is not records
+    table = apply_scaler(fit_scaler(table, train_rows), table, out=table.X if owned else None)
     schedule = build_schedule(cfg.task)
     n_train_periods = sum(p.has_training for p in schedule)
 
@@ -321,25 +304,15 @@ def prepare_experiment(cfg: RunConfig, records=None):
                                      cfg.train_cap, cfg.seed, "cap-train")
     test_segments = segment_and_cap(records_by_class(table, test_rows), len(schedule),
                                     cfg.test_cap, cfg.seed, "cap-test")
-    codec = LabelCodec.for_task(cfg.task)
-    encoded_tests = {period: encode_labels(codec, table, rows)
+    encoded_tests = {period: encode_labels(CODECS["sixclass"], table, rows)
                      for period, rows in build_test_sets(schedule, test_segments).items()}
     return {
         "schedule": schedule,
         "table": table,
         "train_segments": train_segments,
         "encoded_tests": encoded_tests,
-        "codec": codec,
+        "codec": LabelCodec.for_task(cfg.task),
     }
-
-
-def _period_input(cfg: RunConfig, codec: LabelCodec, table, pool: dict[str, np.ndarray],
-                  period_id: int, seed: int) -> PeriodInput:
-    """``pool`` dealt to the clients: their training shards and one validation set."""
-    clients = partition_iid(pool, cfg.fed.num_clients, seed)
-    val_rows = concat_rows(c.validation for c in clients)
-    return PeriodInput(period_id, [encode_labels(codec, table, c.train) for c in clients],
-                       encode_labels(codec, table, val_rows) if len(val_rows) else None)
 
 
 def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig, ckpt_dir: Path) -> dict:
@@ -349,20 +322,25 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig, ckpt_dir:
     so the run holds one at a time, and evaluation reads them back one at a
     time. The entry lists them where ``run_experiment`` puts them.
     """
-    schedule = prep["schedule"]
-    table = prep["table"]
     codec: LabelCodec = prep["codec"]
     strategy_seed = rng_seed_for_period(cfg.seed, strategy, -1)
 
-    composer = StrategyComposer(strategy, schedule, prep["train_segments"],
+    def encode(rows):
+        return encode_labels(codec, prep["table"], rows)
+
+    composer = StrategyComposer(strategy, prep["schedule"], prep["train_segments"],
                                 seed=strategy_seed)
     period_inputs = []
     composition: dict[str, dict[str, int]] = {}
     for period_id in composer.training_periods():
         pool = composer.compose(period_id)
         composition[f"t{period_id}"] = {cls: len(rows) for cls, rows in pool.items()}
-        period_inputs.append(_period_input(cfg, codec, table, pool, period_id,
-                                           rng_seed_for_period(cfg.seed, strategy, period_id)))
+        # the pool dealt to the clients: their training shards and one validation set
+        clients = partition_iid(pool, cfg.fed.num_clients,
+                                rng_seed_for_period(cfg.seed, strategy, period_id))
+        val_rows = concat_rows(c.validation for c in clients)
+        period_inputs.append(PeriodInput(period_id, [encode(c.train) for c in clients],
+                                         encode(val_rows) if len(val_rows) else None))
 
     ckpt_dir.mkdir(parents=True)
     names: list[str] = []
@@ -378,7 +356,7 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig, ckpt_dir:
 
     run_timeline(strategy, period_inputs, cfg.fed, cfg.arch, strategy_seed, on_checkpoint=save)
     reports = cross_period_eval((load_checkpoint(ckpt_dir / name) for name in names),
-                                prep["encoded_tests"], codec.num_classes)
+                                prep["encoded_tests"], codec)
     protocol = protocol_cells(reports, list(tl.test_periods(cfg.task)))
     return {
         "cells": [asdict(r) for r in reports],
@@ -449,77 +427,57 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
     return RunResult(out_dir, doc, failures, artifacts)
 
 
-@dataclass
-class GeneralizationMatrix:
-    """Cross-family accuracy: rows = training family, columns = test family."""
-
-    families: list[str]
-    values: np.ndarray  # (F, F + 1); last column is the row mean
-
-    def row(self, family: str) -> np.ndarray:
-        return self.values[self.families.index(family)]
-
-
-def attack_generalization_matrix(cfg: RunConfig, records=None) -> GeneralizationMatrix:
-    """Train Benign-vs-family binary detectors and score them across families.
-
-    Reads ``cfg.data`` (or ``records``), ``cfg.arch`` (at two outputs),
-    ``cfg.fed``, ``cfg.train_fraction`` and ``cfg.seed``. Cell (i, j) is the
-    accuracy of the detector of (Benign, family i) on the test rows of
-    (Benign, family j). Each detector is one period of a ``static`` run,
-    seeded by its family, so a diverged one raises :class:`DivergenceError`.
-    The families are the roster's; one without rows is skipped with a warning.
-    """
-    problems = _width_problems(cfg, records)
-    if problems:
-        raise ConfigError("invalid matrix config: " + "; ".join(problems))
-    table, train_rows, test_rows = _scaled_split(cfg, records)
-
-    def by_category(rows):
-        by_class = records_by_class(table, rows)
-        return {cat: concat_rows(by_class.get(m, NO_ROWS) for m in members)
-                for cat, members in ROSTER.items()}
-
-    train, test = by_category(train_rows), by_category(test_rows)
-    if not len(train["Benign"]) or not len(test["Benign"]):
-        raise EvaluationError("benign train and test rows are required")
-    families = [f for f in tl.FAMILY_MEMBERS if len(train[f]) and len(test[f])]
-    for family in tl.FAMILY_MEMBERS:
-        if family not in families:
-            warnings.warn(f"family {family!r} has no data; skipping")
-    if len(families) < 2:
-        raise EvaluationError("need at least two families with benign data")
-
-    codec = LabelCodec.for_task("binary")
-    arch = replace(cfg.arch, output_dim=codec.num_classes)
-    test_sets = {j: encode_labels(codec, table, concat_rows([test["Benign"], test[family]]))
-                 for j, family in enumerate(families)}
-    values = np.zeros((len(families), len(families) + 1))
-    for i, family in enumerate(families):
-        seed = derive_seed(cfg.seed, "generalization", family)
-        pool = {"Benign": train["Benign"], family: train[family]}
-        checkpoints = []
-        run_timeline(StrategyConfig("static"), [_period_input(cfg, codec, table, pool, 0, seed)],
-                     cfg.fed, arch, seed, checkpoints.append)
-        reports = cross_period_eval(checkpoints, test_sets, codec.num_classes)
-        values[i, :-1] = [r.accuracy for r in reports]
-        values[i, -1] = values[i, :-1].mean()
-    return GeneralizationMatrix(families, values)
-
-
 # --- report rendering --------------------------------------------------------
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def render_reports(doc: dict) -> dict[str, str]:
-    """The four delimited tables of a metrics document, by file name.
+def _counts(cell: dict, codec: LabelCodec) -> np.ndarray:
+    """A cell's stored counts, rows by true category, columns by predicted class."""
+    counts = np.array(cell["counts"])
+    shape = (len(CATEGORIES), codec.num_classes)
+    if counts.shape != shape or counts.dtype.kind != "i" or (counts < 0).any():
+        raise ReportError(f"a cell's counts must be a {shape[0]}x{shape[1]} matrix of row counts")
+    return counts
+
+
+def _transfer_rows(label: str, cells: list[dict], codec: LabelCodec, last_test: int):
+    """One line per family, in order of arrival, from ``cells``' counts.
+
+    Each field is the family's recall, the share of its test rows predicted
+    as its class: on its period k's test set by the newest checkpoint before
+    k and by the newest at or before k, and on the last test set by the
+    newest checkpoint. A field is empty without that checkpoint or without
+    the family's rows.
+    """
+    counts = {(c["checkpoint_period"], c["test_period"]): _counts(c, codec) for c in cells}
+    checkpoints = sorted({ckpt for ckpt, _ in counts})
+
+    def recall(usable: list[int], test: int, category: int) -> str:
+        if not usable:
+            return ""
+        row = counts[usable[-1], test][category]
+        total = int(row.sum())
+        return _fmt(int(row[codec.category_classes[category]]) / total) if total else ""
+
+    for k, family in tl.FAMILY_INTRODUCED_AT.items():
+        category = CATEGORIES.index(family)
+        yield ",".join([label, family, f"t{k}",
+                        recall([c for c in checkpoints if c < k], k, category),
+                        recall([c for c in checkpoints if c <= k], k, category),
+                        recall(checkpoints, last_test, category)])
+
+
+def render_reports(doc: dict) -> dict[str, str | None]:
+    """The five delimited tables of a metrics document, by file name.
 
     Reads the document only, so a run and ``driftfed report`` on its stored
-    JSON render the same bytes.
+    JSON render the same bytes. The transfer table is None when the cells
+    carry no counts, as an earlier version's do.
     """
     task = doc["task"]
+    codec = LabelCodec.for_task(task)
     test_periods = [f"t{p}" for p in doc["test_periods"]]
     train_periods = [f"t{p}" for p in tl.training_periods(task)]
     far = doc["far_definition"]
@@ -533,6 +491,8 @@ def render_reports(doc: dict) -> dict[str, str]:
              "strategy,checkpoint_period,test_period,n_samples,"
              "accuracy,precision_macro,recall_macro,f1_macro,far"]
     composition = ["strategy,period,class,rows"]
+    transfer = ["strategy,family,introduced,before,at,last"]
+    counted = all("counts" in c for entry in doc["strategies"].values() for c in entry["cells"])
     for label in doc["strategy_order"]:
         entry = doc["strategies"][label]
         protocol = [entry["protocol"][p] for p in test_periods]
@@ -556,15 +516,22 @@ def render_reports(doc: dict) -> dict[str, str]:
             for cls in sorted(pools[period]):
                 composition.append(f"{label},{period},{cls},{pools[period][cls]}")
 
+        if counted:
+            transfer.extend(_transfer_rows(label, entry["cells"], codec,
+                                           doc["test_periods"][-1]))
+
     tables = {"accuracy": accuracy, "latency": latency, "cells": cells,
-              "composition": composition}
-    return {f"{name}_{task}.csv": "\n".join(lines) + "\n" for name, lines in tables.items()}
+              "composition": composition, "transfer": transfer if counted else None}
+    return {f"{name}_{task}.csv": None if lines is None else "\n".join(lines) + "\n"
+            for name, lines in tables.items()}
 
 
-def _write_files(out_dir: Path, files: dict[str, str]) -> list[str]:
-    for name, content in files.items():
-        write_atomic(out_dir / name, [content.encode("utf-8")])
-    return list(files)
+def _write_files(out_dir: Path, files: dict[str, str | None]) -> list[str]:
+    """Write each rendered table; a table rendered as None is not written."""
+    written = [name for name, content in files.items() if content is not None]
+    for name in written:
+        write_atomic(out_dir / name, [files[name].encode("utf-8")])
+    return written
 
 
 def write_reports(out_dir: Path, doc: dict) -> list[str]:
@@ -575,16 +542,18 @@ def write_reports(out_dir: Path, doc: dict) -> list[str]:
     return [*written, name]
 
 
-def rerender_reports(run_dir) -> list[str]:
+def rerender_reports(run_dir) -> tuple[list[str], list[str]]:
     """Re-render the delimited tables from each stored metrics document.
 
-    A directory without a metrics document, or a document that cannot be
-    read or rendered, raises :class:`ReportError` naming it.
+    Returns the names written and the names skipped: the transfer table of
+    a document whose cells carry no counts. A directory without a metrics
+    document, or a document that cannot be read or rendered, raises
+    :class:`ReportError` naming it.
     """
     doc_paths = sorted(Path(run_dir).glob("metrics_*.json"))
     if not doc_paths:
         raise ReportError(f"{run_dir}: no metrics_<task>.json document to render")
-    written = []
+    written, skipped = [], []
     for doc_path in doc_paths:
         doc = read_json(doc_path, ReportError)
         try:
@@ -592,7 +561,8 @@ def rerender_reports(run_dir) -> list[str]:
         except (ValueError, KeyError, TypeError, AttributeError, DriftFedError) as exc:
             raise ReportError(f"{doc_path}: bad metrics document: {exc!r}") from exc
         written.extend(_write_files(doc_path.parent, files))
-    return written
+        skipped.extend(name for name, content in files.items() if content is None)
+    return written, skipped
 
 
 def _config_dict(cfg: RunConfig, records=None) -> dict:

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftfed import metrics, runner
-from driftfed.errors import (ConfigError, DivergenceError, EvaluationError, FederationError,
-                             MetricError)
-from driftfed.federation import Checkpoint, FedConfig
-from driftfed.metrics import (confusion, cross_period_eval, false_alarm_rate, macro_prf,
-                              measure_inference, micro_accuracy, protocol_cells)
-from driftfed.nn import ModelArch, TrainConfig, init_params, param_count, predict
-from driftfed.runner import DataSource, RunConfig, attack_generalization_matrix
-from driftfed.synth import FamilySpec, ScenarioSpec, generate, write_delimited
+from driftfed import metrics
+from driftfed.errors import EvaluationError, MetricError
+from driftfed.federation import Checkpoint
+from driftfed.metrics import (confusion, cross_period_eval, false_alarm_rate, fold_categories,
+                              macro_prf, measure_inference, micro_accuracy, protocol_cells)
+from driftfed.nn import ModelArch, init_params, predict
+from driftfed.pipeline import CATEGORIES, CODECS
 
 from conftest import rows_of_one_table, whole
 
@@ -21,6 +19,8 @@ def test_confusion_hand_tally():
     assert m[1, 2] == 1
     assert np.trace(m) == 3
     assert m.sum() == 4
+    # one row per category, one column per class
+    assert confusion([5, 0, 5], [1, 1, 0], 2, 6).tolist() == [[0, 1], *[[0, 0]] * 4, [1, 1]]
 
 
 def test_confusion_perfect_is_diagonal(rng):
@@ -35,6 +35,10 @@ def test_confusion_empty_and_errors():
         confusion([0, 1], [0], 2)
     with pytest.raises(MetricError):
         confusion([0, 2], [0, 1], 2)
+    with pytest.raises(MetricError):  # a category past the roster
+        confusion([6], [0], 2, 6)
+    with pytest.raises(MetricError):  # a prediction past the task's classes
+        confusion([5], [2], 2, 6)
 
 
 def test_micro_accuracy_cases():
@@ -123,7 +127,34 @@ def test_support_weighted_recall_equals_micro_accuracy(pairs):
     assert abs(weighted - micro_accuracy(m)) < 1e-12
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(CODECS)), st.data())
+def test_category_counts_fold_to_the_task_confusion(task, data):
+    # a cell counted once, by category, gives the class matrix and the five
+    # floats that counting the task's labels gives
+    codec = CODECS[task]
+    n = codec.num_classes
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, len(CATEGORIES) - 1),
+                                         st.integers(0, n - 1)), min_size=1, max_size=200))
+    categories = np.array([c for c, _ in pairs])
+    preds = np.array([p for _, p in pairs])
+    counts = confusion(categories, preds, n, len(CATEGORIES))
+    tally = [[0] * n for _ in CATEGORIES]
+    for category, pred in pairs:
+        tally[category][pred] += 1
+    assert counts.tolist() == tally
+    folded = fold_categories(counts, codec)
+    direct = confusion(codec.category_classes[categories], preds, n)
+    assert folded.dtype == direct.dtype and np.array_equal(folded, direct)
+
+    def scores(m):
+        floats = [micro_accuracy(m), *macro_prf(m)]
+        return floats + [false_alarm_rate(m)] if m[0].sum() else floats
+    assert scores(folded) == scores(direct)
+
+
 ARCH = ModelArch(input_dim=3, hidden_layers=1, hidden_units=4, output_dim=2)
+BINARY = CODECS["binary"]
 
 
 def _dataset(rng, n=40):
@@ -147,12 +178,12 @@ def _checkpoints(periods):
 
 def test_cross_period_eval_full_matrix(rng):
     tests = {p: _dataset(rng) for p in range(1, 7)}
-    reports = cross_period_eval(_checkpoints([1, 2, 3, 4, 5]), tests, 2)
+    reports = cross_period_eval(_checkpoints([1, 2, 3, 4, 5]), tests, BINARY)
     assert len(reports) == 5 * 6
     assert all(0.0 <= r.accuracy <= 1.0 for r in reports)
     assert all(0.0 <= r.far <= 1.0 for r in reports)
     # deterministic apart from timing
-    again = cross_period_eval(_checkpoints([1, 2, 3, 4, 5]), tests, 2)
+    again = cross_period_eval(_checkpoints([1, 2, 3, 4, 5]), tests, BINARY)
     assert [r.accuracy for r in reports] == [r.accuracy for r in again]
 
 
@@ -171,7 +202,7 @@ def test_cross_period_eval_reads_test_sets_as_rows_of_one_table(rng, monkeypatch
 
     monkeypatch.setattr(metrics, "measure_inference", measure)
     cells = [[(r.accuracy, r.f1_macro, r.far, r.n_samples) for r in
-              cross_period_eval(_checkpoints([1, 2]), sets, 2)] for sets in (alone, shared)]
+              cross_period_eval(_checkpoints([1, 2]), sets, BINARY)] for sets in (alone, shared)]
     assert cells[0] == cells[1]
     gathered = timed[len(timed) // 2:]
     assert [X.tobytes() for X in gathered] == [X.tobytes() for X, _ in parts] * 2
@@ -179,7 +210,7 @@ def test_cross_period_eval_reads_test_sets_as_rows_of_one_table(rng, monkeypatch
 
 def test_protocol_cells_shift_by_one(rng):
     tests = {p: _dataset(rng) for p in range(1, 7)}
-    reports = cross_period_eval(_checkpoints([1, 2, 3, 4, 5]), tests, 2)
+    reports = cross_period_eval(_checkpoints([1, 2, 3, 4, 5]), tests, BINARY)
     cells = protocol_cells(reports, list(range(1, 7)))
     assert cells[1].checkpoint_period == 1        # no-drift self test
     for period in range(2, 7):
@@ -189,7 +220,7 @@ def test_protocol_cells_shift_by_one(rng):
 
 def test_protocol_cells_static_uses_single_checkpoint(rng):
     tests = {p: _dataset(rng) for p in range(1, 7)}
-    reports = cross_period_eval(_checkpoints([1]), tests, 2)
+    reports = cross_period_eval(_checkpoints([1]), tests, BINARY)
     assert len(reports) == 6
     cells = protocol_cells(reports, list(range(1, 7)))
     assert all(c.checkpoint_period == 1 for c in cells.values())
@@ -197,103 +228,8 @@ def test_protocol_cells_static_uses_single_checkpoint(rng):
 
 def test_cross_period_eval_missing_period_rejected(rng):
     tests = {1: _dataset(rng)}
-    reports = cross_period_eval(_checkpoints([1]), tests, 2)
+    reports = cross_period_eval(_checkpoints([1]), tests, BINARY)
     with pytest.raises(EvaluationError):
         protocol_cells(reports, [1, 2])
     with pytest.raises(EvaluationError):
-        cross_period_eval(_checkpoints([1]), {}, 2)
-
-
-# one roster sub-attack per family
-_FAMILY_SUB = {"MQTT": "MQTT-Malformed_Data", "DoS": "TCP_IP-DoS-SYN",
-               "Recon": "Recon-Ping_Sweep"}
-
-
-def _family_scenario(seed=0, rows=260):
-    base = np.full(10, 5.0)
-    means = {"MQTT": +3.0, "DoS": -3.0, "Recon": 0.0}
-    families = [FamilySpec("Benign", ("Benign",), base.copy(), 0.6, rows)]
-    for cat, delta in means.items():
-        mean = base.copy()
-        if cat == "Recon":
-            mean[5:] += 3.0
-        else:
-            mean[:5] += delta
-        families.append(FamilySpec(cat, (_FAMILY_SUB[cat],), mean, 0.6, rows))
-    return ScenarioSpec(num_features=10, families=tuple(families), seed=seed)
-
-
-def _matrix_config(seed=1, hidden=8, rounds=2, epochs=6, lr=0.01, input_dim=10, clients=2,
-                   **data):
-    return RunConfig(data=DataSource(**data),
-                     arch=ModelArch(input_dim=input_dim, hidden_layers=1, hidden_units=hidden),
-                     fed=FedConfig(num_clients=clients, rounds=rounds,
-                                   train=TrainConfig(local_epochs=epochs, learning_rate=lr)),
-                     seed=seed)
-
-
-def _matrix(cfg, records):
-    """The matrix of ``records``, whose scenario has no DDoS or Spoofing rows."""
-    with pytest.warns(UserWarning) as caught:
-        matrix = attack_generalization_matrix(cfg, records)
-    assert [str(w.message) for w in caught] == [
-        "family 'DDoS' has no data; skipping", "family 'Spoofing' has no data; skipping"]
-    return matrix
-
-
-def test_attack_generalization_matrix_diagonal_dominates():
-    for seed in range(4):
-        matrix = _matrix(_matrix_config(seed=seed), generate(_family_scenario(seed=seed)))
-        f = len(matrix.families)
-        assert matrix.values.shape == (f, f + 1)
-        for i in range(f):
-            row = matrix.values[i, :f]
-            assert row[i] == row.max(), (seed, matrix.families[i])
-            assert matrix.values[i, -1] == pytest.approx(row.mean())
-
-
-def test_attack_generalization_matrix_flags_a_diverged_model():
-    # a step near the float64 limit overflows the weights, as in run_timeline's tests
-    cfg = _matrix_config(hidden=4, rounds=1, epochs=1, lr=1e308)
-    with pytest.warns(UserWarning), pytest.raises(DivergenceError, match="period 0 round 0"):
-        attack_generalization_matrix(cfg, generate(_family_scenario()))
-
-
-def test_attack_generalization_matrix_skips_missing_family():
-    matrix = _matrix(_matrix_config(hidden=4, rounds=1, epochs=2),
-                     generate(_family_scenario()))
-    assert matrix.families == ["MQTT", "DoS", "Recon"]
-
-
-def test_attack_generalization_matrix_names_a_client_without_rows():
-    # 208 training rows per class: clients from index 208 on are dealt none
-    cfg = _matrix_config(rounds=1, epochs=1, clients=210)
-    with pytest.warns(UserWarning), pytest.raises(FederationError, match="client 208 "):
-        attack_generalization_matrix(cfg, generate(_family_scenario()))
-
-
-def test_attack_generalization_matrix_is_deterministic():
-    cfg, records = _matrix_config(rounds=1), generate(_family_scenario())
-    first, second = _matrix(cfg, records), _matrix(cfg, records)
-    assert first.values.tobytes() == second.values.tobytes()
-
-
-def test_attack_generalization_matrix_reads_a_file_as_its_records(tmp_path):
-    records = generate(_family_scenario())
-    path = tmp_path / "flows.csv"
-    spec_path = tmp_path / "flows.columns.json"
-    write_delimited(records, path).to_json(spec_path)
-    from_file = _matrix(_matrix_config(rounds=1, path=str(path),
-                                       column_spec_path=str(spec_path)), None)
-    from_records = _matrix(_matrix_config(rounds=1), records)
-    assert from_file.families == from_records.families
-    assert from_file.values.tobytes() == from_records.values.tobytes()
-
-
-def test_attack_generalization_matrix_refuses_an_arch_of_another_width(monkeypatch):
-    def no_preparation(*args):
-        raise AssertionError("the matrix prepared data for an arch that cannot read it")
-
-    monkeypatch.setattr(runner, "clean", no_preparation)
-    with pytest.raises(ConfigError, match=r"input_dim \* seq_len = 9 must equal the 10 "):
-        attack_generalization_matrix(_matrix_config(input_dim=9), generate(_family_scenario()))
+        cross_period_eval(_checkpoints([1]), {}, BINARY)

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from driftfed import atomic, cli, federation, runner
 from driftfed.errors import ConfigError, DivergenceError, ReportError
 from driftfed.federation import FedConfig
+from driftfed.metrics import false_alarm_rate, fold_categories, macro_prf, micro_accuracy
 from driftfed.nn import OPTIMIZERS, ModelArch, TrainConfig, param_count
-from driftfed.pipeline import (ColumnSpec, FlowTable, apply_scaler, clean, encode_labels,
+from driftfed.pipeline import (CODECS, ColumnSpec, FlowTable, apply_scaler, clean, encode_labels,
                                fit_scaler, records_by_class, stratified_split)
 from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, _config_dict,
                              config_from_dict, desk_scale, load_config, prepare_experiment,
@@ -71,6 +72,8 @@ def test_validate_config_flags_bad_values(tmp_path):
         (lambda: replace(cfg, train_fraction=1.0),
          "train_fraction: must be a number in (0, 1), got 1.0"),
         (lambda: replace(cfg, output_dir=5), "output_dir: must be a string, got 5"),
+        # the working directory: a run would write its tables and checkpoints there
+        (lambda: replace(cfg, output_dir=""), "output_dir: must name a directory, got ''"),
         (lambda: replace(cfg, task="ternary"),
          "task: must be one of ('binary', 'sixclass'), got 'ternary'"),
     ]:
@@ -228,6 +231,16 @@ def test_cli_empty_strategy_filter_is_refused(tmp_path, capsys, monkeypatch):
         capsys.readouterr().err
 
 
+def test_cli_empty_output_dir_is_refused(tmp_path, capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError(f"ran into {cfg.output_dir!r}")
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", "--config", str(path), "--output-dir", ""]) == 2
+    assert "error [ConfigError]: output_dir: must name a directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("start,task,out", [("binary", "sixclass", 6),
                                             ("sixclass", "binary", 2)])
 def test_cli_task_override_derives_output_dim(start, task, out):
@@ -296,7 +309,8 @@ def test_one_scaled_table_prepares_what_two_tables_did(tmp_path, task, caps, bin
     old_tests = build_test_sets(schedule, test_segments)
     assert list(prep["encoded_tests"]) == list(old_tests)
     for period, rows in old_tests.items():
-        old, new = encode_labels(prep["codec"], test, rows), prep["encoded_tests"][period]
+        # a test set is labeled by category in either task; the task's classes fold from it
+        old, new = encode_labels(CODECS["sixclass"], test, rows), prep["encoded_tests"][period]
         assert new.X is prep["table"].X  # a test set holds no features of its own
         old_X, new_X = old.X[old.rows], new.X[new.rows]
         assert (new_X.shape, new.y.dtype) == (old_X.shape, old.y.dtype)
@@ -355,7 +369,7 @@ def test_run_experiment_artifacts_exist(tiny_run):
     cfg, result = tiny_run
     assert result.ok
     expected = {"accuracy_binary.csv", "latency_binary.csv", "cells_binary.csv",
-                "composition_binary.csv", "metrics_binary.json"}
+                "composition_binary.csv", "transfer_binary.csv", "metrics_binary.json"}
     present = {p.name for p in result.output_dir.iterdir()}
     assert present == expected | {"checkpoints"}
     assert (result.output_dir / "checkpoints" / "static" / "t1.ckpt").exists()
@@ -403,6 +417,95 @@ def test_manifest_records_config_and_status(tiny_run):
                                      for s in cfg.strategies}
 
 
+@pytest.mark.parametrize("task", TASKS)
+def test_every_cell_scores_its_own_counts(tmp_path, task):
+    # one count per cell, rows by true category: folded by the task's codec, it gives
+    # the cell's five floats bit for bit, in the cells and in their protocol copies
+    cfg = _tiny_cfg(tmp_path, task=task,
+                    strategies=(StrategyConfig("static"), StrategyConfig("cumulative")))
+    result = run_experiment(cfg, records=_tiny_records())
+    codec = CODECS[task]
+    for entry in result.metrics["strategies"].values():
+        for cell in [*entry["cells"], *entry["protocol"].values()]:
+            counts = np.array(cell["counts"])
+            assert counts.shape == (6, codec.num_classes)
+            assert counts.sum() == cell["n_samples"]
+            matrix = fold_categories(counts, codec)
+            p, r, f1 = macro_prf(matrix)
+            assert [cell["accuracy"], cell["precision_macro"], cell["recall_macro"],
+                    cell["f1_macro"], cell["far"]] == \
+                   [micro_accuracy(matrix), p, r, f1, false_alarm_rate(matrix)]
+
+
+def _transfer_doc(task: str) -> dict:
+    """A hand-built metrics document: ``static`` holds checkpoint t1 and ``simple``
+    t1..t5, each scored on t1..t6. In the cell (c, t) a family's recall is
+    (10c + t) / 100, so a field names the cell it was read from; Spoofing has no
+    rows."""
+    codec = CODECS[task]
+    periods = list(range(1, 7))
+
+    def counts(ckpt, test):
+        rows = np.zeros((6, codec.num_classes), dtype=int)
+        rows[0, 0] = 50
+        for category in range(1, 5):
+            hit = 10 * ckpt + test
+            rows[category, 0] = 100 - hit
+            rows[category, codec.category_classes[category]] = hit
+        return rows.tolist()
+
+    strategies = {}
+    for label, ckpts in (("static", [1]), ("simple", [1, 2, 3, 4, 5])):
+        cells = [{"checkpoint_period": c, "test_period": t, "n_samples": 450,
+                  "accuracy": 0.5, "precision_macro": 0.5, "recall_macro": 0.5,
+                  "f1_macro": 0.5, "far": 0.0, "inference_seconds": 0.0,
+                  "counts": counts(c, t)} for c in ckpts for t in periods]
+        strategies[label] = {"cells": cells, "protocol": {f"t{t}": cells[0] for t in periods},
+                             "train_latency_seconds": {}, "train_samples": {},
+                             "composition": {}, "checkpoints": []}
+    return {"task": task, "test_periods": periods, "far_definition": "FAR",
+            "strategy_order": ["static", "simple"], "strategies": strategies}
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_transfer_table_reads_each_family_before_at_and_after_its_period(task):
+    table = render_reports(_transfer_doc(task))[f"transfer_{task}.csv"]
+    assert table.splitlines() == [
+        "strategy,family,introduced,before,at,last",
+        # one checkpoint: before equals at from t2 on, and last reads t6
+        "static,MQTT,t1,,0.110000,0.160000",
+        "static,DoS,t2,0.120000,0.120000,0.160000",
+        "static,DDoS,t3,0.130000,0.130000,0.160000",
+        "static,Recon,t4,0.140000,0.140000,0.160000",
+        "static,Spoofing,t5,,,",
+        # nothing is older than t1; the newest checkpoint, t5, reads the last test set
+        "simple,MQTT,t1,,0.110000,0.560000",
+        "simple,DoS,t2,0.120000,0.220000,0.560000",
+        "simple,DDoS,t3,0.230000,0.330000,0.560000",
+        "simple,Recon,t4,0.340000,0.440000,0.560000",
+        "simple,Spoofing,t5,,,",
+    ]
+
+
+def test_report_renders_an_older_document_without_its_transfer_table(tiny_run, tmp_path,
+                                                                     capsys):
+    # a document written before cells carried counts still gives the other four tables
+    _, result = tiny_run
+    doc = json.loads(json.dumps(result.metrics))
+    for entry in doc["strategies"].values():
+        for cell in [*entry["cells"], *entry["protocol"].values()]:
+            del cell["counts"]
+    (tmp_path / "metrics_binary.json").write_text(json.dumps(doc))
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    names = [f"{t}_binary.csv" for t in ("accuracy", "latency", "cells", "composition")]
+    assert out.split() == [word for name in names for word in ("rendered", name)]
+    assert "skipped transfer_binary.csv" in err
+    assert not (tmp_path / "transfer_binary.csv").exists()
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (result.output_dir / name).read_bytes()
+
+
 def test_cells_table_is_full_matrix(tiny_run):
     _, result = tiny_run
     lines = (result.output_dir / "cells_binary.csv").read_text().splitlines()
@@ -418,7 +521,8 @@ def test_rerun_with_same_config_byte_identical(tmp_path):
     cfg_b = _tiny_cfg(tmp_path / "b")
     res_a = run_experiment(cfg_a, records=_tiny_records())
     res_b = run_experiment(cfg_b, records=_tiny_records())
-    for name in ("accuracy_binary.csv", "cells_binary.csv", "composition_binary.csv"):
+    for name in ("accuracy_binary.csv", "cells_binary.csv", "composition_binary.csv",
+                 "transfer_binary.csv"):
         assert (res_a.output_dir / name).read_bytes() == \
                (res_b.output_dir / name).read_bytes()
     ckpts_a = sorted((res_a.output_dir / "checkpoints").rglob("*.ckpt"))
@@ -772,11 +876,12 @@ def test_report_rerender_matches_original(tmp_path, monkeypatch):
     cfg = _tiny_cfg(tmp_path)  # static trains in one period, so its latency row is sparse
     result = run_experiment(cfg, records=_tiny_records())
     assert list(result.failures) == ["simple"]
-    names = [f"{table}_binary.csv" for table in ("accuracy", "latency", "cells", "composition")]
+    names = [f"{table}_binary.csv"
+             for table in ("accuracy", "latency", "cells", "composition", "transfer")]
     original = {name: (result.output_dir / name).read_bytes() for name in names}
     for name in names:
         (result.output_dir / name).unlink()
-    assert rerender_reports(result.output_dir) == names
+    assert rerender_reports(result.output_dir) == (names, [])
     assert {name: (result.output_dir / name).read_bytes() for name in names} == original
 
 
@@ -803,13 +908,26 @@ def _without(doc, *path):
     return json.dumps(doc).encode("utf-8")
 
 
+def _with_counts(doc, counts):
+    """``doc`` as JSON bytes with one cell's counts replaced by ``counts``."""
+    doc = json.loads(json.dumps(doc))
+    doc["strategies"]["simple"]["cells"][3]["counts"] = counts
+    return json.dumps(doc).encode("utf-8")
+
+
 @pytest.mark.parametrize("damage", [
     lambda doc: b"{not json",
     lambda doc: json.dumps(doc).encode("utf-8").replace(b'"static"', b'"st\xffatic"'),
     lambda doc: b"[1, 2]",
     lambda doc: _without(doc, "strategies"),
     lambda doc: _without(doc, "strategies", "simple", "cells"),
-], ids=["garbage", "not-utf8", "list", "no-strategies", "no-cells"])
+    lambda doc: _with_counts(doc, [[1, 2]] * 5),
+    lambda doc: _with_counts(doc, [[1, 2, 3]] * 6),
+    lambda doc: _with_counts(doc, [[1, 2]] * 5 + [[1]]),
+    lambda doc: _with_counts(doc, [[1, -2]] * 6),
+    lambda doc: _with_counts(doc, [[1.5, 2]] * 6),
+], ids=["garbage", "not-utf8", "list", "no-strategies", "no-cells", "counts-5x2",
+        "counts-6x3", "counts-ragged", "counts-negative", "counts-float"])
 def test_report_rejects_corrupt_metrics_documents_by_name(tiny_run, tmp_path, capsys, damage):
     _, result = tiny_run
     (tmp_path / "metrics_binary.json").write_bytes(damage(result.metrics))
