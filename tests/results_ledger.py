@@ -4,8 +4,8 @@ The run is the desk preset at learning rate 0.01 with all ten strategies,
 60 rows per sub-attack of the synthetic scenario and seed 5. At the preset's
 rate of 0.001 many models predict one class only, so a change in the
 arithmetic could leave the tables as they were; at 0.01 every strategy
-learns. ``tests/golden/results_<task>/`` holds the run's accuracy, cells and
-composition tables, the sha256 of every checkpoint (``checkpoints.sha256``),
+learns. ``tests/golden/results_<task>/`` holds the run's accuracy, cells,
+composition and transfer tables, the sha256 of every checkpoint (``checkpoints.sha256``),
 the sum and the sum of squares of every checkpoint tensor
 (``checkpoint_sums.txt``) and the host they were recorded on (``host.json``).
 
@@ -42,7 +42,7 @@ from driftfed.timeline import TASKS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TABLES = ("accuracy", "cells", "composition")
+TABLES = ("accuracy", "cells", "composition", "transfer")
 CHECKPOINTS = "checkpoints.sha256"
 SUMS = "checkpoint_sums.txt"
 HOST = "host.json"
