@@ -14,7 +14,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from driftfed import DataSource, RunConfig, desk_scale, run_experiment
+from driftfed import DataSource, RunConfig, desk_scale, protocol_cells, run_experiment
 
 with tempfile.TemporaryDirectory() as tmp:
     cfg = desk_scale(RunConfig(
@@ -34,8 +34,11 @@ with tempfile.TemporaryDirectory() as tmp:
     print((result.output_dir / "accuracy_binary.csv").read_text())
     print((result.output_dir / "latency_binary.csv").read_text())
 
-    simple = result.metrics["strategies"]["simple"]["protocol"]["t6"]
-    cumulative = result.metrics["strategies"]["cumulative"]["protocol"]["t6"]
+    # the protocol's t6 cell: the newest checkpoint at or before t5, scored on t6
+    doc = result.metrics
+    simple, cumulative = (protocol_cells(doc["strategies"][label]["cells"],
+                                         doc["test_periods"])[6]
+                          for label in ("simple", "cumulative"))
     print(f"forgetting at t6: simple {simple['accuracy']:.1%} "
           f"vs cumulative {cumulative['accuracy']:.1%}")
     print(f"false-alarm rate at t6 (cumulative): {cumulative['far']:.3f}")

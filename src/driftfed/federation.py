@@ -1,8 +1,9 @@
 """Federated orchestration: FedAvg rounds, checkpoint chaining, averaging init.
 
-Clients all participate every round. Aggregation order is canonical (client
-index), and per-client training seeds derive from (round, client), so a run
-is reproducible regardless of how clients would be scheduled.
+Every client with training rows takes part in every round. Aggregation
+order is canonical (client index), and per-client training seeds derive
+from (round, client), so a run is reproducible regardless of how clients
+would be scheduled.
 """
 
 from __future__ import annotations
@@ -104,15 +105,15 @@ def run_round(global_params: ModelParams, client_train: list[RowShard],
     vectors. Each cohort is folded into FedAvg's running sum before the next
     one trains, so the round holds one cohort's client vectors at a time.
     Deterministic: client k's shuffles derive from (seed, round_index, k).
+    A client with an empty shard sits the round out, and the others keep
+    their indices' seeds; a round whose shards are all empty raises.
     """
-    if not client_train:
-        raise FederationError("a round needs at least one client")
-    for k, shard in enumerate(client_train):
-        if len(shard) == 0:
-            raise FederationError(f"client {k} has an empty training shard")
+    active = [k for k, shard in enumerate(client_train) if len(shard)]
+    if not active:
+        raise FederationError("a round needs at least one client with training rows")
+    client_train = [client_train[k] for k in active]
     arch = global_params.arch
-    seeds = [derive_seed(seed, "round", round_index, "client", k)
-             for k in range(len(client_train))]
+    seeds = [derive_seed(seed, "round", round_index, "client", k) for k in active]
     total = float(sum(len(shard) for shard in client_train))
     per_cohort = cohort_size(arch)
     workspace = Optimizer(cfg.train, arch, min(per_cohort, len(client_train)))

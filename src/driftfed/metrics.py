@@ -166,28 +166,31 @@ def cross_period_eval(checkpoints: Iterable[Checkpoint],
     return reports
 
 
-def protocol_cells(reports: list[MetricsReport],
-                   test_period_ids: list[int]) -> dict[int, MetricsReport]:
-    """The timeline evaluation sequence out of the full matrix.
+def newest_checkpoint(checkpoints: Iterable[int], period: int) -> int | None:
+    """The newest of ``checkpoints`` at or before ``period``; None when none is.
+
+    The one rule that picks a cell of the checkpoint x test-period matrix:
+    the protocol and every field of the transfer table read through it.
+    """
+    return max((c for c in checkpoints if c <= period), default=None)
+
+
+def protocol_cells(cells: list[dict], test_period_ids: list[int]) -> dict[int, dict]:
+    """The timeline evaluation sequence out of a metrics document's ``cells``.
 
     The first test period is a self-test of its own checkpoint; every later
-    period t_j is scored by the newest checkpoint trained strictly before it
-    (t_{j-1} when it exists, otherwise the latest earlier one, which covers
-    the static strategy and the final test-only period).
+    period t_j is scored by the newest checkpoint at or before t_{j-1}, which
+    covers the static strategy and the final test-only period.
     """
-    by_cell = {(r.checkpoint_period, r.test_period): r for r in reports}
-    ckpt_periods = sorted({r.checkpoint_period for r in reports})
-    if not ckpt_periods:
-        raise EvaluationError("no evaluation cells supplied")
+    by_cell = {(c["checkpoint_period"], c["test_period"]): c for c in cells}
+    checkpoints = {ckpt for ckpt, _ in by_cell}
     first = min(test_period_ids)
-    cells: dict[int, MetricsReport] = {}
+    protocol = {}
     for period in test_period_ids:
-        target = period if period == first else period - 1
-        usable = [c for c in ckpt_periods if c <= target]
-        if not usable:
+        ckpt = newest_checkpoint(checkpoints, period if period == first else period - 1)
+        if ckpt is None:
             raise EvaluationError(f"no checkpoint available for test period t{period}")
-        cell = by_cell.get((usable[-1], period))
-        if cell is None:
+        if (ckpt, period) not in by_cell:
             raise EvaluationError(f"missing evaluation cell for test period t{period}")
-        cells[period] = cell
-    return cells
+        protocol[period] = by_cell[ckpt, period]
+    return protocol

@@ -42,7 +42,7 @@ from . import timeline as tl
 from .atomic import read_json, write_atomic, write_json
 from .errors import ConfigError, DriftFedError, ReportError, check_field
 from .federation import FedConfig, PeriodInput, load_checkpoint, run_timeline, save_checkpoint
-from .metrics import FAR_DEFINITION, cross_period_eval, protocol_cells
+from .metrics import FAR_DEFINITION, cross_period_eval, newest_checkpoint, protocol_cells
 from .nn import ModelArch, TrainConfig
 from .pipeline import (CATEGORIES, CODECS, ColumnSpec, LabelCodec, apply_scaler, clean,
                        concat_rows, encode_labels, fit_scaler, load_records, records_by_class,
@@ -221,10 +221,7 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
     ``metrics_<task>.json`` is refused by the file's name, unread, since the
     run would overwrite the checkpoints that document lists, and so is an
     output path that is, or lies under, an existing path that is not a
-    directory. A train cap below the client count is refused:
-    ``partition_iid`` deals each class from client 0, so a pool whose
-    classes all hold at most ``caps.train`` rows leaves the clients from
-    that index on with none.
+    directory.
     """
     problems: list[str] = []
     out_dir = Path(cfg.output_dir)
@@ -235,10 +232,6 @@ def validate_config(cfg: RunConfig, records=None) -> list[str]:
         if doc_path.name != f"metrics_{cfg.task}.json":
             problems.append(f"output_dir: {doc_path} records another task's run, not "
                             f"{cfg.task!r}; use another output directory")
-    if cfg.train_cap < cfg.fed.num_clients:
-        problems.append(f"caps.train: {cfg.train_cap} is below federation.num_clients "
-                        f"{cfg.fed.num_clients}; clients from index {cfg.train_cap} on "
-                        f"would get no rows of a first-period pool")
     if not cfg.data.is_synthetic() and not Path(cfg.data.path).is_file():
         problems.append(f"data.path: not a file: {cfg.data.path!r}")
     try:
@@ -357,10 +350,8 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig, ckpt_dir:
     run_timeline(strategy, period_inputs, cfg.fed, cfg.arch, strategy_seed, on_checkpoint=save)
     reports = cross_period_eval((load_checkpoint(ckpt_dir / name) for name in names),
                                 prep["encoded_tests"], codec)
-    protocol = protocol_cells(reports, list(tl.test_periods(cfg.task)))
     return {
         "cells": [asdict(r) for r in reports],
-        "protocol": {f"t{p}": asdict(r) for p, r in protocol.items()},
         "train_latency_seconds": latency,
         "train_samples": samples,
         "composition": composition,
@@ -446,35 +437,36 @@ def _transfer_rows(label: str, cells: list[dict], codec: LabelCodec, last_test: 
     """One line per family, in order of arrival, from ``cells``' counts.
 
     Each field is the family's recall, the share of its test rows predicted
-    as its class: on its period k's test set by the newest checkpoint before
-    k and by the newest at or before k, and on the last test set by the
-    newest checkpoint. A field is empty without that checkpoint or without
+    as its class: on its period k's test set by the newest checkpoint at or
+    before k - 1 and at or before k, and on the last test set by the newest
+    at or before it. A field is empty without that checkpoint or without
     the family's rows.
     """
     counts = {(c["checkpoint_period"], c["test_period"]): _counts(c, codec) for c in cells}
-    checkpoints = sorted({ckpt for ckpt, _ in counts})
+    checkpoints = {ckpt for ckpt, _ in counts}
 
-    def recall(usable: list[int], test: int, category: int) -> str:
-        if not usable:
+    def recall(by: int, test: int, category: int) -> str:
+        ckpt = newest_checkpoint(checkpoints, by)
+        if ckpt is None:
             return ""
-        row = counts[usable[-1], test][category]
+        row = counts[ckpt, test][category]
         total = int(row.sum())
         return _fmt(int(row[codec.category_classes[category]]) / total) if total else ""
 
     for k, family in tl.FAMILY_INTRODUCED_AT.items():
         category = CATEGORIES.index(family)
-        yield ",".join([label, family, f"t{k}",
-                        recall([c for c in checkpoints if c < k], k, category),
-                        recall([c for c in checkpoints if c <= k], k, category),
-                        recall(checkpoints, last_test, category)])
+        yield ",".join([label, family, f"t{k}", recall(k - 1, k, category),
+                        recall(k, k, category), recall(last_test, last_test, category)])
 
 
 def render_reports(doc: dict) -> dict[str, str | None]:
     """The five delimited tables of a metrics document, by file name.
 
     Reads the document only, so a run and ``driftfed report`` on its stored
-    JSON render the same bytes. The transfer table is None when the cells
-    carry no counts, as an earlier version's do.
+    JSON render the same bytes. The accuracy row and the inference total
+    read the cells :func:`protocol_cells` picks out of ``cells``; the
+    ``protocol`` copies an earlier version stored are ignored. The transfer
+    table is None when the cells carry no counts, as an earlier version's do.
     """
     task = doc["task"]
     codec = LabelCodec.for_task(task)
@@ -495,7 +487,7 @@ def render_reports(doc: dict) -> dict[str, str | None]:
     counted = all("counts" in c for entry in doc["strategies"].values() for c in entry["cells"])
     for label in doc["strategy_order"]:
         entry = doc["strategies"][label]
-        protocol = [entry["protocol"][p] for p in test_periods]
+        protocol = protocol_cells(entry["cells"], doc["test_periods"]).values()
         accs = [c["accuracy"] for c in protocol]
         accuracy.append(",".join([label, *map(_fmt, accs), _fmt(float(np.mean(accs)))]))
 

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from driftfed.metrics import confusion, measure_inference, micro_accuracy
+from driftfed.metrics import confusion, measure_inference, micro_accuracy, protocol_cells
 from driftfed.nn import (ModelArch, ModelParams, backward, cross_entropy, forward,
                          init_params, param_count)
 from driftfed.federation import fedavg_aggregate
@@ -65,9 +65,14 @@ def desk_runs(tmp_path_factory):
     return results, elapsed
 
 
+def _protocol(result, label):
+    """The strategy's protocol cells, as the accuracy table reads them."""
+    return protocol_cells(result.metrics["strategies"][label]["cells"],
+                          result.metrics["test_periods"])
+
+
 def _protocol_accuracy(result, label):
-    protocol = result.metrics["strategies"][label]["protocol"]
-    return {int(p[1:]): cell["accuracy"] for p, cell in protocol.items()}
+    return {p: cell["accuracy"] for p, cell in _protocol(result, label).items()}
 
 
 def _avg_accuracy(result, label):
@@ -296,9 +301,9 @@ def test_criterion_10_latency_accounting(desk_runs):
             cells = line.split(",")
             values = [float(v) for v in cells[1:] if v != ""]
             assert all(v > 0 for v in values)
-        for entry in run.metrics["strategies"].values():
+        for label, entry in run.metrics["strategies"].items():
             assert all(s > 0 for s in entry["train_latency_seconds"].values())
-            assert sum(c["inference_seconds"] for c in entry["protocol"].values()) > 0
+            assert sum(c["inference_seconds"] for c in _protocol(run, label).values()) > 0
 
         arch = ModelArch(input_dim=45, hidden_layers=1, hidden_units=16,
                          output_dim=2)

@@ -94,12 +94,29 @@ def _shards(rng, n_clients=3, rows=24):
     return rows_of_one_table(rng, parts)
 
 
-def test_run_round_empty_shard_names_client(rng):
+def _empty_shard(shard):
+    return RowShard(shard.X, np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+
+
+def test_run_round_empty_client_sits_out_and_the_others_keep_their_seeds(rng):
+    # client 1 holds no rows: FedAvg over clients 0 and 2, each trained alone at its
+    # own index's seed, and N is the sum of their rows
     shards = _shards(rng)
-    shards[1] = RowShard(shards[0].X, np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    shards[1] = _empty_shard(shards[0])
+    cfg = FedConfig(num_clients=3, rounds=1, train=TrainConfig(local_epochs=2))
+    start = init_params(ARCH, seed=0)
+    merged = run_round(start, shards, cfg, 5, round_index=3)
+    alone = [train_local(start, [shards[k]], cfg.train,
+                         [derive_seed(5, "round", 3, "client", k)])[0] for k in (0, 2)]
+    expected = fedavg_aggregate(alone, [len(shards[0]), len(shards[2])])
+    assert merged.vec.tobytes() == expected.vec.tobytes()
+
+
+def test_run_round_with_every_shard_empty_fails_by_name(rng):
     cfg = FedConfig(num_clients=3, rounds=1, train=TrainConfig(local_epochs=1))
-    with pytest.raises(FederationError, match="client 1"):
-        run_round(init_params(ARCH, seed=0), shards, cfg, seed=0)
+    for shards in ([_empty_shard(s) for s in _shards(rng)], []):
+        with pytest.raises(FederationError, match="needs at least one client with training rows"):
+            run_round(init_params(ARCH, seed=0), shards, cfg, seed=0)
 
 
 def test_run_round_deterministic(rng):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,28 +210,34 @@ def test_cross_period_eval_reads_test_sets_as_rows_of_one_table(rng, monkeypatch
     assert [X.tobytes() for X in gathered] == [X.tobytes() for X, _ in parts] * 2
 
 
+def _document_cells(periods, tests):
+    """The metrics document's cells of ``periods``' checkpoints on ``tests``."""
+    return [asdict(r) for r in cross_period_eval(_checkpoints(periods), tests, BINARY)]
+
+
 def test_protocol_cells_shift_by_one(rng):
     tests = {p: _dataset(rng) for p in range(1, 7)}
-    reports = cross_period_eval(_checkpoints([1, 2, 3, 4, 5]), tests, BINARY)
-    cells = protocol_cells(reports, list(range(1, 7)))
-    assert cells[1].checkpoint_period == 1        # no-drift self test
+    cells = protocol_cells(_document_cells([1, 2, 3, 4, 5], tests), list(range(1, 7)))
+    assert cells[1]["checkpoint_period"] == 1        # no-drift self test
     for period in range(2, 7):
-        assert cells[period].checkpoint_period == period - 1
-    assert cells[6].checkpoint_period == 5
+        assert cells[period]["checkpoint_period"] == period - 1
+        assert cells[period]["test_period"] == period
+    assert cells[6]["checkpoint_period"] == 5
 
 
 def test_protocol_cells_static_uses_single_checkpoint(rng):
     tests = {p: _dataset(rng) for p in range(1, 7)}
-    reports = cross_period_eval(_checkpoints([1]), tests, BINARY)
-    assert len(reports) == 6
-    cells = protocol_cells(reports, list(range(1, 7)))
-    assert all(c.checkpoint_period == 1 for c in cells.values())
+    document_cells = _document_cells([1], tests)
+    assert len(document_cells) == 6
+    cells = protocol_cells(document_cells, list(range(1, 7)))
+    assert all(c["checkpoint_period"] == 1 for c in cells.values())
 
 
 def test_cross_period_eval_missing_period_rejected(rng):
     tests = {1: _dataset(rng)}
-    reports = cross_period_eval(_checkpoints([1]), tests, BINARY)
-    with pytest.raises(EvaluationError):
-        protocol_cells(reports, [1, 2])
+    with pytest.raises(EvaluationError, match="missing evaluation cell for test period t2"):
+        protocol_cells(_document_cells([1], tests), [1, 2])
+    with pytest.raises(EvaluationError, match="no checkpoint available for test period t1"):
+        protocol_cells(_document_cells([2], tests), [1, 2])
     with pytest.raises(EvaluationError):
         cross_period_eval(_checkpoints([1]), {}, BINARY)

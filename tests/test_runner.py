@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftfed import atomic, cli, federation, runner
-from driftfed.errors import ConfigError, DivergenceError, ReportError
+from driftfed import atomic, cli, federation, runner, timeline
+from driftfed.errors import ConfigError, DivergenceError, EvaluationError, ReportError
 from driftfed.federation import FedConfig
-from driftfed.metrics import false_alarm_rate, fold_categories, macro_prf, micro_accuracy
+from driftfed.metrics import (false_alarm_rate, fold_categories, macro_prf, micro_accuracy,
+                              protocol_cells)
 from driftfed.nn import OPTIMIZERS, ModelArch, TrainConfig, param_count
 from driftfed.pipeline import (CODECS, ColumnSpec, FlowTable, apply_scaler, clean, encode_labels,
                                fit_scaler, records_by_class, stratified_split)
@@ -23,8 +24,9 @@ from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, _config_dict
                              validate_config)
 from driftfed.synth import (default_column_spec, default_drift_scenario, generate,
                             write_delimited)
-from driftfed.timeline import (STRATEGY_KINDS, TASKS, StrategyConfig, build_schedule,
-                               build_test_sets, segment_and_cap)
+from driftfed.timeline import (FAMILY_INTRODUCED_AT, STRATEGY_KINDS, TASKS, StrategyConfig,
+                               build_schedule, build_test_sets, segment_and_cap,
+                               training_periods)
 
 from conftest import full_disk, tiny_scenario
 
@@ -420,13 +422,14 @@ def test_manifest_records_config_and_status(tiny_run):
 @pytest.mark.parametrize("task", TASKS)
 def test_every_cell_scores_its_own_counts(tmp_path, task):
     # one count per cell, rows by true category: folded by the task's codec, it gives
-    # the cell's five floats bit for bit, in the cells and in their protocol copies
+    # the cell's five floats bit for bit; the cells are stored once, with no protocol copy
     cfg = _tiny_cfg(tmp_path, task=task,
                     strategies=(StrategyConfig("static"), StrategyConfig("cumulative")))
     result = run_experiment(cfg, records=_tiny_records())
     codec = CODECS[task]
     for entry in result.metrics["strategies"].values():
-        for cell in [*entry["cells"], *entry["protocol"].values()]:
+        assert "protocol" not in entry
+        for cell in entry["cells"]:
             counts = np.array(cell["counts"])
             assert counts.shape == (6, codec.num_classes)
             assert counts.sum() == cell["n_samples"]
@@ -460,8 +463,7 @@ def _transfer_doc(task: str) -> dict:
                   "accuracy": 0.5, "precision_macro": 0.5, "recall_macro": 0.5,
                   "f1_macro": 0.5, "far": 0.0, "inference_seconds": 0.0,
                   "counts": counts(c, t)} for c in ckpts for t in periods]
-        strategies[label] = {"cells": cells, "protocol": {f"t{t}": cells[0] for t in periods},
-                             "train_latency_seconds": {}, "train_samples": {},
+        strategies[label] = {"cells": cells, "train_latency_seconds": {}, "train_samples": {},
                              "composition": {}, "checkpoints": []}
     return {"task": task, "test_periods": periods, "far_definition": "FAR",
             "strategy_order": ["static", "simple"], "strategies": strategies}
@@ -487,13 +489,88 @@ def test_transfer_table_reads_each_family_before_at_and_after_its_period(task):
     ]
 
 
+def _scan_back(checkpoints, period):
+    """The newest of ``checkpoints`` at or before ``period``, one period at a time."""
+    for candidate in range(period, -1, -1):
+        if candidate in checkpoints:
+            return candidate
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TASKS).flatmap(lambda task: st.tuples(
+    st.just(task), st.sets(st.sampled_from(training_periods(task)), min_size=1))))
+def test_protocol_and_transfer_read_the_cell_of_the_newest_qualifying_checkpoint(drawn):
+    # any checkpoint set: one checkpoint as static has, six-class t0, gaps, and sets
+    # without the first training period, which leave the first test period unscored
+    task, checkpoints = drawn
+    codec = CODECS[task]
+    periods = list(timeline.test_periods(task))
+
+    def counts(ckpt, test):  # every family's recall in cell (c, t) is (10c + t) / 100
+        rows = np.zeros((6, codec.num_classes), dtype=int)
+        rows[0, 0] = 50
+        for category in range(1, 6):
+            rows[category, 0] = 100 - (10 * ckpt + test)
+            rows[category, codec.category_classes[category]] = 10 * ckpt + test
+        return rows.tolist()
+
+    cells = [{"checkpoint_period": c, "test_period": t, "counts": counts(c, t)}
+             for c in sorted(checkpoints) for t in periods]
+    by_cell = {(c["checkpoint_period"], c["test_period"]): c for c in cells}
+    first, last = periods[0], periods[-1]
+    if _scan_back(checkpoints, first) is None:
+        with pytest.raises(EvaluationError, match=f"no checkpoint available for test "
+                                                  f"period t{first}$"):
+            protocol_cells(cells, periods)
+    else:
+        protocol = protocol_cells(cells, periods)
+        assert list(protocol) == periods
+        for t in periods:
+            assert protocol[t] is by_cell[_scan_back(checkpoints, t if t == first else t - 1), t]
+
+    def recall(by, test):
+        ckpt = _scan_back(checkpoints, by)
+        return "" if ckpt is None else f"{(10 * ckpt + test) / 100:.6f}"
+
+    assert list(runner._transfer_rows("s", cells, codec, last)) == [
+        f"s,{family},t{k},{recall(k - 1, k)},{recall(k, k)},{recall(last, last)}"
+        for k, family in FAMILY_INTRODUCED_AT.items()]
+
+
+def test_report_ignores_the_protocol_copies_a_document_holds(tiny_run):
+    # an older version stored each strategy's protocol cells a second time; copies
+    # that disagree with the rule change nothing the report renders
+    _, result = tiny_run
+    doc = json.loads(json.dumps(result.metrics))
+    for entry in doc["strategies"].values():
+        wrong = {**entry["cells"][-1], "accuracy": 0.0, "inference_seconds": 99.0}
+        entry["protocol"] = {f"t{t}": wrong for t in doc["test_periods"]}
+    for name, text in render_reports(doc).items():
+        assert text.encode("utf-8") == (result.output_dir / name).read_bytes()
+
+
+def test_a_document_with_protocol_copies_renders_the_tables_written_beside_it(tmp_path):
+    # tests/golden/protocol_copies: a tiny run's metrics document as written when each
+    # strategy entry also stored its protocol cells, and the five tables of that run
+    golden = Path(__file__).parent / "golden" / "protocol_copies"
+    names = sorted(path.name for path in golden.glob("*.csv"))
+    (tmp_path / "metrics_binary.json").write_bytes((golden / "metrics_binary.json").read_bytes())
+    doc = json.loads((tmp_path / "metrics_binary.json").read_text())
+    assert all("protocol" in entry for entry in doc["strategies"].values())
+    written, skipped = rerender_reports(tmp_path)
+    assert (sorted(written), skipped) == (names, [])
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes()
+
+
 def test_report_renders_an_older_document_without_its_transfer_table(tiny_run, tmp_path,
                                                                      capsys):
     # a document written before cells carried counts still gives the other four tables
     _, result = tiny_run
     doc = json.loads(json.dumps(result.metrics))
     for entry in doc["strategies"].values():
-        for cell in [*entry["cells"], *entry["protocol"].values()]:
+        for cell in entry["cells"]:
             del cell["counts"]
     (tmp_path / "metrics_binary.json").write_text(json.dumps(doc))
     assert cli.main(["report", "--run-dir", str(tmp_path)]) == 0
@@ -1023,22 +1100,32 @@ def test_output_dir_that_is_a_file_is_refused_before_anything_is_written(tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
 
 
-def test_train_cap_below_the_client_count_is_refused_before_anything_is_written(tmp_path,
-                                                                                capsys):
-    # every class of a first-period pool then holds at most 2 rows, dealt from
-    # client 0, so clients 2-4 would train on nothing in every strategy
+def test_train_cap_below_the_client_count_runs_with_the_idle_clients_sitting_out(
+        tmp_path, capsys, monkeypatch):
+    # every class of a pool then holds 2 rows, dealt from client 0, so clients 2-4
+    # hold none and sit out every round while clients 0 and 1 train
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"output_dir": str(tmp_path / "run"),
-                                    "caps": {"train": 2}, "strategies": [{"kind": "static"}]}))
-    cfg = load_config(cfg_path)
-    [problem] = validate_config(cfg)
-    assert problem.startswith("caps.train: 2 is below federation.num_clients 5")
-    assert cli.main(["validate", "--config", str(cfg_path)]) == 1
-    assert problem in capsys.readouterr().out
-    assert cli.main(["run", "--config", str(cfg_path)]) == 2
-    assert problem in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-    assert validate_config(replace(cfg, fed=replace(cfg.fed, num_clients=2))) == []
+    cfg_path.write_text(json.dumps({
+        "output_dir": str(tmp_path / "run"), "caps": {"train": 2},
+        "data": {"synthetic": {"seed": 1, "rows_per_subattack": 20}},
+        "strategies": [{"kind": "static"}, {"kind": "simple"}]}))
+    assert load_config(cfg_path).fed.num_clients == 5
+    assert cli.main(["validate", "--config", str(cfg_path)]) == 0
+    shard_rows = []
+    real_train = federation.train_local
+
+    def recording_train(params, cohort, *args, **kwargs):
+        shard_rows.append([len(shard) for shard in cohort])
+        return real_train(params, cohort, *args, **kwargs)
+
+    monkeypatch.setattr(federation, "train_local", recording_train)
+    assert cli.main(["run", "--config", str(cfg_path), "--desk-scale"]) == 0
+    doc = json.loads((tmp_path / "run" / "metrics_binary.json").read_text())
+    assert doc["failures"] == {}
+    assert doc["strategy_order"] == ["static", "simple"]
+    # one cohort per round: static's 3 rounds, then simple's 3 in each of 5 periods
+    assert len(shard_rows) == 3 * (1 + 5)
+    assert all(len(rows) == 2 and min(rows) > 0 for rows in shard_rows)
 
 
 def test_cli_gen_data_into_a_directory_fails_by_name(tmp_path, capsys):
