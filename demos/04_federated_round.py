@@ -41,9 +41,9 @@ for rnd in range(cfg.rounds):
 # averaging-initialization variants over a fake checkpoint history, folded in
 # one checkpoint at a time as each period ends
 history = [
-    Checkpoint(ModelParams(arch, np.full(width, 0.0)), 1, 100, 0.0),
-    Checkpoint(ModelParams(arch, np.full(width, 1.0)), 2, 300, 0.0),
-    Checkpoint(ModelParams(arch, np.full(width, 1.0)), 3, 100, 0.0),
+    Checkpoint(ModelParams(arch, np.full(width, 0.0)), 1, 100),
+    Checkpoint(ModelParams(arch, np.full(width, 1.0)), 2, 300),
+    Checkpoint(ModelParams(arch, np.full(width, 1.0)), 3, 100),
 ]
 for strategy in [s for s in ALL_STRATEGIES if s.averages]:
     running = RunningAverage(strategy)

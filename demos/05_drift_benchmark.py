@@ -42,3 +42,9 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"forgetting at t6: simple {simple['accuracy']:.1%} "
           f"vs cumulative {cumulative['accuracy']:.1%}")
     print(f"false-alarm rate at t6 (cumulative): {cumulative['far']:.3f}")
+
+    # validation accuracy after each round, on the period clients' held-out rows;
+    # at 1200 rows per sub-attack every class of every period has some
+    print("\nvalidation accuracy per round (cumulative):")
+    for period, curve in doc["strategies"]["cumulative"]["val_accuracy"].items():
+        print(f"  {period}: " + " ".join(f"{acc:.3f}" for acc in curve))

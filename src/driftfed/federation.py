@@ -42,12 +42,11 @@ class FedConfig:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Final global parameters of one training period."""
+    """Final global parameters of one training period: what its file holds."""
 
     params: ModelParams
     period_id: int
     train_sample_count: int
-    train_wall_clock: float
 
 
 # FedAvg and the running averages scale a vector into a scratch of this many
@@ -189,11 +188,14 @@ def init_from_history(running: RunningAverage, ckpt: Checkpoint) -> ModelParams:
     return running.value()
 
 
-@dataclass
-class RoundLog:
+@dataclass(frozen=True)
+class PeriodLog:
+    """What one training period measured: the seconds its rounds trained, and
+    the validation accuracy after each round, or None without validation rows."""
+
     period_id: int
-    round_index: int
-    val_accuracy: float | None
+    train_seconds: float
+    val_accuracy: list[float] | None
 
 
 @dataclass
@@ -212,7 +214,7 @@ class PeriodInput:
 
 def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
                  cfg: FedConfig, arch: ModelArch, seed: int,
-                 on_checkpoint: Callable[[Checkpoint], None]) -> list[RoundLog]:
+                 on_checkpoint: Callable[[Checkpoint], None]) -> list[PeriodLog]:
     """Train across periods with checkpoint chaining.
 
     The first period starts from a fresh initialization derived from
@@ -226,9 +228,11 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
     naming the period and round.
 
     Each period's checkpoint goes to ``on_checkpoint`` as the period ends;
-    the timeline keeps none. Returns the round logs.
+    the timeline keeps none. Returns one :class:`PeriodLog` per period, in
+    period order: the seconds its rounds trained, validation excluded, and
+    its per-round validation accuracy.
     """
-    logs: list[RoundLog] = []
+    logs: list[PeriodLog] = []
     running = RunningAverage(strategy) if strategy.averages else None
     params = init_params(arch, seed=derive_seed(seed, "model-init"))
     ckpt = None
@@ -239,6 +243,7 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
         ckpt = None  # folded into the average, or training resumes from its params
 
         val_X = None if item.val is None else item.val.X[item.val.rows]
+        curve = None if val_X is None else []
         wall = 0.0
         for rnd in range(cfg.rounds):
             try:
@@ -250,17 +255,15 @@ def run_timeline(strategy: StrategyConfig, period_inputs: list[PeriodInput],
                     if not np.isfinite(params.vec).all():
                         raise DivergenceError(f"period {item.period_id} round {rnd}: "
                                               f"training diverged to non-finite parameters")
-                    acc = None
                     if val_X is not None:
-                        acc = float(np.mean(predict(params, val_X) == item.val.y))
+                        curve.append(float(np.mean(predict(params, val_X) == item.val.y)))
             except FloatingPointError as exc:
                 raise DivergenceError(f"period {item.period_id} round {rnd}: training "
                                       f"diverged: floating-point {exc}") from exc
-            logs.append(RoundLog(item.period_id, rnd, acc))
 
-        sample_count = sum(len(s) for s in item.client_train)
-        ckpt = Checkpoint(params, item.period_id, sample_count, wall)
+        ckpt = Checkpoint(params, item.period_id, sum(len(s) for s in item.client_train))
         on_checkpoint(ckpt)
+        logs.append(PeriodLog(item.period_id, wall, curve))
 
     return logs
 
@@ -298,7 +301,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Restore a persisted checkpoint (wall clock is not persisted; it loads as 0).
+    """Restore a persisted checkpoint: every field that ``save_checkpoint`` wrote.
 
     The payload is read straight into the parameter vector, so loading holds
     one copy of it. Any malformed file raises :class:`CheckpointError`
@@ -337,5 +340,4 @@ def _read_checkpoint(path, fh) -> Checkpoint:
     vec = np.empty(count, dtype="<f8")
     if fh.readinto(vec) != payload:
         raise CheckpointError(f"{path}: payload changed while it was read")
-    return Checkpoint(ModelParams(arch, vec.astype(np.float64, copy=False)), period_id,
-                      samples, 0.0)
+    return Checkpoint(ModelParams(arch, vec.astype(np.float64, copy=False)), period_id, samples)

@@ -4,8 +4,9 @@ A run executes pipeline -> timeline -> federation -> metrics for each
 configured strategy and writes, per task:
 
   metrics_<task>.json     the run's one record: config, strategy seeds, failures
-                          and every metric field incl. timing, each cell with its
-                          counts by true category and predicted class;
+                          and every metric field incl. timing and each period's
+                          validation curve, each cell with its counts by true
+                          category and predicted class;
                           ``render_reports`` renders the five tables from it
   accuracy_<task>.csv     protocol accuracy row per strategy (+ Avg column)
   latency_<task>.csv      per-period training seconds, totals, total inference
@@ -255,8 +256,10 @@ def _column_spec(cfg: RunConfig) -> ColumnSpec:
 class RunResult:
     output_dir: Path
     metrics: dict          # the metrics document, as written to metrics_<task>.json
-    failures: dict[str, str]
-    artifacts: list[str]
+
+    @property
+    def failures(self) -> dict[str, str]:
+        return self.metrics["failures"]
 
     @property
     def ok(self) -> bool:
@@ -337,23 +340,23 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig, ckpt_dir:
 
     ckpt_dir.mkdir(parents=True)
     names: list[str] = []
-    latency: dict[str, float] = {}
     samples: dict[str, int] = {}
 
     def save(ckpt) -> None:
         key = f"t{ckpt.period_id}"
         save_checkpoint(ckpt_dir / f"{key}.ckpt", ckpt)
         names.append(f"{key}.ckpt")
-        latency[key] = ckpt.train_wall_clock
         samples[key] = ckpt.train_sample_count
 
-    run_timeline(strategy, period_inputs, cfg.fed, cfg.arch, strategy_seed, on_checkpoint=save)
+    logs = run_timeline(strategy, period_inputs, cfg.fed, cfg.arch, strategy_seed,
+                        on_checkpoint=save)
     reports = cross_period_eval((load_checkpoint(ckpt_dir / name) for name in names),
                                 prep["encoded_tests"], codec)
     return {
         "cells": [asdict(r) for r in reports],
-        "train_latency_seconds": latency,
+        "train_latency_seconds": {f"t{log.period_id}": log.train_seconds for log in logs},
         "train_samples": samples,
+        "val_accuracy": {f"t{log.period_id}": log.val_accuracy for log in logs},
         "composition": composition,
         "checkpoints": [str(Path("checkpoints", strategy.label, name)) for name in names],
     }
@@ -380,7 +383,6 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     prep = prepare_experiment(cfg, records)
 
-    failures: dict[str, str] = {}
     doc = {
         "task": cfg.task,
         "config": _config_dict(cfg, records),
@@ -390,9 +392,8 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
         "test_periods": list(tl.test_periods(cfg.task)),
         "strategy_order": [],
         "strategies": {},
-        "failures": failures,
+        "failures": {},
     }
-    artifacts: list[str] = []
     staging = out_dir / ".checkpoints.tmp"
     shutil.rmtree(staging, ignore_errors=True)  # left by a run that was killed
     staging.mkdir()
@@ -403,9 +404,8 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
                 entry = run_strategy(cfg, prep, strategy, staging / label)
             except DriftFedError as exc:
                 shutil.rmtree(staging / label, ignore_errors=True)
-                failures[label] = f"{type(exc).__name__}: {exc}"
+                doc["failures"][label] = f"{type(exc).__name__}: {exc}"
                 continue
-            artifacts.extend(entry["checkpoints"])
             doc["strategy_order"].append(label)
             doc["strategies"][label] = entry
         (out_dir / f"metrics_{cfg.task}.json").unlink(missing_ok=True)
@@ -414,8 +414,8 @@ def run_experiment(cfg: RunConfig, records=None) -> RunResult:
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
-    artifacts.extend(write_reports(out_dir, doc))
-    return RunResult(out_dir, doc, failures, artifacts)
+    write_reports(out_dir, doc)
+    return RunResult(out_dir, doc)
 
 
 # --- report rendering --------------------------------------------------------
@@ -526,12 +526,10 @@ def _write_files(out_dir: Path, files: dict[str, str | None]) -> list[str]:
     return written
 
 
-def write_reports(out_dir: Path, doc: dict) -> list[str]:
+def write_reports(out_dir: Path, doc: dict) -> None:
     """Write the tables rendered from the metrics document, then the document."""
-    name = f"metrics_{doc['task']}.json"
-    written = _write_files(out_dir, render_reports(doc))
-    write_json(out_dir / name, doc)
-    return [*written, name]
+    _write_files(out_dir, render_reports(doc))
+    write_json(out_dir / f"metrics_{doc['task']}.json", doc)
 
 
 def rerender_reports(run_dir) -> tuple[list[str], list[str]]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -15,11 +16,11 @@ from driftfed.atomic import write_atomic
 from driftfed.dataset import RowShard
 from driftfed.errors import (AggregationError, CheckpointError, ConfigError, DivergenceError,
                              DriftFedError, FederationError)
-from driftfed.federation import (Checkpoint, FedConfig, PeriodInput, RunningAverage,
-                                 fedavg_aggregate, init_from_history, load_checkpoint,
-                                 run_round, run_timeline, save_checkpoint)
+from driftfed.federation import (Checkpoint, FedConfig, PeriodInput, PeriodLog,
+                                 RunningAverage, fedavg_aggregate, init_from_history,
+                                 load_checkpoint, run_round, run_timeline, save_checkpoint)
 from driftfed.nn import (ModelArch, ModelParams, TrainConfig, cohort_size, init_params,
-                         param_count, train_local)
+                         param_count, predict, train_local)
 from driftfed.seeds import derive_seed, rng_for
 from driftfed.timeline import StrategyConfig
 
@@ -195,7 +196,7 @@ def test_fed_config_validation():
 
 
 def _checkpoint(vec, period, count):
-    return Checkpoint(_params_from(vec), period, count, 0.0)
+    return Checkpoint(_params_from(vec), period, count)
 
 
 def _fold(mode, history, ema_alpha=None):
@@ -296,7 +297,7 @@ def _period_inputs(rng, periods, rows=30):
 
 
 def _timeline(strategy, inputs, cfg, seed):
-    """``run_timeline``'s checkpoints, collected, and its round logs."""
+    """``run_timeline``'s checkpoints, collected, and its period logs."""
     checkpoints = []
     logs = run_timeline(strategy, inputs, cfg, ARCH, seed, checkpoints.append)
     return checkpoints, logs
@@ -324,9 +325,25 @@ def test_run_timeline_chains_checkpoints_bit_exact(rng, monkeypatch):
     assert [c.period_id for c in checkpoints] == [1, 2, 3]
     for prev, period in zip(checkpoints, [2, 3]):
         assert np.array_equal(starts[period].vec, prev.params.vec)
-    assert all(c.train_wall_clock > 0 for c in checkpoints)
     assert all(c.train_sample_count == 60 for c in checkpoints)
-    assert all(log.val_accuracy is not None for log in logs)
+
+
+def test_run_timeline_returns_one_period_log_per_training_period(rng):
+    cfg = FedConfig(num_clients=2, rounds=3, train=TrainConfig(local_epochs=1))
+    inputs = _period_inputs(rng, [1, 2, 3])
+    inputs[1] = PeriodInput(2, inputs[1].client_train, None)  # a period without validation rows
+    checkpoints, logs = _timeline(StrategyConfig("cumulative"), inputs[::-1], cfg, 3)
+    assert [type(log) for log in logs] == [PeriodLog] * 3
+    assert [log.period_id for log in logs] == [1, 2, 3]
+    assert all(log.train_seconds > 0 for log in logs)
+    assert logs[1].val_accuracy is None
+    for i in (0, 2):
+        curve, val = logs[i].val_accuracy, inputs[i].val
+        assert len(curve) == cfg.rounds
+        assert all(type(acc) is float and 0.0 <= acc <= 1.0 for acc in curve)
+        # the last round's score is the period checkpoint's on the validation rows
+        assert curve[-1] == float(np.mean(predict(checkpoints[i].params, val.X[val.rows])
+                                          == val.y))
 
 
 def test_run_timeline_static_single_checkpoint(rng):
@@ -356,8 +373,7 @@ def test_run_timeline_streams_the_checkpoints_it_would_collect(kind):
     strategy = StrategyConfig(kind)
     inputs = _period_inputs(np.random.default_rng(7), [1, 2, 3, 4])
     streamed, logs = _timeline(strategy, inputs, cfg, 3)
-    assert [(log.period_id, log.round_index) for log in logs] == [
-        (p, r) for p in (1, 2, 3, 4) for r in range(2)]
+    assert [log.period_id for log in logs] == [1, 2, 3, 4]
     collected = []
     params = init_params(ARCH, seed=derive_seed(3, "model-init"))
     for item in inputs:
@@ -367,7 +383,7 @@ def test_run_timeline_streams_the_checkpoints_it_would_collect(kind):
         for rnd in range(cfg.rounds):
             params = run_round(params, item.client_train, cfg, 3,
                                round_index=1000 * item.period_id + rnd)
-        collected.append(Checkpoint(params, item.period_id, 60, 0.0))
+        collected.append(Checkpoint(params, item.period_id, 60))
     assert ([(c.period_id, c.train_sample_count, c.params.vec.tobytes()) for c in streamed]
             == [(c.period_id, c.train_sample_count, c.params.vec.tobytes())
                 for c in collected])
@@ -406,33 +422,35 @@ def test_run_timeline_full_determinism(rng):
 
 
 def test_checkpoint_round_trip(tmp_path, rng):
-    vec = rng.normal(size=N)
-    ckpt = Checkpoint(_params_from(vec), period_id=4, train_sample_count=321,
-                      train_wall_clock=1.5)
+    # a checkpoint holds what its file holds, so every field loads back as saved
+    ckpt = Checkpoint(_params_from(rng.normal(size=N)), period_id=4, train_sample_count=321)
     path = tmp_path / "t4.ckpt"
     save_checkpoint(path, ckpt)
-    loaded = load_checkpoint(path)
-    assert np.array_equal(loaded.params.vec, vec)
-    assert loaded.period_id == 4
-    assert loaded.train_sample_count == 321
-    assert loaded.params.arch == ARCH
-    assert loaded.train_wall_clock == 0.0  # timing is not persisted
+
+    def fields_of(c):
+        values = {f.name: getattr(c, f.name) for f in dataclasses.fields(c)}
+        params = values.pop("params")
+        return {**values, "arch": params.arch, "vec": params.vec.tobytes()}
+
+    assert [f.name for f in dataclasses.fields(Checkpoint)] == [
+        "params", "period_id", "train_sample_count"]
+    assert fields_of(load_checkpoint(path)) == fields_of(ckpt)
 
 
 def test_checkpoint_files_reproducible(tmp_path, rng):
     vec = rng.normal(size=N)
     first = tmp_path / "a.ckpt"
     second = tmp_path / "b.ckpt"
-    save_checkpoint(first, Checkpoint(_params_from(vec), 1, 10, 0.123))
-    save_checkpoint(second, Checkpoint(_params_from(vec), 1, 10, 99.9))
+    save_checkpoint(first, Checkpoint(_params_from(vec), 1, 10))
+    save_checkpoint(second, Checkpoint(_params_from(vec), 1, 10))
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_checkpoint_write_replaces_the_file_and_leaves_no_temp_file(tmp_path, rng):
     path = tmp_path / "t1.ckpt"
-    save_checkpoint(path, Checkpoint(_params_from(np.zeros(N)), 1, 10, 0.0))
+    save_checkpoint(path, Checkpoint(_params_from(np.zeros(N)), 1, 10))
     vec = rng.normal(size=N)
-    save_checkpoint(path, Checkpoint(_params_from(vec), 1, 10, 0.0))
+    save_checkpoint(path, Checkpoint(_params_from(vec), 1, 10))
     assert load_checkpoint(path).params.vec.tobytes() == vec.tobytes()
     assert [p.name for p in tmp_path.iterdir()] == ["t1.ckpt"]
 
@@ -440,11 +458,11 @@ def test_checkpoint_write_replaces_the_file_and_leaves_no_temp_file(tmp_path, rn
 @pytest.mark.parametrize("room", [0, 20, 8 * N])  # in the magic, the header, the payload
 def test_checkpoint_write_failing_partway_keeps_the_previous_file(tmp_path, monkeypatch, room):
     path = tmp_path / "t1.ckpt"
-    save_checkpoint(path, Checkpoint(_params_from(np.ones(N)), 1, 10, 0.0))
+    save_checkpoint(path, Checkpoint(_params_from(np.ones(N)), 1, 10))
     before = path.read_bytes()
     monkeypatch.setattr(atomic, "open", full_disk(room), raising=False)
     with pytest.raises(OSError, match="No space left"):
-        save_checkpoint(path, Checkpoint(_params_from(np.zeros(N)), 1, 10, 0.0))
+        save_checkpoint(path, Checkpoint(_params_from(np.zeros(N)), 1, 10))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["t1.ckpt"]
 
@@ -477,7 +495,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 def _checkpoint_blob(tmp_path):
     path = tmp_path / "valid.ckpt"
-    save_checkpoint(path, Checkpoint(_params_from(np.linspace(-1.0, 1.0, N)), 2, 40, 0.0))
+    save_checkpoint(path, Checkpoint(_params_from(np.linspace(-1.0, 1.0, N)), 2, 40))
     return path.read_bytes()
 
 

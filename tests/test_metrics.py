@@ -175,7 +175,7 @@ def test_measure_inference_positive_and_consistent(rng):
 
 
 def _checkpoints(periods):
-    return [Checkpoint(init_params(ARCH, seed=p), p, 10, 0.0) for p in periods]
+    return [Checkpoint(init_params(ARCH, seed=p), p, 10) for p in periods]
 
 
 def test_cross_period_eval_full_matrix(rng):
