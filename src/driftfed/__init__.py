@@ -14,9 +14,9 @@ from .errors import (AggregationError, CheckpointError, CodecError, ConfigError,
                      ShapeError)
 from .federation import (Checkpoint, FedConfig, fedavg_aggregate, init_from_history,
                          load_checkpoint, run_round, run_timeline, save_checkpoint)
-from .metrics import (FAR_DEFINITION, MetricsReport, confusion, cross_period_eval,
-                      false_alarm_rate, fold_categories, macro_prf, measure_inference,
-                      micro_accuracy, protocol_cells)
+from .metrics import (FAR_DEFINITION, confusion, cross_period_eval, false_alarm_rate,
+                      fold_categories, macro_prf, measure_inference, micro_accuracy,
+                      protocol_cells)
 from .nn import (ModelArch, ModelParams, TrainConfig, backward, cross_entropy,
                  forward, init_params, param_count, predict, softmax, train_local)
 from .pipeline import (CATEGORIES, CODECS, ROSTER, SUB_ATTACKS, ColumnSpec, FlowTable,

@@ -304,8 +304,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Restore a persisted checkpoint: every field that ``save_checkpoint`` wrote.
 
     The payload is read straight into the parameter vector, so loading holds
-    one copy of it. Any malformed file raises :class:`CheckpointError`
-    naming ``path``.
+    one copy of it. Any malformed file, a payload holding a NaN or an
+    infinity included, raises :class:`CheckpointError` naming ``path``.
     """
     try:
         with open(path, "rb") as fh:
@@ -340,4 +340,6 @@ def _read_checkpoint(path, fh) -> Checkpoint:
     vec = np.empty(count, dtype="<f8")
     if fh.readinto(vec) != payload:
         raise CheckpointError(f"{path}: payload changed while it was read")
+    if not np.isfinite(vec).all():
+        raise CheckpointError(f"{path}: payload holds non-finite parameters")
     return Checkpoint(ModelParams(arch, vec.astype(np.float64, copy=False)), period_id, samples)

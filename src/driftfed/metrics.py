@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,22 +95,6 @@ def false_alarm_rate(matrix: np.ndarray) -> float:
     return false_alarms / benign_total
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """All metrics for one (checkpoint, test period) cell."""
-
-    checkpoint_period: int
-    test_period: int
-    accuracy: float
-    precision_macro: float
-    recall_macro: float
-    f1_macro: float
-    far: float
-    inference_seconds: float
-    n_samples: int
-    counts: list[list[int]]  # rows by true category by predicted class
-
-
 def measure_inference(params: ModelParams, X: np.ndarray):
     """Predict the full batch, timing the complete pass."""
     if len(X) == 0:
@@ -123,11 +106,15 @@ def measure_inference(params: ModelParams, X: np.ndarray):
 
 def cross_period_eval(checkpoints: Iterable[Checkpoint],
                       test_sets: dict[int, RowShard],
-                      codec: LabelCodec) -> list[MetricsReport]:
+                      codec: LabelCodec) -> list[dict]:
     """Evaluate every checkpoint on every period's global test set.
 
-    A test set's ``y`` holds its rows' roster categories, the six-class
-    codec's labels; each cell keeps their counts by ``codec``'s predicted class.
+    Each (checkpoint, test period) cell is a dict in the form the metrics
+    document stores it: ``checkpoint_period``, ``test_period``, the five
+    metric floats, ``inference_seconds``, ``n_samples`` and ``counts``. A
+    test set's ``y`` holds its rows' roster categories, the six-class codec's
+    labels; a cell's ``counts`` are theirs by ``codec``'s predicted class,
+    rows by true category.
 
     The checkpoints are taken one at a time, so an iterator that loads each
     from disk holds one at once. A test set's rows are gathered from its
@@ -141,7 +128,7 @@ def cross_period_eval(checkpoints: Iterable[Checkpoint],
     """
     if not test_sets:
         raise EvaluationError("no test sets supplied")
-    reports = []
+    cells = []
     for ckpt in checkpoints:
         for period in sorted(test_sets):
             data = test_sets[period]
@@ -156,14 +143,14 @@ def cross_period_eval(checkpoints: Iterable[Checkpoint],
             counts = confusion(data.y, preds, codec.num_classes, len(CATEGORIES))
             matrix = fold_categories(counts, codec)
             p, r, f1 = macro_prf(matrix)
-            reports.append(MetricsReport(
-                checkpoint_period=ckpt.period_id, test_period=period,
-                accuracy=micro_accuracy(matrix), precision_macro=p,
-                recall_macro=r, f1_macro=f1,
-                far=false_alarm_rate(matrix),
-                inference_seconds=secs, n_samples=len(data), counts=counts.tolist(),
-            ))
-    return reports
+            cells.append({
+                "checkpoint_period": ckpt.period_id, "test_period": period,
+                "accuracy": micro_accuracy(matrix), "precision_macro": p,
+                "recall_macro": r, "f1_macro": f1,
+                "far": false_alarm_rate(matrix),
+                "inference_seconds": secs, "n_samples": len(data), "counts": counts.tolist(),
+            })
+    return cells
 
 
 def newest_checkpoint(checkpoints: Iterable[int], period: int) -> int | None:

@@ -36,7 +36,7 @@ Lockstep clients: :func:`train_local` trains a list of client shards
 together, as one cohort. The clients are ordered by shard size, so at each
 step of an epoch the clients whose batch has the same row count are
 consecutive. Each maximal such run is stacked on a leading axis, and
-forward, backward and the Adam or SGD update run once per run over ``(g, b,
+forward, backward and the Adam update run once per run over ``(g, b,
 F)`` batches and ``(g, P)`` parameter, gradient and moment blocks. A ragged
 last batch forms its own run: batches are stacked, never padded. The trained
 parameters, the gradient, the moments and the optimizer scratch live in one
@@ -89,8 +89,6 @@ import numpy as np
 from .dataset import RowShard
 from .errors import ConfigError, DataError, LabelError, ShapeError, check_field
 from .seeds import rng_for
-
-OPTIMIZERS = ("adam", "sgd")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -179,14 +177,11 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 16
     local_epochs: int = 100
-    optimizer: str = "adam"
 
     def __post_init__(self):
         check_field("learning_rate", self.learning_rate, "number", 0)
         check_field("batch_size", self.batch_size, "integer", 1)
         check_field("local_epochs", self.local_epochs, "integer", 1)
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer: must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 
 
 def tensor_shapes(arch: ModelArch) -> list[tuple[int, ...]]:
@@ -498,7 +493,7 @@ def predict(params: ModelParams, batch: np.ndarray) -> np.ndarray:
 
 
 class Optimizer:
-    """Adam or SGD, in place on the rows of a ``(K, P)`` block of ``K`` models.
+    """Adam, in place on the rows of a ``(K, P)`` block of ``K`` models.
 
     One optimizer holds the training workspace for ``cfg`` and ``arch``,
     sized for cohorts of up to ``rows`` clients: the block the trained
@@ -519,14 +514,13 @@ class Optimizer:
     def __init__(self, cfg: TrainConfig, arch: ModelArch, rows: int):
         self.cfg, self.arch, self.rows = cfg, arch, rows
         self.out = np.empty((rows, param_count(arch)))
-        self.adam = cfg.optimizer == "adam"
         self.lr = cfg.learning_rate
         self.live = arch.layout[1]
         widths = [sl.stop - sl.start for sl in self.live]
         offsets = list(itertools.accumulate(widths, initial=0))
         self.packed = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
         self.grad = np.zeros((rows, param_count(arch)))
-        self.moments = np.zeros((2, rows, offsets[-1] if self.adam else 0))  # SGD keeps none
+        self.moments = np.zeros((2, rows, offsets[-1]))
         self.counts = [0] * rows  # Adam's step count per row
         self.scratch = np.empty(2 * rows * max(widths))
 
@@ -551,11 +545,6 @@ class Optimizer:
 
     def step(self, segments, rows: slice) -> None:
         """One update of ``rows``, whose per-segment views are ``segments``."""
-        if not self.adam:
-            for p, g, _, _, a, _ in segments:
-                np.multiply(g, self.lr, out=a)  # p -= lr * g
-                p -= a
-            return
         counts = self.counts[rows] = [t + 1 for t in self.counts[rows]]
         # a (g, 1) column per moment and row, with Python's float power
         bc = np.array([1.0 - ADAM_BETA1 ** t for t in counts]

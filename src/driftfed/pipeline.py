@@ -433,13 +433,6 @@ class LabelCodec:
     def __post_init__(self):
         self.lut.setflags(write=False)  # one array per task, shared by every caller
 
-    @staticmethod
-    def for_task(task: str) -> "LabelCodec":
-        try:
-            return CODECS[task]
-        except KeyError:
-            raise ConfigError(f"unknown task {task!r}") from None
-
     @property
     def num_classes(self) -> int:
         return len(self.class_names)

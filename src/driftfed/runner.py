@@ -41,7 +41,7 @@ import numpy as np
 
 from . import timeline as tl
 from .atomic import read_json, write_atomic, write_json
-from .errors import ConfigError, DriftFedError, ReportError, check_field
+from .errors import ConfigError, DataError, DriftFedError, ReportError, check_field
 from .federation import FedConfig, PeriodInput, load_checkpoint, run_timeline, save_checkpoint
 from .metrics import FAR_DEFINITION, cross_period_eval, newest_checkpoint, protocol_cells
 from .nn import ModelArch, TrainConfig
@@ -123,7 +123,7 @@ class RunConfig:
         if not self.output_dir:
             raise ConfigError("output_dir: must name a directory, got ''")
         check_field("seed", self.seed, "integer")
-        out = LabelCodec.for_task(self.task).num_classes
+        out = CODECS[self.task].num_classes
         object.__setattr__(self, "arch", replace(self.arch, output_dim=out))
 
 
@@ -281,6 +281,9 @@ def prepare_experiment(cfg: RunConfig, records=None):
     the capped training segments per class (row indices into it), the
     encoded test set per period (a ``RowShard`` of the table labeled by
     category, the six-class codec's labels, in either task) and the codec.
+    A test period without a Benign row raises :class:`DataError` naming
+    it, before any strategy trains: no cell of it could be scored, since
+    its FAR counts Benign rows.
 
     The features are copied once, into the scaled table, and only when the
     run does not own them: a table the run loads or generates, or that
@@ -302,12 +305,17 @@ def prepare_experiment(cfg: RunConfig, records=None):
                                     cfg.test_cap, cfg.seed, "cap-test")
     encoded_tests = {period: encode_labels(CODECS["sixclass"], table, rows)
                      for period, rows in build_test_sets(schedule, test_segments).items()}
+    # category 0 is Benign: pipeline.ROSTER lists it first
+    unscorable = [f"t{p}" for p, shard in encoded_tests.items() if not (shard.y == 0).any()]
+    if unscorable:
+        raise DataError(f"no Benign row in test period(s) {', '.join(unscorable)}, so no "
+                        f"strategy could be scored on them; the run needs more rows")
     return {
         "schedule": schedule,
         "table": table,
         "train_segments": train_segments,
         "encoded_tests": encoded_tests,
-        "codec": LabelCodec.for_task(cfg.task),
+        "codec": CODECS[cfg.task],
     }
 
 
@@ -350,10 +358,10 @@ def run_strategy(cfg: RunConfig, prep: dict, strategy: StrategyConfig, ckpt_dir:
 
     logs = run_timeline(strategy, period_inputs, cfg.fed, cfg.arch, strategy_seed,
                         on_checkpoint=save)
-    reports = cross_period_eval((load_checkpoint(ckpt_dir / name) for name in names),
-                                prep["encoded_tests"], codec)
+    cells = cross_period_eval((load_checkpoint(ckpt_dir / name) for name in names),
+                              prep["encoded_tests"], codec)
     return {
-        "cells": [asdict(r) for r in reports],
+        "cells": cells,
         "train_latency_seconds": {f"t{log.period_id}": log.train_seconds for log in logs},
         "train_samples": samples,
         "val_accuracy": {f"t{log.period_id}": log.val_accuracy for log in logs},
@@ -469,7 +477,7 @@ def render_reports(doc: dict) -> dict[str, str | None]:
     table is None when the cells carry no counts, as an earlier version's do.
     """
     task = doc["task"]
-    codec = LabelCodec.for_task(task)
+    codec = CODECS[task]
     test_periods = [f"t{p}" for p in doc["test_periods"]]
     train_periods = [f"t{p}" for p in tl.training_periods(task)]
     far = doc["far_definition"]

@@ -2,7 +2,7 @@
 
 This is the straightforward form of the arithmetic in ``driftfed.nn``: one
 array per tensor, the full BPTT recurrence at every timestep (including the
-zero-state terms at t=0), and Adam/SGD applied to every tensor. The engine in
+zero-state terms at t=0), and Adam applied to every tensor. The engine in
 ``driftfed.nn`` must produce the same bits from the same inputs.
 """
 
@@ -114,9 +114,6 @@ def train(arch, flat, X, y, cfg, seed):
             bc1 = 1.0 - ADAM_BETA1 ** step
             bc2 = 1.0 - ADAM_BETA2 ** step
             for k, (tensor, grad) in enumerate(zip(tensors, grads)):
-                if cfg.optimizer == "sgd":
-                    tensor -= cfg.learning_rate * grad
-                    continue
                 m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * grad
                 v[k] = ADAM_BETA2 * v[k] + (1.0 - ADAM_BETA2) * grad * grad
                 tensor -= cfg.learning_rate * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + ADAM_EPS)

@@ -506,7 +506,7 @@ def _header_blob(header: dict, payload: bytes = b"") -> bytes:
 
 @pytest.mark.parametrize("case", ["short_header", "truncated_payload", "bad_json",
                                   "missing_field", "wrong_version", "wrong_magic",
-                                  "float_period", "arch_mismatch"])
+                                  "float_period", "arch_mismatch", "nan_param", "inf_param"])
 def test_checkpoint_corruptions_raise_checkpoint_error(tmp_path, case):
     blob = _checkpoint_blob(tmp_path)
     header_len = struct.unpack("<I", blob[12:16])[0]
@@ -523,6 +523,9 @@ def test_checkpoint_corruptions_raise_checkpoint_error(tmp_path, case):
         "float_period": _header_blob({**header, "period_id": 2.5}, payload),
         "arch_mismatch": _header_blob({**header, "arch": {**header["arch"], "hidden_units": 3}},
                                       payload),
+        # a model that would score as valid though its parameters are not finite
+        "nan_param": blob[:-16] + struct.pack("<d", math.nan) + blob[-8:],
+        "inf_param": blob[:-16] + struct.pack("<d", -math.inf) + blob[-8:],
     }[case]
     path = tmp_path / f"{case}.ckpt"
     path.write_bytes(corrupt)
@@ -548,3 +551,4 @@ def test_checkpoint_fuzz_fails_only_with_driftfed_errors(tmp_path_factory, cut, 
         assert isinstance(exc, CheckpointError) and "fuzzed.ckpt" in str(exc)
     else:
         assert loaded.params.vec.shape == (param_count(loaded.params.arch),)
+        assert np.isfinite(loaded.params.vec).all()

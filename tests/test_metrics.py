@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,13 +178,16 @@ def _checkpoints(periods):
 
 def test_cross_period_eval_full_matrix(rng):
     tests = {p: _dataset(rng) for p in range(1, 7)}
-    reports = cross_period_eval(_checkpoints([1, 2, 3, 4, 5]), tests, BINARY)
-    assert len(reports) == 5 * 6
-    assert all(0.0 <= r.accuracy <= 1.0 for r in reports)
-    assert all(0.0 <= r.far <= 1.0 for r in reports)
+    cells = cross_period_eval(_checkpoints([1, 2, 3, 4, 5]), tests, BINARY)
+    assert len(cells) == 5 * 6
+    # each cell in the metrics document's form
+    assert all(list(c) == ["checkpoint_period", "test_period", "accuracy", "precision_macro",
+                           "recall_macro", "f1_macro", "far", "inference_seconds",
+                           "n_samples", "counts"] for c in cells)
+    assert all(0.0 <= c["accuracy"] <= 1.0 and 0.0 <= c["far"] <= 1.0 for c in cells)
     # deterministic apart from timing
     again = cross_period_eval(_checkpoints([1, 2, 3, 4, 5]), tests, BINARY)
-    assert [r.accuracy for r in reports] == [r.accuracy for r in again]
+    assert [c["accuracy"] for c in cells] == [c["accuracy"] for c in again]
 
 
 def test_cross_period_eval_reads_test_sets_as_rows_of_one_table(rng, monkeypatch):
@@ -203,7 +204,7 @@ def test_cross_period_eval_reads_test_sets_as_rows_of_one_table(rng, monkeypatch
         return real_measure(params, X)
 
     monkeypatch.setattr(metrics, "measure_inference", measure)
-    cells = [[(r.accuracy, r.f1_macro, r.far, r.n_samples) for r in
+    cells = [[(c["accuracy"], c["f1_macro"], c["far"], c["n_samples"]) for c in
               cross_period_eval(_checkpoints([1, 2]), sets, BINARY)] for sets in (alone, shared)]
     assert cells[0] == cells[1]
     gathered = timed[len(timed) // 2:]
@@ -212,7 +213,7 @@ def test_cross_period_eval_reads_test_sets_as_rows_of_one_table(rng, monkeypatch
 
 def _document_cells(periods, tests):
     """The metrics document's cells of ``periods``' checkpoints on ``tests``."""
-    return [asdict(r) for r in cross_period_eval(_checkpoints(periods), tests, BINARY)]
+    return cross_period_eval(_checkpoints(periods), tests, BINARY)
 
 
 def test_protocol_cells_shift_by_one(rng):

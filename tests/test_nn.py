@@ -253,8 +253,6 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(optimizer="momentum")
 
 
 def test_labeled_data_rejects_non_integer_labels():
@@ -323,13 +321,15 @@ def test_train_local_learns_separable_blobs():
 
 
 def test_full_batch_descent_loss_non_increasing(rng):
-    # small-step full-batch SGD on normalized data: loss cannot go up
+    # each call is one full-batch Adam step from fresh moments, which moves every
+    # parameter by the learning rate against its gradient's sign: at a small rate
+    # on normalized data the loss cannot go up
     arch = ModelArch(input_dim=4, hidden_layers=1, hidden_units=4, output_dim=2)
     params = init_params(arch, seed=9)
     X = rng.uniform(0, 1, size=(32, 4))
     y = rng.integers(0, 2, 32)
     data = whole(X, y)
-    cfg = TrainConfig(learning_rate=1e-3, batch_size=32, local_epochs=1, optimizer="sgd")
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=32, local_epochs=1)
     losses = []
     current = params
     for _ in range(20):
@@ -367,12 +367,9 @@ def test_engine_matches_per_tensor_reference_bitwise(seed):
     assert (backward(params, cache, y).vec.tobytes()
             == np.concatenate([g.ravel() for g in ref_grads]).tobytes())
 
-    for optimizer in ("adam", "sgd"):
-        cfg = TrainConfig(learning_rate=0.05, batch_size=int(gen.integers(1, 20)),
-                          local_epochs=2, optimizer=optimizer)
-        [out] = train_local(params, [whole(X, y)], cfg, [seed])
-        assert (out.vec.tobytes()
-                == reference_lstm.train(arch, params.vec, X, y, cfg, seed).tobytes())
+    cfg = TrainConfig(learning_rate=0.05, batch_size=int(gen.integers(1, 20)), local_epochs=2)
+    [out] = train_local(params, [whole(X, y)], cfg, [seed])
+    assert out.vec.tobytes() == reference_lstm.train(arch, params.vec, X, y, cfg, seed).tobytes()
 
 
 @pytest.mark.parametrize("seq_len", [1, 2, 3])
@@ -419,9 +416,8 @@ def test_seq_len_one_gradient_is_zero_on_wh_and_forget_gate(rng):
         assert np.any(grads.wx[layer][:, :h]) and np.any(grads.b[layer][2 * h:])
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_recurrent_weights_inert_only_at_seq_len_one(rng, optimizer):
-    cfg = TrainConfig(learning_rate=0.01, batch_size=8, local_epochs=2, optimizer=optimizer)
+def test_recurrent_weights_inert_only_at_seq_len_one(rng):
+    cfg = TrainConfig(learning_rate=0.01, batch_size=8, local_epochs=2)
     for seq_len, changes in ((1, False), (3, True)):
         arch = ModelArch(input_dim=3, hidden_layers=2, hidden_units=4, output_dim=2,
                          seq_len=seq_len)
@@ -474,9 +470,8 @@ LOCKSTEP_SIZES = {"below-batch": (21, 5, 13), "equal": (20, 20, 20),
                   "one-apart": (21, 19, 20), "batch-multiples": (32, 16, 24)}
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("sizes", LOCKSTEP_SIZES.values(), ids=LOCKSTEP_SIZES.keys())
-def test_lockstep_clients_match_per_client_reference_bitwise(sizes, optimizer):
+def test_lockstep_clients_match_per_client_reference_bitwise(sizes):
     # clients stacked into equal-batch runs, as row indices into one matrix,
     # must train exactly as they would alone from their own rows
     gen = np.random.default_rng(sum(sizes))
@@ -485,8 +480,7 @@ def test_lockstep_clients_match_per_client_reference_bitwise(sizes, optimizer):
                          seq_len=seq_len)
         params, parts, shards = _lockstep_case(gen, arch, sizes)
         for epochs in (1, 3):
-            cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=epochs,
-                              optimizer=optimizer)
+            cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=epochs)
             seeds = [100 * seq_len + k for k in range(len(sizes))]
             _assert_lockstep_matches_reference(params, parts, shards, cfg, seeds)
 
@@ -499,9 +493,8 @@ def test_lockstep_single_client_matches_reference_bitwise():
     _assert_lockstep_matches_reference(params, parts, shards, cfg, [11])
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("seq_len", [1, 2])
-def test_one_client_cohorts_share_a_workspace_exactly(seq_len, optimizer):
+def test_one_client_cohorts_share_a_workspace_exactly(seq_len):
     # above COHORT_PARAMS every client of a round is its own cohort, and the
     # cohorts reuse one gradient, moment and scratch workspace: each client
     # must train as it does with a fresh one, and the round must be FedAvg
@@ -511,7 +504,7 @@ def test_one_client_cohorts_share_a_workspace_exactly(seq_len, optimizer):
                      seq_len=seq_len)
     assert param_count(arch) > COHORT_PARAMS and cohort_size(arch) == 1
     params, _, shards = _lockstep_case(gen, arch, (13, 6, 21, 6))
-    cfg = TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2, optimizer=optimizer)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=2)
     seeds = [derive_seed(5, "round", 0, "client", k) for k in range(len(shards))]
     alone = [train_local(params, [shard], cfg, [seed])[0] for shard, seed in zip(shards, seeds)]
     workspace = Optimizer(cfg, arch, 1)
@@ -587,16 +580,6 @@ def test_optimizer_step_updates_both_moments_as_the_per_moment_sequence(rng):
     assert vec.tobytes() == p.tobytes()
     assert opt.moments[0].tobytes() == m.tobytes()
     assert opt.moments[1].tobytes() == v.tobytes()
-
-    sgd = Optimizer(replace(cfg, optimizer="sgd"), arch, 3)
-    assert sgd.moments.size == 0
-    vec = rng.normal(size=(3, param_count(arch)))
-    sgd.grad[...] = rng.normal(size=sgd.grad.shape)
-    p = vec.copy()
-    for sl in live:
-        p[:, sl] -= sgd.grad[:, sl] * lr
-    sgd.step(sgd.segments(vec, slice(0, 3)), slice(0, 3))
-    assert vec.tobytes() == p.tobytes()
 
 
 def test_lockstep_rejects_mismatched_configs(rng):

@@ -6,9 +6,9 @@ import pytest
 from driftfed import pipeline
 from driftfed.errors import CodecError, ConfigError, DataError, LoadError
 from driftfed.pipeline import (CATEGORIES, CODECS, NO_ROWS, ROSTER, SUB_ATTACKS, ColumnSpec,
-                               FlowTable, LabelCodec, REMOVED_SUB_ATTACK, apply_scaler,
-                               category_of, clean, encode_labels, fit_scaler,
-                               load_records, records_by_class, stratified_split)
+                               FlowTable, REMOVED_SUB_ATTACK, apply_scaler, category_of, clean,
+                               encode_labels, fit_scaler, load_records, records_by_class,
+                               stratified_split)
 
 from conftest import join, make_records
 
@@ -289,10 +289,7 @@ def test_codec_table_holds_each_task_lookup_once():
     for task, codec in CODECS.items():
         assert codec.task == task and codec.lut.dtype == np.int64
         assert not codec.lut.flags.writeable
-        assert LabelCodec.for_task(task) is codec
     assert CODECS["sixclass"].class_names == CATEGORIES
-    with pytest.raises(ConfigError, match="unknown task 'ternary'"):
-        LabelCodec.for_task("ternary")
 
 
 def test_encode_labels_lookup_covers_every_sub_attack():

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfed import atomic, cli, federation, runner, timeline
-from driftfed.errors import ConfigError, DivergenceError, EvaluationError, ReportError
+from driftfed.errors import ConfigError, DataError, DivergenceError, EvaluationError, ReportError
 from driftfed.federation import FedConfig
 from driftfed.metrics import (false_alarm_rate, fold_categories, macro_prf, micro_accuracy,
                               protocol_cells)
-from driftfed.nn import OPTIMIZERS, ModelArch, TrainConfig, param_count
+from driftfed.nn import ModelArch, TrainConfig, param_count
 from driftfed.pipeline import (CODECS, ColumnSpec, FlowTable, apply_scaler, clean, encode_labels,
                                fit_scaler, records_by_class, stratified_split)
 from driftfed.runner import (ALL_STRATEGIES, DataSource, RunConfig, _config_dict,
@@ -194,7 +194,7 @@ _raw_configs = st.fixed_dictionaries({}, optional={
         "num_clients": _positive, "rounds": _positive,
         "train": st.fixed_dictionaries({}, optional={
             "learning_rate": st.floats(1e-6, 1.0), "batch_size": _positive,
-            "local_epochs": _positive, "optimizer": st.sampled_from(OPTIMIZERS)})}),
+            "local_epochs": _positive})}),
     "caps": st.fixed_dictionaries({}, optional={"train": _positive, "test": _positive}),
     "train_fraction": st.floats(0.01, 0.99),
     "output_dir": st.text(min_size=1),
@@ -1029,8 +1029,9 @@ def _with_counts(doc, counts):
     lambda doc: _with_counts(doc, [[1, 2]] * 5 + [[1]]),
     lambda doc: _with_counts(doc, [[1, -2]] * 6),
     lambda doc: _with_counts(doc, [[1.5, 2]] * 6),
+    lambda doc: json.dumps({**doc, "task": "ternary"}).encode("utf-8"),
 ], ids=["garbage", "not-utf8", "list", "no-strategies", "no-cells", "counts-5x2",
-        "counts-6x3", "counts-ragged", "counts-negative", "counts-float"])
+        "counts-6x3", "counts-ragged", "counts-negative", "counts-float", "unknown-task"])
 def test_report_rejects_corrupt_metrics_documents_by_name(tiny_run, tmp_path, capsys, damage):
     _, result = tiny_run
     (tmp_path / "metrics_binary.json").write_bytes(damage(result.metrics))
@@ -1154,6 +1155,31 @@ def test_train_cap_below_the_client_count_runs_with_the_idle_clients_sitting_out
     assert all(len(rows) == 2 and min(rows) > 0 for rows in shard_rows)
 
 
+def test_a_run_refuses_test_periods_without_benign_rows_before_training(
+        tmp_path, capsys, monkeypatch):
+    # at 5 rows per sub-attack the t5 and t6 test sets hold no Benign row, so no
+    # strategy could be scored on them: the run stops before any trains
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "output_dir": str(tmp_path / "run"),
+        "data": {"synthetic": {"seed": 1, "rows_per_subattack": 5}},
+        "strategies": [{"kind": "static"}, {"kind": "simple"}]}))
+    assert cli.main(["validate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a strategy trained")
+
+    monkeypatch.setattr(runner, "run_timeline", never)
+    with pytest.raises(DataError, match=r"no Benign row in test period\(s\) t5, t6,"):
+        run_experiment(desk_scale(load_config(cfg_path)))
+    assert list((tmp_path / "run").iterdir()) == []
+    assert cli.main(["run", "--config", str(cfg_path), "--desk-scale"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error [DataError]: no Benign row in test period(s) t5, t6,")
+    assert list((tmp_path / "run").iterdir()) == []
+
+
 def test_cli_gen_data_into_a_directory_fails_by_name(tmp_path, capsys):
     assert cli.main(["gen-data", "--out", str(tmp_path), "--rows", "2"]) == 2
     assert capsys.readouterr().err.startswith("error [IsADirectoryError]: ")
@@ -1255,6 +1281,9 @@ _DEEP = b"[" * 200_000 + b"]" * 200_000
     (_json({"federation": {"seed": 11}}), "federation: unknown key(s) ['seed']"),
     (_json({"federation": {"train": {"seed": 5}}}),
      "federation.train: unknown key(s) ['seed']"),
+    # Adam is the one local update rule: no key chooses it
+    (_json({"federation": {"train": {"optimizer": "adam"}}}),
+     "federation.train: unknown key(s) ['optimizer']"),
     (_json({"strategies": [{"kind": "static"}, {"kind": "retain", "retain": 5}]}),
      "strategies[1]: unknown key(s) ['retain']"),
     (_json({"data": {"synthetic": {"seed": 1}, "rows": 5}}), "data: unknown key(s) ['rows']"),
